@@ -13,7 +13,6 @@ from .sieve import (
     save_tables,
 )
 from .ramanujan import (
-    CqEvaluator,
     check_property_catalog,
     cq_int,
     cq_real,

@@ -4,7 +4,9 @@ Every subcommand writes a CSV report (header row, 12 significant digits,
 UTF-8, LF endings) plus a JSON manifest with the command line, library
 version, sieve bound, parameters, wall-clock duration, and the CSV's
 SHA-256.  Reruns with the same manifest parameters reproduce the CSV
-byte for byte; only the duration field varies.
+byte for byte; only the duration field varies.  ``--threads`` is accepted
+for compatibility with older command lines and has no effect: ramabel
+starts no worker threads, and results do not depend on the flag.
 
 Exit codes: 0 success, 1 check failure (props), 2 usage or argument error.
 """
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
                     help=f"sieve cache directory (default: ${CACHE_ENV})")
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads; never changes numeric output")
+                    help="accepted for compatibility; has no effect")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="build or load cached tables")
@@ -213,8 +215,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         bound = args.n + args.gap
         tables = _get_tables(bound, args.cache_dir)
         report = mean_values.pair_autocorrelation(
-            tables, args.gap, args.n, P=args.p, weight=args.weights,
-            threads=args.threads,
+            tables, args.gap, args.n, P=args.p, weight=args.weights
         )
         header, rows = _report_rows(report)
         return _finish(
@@ -228,7 +229,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         bound = (args.b * args.n + args.l) // args.a + 1
         tables = _get_tables(bound, args.cache_dir)
         report = mean_values.conjecture_d_mean(
-            tables, args.a, args.b, args.l, args.n, P=args.p, threads=args.threads
+            tables, args.a, args.b, args.l, args.n, P=args.p
         )
         header, rows = _report_rows(report)
         return _finish(
@@ -242,9 +243,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         spec = mean_values.TupleSpec.from_offsets(_ints(args.offsets))
         bound = args.n + spec.offsets[-1]
         tables = _get_tables(bound, args.cache_dir)
-        result = mean_values.tuple_mean(
-            tables, spec, args.n, P=args.p, threads=args.threads
-        )
+        result = mean_values.tuple_mean(tables, spec, args.n, P=args.p)
         rows = result.lambda_weighted.csv_rows() + result.lambda1_weighted.csv_rows()
         return _finish(
             args, out, start, bound,
@@ -257,7 +256,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "pnt":
         tables = _get_tables(args.n, args.cache_dir)
-        report = mean_values.pnt_mean(tables, args.n, threads=args.threads)
+        report = mean_values.pnt_mean(tables, args.n)
         header, rows = _report_rows(report)
         return _finish(
             args, out, start, args.n, header, rows, {"n": args.n},

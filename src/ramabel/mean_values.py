@@ -4,15 +4,13 @@ Every report carries a ten-checkpoint convergence trace, and periodic
 summands additionally carry the exact one-period average computed in
 integer/rational arithmetic, which is the finite-N-free value of the
 corresponding limit.  All float reductions run over fixed-size contiguous
-blocks combined in ascending order, so results are independent of the
-worker count.
+blocks combined in ascending order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -75,37 +73,14 @@ def _checkpoint_ns(N: int) -> list[int]:
     return sorted({max(1, (k * N) // 10) for k in range(1, 10)} | {N})
 
 
-def _block_sums(vals: np.ndarray, threads: int) -> list[float]:
-    starts = range(0, len(vals), _BLOCK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: float(np.sum(vals[s : s + _BLOCK])), starts))
-    return [float(np.sum(vals[s : s + _BLOCK])) for s in starts]
-
-
-def _report_from_values(
+def _report(
     label: str,
-    vals: np.ndarray,
     N: int,
+    trace: list[tuple[int, float]],
     predicted: float | None,
     exact: Fraction | None = None,
-    threads: int = 1,
-    extra: dict | None = None,
 ) -> MeanValueReport:
-    """Build a report from the summand array for n = 1..N.
-
-    Block sums use a fixed block size regardless of thread count, and are
-    combined in ascending order, so the result is bit-identical for any
-    ``threads``.
-    """
-    assert len(vals) == N
-    trace = []
-    sums: list[float] = []
-    prev = 0
-    for n_i in _checkpoint_ns(N):
-        sums.extend(_block_sums(vals[prev:n_i], threads))
-        prev = n_i
-        trace.append((n_i, math.fsum(sums) / n_i))
+    """The one place a trace becomes a report with its gap to ``predicted``."""
     empirical = trace[-1][1]
     abs_gap = None if predicted is None else abs(empirical - predicted)
     rel_gap = (
@@ -122,19 +97,29 @@ def _report_from_values(
         rel_gap=rel_gap,
         trace=trace,
         exact_mean=exact,
-        extra=extra or {},
     )
 
 
-def _periodic_report(
-    label: str,
-    period_vals: Sequence[int],
-    N: int,
-    predicted: float | None,
-    exact: Fraction,
-    extra: dict | None = None,
-) -> MeanValueReport:
-    """Report for a summand that is periodic in n with period len(period_vals).
+def _array_trace(vals: np.ndarray, N: int) -> list[tuple[int, float]]:
+    """Checkpoint means of the summand array for n = 1..N.
+
+    Block sums use a fixed block size and are combined in ascending order,
+    so every checkpoint mean is a fixed function of the summands.
+    """
+    assert len(vals) == N
+    trace = []
+    sums: list[float] = []
+    prev = 0
+    for n_i in _checkpoint_ns(N):
+        seg = vals[prev:n_i]
+        sums.extend(float(np.sum(seg[s : s + _BLOCK])) for s in range(0, len(seg), _BLOCK))
+        prev = n_i
+        trace.append((n_i, math.fsum(sums) / n_i))
+    return trace
+
+
+def _periodic_trace(period_vals: Sequence[int], N: int) -> list[tuple[int, float]]:
+    """Checkpoint means of a summand periodic in n with period len(period_vals).
 
     period_vals[i] is the summand at n = i + 1.  All partial sums are exact
     integers; only the final division is floating point.
@@ -148,25 +133,7 @@ def _periodic_report(
     def total(n: int) -> int:
         return (n // L) * period_sum + prefix[n % L]
 
-    trace = [(n_i, total(n_i) / n_i) for n_i in _checkpoint_ns(N)]
-    empirical = trace[-1][1]
-    abs_gap = None if predicted is None else abs(empirical - predicted)
-    rel_gap = (
-        abs_gap / abs(predicted)
-        if predicted is not None and predicted != 0.0
-        else None
-    )
-    return MeanValueReport(
-        label=label,
-        N=N,
-        empirical=empirical,
-        predicted=predicted,
-        abs_gap=abs_gap,
-        rel_gap=rel_gap,
-        trace=trace,
-        exact_mean=exact,
-        extra=extra or {},
-    )
+    return [(n_i, total(n_i) / n_i) for n_i in _checkpoint_ns(N)]
 
 
 def cq_mean(tables: SieveTables, q: int, N: int) -> MeanValueReport:
@@ -179,7 +146,7 @@ def cq_mean(tables: SieveTables, q: int, N: int) -> MeanValueReport:
     period = [cq_int(tables, q, n) for n in range(1, q + 1)]
     exact = Fraction(sum(period), q)
     predicted = 1.0 if q == 1 else 0.0
-    return _periodic_report(f"cq_mean(q={q})", period, N, predicted, exact)
+    return _report(f"cq_mean(q={q})", N, _periodic_trace(period, N), predicted, exact)
 
 
 def cq_orthogonality(
@@ -194,8 +161,12 @@ def cq_orthogonality(
     ]
     exact = Fraction(sum(period), L)
     predicted = float(cq_int(tables, r, m)) if r == s else 0.0
-    return _periodic_report(
-        f"cq_orthogonality(r={r},s={s},m={m})", period, N, predicted, exact
+    return _report(
+        f"cq_orthogonality(r={r},s={s},m={m})",
+        N,
+        _periodic_trace(period, N),
+        predicted,
+        exact,
     )
 
 
@@ -223,8 +194,12 @@ def polynomial_cq_mean(
     by_residue = [cq_int(tables, q, f_mod(r)) for r in range(q)]
     period = [by_residue[n % q] for n in range(1, q + 1)]
     exact = Fraction(sum(by_residue), q)
-    return _periodic_report(
-        f"polynomial_cq_mean(q={q},poly={coeffs})", period, N, float(exact), exact
+    return _report(
+        f"polynomial_cq_mean(q={q},poly={coeffs})",
+        N,
+        _periodic_trace(period, N),
+        float(exact),
+        exact,
     )
 
 
@@ -241,7 +216,6 @@ def pair_autocorrelation(
     N: int,
     P: int = 10**6,
     weight: str = "lambda1",
-    threads: int = 1,
 ) -> MeanValueReport:
     """Shifted autocorrelation mean at an even gap against the pair constant.
 
@@ -250,11 +224,11 @@ def pair_autocorrelation(
     if h2 < 1:
         raise ValueError(f"gap must be >= 1, got {h2}")
     if h2 % 2 == 1:
-        return odd_gap_mean(tables, h2, N, weight=weight, threads=threads)
+        return odd_gap_mean(tables, h2, N, weight=weight)
     predicted = singular.pair_constant(h2, P).value
     vals = _pair_values(tables, h2, N, weight)
-    return _report_from_values(
-        f"pair_autocorrelation(h={h2},w={weight})", vals, N, predicted, threads=threads
+    return _report(
+        f"pair_autocorrelation(h={h2},w={weight})", N, _array_trace(vals, N), predicted
     )
 
 
@@ -263,15 +237,12 @@ def odd_gap_mean(
     h: int,
     N: int,
     weight: str = "lambda1",
-    threads: int = 1,
 ) -> MeanValueReport:
     """Autocorrelation mean at an odd gap; the limit is zero."""
     if h < 1 or h % 2 == 0:
         raise ValueError(f"gap must be a positive odd integer, got {h}")
     vals = _pair_values(tables, h, N, weight)
-    return _report_from_values(
-        f"odd_gap_mean(h={h},w={weight})", vals, N, 0.0, threads=threads
-    )
+    return _report(f"odd_gap_mean(h={h},w={weight})", N, _array_trace(vals, N), 0.0)
 
 
 def conjecture_d_mean(
@@ -282,7 +253,6 @@ def conjecture_d_mean(
     N: int,
     P: int = 10**6,
     weight: str = "lambda1",
-    threads: int = 1,
 ) -> MeanValueReport:
     """Mean over n <= N, restricted to a | (b n + l), of the product of
     weights at n and (b n + l)/a.
@@ -302,12 +272,11 @@ def conjecture_d_mean(
     hit = t % a == 0
     vals = np.zeros(N, dtype=np.float64)
     vals[hit] = w[ns[hit]] * w[t[hit] // a]
-    return _report_from_values(
+    return _report(
         f"conjecture_d_mean(a={a},b={b},l={l},w={weight})",
-        vals,
         N,
+        _array_trace(vals, N),
         predicted,
-        threads=threads,
     )
 
 
@@ -350,7 +319,6 @@ def tuple_mean(
     spec: TupleSpec,
     N: int,
     P: int = 10**6,
-    threads: int = 1,
 ) -> TupleMeanReport:
     """Mean of the product of von Mangoldt weights over the offset tuple.
 
@@ -373,12 +341,11 @@ def tuple_mean(
         vals = np.ones(N, dtype=np.float64)
         for off in spec.offsets:
             vals *= w[1 + off : N + 1 + off]
-        reports[weight] = _report_from_values(
+        reports[weight] = _report(
             f"tuple_mean(offsets={spec.offsets},w={weight})",
-            vals,
             N,
+            _array_trace(vals, N),
             predicted,
-            threads=threads,
         )
     return TupleMeanReport(
         spec=spec,
@@ -387,12 +354,12 @@ def tuple_mean(
     )
 
 
-def pnt_mean(tables: SieveTables, N: int, threads: int = 1) -> MeanValueReport:
+def pnt_mean(tables: SieveTables, N: int) -> MeanValueReport:
     """Mean of the weighted von Mangoldt function; the limit is 1."""
     if N > tables.bound:
         raise ValueError(f"N={N} beyond table bound {tables.bound}")
     vals = tables.lam1[1 : N + 1]
-    return _report_from_values("pnt_mean", vals, N, 1.0, threads=threads)
+    return _report("pnt_mean", N, _array_trace(vals, N), 1.0)
 
 
 def goldbach_correlation(tables: SieveTables, N: int, q1: int, q2: int) -> int:

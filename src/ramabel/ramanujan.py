@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -118,23 +119,6 @@ def direct_oracle_over_n(
 
 
 @dataclass
-class CqEvaluator:
-    """Bundles sieve tables with the oracle threshold for convenience."""
-
-    tables: SieveTables
-    direct_threshold: int = DEFAULT_DIRECT_THRESHOLD
-
-    def cq(self, q: int, n: int) -> int:
-        return cq_int(self.tables, q, n)
-
-    def cq_real(self, q: int, x: float) -> float:
-        return cq_real(q, x)
-
-    def oracle(self, q: int, n: int) -> int:
-        return direct_oracle(q, n, self.direct_threshold)
-
-
-@dataclass
 class PropertyCheck:
     name: str
     passed: bool
@@ -163,6 +147,19 @@ class PropertyReport:
 _REAL_XS = (0.5, 1.25, 2.75, 3.1, 7.9)
 
 
+def _first_counterexample(cases: Iterable, bad: Callable[..., bool], witness: str) -> str | None:
+    """Witness for the first case on which ``bad`` holds, or None if none does.
+
+    A tuple case is unpacked into the arguments of ``bad`` and the fields
+    of the ``witness`` format.
+    """
+    for case in cases:
+        args = case if isinstance(case, tuple) else (case,)
+        if bad(*args):
+            return witness.format(*args)
+    return None
+
+
 def check_property_catalog(
     tables: SieveTables, q_max: int, n_max: int
 ) -> PropertyReport:
@@ -173,194 +170,73 @@ def check_property_catalog(
     and the sigma bound for real arguments only at integer x, where sigma
     is defined.
     """
-    report = PropertyReport(q_max=q_max, n_max=n_max)
-    add = report.checks.append
     qs = range(1, q_max + 1)
+    qs0 = range(0, q_max + 1)
     ns = np.arange(-n_max, n_max + 1, dtype=np.int64)
-    sig = sigma_table(n_max)
-
-    bad = next((int(n) for n in ns if cq_int(tables, 1, int(n)) != 1), None)
-    add(PropertyCheck("int a) c_1(n) = 1", bad is None, "" if bad is None else f"n={bad}"))
-
-    bad = next((q for q in qs if cq_int(tables, q, 0) != int(tables.phi[q])), None)
-    add(PropertyCheck("int b) c_q(0) = phi(q)", bad is None, "" if bad is None else f"q={bad}"))
-
-    bad = next((q for q in qs if cq_int(tables, q, 1) != int(tables.mu[q])), None)
-    add(PropertyCheck("int c) c_q(1) = mu(q)", bad is None, "" if bad is None else f"q={bad}"))
-
-    witness = ""
-    for p in (q for q in qs if q >= 2 and int(tables.spf[q]) == q):
-        vals = cq_int_over_n(tables, p, ns)
-        want = np.where(ns % p == 0, int(tables.phi[p]), -1)
-        if not np.array_equal(vals, want):
-            witness = f"p={p}"
-            break
-    add(
-        PropertyCheck(
-            "int d) c_p(n) = phi(p) if p|n else -1 (prime q only)",
-            witness == "",
-            witness,
-            note="restricted to prime q; false at composite q (c_4(2) = -2)",
-        )
-    )
-
-    witness = ""
-    for r in range(1, q_max + 1):
-        for s in range(1, q_max // r + 1):
-            if math.gcd(r, s) != 1:
-                continue
-            lhs = cq_int_over_n(tables, r * s, ns)
-            rhs = cq_int_over_n(tables, r, ns) * cq_int_over_n(tables, s, ns)
-            if not np.array_equal(lhs, rhs):
-                witness = f"r={r}, s={s}"
-                break
-        if witness:
-            break
-    add(
-        PropertyCheck(
-            "int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1",
-            witness == "",
-            witness,
-            note="tested in the corrected c_r*c_s form; source prints c_s twice",
-        )
-    )
-
-    witness = ""
-    for q in qs:
-        vals = cq_int_over_n(tables, q, ns)
-        if np.abs(vals).max() > int(tables.phi[q]):
-            witness = f"q={q}"
-            break
-    add(PropertyCheck("int f) |c_q(n)| <= phi(q)", witness == "", witness))
-
     pos = np.arange(1, n_max + 1, dtype=np.int64)
-    witness = ""
-    for q in qs:
-        vals = np.abs(cq_int_over_n(tables, q, pos))
-        if (vals > sig[pos]).any():
-            witness = f"q={q}, n={int(pos[vals > sig[pos]][0])}"
-            break
-    add(PropertyCheck("int g) |c_q(n)| <= sigma(n), n >= 1", witness == "", witness))
+    sig = sigma_table(n_max)
+    phi, mu = tables.phi, tables.mu
+    coprime = [
+        (r, s) for r in qs for s in range(1, q_max // r + 1) if math.gcd(r, s) == 1
+    ]
 
-    witness = ""
-    for q in qs:
-        if not np.array_equal(cq_int_over_n(tables, q, ns), cq_int_over_n(tables, q, -ns)):
-            witness = f"q={q}"
-            break
-    add(PropertyCheck("int h) c_q(n) = c_q(-n)", witness == "", witness))
+    def cq(q: int, arg: np.ndarray) -> np.ndarray:
+        return cq_int_over_n(tables, q, arg)
 
-    bad = next(
-        (
-            (q, int(n))
-            for q in qs
-            for n in (0, 1, 2, n_max)
-            if cq_int(tables, q, n) != cq_int(tables, -q, n)
-        ),
-        None,
-    )
-    add(PropertyCheck("int i) c_q(n) = c_{-q}(n)", bad is None, "" if bad is None else str(bad)))
-
-    witness = ""
-    for q in qs:
-        vals = cq_int_over_n(tables, q, pos)
-        for n, v in zip(pos, vals):
-            if abs(cq_real(q, float(n)) - float(v)) > 1e-9:
-                witness = f"q={q}, n={int(n)}"
-                break
-        if witness:
-            break
-    add(PropertyCheck("real a) c_q(x) = c_q(n) at integer x", witness == "", witness))
-
-    bad = next(
-        (q for q in range(0, q_max + 1) if abs(cq_real(q, 0.0) - (1.0 if q == 0 else float(tables.phi[q]))) > 1e-9),
-        None,
-    )
-    add(
-        PropertyCheck(
-            "real b) c_q(0) = phi(q)",
-            bad is None,
-            "" if bad is None else f"q={bad}",
-            note="phi(0) taken as 1 by convention",
-        )
-    )
-
-    bad = next(
-        (q for q in range(0, q_max + 1) if abs(cq_real(q, 1.0) - (1.0 if q == 0 else float(tables.mu[q]))) > 1e-9),
-        None,
-    )
-    add(
-        PropertyCheck(
-            "real c) c_q(1) = mu(q)",
-            bad is None,
-            "" if bad is None else f"q={bad}",
-            note="mu(0) taken as 1 by convention",
-        )
-    )
-
-    witness = ""
-    for r in range(1, q_max + 1):
-        for s in range(1, q_max // r + 1):
-            if math.gcd(r, s) != 1:
-                continue
-            for x in (0.0, 1.0, 2.0, 3.0, 7.0, 12.0):
-                if abs(cq_real(r * s, x) - cq_real(r, x) * cq_real(s, x)) > 1e-9:
-                    witness = f"r={r}, s={s}, x={x}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    add(
-        PropertyCheck(
-            "real d) c_rs(x) = c_r(x) c_s(x), (r,s)=1, integer x",
-            witness == "",
-            witness,
-            note=(
-                "checked at integer x only; the cosine extension is not "
-                "multiplicative off the integers (c_3(0.5) c_1(0.5) != c_3(0.5))"
-            ),
-        )
-    )
-
-    witness = ""
-    for q in qs:
-        bound = float(tables.phi[q]) if q > 1 else 1.0
-        for x in _REAL_XS:
-            if abs(cq_real(q, x)) > bound + 1e-12:
-                witness = f"q={q}, x={x}"
-                break
-        if witness:
-            break
-    add(PropertyCheck("real e) |c_q(x)| <= phi(q)", witness == "", witness))
-
-    witness = ""
-    for q in qs:
-        for n in range(1, n_max + 1):
-            if abs(cq_real(q, float(n))) > float(sig[n]) + 1e-9:
-                witness = f"q={q}, n={n}"
-                break
-        if witness:
-            break
-    add(
-        PropertyCheck(
-            "real g) |c_q(x)| <= sigma(x), integer x only",
-            witness == "",
-            witness,
-            note="sigma undefined off the integers; domain restricted",
-        )
-    )
-
-    witness = ""
-    for q in range(0, q_max + 1):
-        for x in _REAL_XS:
-            if abs(cq_real(q, x) - cq_real(q, -x)) > 1e-12:
-                witness = f"q={q}, x={x}"
-                break
-            if abs(cq_real(q, x) - cq_real(-q, x)) > 1e-12:
-                witness = f"q={q}, x={x} (sign of q)"
-                break
-        if witness:
-            break
-    add(PropertyCheck("real h) evenness in x and in q", witness == "", witness))
-
+    # (name, cases, bad(case) at a counterexample, witness format, note)
+    checks = [
+        ("int a) c_1(n) = 1", ns.tolist(),
+         lambda n: cq_int(tables, 1, n) != 1, "n={}", ""),
+        ("int b) c_q(0) = phi(q)", qs,
+         lambda q: cq_int(tables, q, 0) != int(phi[q]), "q={}", ""),
+        ("int c) c_q(1) = mu(q)", qs,
+         lambda q: cq_int(tables, q, 1) != int(mu[q]), "q={}", ""),
+        ("int d) c_p(n) = phi(p) if p|n else -1 (prime q only)",
+         (q for q in qs if q >= 2 and int(tables.spf[q]) == q),
+         lambda p: not np.array_equal(cq(p, ns), np.where(ns % p == 0, int(phi[p]), -1)),
+         "p={}", "restricted to prime q; false at composite q (c_4(2) = -2)"),
+        ("int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1", coprime,
+         lambda r, s: not np.array_equal(cq(r * s, ns), cq(r, ns) * cq(s, ns)),
+         "r={}, s={}", "tested in the corrected c_r*c_s form; source prints c_s twice"),
+        ("int f) |c_q(n)| <= phi(q)", qs,
+         lambda q: np.abs(cq(q, ns)).max() > int(phi[q]), "q={}", ""),
+        ("int g) |c_q(n)| <= sigma(n), n >= 1",
+         ((q, pos[np.abs(cq(q, pos)) > sig[pos]]) for q in qs),
+         lambda q, excess: excess.size > 0, "q={0}, n={1[0]}", ""),
+        ("int h) c_q(n) = c_q(-n)", qs,
+         lambda q: not np.array_equal(cq(q, ns), cq(q, -ns)), "q={}", ""),
+        ("int i) c_q(n) = c_{-q}(n)", ((q, n) for q in qs for n in (0, 1, 2, n_max)),
+         lambda q, n: cq_int(tables, q, n) != cq_int(tables, -q, n), "({}, {})", ""),
+        ("real a) c_q(x) = c_q(n) at integer x",
+         ((q, n, v) for q in qs for n, v in zip(pos, cq(q, pos))),
+         lambda q, n, v: abs(cq_real(q, float(n)) - float(v)) > 1e-9, "q={}, n={}", ""),
+        ("real b) c_q(0) = phi(q)", qs0,
+         lambda q: abs(cq_real(q, 0.0) - (1.0 if q == 0 else float(phi[q]))) > 1e-9,
+         "q={}", "phi(0) taken as 1 by convention"),
+        ("real c) c_q(1) = mu(q)", qs0,
+         lambda q: abs(cq_real(q, 1.0) - (1.0 if q == 0 else float(mu[q]))) > 1e-9,
+         "q={}", "mu(0) taken as 1 by convention"),
+        ("real d) c_rs(x) = c_r(x) c_s(x), (r,s)=1, integer x",
+         ((r, s, x) for r, s in coprime for x in (0.0, 1.0, 2.0, 3.0, 7.0, 12.0)),
+         lambda r, s, x: abs(cq_real(r * s, x) - cq_real(r, x) * cq_real(s, x)) > 1e-9,
+         "r={}, s={}, x={}",
+         "checked at integer x only; the cosine extension is not "
+         "multiplicative off the integers (c_3(0.5) c_1(0.5) != c_3(0.5))"),
+        ("real e) |c_q(x)| <= phi(q)", ((q, x) for q in qs for x in _REAL_XS),
+         lambda q, x: abs(cq_real(q, x)) > (float(phi[q]) if q > 1 else 1.0) + 1e-12,
+         "q={}, x={}", ""),
+        ("real g) |c_q(x)| <= sigma(x), integer x only",
+         ((q, n) for q in qs for n in range(1, n_max + 1)),
+         lambda q, n: abs(cq_real(q, float(n))) > float(sig[n]) + 1e-9,
+         "q={}, n={}", "sigma undefined off the integers; domain restricted"),
+        ("real h) evenness in x and in q",
+         ((q, x, tag) for q in qs0 for x in _REAL_XS for tag in ("", " (sign of q)")),
+         lambda q, x, tag: abs(cq_real(q, x) - (cq_real(-q, x) if tag else cq_real(q, -x)))
+         > 1e-12,
+         "q={}, x={}{}", ""),
+    ]
+    report = PropertyReport(q_max=q_max, n_max=n_max)
+    for name, cases, bad, witness, note in checks:
+        found = _first_counterexample(cases, bad, witness)
+        report.checks.append(PropertyCheck(name, found is None, found or "", note))
     return report

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
+from .mean_values import _checkpoint_ns
 from .ramanujan import cq_int_over_q, cq_real
 from .sieve import SieveTables, lambda1_at
 
@@ -143,11 +144,6 @@ class ExpansionTrace:
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _checkpoints(Q: int, count: int = 10) -> list[int]:
-    pts = sorted({max(1, (k * Q) // count) for k in range(1, count + 1)} | {Q})
-    return pts
-
-
 def sigma_rf(tables: SieveTables, n: int, Q: int) -> float:
     """Truncated sum-of-divisors expansion (pi^2 n / 6) * sum c_q(n)/q^2.
 
@@ -172,7 +168,7 @@ def divisor_rf(tables: SieveTables, n: int, Q: int) -> ExpansionTrace:
     c = cq_int_over_q(tables, qs, n).astype(np.float64)
     terms = -(np.log(qs.astype(np.float64)) / qs) * c
     partial = np.cumsum(terms)
-    trace = [(int(k), float(partial[k - 1])) for k in _checkpoints(Q)]
+    trace = [(int(k), float(partial[k - 1])) for k in _checkpoint_ns(Q)]
     return ExpansionTrace(
         value=math.fsum(terms.tolist()), target=float(divisor_count(n)), trace=trace
     )
@@ -192,7 +188,7 @@ def circle_lattice_rf(tables: SieveTables, a: int, Q: int) -> ExpansionTrace:
     signs = np.where(qs % 2 == 1, 1.0, -1.0)
     terms = math.pi * signs / odd.astype(np.float64) * c
     partial = np.cumsum(terms)
-    trace = [(int(k), float(partial[k - 1])) for k in _checkpoints(Q)]
+    trace = [(int(k), float(partial[k - 1])) for k in _checkpoint_ns(Q)]
     return ExpansionTrace(
         value=math.fsum(terms.tolist()), target=float(lattice_count(a)), trace=trace
     )

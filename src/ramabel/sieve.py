@@ -9,8 +9,10 @@ Mangoldt values bit-for-bit for bounds that do not fit in memory at once.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -163,6 +165,18 @@ class SegmentedLambdaStream:
         self.segment_size = segment_size
         self.cursor = 0
         self._base = primes_up_to(math.isqrt(bound))
+        # Every prime power p^k <= bound with k >= 2, sorted, with its value.
+        powers: list[tuple[int, float]] = []
+        for p in self._base.tolist():
+            logp = float(np.log(np.float64(p)))
+            pk = p * p
+            while pk <= bound:
+                phi_pk = (pk // p) * (p - 1)
+                powers.append((pk, np.divide(np.int64(phi_pk), np.int64(pk)) * logp))
+                pk *= p
+        powers.sort()
+        self._pk = np.array([pk for pk, _ in powers], dtype=np.int64)
+        self._pk_val = np.array([v for _, v in powers], dtype=np.float64)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         for start in range(1, self.bound + 1, self.segment_size):
@@ -174,46 +188,55 @@ class SegmentedLambdaStream:
         length = hi - lo + 1
         out = np.zeros(length, dtype=np.float64)
         comp = np.zeros(length, dtype=bool)
-        for p in self._base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start <= hi:
-                comp[start - lo :: p] = True
+        base = self._base
+        starts = np.maximum(base * base, (lo + base - 1) // base * base)
+        hit = starts <= hi
+        for p, start in zip(base[hit].tolist(), starts[hit].tolist()):
+            comp[start - lo :: p] = True
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         is_prime = ~comp & (ns >= 2)
         ps = ns[is_prime]
         if ps.size:
             # Same float operations as the monolithic phi/n * log path.
             out[is_prime] = ((ps - 1) / ps) * np.log(ps.astype(np.float64))
-        for p in self._base:
-            p = int(p)
-            logp = float(np.log(np.float64(p)))
-            pk = p * p
-            while pk <= hi:
-                if pk >= lo:
-                    phi_pk = (pk // p) * (p - 1)
-                    out[pk - lo] = np.divide(np.int64(phi_pk), np.int64(pk)) * logp
-                pk *= p
+        i, j = np.searchsorted(self._pk, (lo, hi + 1))
+        out[self._pk[i:j] - lo] = self._pk_val[i:j]
         return out
 
 
+# Field order and on-disk dtype of every table in the binary dump.
+_DUMP_FIELDS = (
+    ("spf", "<i8"),
+    ("mu", "<i1"),
+    ("phi", "<i8"),
+    ("lam", "<f8"),
+    ("lam1", "<f8"),
+)
+
+
 def _array_specs(t: SieveTables) -> list[tuple[np.ndarray, str]]:
-    return [
-        (t.spf, "<i8"),
-        (t.mu, "<i1"),
-        (t.phi, "<i8"),
-        (t.lam, "<f8"),
-        (t.lam1, "<f8"),
-    ]
+    return [(getattr(t, name), dt) for name, dt in _DUMP_FIELDS]
 
 
 def save_tables(tables: SieveTables, path: str) -> None:
-    """Binary dump: magic, format version, bound, then raw little-endian arrays."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IQ", _FORMAT_VERSION, tables.bound))
-        for arr, dt in _array_specs(tables):
-            f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+    """Binary dump: magic, format version, bound, then raw little-endian arrays.
+
+    The dump goes to a temporary file beside ``path`` that is renamed onto
+    it only when complete, so an interrupted save never leaves a truncated
+    file at ``path``.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<IQ", _FORMAT_VERSION, tables.bound))
+            for arr, dt in _array_specs(tables):
+                f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_tables(path: str) -> SieveTables:
@@ -225,17 +248,16 @@ def load_tables(path: str) -> SieveTables:
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
         size = bound + 1
-        arrays = []
-        for dt in ("<i8", "<i1", "<i8", "<f8", "<f8"):
+        arrays = {}
+        for name, dt in _DUMP_FIELDS:
             nbytes = size * np.dtype(dt).itemsize
             buf = f.read(nbytes)
             if len(buf) != nbytes:
                 raise ValueError(f"{path}: truncated table dump")
             arr = np.frombuffer(buf, dtype=dt).copy()
             arr.flags.writeable = False
-            arrays.append(arr)
-    spf, mu, phi, lam, lam1 = arrays
-    return SieveTables(bound=int(bound), spf=spf, mu=mu, phi=phi, lam=lam, lam1=lam1)
+            arrays[name] = arr
+    return SieveTables(bound=int(bound), **arrays)
 
 
 def table_checksum(tables: SieveTables) -> str:

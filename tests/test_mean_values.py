@@ -136,12 +136,6 @@ class TestPairAutocorrelation:
         with pytest.raises(ValueError):
             pair_autocorrelation(tables_small, 2, tables_small.bound)
 
-    def test_thread_count_does_not_change_bits(self, tables_big):
-        a = pair_autocorrelation(tables_big, 2, 10**6, threads=1)
-        b = pair_autocorrelation(tables_big, 2, 10**6, threads=8)
-        assert a.empirical == b.empirical
-        assert a.trace == b.trace
-
 
 class TestOddGapMean:
     def test_small_enumeration(self, tables_small):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq_real
 from ramabel.ramanujan import (
-    CqEvaluator,
     cq_int_over_n,
     cq_int_over_q,
     direct_oracle,
@@ -145,14 +144,6 @@ class TestCqReal:
         for q in range(3, 50):
             for x in (0.1, 0.9, 2.5, 7.3):
                 assert abs(cq_real(q, x)) <= tables_small.phi[q] + 1e-9
-
-
-class TestEvaluator:
-    def test_wraps_tables(self, tables_small):
-        ev = CqEvaluator(tables=tables_small)
-        assert ev.cq(6, 3) == -2
-        assert ev.oracle(6, 3) == -2
-        assert ev.cq_real(6, 3.0) == pytest.approx(-2.0, abs=1e-9)
 
 
 class TestPropertyCatalog:

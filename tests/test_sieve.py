@@ -1,5 +1,6 @@
 """Sieve table construction, segmented streaming, and binary round-trips."""
 
+import dataclasses
 import math
 import random
 
@@ -140,6 +141,24 @@ class TestDumpRestore:
         assert np.array_equal(back.lam, tables_small.lam)
         assert np.array_equal(back.lam1, tables_small.lam1)
         assert table_checksum(back) == table_checksum(tables_small)
+
+    def test_failed_save_leaves_no_file(self, tmp_path, tables_small):
+        # lam1 cannot be cast to float, so the save fails after the first
+        # four arrays are written.
+        bad = dataclasses.replace(tables_small, lam1=np.array(["x"], dtype=object))
+        path = tmp_path / "tables.bin"
+        with pytest.raises(ValueError):
+            save_tables(bad, str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, tables_small):
+        path = tmp_path / "tables.bin"
+        save_tables(tables_small, str(path))
+        bad = dataclasses.replace(tables_small, lam1=np.array(["x"], dtype=object))
+        with pytest.raises(ValueError):
+            save_tables(bad, str(path))
+        assert list(tmp_path.iterdir()) == [path]
+        assert table_checksum(load_tables(str(path))) == table_checksum(tables_small)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
