@@ -203,10 +203,18 @@ def polynomial_cq_mean(
     )
 
 
+def _weights(tables: SieveTables, weight: str) -> np.ndarray:
+    if weight == "lambda":
+        return tables.lam
+    if weight == "lambda1":
+        return tables.lam1
+    raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
+
+
 def _pair_values(tables: SieveTables, h: int, N: int, weight: str) -> np.ndarray:
     if N + h > tables.bound:
         raise ValueError(f"N + h = {N + h} beyond table bound {tables.bound}")
-    w = tables.lam if weight == "lambda" else tables.lam1
+    w = _weights(tables, weight)
     return w[1 : N + 1] * w[1 + h : N + 1 + h]
 
 
@@ -266,7 +274,7 @@ def conjecture_d_mean(
             f"(b*N + l)/a = {(b * N + l) // a} beyond table bound {tables.bound}"
         )
     predicted = singular.conjecture_d_constant(a, b, l, P).value
-    w = tables.lam if weight == "lambda" else tables.lam1
+    w = _weights(tables, weight)
     ns = np.arange(1, N + 1, dtype=np.int64)
     t = b * ns + l
     hit = t % a == 0

@@ -1,10 +1,12 @@
 """Tables of the classical arithmetic functions up to a bound N.
 
-A single vectorised multiplicative sieve produces smallest prime factor,
+One segmented multiplicative sieve kernel produces smallest prime factor,
 Moebius mu, Euler phi, the von Mangoldt function, and its phi(n)/n-weighted
-variant in one pass.  Tables are immutable after construction and safe to
-share across threads.  A segmented stream reproduces the weighted von
-Mangoldt values bit-for-bit for bounds that do not fit in memory at once.
+variant for one segment of n at a time, from the base primes up to sqrt(N).
+``build_sieve`` fills whole tables from it segment by segment; tables are
+immutable after construction.  ``SegmentedLambdaStream`` yields the kernel's
+weighted von Mangoldt values one segment at a time, for bounds whose tables
+do not fit in memory at once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .errors import ResourceLimitError
 BYTES_PER_ENTRY = 64
 DEFAULT_MEMORY_BUDGET = 16 * 1024**3
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+# Entries per sieve segment, for build_sieve and SegmentedLambdaStream alike.
+DEFAULT_SEGMENT_SIZE = 1 << 18
 
 _MAGIC = b"RMBL"
 _FORMAT_VERSION = 1
@@ -65,60 +68,75 @@ def build_sieve(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SieveTabl
             f"memory budget of {memory_budget} bytes"
         )
 
-    size = N + 1
-    idx = np.arange(size, dtype=np.int64)
+    # Slot 0 keeps the zeros: spf, mu, phi, lam and lam1 are all 0 at n = 0.
+    arrays = [
+        np.zeros(N + 1, dtype=dt)
+        for dt in (np.int64, np.int8, np.int64, np.float64, np.float64)
+    ]
+    for lo, segment in _segments(N, DEFAULT_SEGMENT_SIZE):
+        for arr, part in zip(arrays, segment):
+            arr[lo : lo + part.size] = part
+    for arr in arrays:
+        arr.flags.writeable = False
+    return SieveTables(N, *arrays)
+
+
+def _segments(
+    bound: int, segment_size: int
+) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
+    """Yield (lo, kernel arrays for [lo, hi]) over consecutive segments of [1, bound]."""
+    base = primes_up_to(math.isqrt(bound))
+    for lo in range(1, bound + 1, segment_size):
+        yield lo, _sieve_segment(lo, min(lo + segment_size - 1, bound), base)
+
+
+def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
+    """spf, mu, phi, lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
+
+    ``base`` must hold every prime p with p * p <= hi; larger primes are
+    allowed and change nothing.  Every entry is an exact integer operation
+    or the same float expression at every n, so the values do not depend on
+    where the segment boundaries fall.
+    """
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    size = n.size
     spf = np.zeros(size, dtype=np.int64)
-    phi = idx.copy()
     mu = np.ones(size, dtype=np.int8)
-    rem = idx.copy()  # cofactor left after dividing out primes <= sqrt(N)
+    phi = n.copy()
+    rem = n.copy()  # cofactor left after dividing out the base primes
+    lam = np.zeros(size, dtype=np.float64)
 
-    root = math.isqrt(N)
-    for p in range(2, root + 1):
-        if spf[p] != 0:
-            continue
-        sl = spf[p::p]
+    starts = -lo % base  # offset of the first multiple of p in the segment
+    hit = starts < size
+    for p, s in zip(base[hit].tolist(), starts[hit].tolist()):
+        sl = spf[s::p]
         sl[sl == 0] = p
-        phi[p::p] -= phi[p::p] // p
-        mu[p::p] = -mu[p::p]
-        mu[p * p :: p * p] = 0
-        s = rem[p::p]
-        while True:
-            div = s % p == 0
-            if not div.any():
-                break
-            s[div] //= p
+        phi[s::p] -= phi[s::p] // p
+        mu[s::p] = -mu[s::p]
+        mu[-lo % (p * p) :: p * p] = 0
+        # Divide rem by p once for every p^k that divides n.
+        pk = p
+        while s < size:
+            rem[s::pk] //= p
+            pk *= p
+            s = -lo % pk
+            if lo <= pk <= hi:
+                lam[pk - lo] = np.log(np.float64(p))
 
-    # Entries whose remaining cofactor is a single prime > sqrt(N).
+    # Since n <= hi, what is left above 1 is a single prime above sqrt(hi).
     big = rem > 1
-    big[:2] = False
     r = rem[big]
     phi[big] = phi[big] // r * (r - 1)
     mu[big] = -mu[big]
-    untouched = (spf == 0) & (idx >= 2)
-    spf[untouched] = idx[untouched]
+    untouched = (spf == 0) & (n >= 2)
+    spf[untouched] = n[untouched]
 
-    mu[0] = 0
-    phi[0] = 0
-    phi[1] = 1
-
-    lam = np.zeros(size, dtype=np.float64)
-    primes = idx[(spf == idx) & (idx >= 2)]
-    lam[primes] = np.log(primes.astype(np.float64))
-    for p in primes[primes <= root]:
-        p = int(p)
-        logp = lam[p]
-        pk = p * p
-        while pk <= N:
-            lam[pk] = logp
-            pk *= p
-
+    primes = (spf == n) & (n >= 2)
+    lam[primes] = np.log(n[primes].astype(np.float64))
     lam1 = np.zeros(size, dtype=np.float64)
     nz = lam != 0.0
-    lam1[nz] = (phi[nz] / idx[nz]) * lam[nz]
-
-    for arr in (spf, mu, phi, lam, lam1):
-        arr.flags.writeable = False
-    return SieveTables(bound=N, spf=spf, mu=mu, phi=phi, lam=lam, lam1=lam1)
+    lam1[nz] = (phi[nz] / n[nz]) * lam[nz]
+    return spf, mu, phi, lam, lam1
 
 
 def lambda1_at(tables: SieveTables, n: int) -> float:
@@ -151,9 +169,9 @@ def sigma_table(n: int) -> np.ndarray:
 class SegmentedLambdaStream:
     """Stream of phi(n)/n-weighted von Mangoldt values over [1, bound].
 
-    Segments concatenate to the monolithic lam1 table bit-for-bit for any
-    segment size.  Each segment may be consumed by a different worker as
-    long as every segment is processed exactly once.
+    Yields (start, values) with values[i] = lam1[start + i].  The segments
+    come from the same kernel as ``build_sieve`` and concatenate to its
+    lam1 table bit-for-bit for any segment size.
     """
 
     def __init__(self, bound: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
@@ -163,45 +181,10 @@ class SegmentedLambdaStream:
             raise ValueError(f"segment size must be >= 1, got {segment_size}")
         self.bound = bound
         self.segment_size = segment_size
-        self.cursor = 0
-        self._base = primes_up_to(math.isqrt(bound))
-        # Every prime power p^k <= bound with k >= 2, sorted, with its value.
-        powers: list[tuple[int, float]] = []
-        for p in self._base.tolist():
-            logp = float(np.log(np.float64(p)))
-            pk = p * p
-            while pk <= bound:
-                phi_pk = (pk // p) * (p - 1)
-                powers.append((pk, np.divide(np.int64(phi_pk), np.int64(pk)) * logp))
-                pk *= p
-        powers.sort()
-        self._pk = np.array([pk for pk, _ in powers], dtype=np.int64)
-        self._pk_val = np.array([v for _, v in powers], dtype=np.float64)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for start in range(1, self.bound + 1, self.segment_size):
-            self.cursor = (start - 1) // self.segment_size
-            yield start, self._segment(start)
-
-    def _segment(self, lo: int) -> np.ndarray:
-        hi = min(lo + self.segment_size - 1, self.bound)
-        length = hi - lo + 1
-        out = np.zeros(length, dtype=np.float64)
-        comp = np.zeros(length, dtype=bool)
-        base = self._base
-        starts = np.maximum(base * base, (lo + base - 1) // base * base)
-        hit = starts <= hi
-        for p, start in zip(base[hit].tolist(), starts[hit].tolist()):
-            comp[start - lo :: p] = True
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        is_prime = ~comp & (ns >= 2)
-        ps = ns[is_prime]
-        if ps.size:
-            # Same float operations as the monolithic phi/n * log path.
-            out[is_prime] = ((ps - 1) / ps) * np.log(ps.astype(np.float64))
-        i, j = np.searchsorted(self._pk, (lo, hi + 1))
-        out[self._pk[i:j] - lo] = self._pk_val[i:j]
-        return out
+        for lo, (_, _, _, _, lam1) in _segments(self.bound, self.segment_size):
+            yield lo, lam1
 
 
 # Field order and on-disk dtype of every table in the binary dump.

@@ -152,6 +152,21 @@ class TestOddGapMean:
             odd_gap_mean(tables_small, 2, 100)
 
 
+class TestWeightNames:
+    @pytest.mark.parametrize(
+        "mean",
+        [
+            lambda t: pair_autocorrelation(t, 2, 100, weight="lamda"),
+            lambda t: odd_gap_mean(t, 3, 100, weight="lamda"),
+            lambda t: conjecture_d_mean(t, 1, 1, 2, 100, weight="lamda"),
+        ],
+        ids=["pair_autocorrelation", "odd_gap_mean", "conjecture_d_mean"],
+    )
+    def test_unknown_weight_rejected(self, tables_small, mean):
+        with pytest.raises(ValueError, match="lamda"):
+            mean(tables_small)
+
+
 class TestConjectureDMean:
     def test_twin_case_bit_identical_to_gap_two(self, tables_big):
         a = conjecture_d_mean(tables_big, 1, 1, 2, 10**6)

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramabel import (
     ResourceLimitError,
@@ -15,11 +17,43 @@ from ramabel import (
     load_tables,
     save_tables,
 )
-from ramabel.sieve import primes_up_to, sigma_table, table_checksum
+from ramabel.sieve import _sieve_segment, primes_up_to, sigma_table, table_checksum
 
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def factorize(n):
+    """Prime -> exponent by trial division."""
+    f = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            f[d] = f.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        f[n] = f.get(n, 0) + 1
+    return f
+
+
+@st.composite
+def sieve_windows(draw):
+    """(N, lo, hi) with 1 <= lo <= hi <= N: any short window, a single
+    entry, or a window that straddles the square of a base prime."""
+    N = draw(st.integers(1, 200_000))
+    kind = draw(st.sampled_from(["any", "single", "square"]))
+    if kind == "square" and N >= 4:
+        p = draw(st.sampled_from(primes_up_to(math.isqrt(N)).tolist()))
+        lo = draw(st.integers(max(1, p * p - 100), p * p - 1))
+        hi = draw(st.integers(p * p, min(N, p * p + 100)))
+    elif kind == "single":
+        lo = hi = draw(st.integers(1, N))
+    else:
+        lo = draw(st.integers(1, N))
+        hi = draw(st.integers(lo, min(N, lo + 200)))
+    return N, lo, hi
 
 
 class TestBuildSieve:
@@ -92,6 +126,26 @@ class TestBuildSieve:
             tables_small.mu[1] = 0
 
 
+class TestSegmentKernel:
+    @given(sieve_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_trial_division(self, window):
+        N, lo, hi = window
+        spf, mu, phi, lam, lam1 = _sieve_segment(lo, hi, primes_up_to(math.isqrt(N)))
+        assert all(arr.size == hi - lo + 1 for arr in (spf, mu, phi, lam, lam1))
+        for i, n in enumerate(range(lo, hi + 1)):
+            f = factorize(n)
+            assert spf[i] == min(f, default=0)
+            assert mu[i] == (0 if any(k > 1 for k in f.values()) else (-1) ** len(f))
+            assert phi[i] == math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
+            if len(f) == 1:
+                (p,) = f
+                assert lam[i] == np.log(np.float64(p))
+            else:
+                assert lam[i] == 0.0
+            assert lam1[i] == np.divide(phi[i], n) * lam[i]
+
+
 class TestLambda1At:
     def test_examples(self, tables_small):
         assert lambda1_at(tables_small, 1) == 0.0
@@ -117,8 +171,10 @@ class TestSegmentedStream:
         N = 50_000
         mono = build_sieve(N).lam1[1 : N + 1]
         parts = []
+        seen = 0
         for start, chunk in SegmentedLambdaStream(N, segment_size=segment_size):
-            assert start == sum(len(p) for p in parts) + 1
+            assert start == seen + 1
+            seen += len(chunk)
             parts.append(chunk)
         assert np.array_equal(np.concatenate(parts), mono)
 
