@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import __version__, mean_values, ramanujan, rf_series, singular
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, TruncatedDumpError
 from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_checksum
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
@@ -62,16 +62,29 @@ def _write_manifest(path: Path, args: argparse.Namespace, bound: int | None,
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _get_tables(bound: int, cache_dir: str | None) -> SieveTables:
-    if cache_dir:
-        path = Path(cache_dir) / f"tables_N{bound}_v1.bin"
-        if path.exists():
-            return load_tables(str(path))
-        tables = build_sieve(bound)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_tables(tables, str(path))
-        return tables
-    return build_sieve(bound)
+def _get_tables(bound: int, cache_dir: str | None, path: str | None = None) -> SieveTables:
+    """Tables for 1..bound, through one table cache file if there is one.
+
+    The file is ``path`` if given, else ``<cache_dir>/tables_N{bound}_v1.bin``.
+    An existing file is loaded and must hold ``bound``; a truncated dump is
+    rebuilt and replaced with a warning.  A missing file is built and saved.
+    """
+    if path is None and cache_dir:
+        path = str(Path(cache_dir) / f"tables_N{bound}_v1.bin")
+    if path and Path(path).exists():
+        try:
+            tables = load_tables(path)
+        except TruncatedDumpError as exc:
+            print(f"warning: {exc}; rebuilding it", file=sys.stderr)
+        else:
+            if tables.bound != bound:
+                raise ValueError(f"cache {path} holds bound {tables.bound}, wanted {bound}")
+            return tables
+    tables = build_sieve(bound)
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        save_tables(tables, path)
+    return tables
 
 
 def _report_rows(report: mean_values.MeanValueReport) -> tuple[list[str], list[list]]:
@@ -182,16 +195,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "sieve":
         if args.n < 1:
             raise ValueError(f"--n must be >= 1, got {args.n}")
-        if args.cache and Path(args.cache).exists():
-            tables = load_tables(args.cache)
-            if tables.bound != args.n:
-                raise ValueError(
-                    f"cache {args.cache} holds bound {tables.bound}, wanted {args.n}"
-                )
-        else:
-            tables = build_sieve(args.n)
-            if args.cache:
-                save_tables(tables, args.cache)
+        tables = _get_tables(args.n, args.cache_dir, args.cache)
         digest = table_checksum(tables)
         return _finish(
             args, out, start, tables.bound,

@@ -1,7 +1,7 @@
 """Error types shared across the package.
 
-Invalid arguments raise the built-in ValueError; only the two failure
-modes that are not plain bad input get their own classes.
+Invalid arguments raise the built-in ValueError; only the failure modes
+that are not plain bad input get their own classes.
 """
 
 
@@ -11,3 +11,7 @@ class ResourceLimitError(RuntimeError):
 
 class InternalConsistencyError(RuntimeError):
     """A self-check failed; indicates a bug, never expected in normal use."""
+
+
+class TruncatedDumpError(ValueError):
+    """A file starts with the table dump magic but ends before its tables do."""

@@ -9,9 +9,8 @@ blocks combined in ascending order.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,7 +33,6 @@ class MeanValueReport:
     rel_gap: float | None
     trace: list[tuple[int, float]]
     exact_mean: Fraction | None = None
-    extra: dict = field(default_factory=dict)
 
     def csv_rows(self) -> list[list]:
         rows = []
@@ -49,24 +47,6 @@ class MeanValueReport:
                 ]
             )
         return rows
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "N": self.N,
-            "empirical": self.empirical,
-            "predicted": self.predicted,
-            "abs_gap": self.abs_gap,
-            "rel_gap": self.rel_gap,
-            "trace": [[n, v] for n, v in self.trace],
-        }
-        if self.exact_mean is not None:
-            d["exact_mean"] = str(self.exact_mean)
-        d.update(self.extra)
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _checkpoint_ns(N: int) -> list[int]:

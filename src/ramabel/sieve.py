@@ -21,11 +21,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, TruncatedDumpError
 
 # Rough per-entry footprint of the finished tables plus build scratch.
 BYTES_PER_ENTRY = 64
-DEFAULT_MEMORY_BUDGET = 16 * 1024**3
 
 # Entries per sieve segment, for build_sieve and SegmentedLambdaStream alike.
 DEFAULT_SEGMENT_SIZE = 1 << 18
@@ -53,15 +52,16 @@ class SieveTables:
     lam1: np.ndarray
 
 
-def build_sieve(N: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SieveTables:
+def build_sieve(N: int) -> SieveTables:
     """Build all tables for 1..N.
 
     Raises ValueError for N < 1 and ResourceLimitError when the estimated
-    footprint exceeds ``memory_budget`` bytes.
+    footprint exceeds the machine's physical memory.
     """
     if N < 1:
         raise ValueError(f"sieve bound must be >= 1, got {N}")
     need = BYTES_PER_ENTRY * (N + 1)
+    memory_budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory_budget:
         raise ResourceLimitError(
             f"sieve bound {N} needs about {need} bytes, over the "
@@ -197,12 +197,16 @@ _DUMP_FIELDS = (
 )
 
 
-def _array_specs(t: SieveTables) -> list[tuple[np.ndarray, str]]:
-    return [(getattr(t, name), dt) for name, dt in _DUMP_FIELDS]
+def _dump_parts(tables: SieveTables) -> Iterator[bytes | np.ndarray]:
+    """The dump in order: the 16-byte header (magic, format version, bound),
+    then each ``_DUMP_FIELDS`` array, not copied when already in its dtype."""
+    yield _MAGIC + struct.pack("<IQ", _FORMAT_VERSION, tables.bound)
+    for name, dt in _DUMP_FIELDS:
+        yield np.ascontiguousarray(getattr(tables, name), dtype=dt)
 
 
 def save_tables(tables: SieveTables, path: str) -> None:
-    """Binary dump: magic, format version, bound, then raw little-endian arrays.
+    """Write the binary dump of ``tables`` to ``path``.
 
     The dump goes to a temporary file beside ``path`` that is renamed onto
     it only when complete, so an interrupted save never leaves a truncated
@@ -211,10 +215,8 @@ def save_tables(tables: SieveTables, path: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<IQ", _FORMAT_VERSION, tables.bound))
-            for arr, dt in _array_specs(tables):
-                f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+            for part in _dump_parts(tables):
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -223,31 +225,30 @@ def save_tables(tables: SieveTables, path: str) -> None:
 
 
 def load_tables(path: str) -> SieveTables:
+    """Read a ``save_tables`` dump.  Raises TruncatedDumpError for a dump
+    that ends early and ValueError for any other file that is not a dump."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a sieve table dump (bad magic {magic!r})")
-        version, bound = struct.unpack("<IQ", f.read(12))
+        header = f.read(16)
+        if header[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a sieve table dump (bad magic {header[:4]!r})")
+        if len(header) != 16:
+            raise TruncatedDumpError(f"{path}: truncated table dump")
+        version, bound = struct.unpack("<IQ", header[4:])
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        size = bound + 1
         arrays = {}
         for name, dt in _DUMP_FIELDS:
-            nbytes = size * np.dtype(dt).itemsize
-            buf = f.read(nbytes)
-            if len(buf) != nbytes:
-                raise ValueError(f"{path}: truncated table dump")
-            arr = np.frombuffer(buf, dtype=dt).copy()
+            arr = np.fromfile(f, dtype=dt, count=bound + 1)
+            if arr.size != bound + 1:
+                raise TruncatedDumpError(f"{path}: truncated table dump")
             arr.flags.writeable = False
             arrays[name] = arr
     return SieveTables(bound=int(bound), **arrays)
 
 
 def table_checksum(tables: SieveTables) -> str:
-    """SHA-256 over the same byte layout as the binary dump."""
+    """SHA-256 of the binary dump of ``tables``."""
     h = hashlib.sha256()
-    h.update(_MAGIC)
-    h.update(struct.pack("<IQ", _FORMAT_VERSION, tables.bound))
-    for arr, dt in _array_specs(tables):
-        h.update(np.ascontiguousarray(arr, dtype=dt).tobytes())
+    for part in _dump_parts(tables):
+        h.update(part)
     return h.hexdigest()

@@ -8,7 +8,7 @@ rigorous estimate of the omitted factors' log-contribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,16 +25,6 @@ class SingularConstant:
     tail_estimate: float
     form: str
     extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "form": self.form,
-            "value": self.value,
-            "truncation_prime": self.truncation_prime,
-            "tail_estimate": self.tail_estimate,
-        }
-        d.update(self.extra)
-        return d
 
 
 def twin_constant(P: int) -> SingularConstant:
@@ -70,19 +60,13 @@ def _odd_prime_factors(n: int) -> list[int]:
 
 
 def pair_constant(h2: int, P: int) -> SingularConstant:
-    """2 C2 * prod over odd primes p | h2 of (p-1)/(p-2); even gaps only."""
+    """2 C2 * prod over odd primes p | h2 of (p-1)/(p-2); even gaps only.
+
+    This is the Conjecture D constant with a = b = 1 and l = h2.
+    """
     if h2 < 2 or h2 % 2 != 0:
         raise ValueError(f"pair constant is defined for even gaps, got {h2}")
-    c2 = twin_constant(P)
-    value = 2.0 * c2.value
-    for p in _odd_prime_factors(h2):
-        value *= (p - 1.0) / (p - 2.0)
-    return SingularConstant(
-        value=value,
-        truncation_prime=P,
-        tail_estimate=c2.tail_estimate,
-        form=f"pair({h2})",
-    )
+    return replace(conjecture_d_constant(1, 1, h2, P), form=f"pair({h2})")
 
 
 def validate_linear_pair(a: int, b: int, l: int) -> None:
@@ -181,12 +165,7 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     )
 
 
-def series_constant(
-    h: int,
-    P: int,
-    tables: SieveTables | None = None,
-    raw_Q: int = 0,
-) -> SingularConstant:
+def series_constant(h: int, P: int) -> SingularConstant:
     """Value of the mu(q)/phi(q)-weighted Ramanujan series at gap h.
 
     The q-ordered series is only conditionally convergent, so the value is
@@ -196,8 +175,7 @@ def series_constant(
     literal prime-by-prime product of the raw coefficients,
     prod_p (1 + mu(p) c_p(h) / phi(p)), does not converge to the series'
     value (its p = 2 factor vanishes at even h); it is reported in
-    ``extra["naive_product"]`` as a finding.  A truncated raw q-sum is
-    attached as a diagnostic when ``raw_Q`` > 0 and tables are supplied.
+    ``extra["naive_product"]`` as a finding.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
@@ -221,23 +199,12 @@ def series_constant(
             naive_logs.append(math.log(naive))
     value = 0.0 if value_is_zero else math.exp(math.fsum(logs))
     naive = 0.0 if naive_is_zero else math.exp(math.fsum(naive_logs))
-    extra = {"naive_product": naive}
-    if raw_Q > 0:
-        if tables is None or tables.bound < raw_Q:
-            raise ValueError(f"raw diagnostic needs sieve tables covering q <= {raw_Q}")
-        from .ramanujan import cq_int_over_q
-
-        qs = np.arange(1, raw_Q + 1, dtype=np.int64)
-        c = cq_int_over_q(tables, qs, h).astype(np.float64)
-        coef = tables.mu[1 : raw_Q + 1].astype(np.float64) / tables.phi[1 : raw_Q + 1]
-        extra["raw_sum"] = math.fsum((coef * c).tolist())
-        extra["raw_Q"] = raw_Q
     return SingularConstant(
         value=value,
         truncation_prime=P,
         tail_estimate=2.0 / (P - 1),
         form=f"series({h})",
-        extra=extra,
+        extra={"naive_product": naive},
     )
 
 

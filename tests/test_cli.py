@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from ramabel import load_tables, save_tables
 from ramabel.cli import main
+from ramabel.sieve import build_sieve, table_checksum
 
 
 def run(tmp_path, *argv):
@@ -106,3 +108,42 @@ class TestSubcommandCoverage:
                    "--n", "100000") == 0
         out = capsys.readouterr().out
         assert "exact" in out or "1" in out
+
+
+class TestTableCache:
+    def test_sieve_uses_cache_dir(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "sieve", "--n", "1000"]) == 0
+        fresh = capsys.readouterr().out
+        assert run(tmp_path, "sieve", "--n", "1000") == 0
+        assert capsys.readouterr().out == fresh
+        cached = load_tables(str(tmp_path / "cache" / "tables_N1000_v1.bin"))
+        assert f"checksum={table_checksum(cached)}" in fresh
+
+    def test_truncated_cache_file_is_rebuilt(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh"
+        assert main(["--out", str(fresh), "pnt", "--n", "1000"]) == 0
+        path = tmp_path / "cache" / "tables_N1000_v1.bin"
+        assert run(tmp_path, "pnt", "--n", "1000") == 0
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        assert run(tmp_path, "pnt", "--n", "1000") == 0
+        assert "truncated table dump" in capsys.readouterr().err
+        assert (tmp_path / "pnt.csv").read_bytes() == (fresh / "pnt.csv").read_bytes()
+        assert load_tables(str(path)).bound == 1000
+
+    @pytest.mark.parametrize("content", [
+        b"not a table dump",
+        b"RMBL\x02\x00\x00\x00" + bytes(8),
+        None,  # a good dump of another bound
+    ])
+    def test_foreign_cache_file_is_kept(self, tmp_path, content):
+        path = tmp_path / "tables.bin"
+        if content is None:
+            save_tables(build_sieve(50), str(path))
+        else:
+            path.write_bytes(content)
+        before = path.read_bytes()
+        argv = ["--out", str(tmp_path), "sieve", "--n", "100", "--cache", str(path)]
+        assert main(argv) == 2
+        assert path.read_bytes() == before

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import random
 
 import numpy as np
@@ -79,9 +80,13 @@ class TestBuildSieve:
             build_sieve(0)
 
     def test_memory_budget_error_names_budget(self):
+        # 64 * 10^15 bytes is over any machine's memory; the check raises
+        # before anything is allocated.
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         with pytest.raises(ResourceLimitError) as exc:
-            build_sieve(10**6, memory_budget=1024)
-        assert "1024" in str(exc.value)
+            build_sieve(10**15)
+        assert str(10**15) in str(exc.value)
+        assert str(budget) in str(exc.value)
 
     def test_primes_agree_with_trial_division(self, tables_small):
         def is_prime(n):
@@ -220,6 +225,19 @@ class TestDumpRestore:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a table dump")
         with pytest.raises(ValueError):
+            load_tables(str(path))
+
+    # Dump prefixes: empty, cut inside the header, the header alone, cut
+    # inside the first and inside the last of the 330,049-byte dump's arrays.
+    @pytest.mark.parametrize("keep, message", [
+        (0, "bad magic"), (6, "truncated"), (16, "truncated"),
+        (40_000, "truncated"), (330_000, "truncated"),
+    ])
+    def test_rejects_truncated(self, tmp_path, tables_small, keep, message):
+        path = tmp_path / "tables.bin"
+        save_tables(tables_small, str(path))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=message):
             load_tables(str(path))
 
 
