@@ -22,6 +22,27 @@ from ramabel import (
     polynomial_cq_mean,
     tuple_mean,
 )
+from ramabel.mean_values import _array_trace
+from ramabel.singular import validate_linear_pair
+
+
+def _valid_linear_pair(abl) -> bool:
+    try:
+        validate_linear_pair(*abl)
+    except ValueError:
+        return False
+    return True
+
+
+def _direct_conjd_trace(tables, a, b, l, N, weight):
+    """Reference: the direct modular filter over n = 1..N."""
+    w = tables.lam if weight == "lambda" else tables.lam1
+    ns = np.arange(1, N + 1, dtype=np.int64)
+    t = b * ns + l
+    hit = t % a == 0
+    vals = np.zeros(N, dtype=np.float64)
+    vals[hit] = w[ns[hit]] * w[t[hit] // a]
+    return _array_trace(vals, N)
 
 
 class TestCqMean:
@@ -181,6 +202,25 @@ class TestConjectureDMean:
     def test_bound_check(self, tables_small):
         with pytest.raises(ValueError):
             conjecture_d_mean(tables_small, 1, 2, 1, tables_small.bound)
+
+    @given(
+        abl=st.tuples(
+            st.integers(min_value=1, max_value=7),
+            st.integers(min_value=1, max_value=30),
+            st.integers(min_value=1, max_value=30),
+        ).filter(_valid_linear_pair),
+        weight=st.sampled_from(["lambda", "lambda1"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_modular_filter(self, tables_small, abl, weight, data):
+        a, b, l = abl
+        # Largest N whose top index (b N + l) // a stays within the table.
+        n_max = (a * (tables_small.bound + 1) - 1 - l) // b
+        # N in 1..a often falls below the first qualifying n, so no n counts.
+        N = data.draw(st.one_of(st.integers(1, a), st.integers(1, n_max)), label="N")
+        rep = conjecture_d_mean(tables_small, a, b, l, N, P=10**3, weight=weight)
+        assert rep.trace == _direct_conjd_trace(tables_small, a, b, l, N, weight)
 
     def test_root_of_unity_indicator_identity(self):
         # (1/a) sum_{k=0}^{a-1} e^{2 pi i k t / a} is 1 when a | t else 0;
