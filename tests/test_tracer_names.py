@@ -1,0 +1,49 @@
+"""The benchmark's tracer finds its layers by patching names in ramabel.
+
+A renamed kernel or table function would leave its span empty and zero the
+per-layer metrics without any error, so each correlation command is run
+once under perfbench/tracer.py and its spans are checked by name.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+@pytest.mark.parametrize(
+    "argv, kernels",
+    [
+        (["autocorr", "--gap", "2", "--n", "500", "--p", "1000"],
+         ["pair_autocorrelation"]),
+        (["autocorr", "--gap", "3", "--n", "500"],
+         ["pair_autocorrelation", "odd_gap_mean"]),
+        (["conjd", "--a", "3", "--b", "4", "--l", "1", "--n", "500", "--p", "1000"],
+         ["conjecture_d_mean"]),
+        (["tuple", "--offsets", "0,2,6", "--n", "500", "--p", "1000"],
+         ["tuple_mean"]),
+        (["pnt", "--n", "500"], ["pnt_mean"]),
+    ],
+    ids=["autocorr-even", "autocorr-odd", "conjd", "tuple", "pnt"],
+)
+def test_tracer_records_kernel_and_sieve_spans(tmp_path, argv, kernels):
+    spans_path = tmp_path / "spans.json"
+    env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_path), str(time.monotonic()),
+         "--out", str(tmp_path), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+    for kernel in kernels:
+        assert f"mean_values.{kernel}" in names, names
+    assert "sieve.build_sieve" in names, names
