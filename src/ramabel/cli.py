@@ -26,6 +26,7 @@ from .errors import ResourceLimitError, TruncatedDumpError
 from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_checksum
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
+REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
 
 
 def _fmt(v) -> str:
@@ -85,10 +86,6 @@ def _get_tables(bound: int, cache_dir: str | None, path: str | None = None) -> S
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         save_tables(tables, path)
     return tables
-
-
-def _report_rows(report: mean_values.MeanValueReport) -> tuple[list[str], list[list]]:
-    return ["label", "N", "mean", "predicted", "abs_gap"], report.csv_rows()
 
 
 def _ints(text: str) -> list[int]:
@@ -193,8 +190,6 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     cmd = args.command
 
     if cmd == "sieve":
-        if args.n < 1:
-            raise ValueError(f"--n must be >= 1, got {args.n}")
         tables = _get_tables(args.n, args.cache_dir, args.cache)
         digest = table_checksum(tables)
         return _finish(
@@ -221,23 +216,21 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         report = mean_values.pair_autocorrelation(
             tables, args.gap, args.n, P=args.p, weight=args.weights
         )
-        header, rows = _report_rows(report)
         return _finish(
-            args, out, start, bound, header, rows,
+            args, out, start, bound, REPORT_HEADER, report.csv_rows(),
             {"gap": args.gap, "n": args.n, "weights": args.weights, "p": args.p},
             f"{report.label}: empirical={report.empirical:.12g} "
             f"predicted={report.predicted:.12g}",
         )
 
     if cmd == "conjd":
-        bound = (args.b * args.n + args.l) // args.a + 1
+        bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
         tables = _get_tables(bound, args.cache_dir)
         report = mean_values.conjecture_d_mean(
             tables, args.a, args.b, args.l, args.n, P=args.p
         )
-        header, rows = _report_rows(report)
         return _finish(
-            args, out, start, bound, header, rows,
+            args, out, start, bound, REPORT_HEADER, report.csv_rows(),
             {"a": args.a, "b": args.b, "l": args.l, "n": args.n, "p": args.p},
             f"{report.label}: empirical={report.empirical:.12g} "
             f"predicted={report.predicted:.12g}",
@@ -250,8 +243,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         result = mean_values.tuple_mean(tables, spec, args.n, P=args.p)
         rows = result.lambda_weighted.csv_rows() + result.lambda1_weighted.csv_rows()
         return _finish(
-            args, out, start, bound,
-            ["label", "N", "mean", "predicted", "abs_gap"], rows,
+            args, out, start, bound, REPORT_HEADER, rows,
             {"offsets": list(spec.offsets), "n": args.n, "p": args.p},
             f"tuple {spec.offsets}: lambda={result.lambda_weighted.empirical:.12g} "
             f"lambda1={result.lambda1_weighted.empirical:.12g} "
@@ -261,18 +253,16 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "pnt":
         tables = _get_tables(args.n, args.cache_dir)
         report = mean_values.pnt_mean(tables, args.n)
-        header, rows = _report_rows(report)
         return _finish(
-            args, out, start, args.n, header, rows, {"n": args.n},
+            args, out, start, args.n, REPORT_HEADER, report.csv_rows(), {"n": args.n},
             f"pnt_mean: empirical={report.empirical:.12g} predicted=1",
         )
 
     if cmd == "polymean":
         tables = _get_tables(max(args.q, 1), args.cache_dir)
         report = mean_values.polynomial_cq_mean(tables, args.q, _ints(args.poly), args.n)
-        header, rows = _report_rows(report)
         return _finish(
-            args, out, start, args.q, header, rows,
+            args, out, start, args.q, REPORT_HEADER, report.csv_rows(),
             {"q": args.q, "poly": _ints(args.poly), "n": args.n},
             f"{report.label}: empirical={report.empirical:.12g} "
             f"exact={report.exact_mean}",

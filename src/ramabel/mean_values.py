@@ -50,6 +50,8 @@ class MeanValueReport:
 
 
 def _checkpoint_ns(N: int) -> list[int]:
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got N={N}")
     return sorted({max(1, (k * N) // 10) for k in range(1, 10)} | {N})
 
 
@@ -80,17 +82,18 @@ def _report(
     )
 
 
-def _array_trace(vals: np.ndarray, N: int) -> list[tuple[int, float]]:
-    """Checkpoint means of the summand array for n = 1..N.
+def _array_trace(vals: np.ndarray, ns: list[int]) -> list[tuple[int, float]]:
+    """Checkpoint means at ns = _checkpoint_ns(N) of the summands for n = 1..N;
+    callers take ns first, so a bad N fails before anything N-sized is built.
 
     Block sums use a fixed block size and are combined in ascending order,
     so every checkpoint mean is a fixed function of the summands.
     """
-    assert len(vals) == N
+    assert len(vals) == ns[-1]
     trace = []
     sums: list[float] = []
     prev = 0
-    for n_i in _checkpoint_ns(N):
+    for n_i in ns:
         seg = vals[prev:n_i]
         sums.extend(float(np.sum(seg[s : s + _BLOCK])) for s in range(0, len(seg), _BLOCK))
         prev = n_i
@@ -191,11 +194,27 @@ def _weights(tables: SieveTables, weight: str) -> np.ndarray:
     raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
 
 
-def _pair_values(tables: SieveTables, h: int, N: int, weight: str) -> np.ndarray:
-    if N + h > tables.bound:
-        raise ValueError(f"N + h = {N + h} beyond table bound {tables.bound}")
+def _linear_pair_trace(
+    tables: SieveTables, weight: str, a: int, b: int, l: int, N: int
+) -> list[tuple[int, float]]:
+    """Trace of w(n) w((b n + l)/a) over n = 1..N, with 0 where a does not
+    divide b n + l.  For gcd(a, b) = 1 the other n are one class n0 mod a,
+    1 <= n0 <= a, along which (b n + l)/a steps by b: the summands are one
+    product of the strided slices w[n0::a] and w[(b n0 + l)/a::b].
+    """
+    ns = _checkpoint_ns(N)
+    top = max(N, (b * N + l) // a)
+    if top > tables.bound:
+        raise ValueError(
+            f"index {top} = max(N, ({b}*{N} + {l})//{a}) beyond table bound {tables.bound}"
+        )
     w = _weights(tables, weight)
-    return w[1 : N + 1] * w[1 + h : N + 1 + h]
+    n0 = (-l * pow(b, -1, a)) % a or a
+    vals = np.zeros(N, dtype=np.float64)
+    out = vals[n0 - 1 :: a]
+    k = len(out)
+    np.multiply(w[n0::a][:k], w[(b * n0 + l) // a :: b][:k], out=out)
+    return _array_trace(vals, ns)
 
 
 def pair_autocorrelation(
@@ -213,11 +232,9 @@ def pair_autocorrelation(
         raise ValueError(f"gap must be >= 1, got {h2}")
     if h2 % 2 == 1:
         return odd_gap_mean(tables, h2, N, weight=weight)
+    trace = _linear_pair_trace(tables, weight, 1, 1, h2, N)
     predicted = singular.pair_constant(h2, P).value
-    vals = _pair_values(tables, h2, N, weight)
-    return _report(
-        f"pair_autocorrelation(h={h2},w={weight})", N, _array_trace(vals, N), predicted
-    )
+    return _report(f"pair_autocorrelation(h={h2},w={weight})", N, trace, predicted)
 
 
 def odd_gap_mean(
@@ -229,8 +246,8 @@ def odd_gap_mean(
     """Autocorrelation mean at an odd gap; the limit is zero."""
     if h < 1 or h % 2 == 0:
         raise ValueError(f"gap must be a positive odd integer, got {h}")
-    vals = _pair_values(tables, h, N, weight)
-    return _report(f"odd_gap_mean(h={h},w={weight})", N, _array_trace(vals, N), 0.0)
+    trace = _linear_pair_trace(tables, weight, 1, 1, h, N)
+    return _report(f"odd_gap_mean(h={h},w={weight})", N, trace, 0.0)
 
 
 def conjecture_d_mean(
@@ -245,27 +262,14 @@ def conjecture_d_mean(
     """Mean over n <= N, restricted to a | (b n + l), of the product of
     weights at n and (b n + l)/a.
 
-    The divisibility filter is the direct modular test; it coincides with
-    the root-of-unity indicator average.
+    The kept n are one residue class mod a, read as strided slices; keeping
+    it is weighting n by the root-of-unity indicator average
+    (1/a) sum_k e^{2 pi i k (b n + l)/a}, 1 when a | b n + l and else 0.
     """
     singular.validate_linear_pair(a, b, l)
-    if (b * N + l) // a > tables.bound:
-        raise ValueError(
-            f"(b*N + l)/a = {(b * N + l) // a} beyond table bound {tables.bound}"
-        )
+    trace = _linear_pair_trace(tables, weight, a, b, l, N)
     predicted = singular.conjecture_d_constant(a, b, l, P).value
-    w = _weights(tables, weight)
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    t = b * ns + l
-    hit = t % a == 0
-    vals = np.zeros(N, dtype=np.float64)
-    vals[hit] = w[ns[hit]] * w[t[hit] // a]
-    return _report(
-        f"conjecture_d_mean(a={a},b={b},l={l},w={weight})",
-        N,
-        _array_trace(vals, N),
-        predicted,
-    )
+    return _report(f"conjecture_d_mean(a={a},b={b},l={l},w={weight})", N, trace, predicted)
 
 
 @dataclass(frozen=True)
@@ -319,20 +323,24 @@ def tuple_mean(
             f"offsets {spec.offsets} inadmissible: prime "
             f"{spec.obstructing_prime} covers every residue class"
         )
+    ns = _checkpoint_ns(N)
     if N + spec.offsets[-1] > tables.bound:
         raise ValueError(
             f"N + max offset = {N + spec.offsets[-1]} beyond table bound {tables.bound}"
         )
     predicted = singular.tuple_constant(spec.offsets, P).value
+    # One buffer serves both weights.  offsets[0] is 0, so the copy is the
+    # first factor, and the rest multiply in place in offset order.
+    vals = np.empty(N, dtype=np.float64)
     reports = {}
     for weight, w in (("lambda", tables.lam), ("lambda1", tables.lam1)):
-        vals = np.ones(N, dtype=np.float64)
-        for off in spec.offsets:
+        vals[:] = w[1 : N + 1]
+        for off in spec.offsets[1:]:
             vals *= w[1 + off : N + 1 + off]
         reports[weight] = _report(
             f"tuple_mean(offsets={spec.offsets},w={weight})",
             N,
-            _array_trace(vals, N),
+            _array_trace(vals, ns),
             predicted,
         )
     return TupleMeanReport(
@@ -344,10 +352,10 @@ def tuple_mean(
 
 def pnt_mean(tables: SieveTables, N: int) -> MeanValueReport:
     """Mean of the weighted von Mangoldt function; the limit is 1."""
+    ns = _checkpoint_ns(N)
     if N > tables.bound:
         raise ValueError(f"N={N} beyond table bound {tables.bound}")
-    vals = tables.lam1[1 : N + 1]
-    return _report("pnt_mean", N, _array_trace(vals, N), 1.0)
+    return _report("pnt_mean", N, _array_trace(tables.lam1[1 : N + 1], ns), 1.0)
 
 
 def goldbach_correlation(tables: SieveTables, N: int, q1: int, q2: int) -> int:

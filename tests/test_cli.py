@@ -67,6 +67,20 @@ class TestErrors:
     def test_bad_tuple(self, tmp_path):
         assert run(tmp_path, "tuple", "--offsets", "0,2,4", "--n", "100") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("autocorr", "--gap", "2", "--n", "0"),
+        ("autocorr", "--gap", "4", "--n", "-1"),
+        ("conjd", "--a", "1", "--b", "2", "--l", "1", "--n", "0"),
+        ("polymean", "--q", "3", "--poly", "1", "--n", "0"),
+        ("polymean", "--q", "3", "--poly", "1", "--n", "-4"),
+        ("tuple", "--offsets", "0,2,6", "--n", "-2"),
+    ])
+    def test_n_below_one_rejected(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "N=" in err, err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
@@ -96,6 +110,12 @@ class TestSubcommandCoverage:
         assert run(tmp_path, "conjd", "--a", "1", "--b", "2", "--l", "1",
                    "--n", "20000") == 0
         assert "conjecture_d_mean" in capsys.readouterr().out
+
+    def test_conjd_a_above_b(self, tmp_path):
+        # n itself, not (b n + l)/a, is the largest table index when a > b.
+        assert run(tmp_path, "conjd", "--a", "3", "--b", "2", "--l", "1",
+                   "--n", "1000") == 0
+        assert read_manifest(tmp_path, "conjd")["sieve_bound"] == 1001
 
     def test_tuple(self, tmp_path):
         assert run(tmp_path, "tuple", "--offsets", "0,2,6", "--n", "20000") == 0

@@ -22,7 +22,7 @@ from ramabel import (
     polynomial_cq_mean,
     tuple_mean,
 )
-from ramabel.mean_values import _array_trace
+from ramabel.mean_values import _array_trace, _checkpoint_ns
 from ramabel.singular import validate_linear_pair
 
 
@@ -42,7 +42,7 @@ def _direct_conjd_trace(tables, a, b, l, N, weight):
     hit = t % a == 0
     vals = np.zeros(N, dtype=np.float64)
     vals[hit] = w[ns[hit]] * w[t[hit] // a]
-    return _array_trace(vals, N)
+    return _array_trace(vals, _checkpoint_ns(N))
 
 
 class TestCqMean:
@@ -203,6 +203,13 @@ class TestConjectureDMean:
         with pytest.raises(ValueError):
             conjecture_d_mean(tables_small, 1, 2, 1, tables_small.bound)
 
+    @pytest.mark.parametrize("a", [3, 5])
+    def test_bound_check_a_above_b(self, tables_small, a):
+        # n runs past the table before (2 n + 1)/a does.
+        bound = tables_small.bound
+        with pytest.raises(ValueError, match=f"index {bound + 1} .* table bound {bound}"):
+            conjecture_d_mean(tables_small, a, 2, 1, bound + 1)
+
     @given(
         abl=st.tuples(
             st.integers(min_value=1, max_value=7),
@@ -215,8 +222,8 @@ class TestConjectureDMean:
     @settings(max_examples=200, deadline=None)
     def test_matches_direct_modular_filter(self, tables_small, abl, weight, data):
         a, b, l = abl
-        # Largest N whose top index (b N + l) // a stays within the table.
-        n_max = (a * (tables_small.bound + 1) - 1 - l) // b
+        # Largest N whose indices n and (b N + l) // a stay within the table.
+        n_max = min(tables_small.bound, (a * (tables_small.bound + 1) - 1 - l) // b)
         # N in 1..a often falls below the first qualifying n, so no n counts.
         N = data.draw(st.one_of(st.integers(1, a), st.integers(1, n_max)), label="N")
         rep = conjecture_d_mean(tables_small, a, b, l, N, P=10**3, weight=weight)
