@@ -23,10 +23,20 @@ from pathlib import Path
 
 from . import __version__, mean_values, ramanujan, rf_series, singular
 from .errors import ResourceLimitError, TruncatedDumpError
-from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_checksum
+from .sieve import (
+    LambdaTables,
+    SieveTables,
+    build_sieve,
+    load_tables,
+    save_tables,
+    table_checksum,
+)
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
 REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
+# The correlation commands: each reads only lam and lam1 (so builds
+# LambdaTables) and takes its N from --n.
+LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 
 
 def _fmt(v) -> str:
@@ -63,25 +73,35 @@ def _write_manifest(path: Path, args: argparse.Namespace, bound: int | None,
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _get_tables(bound: int, cache_dir: str | None, path: str | None = None) -> SieveTables:
-    """Tables for 1..bound, through one table cache file if there is one.
+def _get_tables(bound: int, cache_dir: str | None, path: str | None = None,
+                lambda_only: bool = False) -> LambdaTables:
+    """Tables for 1..bound, through one table cache file if there is one:
+    ``LambdaTables`` when ``lambda_only``, else ``SieveTables``.
 
-    The file is ``path`` if given, else ``<cache_dir>/tables_N{bound}_v1.bin``.
-    An existing file is loaded and must hold ``bound``; a truncated dump is
-    rebuilt and replaced with a warning.  A missing file is built and saved.
+    The file is ``path`` if given, else ``<cache_dir>/lambda_N{bound}_v1.bin``
+    for Lambda tables and ``<cache_dir>/tables_N{bound}_v1.bin`` for full
+    ones.  An existing file is loaded and must hold that kind at ``bound``; a
+    truncated dump is rebuilt and replaced with a warning.  A missing file
+    is built and saved.
     """
+    kind = LambdaTables if lambda_only else SieveTables
     if path is None and cache_dir:
-        path = str(Path(cache_dir) / f"tables_N{bound}_v1.bin")
+        name = "lambda" if lambda_only else "tables"
+        path = str(Path(cache_dir) / f"{name}_N{bound}_v1.bin")
     if path and Path(path).exists():
         try:
             tables = load_tables(path)
         except TruncatedDumpError as exc:
             print(f"warning: {exc}; rebuilding it", file=sys.stderr)
         else:
+            if type(tables) is not kind:
+                raise ValueError(
+                    f"cache {path} holds {type(tables).__name__}, wanted {kind.__name__}"
+                )
             if tables.bound != bound:
                 raise ValueError(f"cache {path} holds bound {tables.bound}, wanted {bound}")
             return tables
-    tables = build_sieve(bound)
+    tables = build_sieve(bound, lambda_only=lambda_only)
     if path:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         save_tables(tables, path)
@@ -188,6 +208,9 @@ def _finish(args, out: Path, start: float, bound: int | None,
 
 def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     cmd = args.command
+    if cmd in LAMBDA_COMMANDS and args.n < 1:
+        # Before a table bound is derived from N, so the error names N itself.
+        raise ValueError(f"N must be >= 1, got N={args.n}")
 
     if cmd == "sieve":
         tables = _get_tables(args.n, args.cache_dir, args.cache)
@@ -212,7 +235,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "autocorr":
         bound = args.n + args.gap
-        tables = _get_tables(bound, args.cache_dir)
+        tables = _get_tables(bound, args.cache_dir, lambda_only=True)
         report = mean_values.pair_autocorrelation(
             tables, args.gap, args.n, P=args.p, weight=args.weights
         )
@@ -224,8 +247,9 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "conjd":
+        singular.validate_linear_pair(args.a, args.b, args.l)
         bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
-        tables = _get_tables(bound, args.cache_dir)
+        tables = _get_tables(bound, args.cache_dir, lambda_only=True)
         report = mean_values.conjecture_d_mean(
             tables, args.a, args.b, args.l, args.n, P=args.p
         )
@@ -239,7 +263,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "tuple":
         spec = mean_values.TupleSpec.from_offsets(_ints(args.offsets))
         bound = args.n + spec.offsets[-1]
-        tables = _get_tables(bound, args.cache_dir)
+        tables = _get_tables(bound, args.cache_dir, lambda_only=True)
         result = mean_values.tuple_mean(tables, spec, args.n, P=args.p)
         rows = result.lambda_weighted.csv_rows() + result.lambda1_weighted.csv_rows()
         return _finish(
@@ -251,7 +275,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "pnt":
-        tables = _get_tables(args.n, args.cache_dir)
+        tables = _get_tables(args.n, args.cache_dir, lambda_only=True)
         report = mean_values.pnt_mean(tables, args.n)
         return _finish(
             args, out, start, args.n, REPORT_HEADER, report.csv_rows(), {"n": args.n},

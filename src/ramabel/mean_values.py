@@ -18,7 +18,7 @@ import numpy as np
 
 from . import singular
 from .ramanujan import cq_int, cq_int_over_n
-from .sieve import SieveTables
+from .sieve import LambdaTables, SieveTables
 
 _BLOCK = 1 << 20
 
@@ -186,7 +186,7 @@ def polynomial_cq_mean(
     )
 
 
-def _weights(tables: SieveTables, weight: str) -> np.ndarray:
+def _weights(tables: LambdaTables, weight: str) -> np.ndarray:
     if weight == "lambda":
         return tables.lam
     if weight == "lambda1":
@@ -195,7 +195,7 @@ def _weights(tables: SieveTables, weight: str) -> np.ndarray:
 
 
 def _linear_pair_trace(
-    tables: SieveTables, weight: str, a: int, b: int, l: int, N: int
+    tables: LambdaTables, weight: str, a: int, b: int, l: int, N: int
 ) -> list[tuple[int, float]]:
     """Trace of w(n) w((b n + l)/a) over n = 1..N, with 0 where a does not
     divide b n + l.  For gcd(a, b) = 1 the other n are one class n0 mod a,
@@ -218,7 +218,7 @@ def _linear_pair_trace(
 
 
 def pair_autocorrelation(
-    tables: SieveTables,
+    tables: LambdaTables,
     h2: int,
     N: int,
     P: int = 10**6,
@@ -238,7 +238,7 @@ def pair_autocorrelation(
 
 
 def odd_gap_mean(
-    tables: SieveTables,
+    tables: LambdaTables,
     h: int,
     N: int,
     weight: str = "lambda1",
@@ -251,7 +251,7 @@ def odd_gap_mean(
 
 
 def conjecture_d_mean(
-    tables: SieveTables,
+    tables: LambdaTables,
     a: int,
     b: int,
     l: int,
@@ -307,7 +307,7 @@ class TupleMeanReport:
 
 
 def tuple_mean(
-    tables: SieveTables,
+    tables: LambdaTables,
     spec: TupleSpec,
     N: int,
     P: int = 10**6,
@@ -350,7 +350,7 @@ def tuple_mean(
     )
 
 
-def pnt_mean(tables: SieveTables, N: int) -> MeanValueReport:
+def pnt_mean(tables: LambdaTables, N: int) -> MeanValueReport:
     """Mean of the weighted von Mangoldt function; the limit is 1."""
     ns = _checkpoint_ns(N)
     if N > tables.bound:

@@ -1,12 +1,17 @@
 """Tables of the classical arithmetic functions up to a bound N.
 
-One segmented multiplicative sieve kernel produces smallest prime factor,
-Moebius mu, Euler phi, the von Mangoldt function, and its phi(n)/n-weighted
-variant for one segment of n at a time, from the base primes up to sqrt(N).
-``build_sieve`` fills whole tables from it segment by segment; tables are
-immutable after construction.  ``SegmentedLambdaStream`` yields the kernel's
-weighted von Mangoldt values one segment at a time, for bounds whose tables
-do not fit in memory at once.
+Two segmented sieve kernels work on one segment of n at a time, from the
+base primes up to sqrt(N) and their powers.  The Lambda kernel is a boolean
+prime sieve that gives the von Mangoldt function and its phi(n)/n-weighted
+variant alone.  The full kernel adds smallest prime factor, Moebius mu and
+Euler phi, and takes its two von Mangoldt arrays from the Lambda kernel.
+
+``build_sieve`` fills whole tables from either kernel, segment by segment:
+``SieveTables`` from the full kernel, ``LambdaTables`` (the two von Mangoldt
+arrays) from the Lambda kernel.  Tables are immutable after construction.
+``SegmentedLambdaStream`` yields the Lambda kernel's weighted values one
+segment at a time, for bounds whose tables do not fit in memory at once.
+Each kind has its own dump format, told apart by the header magic.
 """
 
 from __future__ import annotations
@@ -17,50 +22,69 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
 from .errors import ResourceLimitError, TruncatedDumpError
 
-# Rough per-entry footprint of the finished tables plus build scratch.
-BYTES_PER_ENTRY = 64
-
 # Entries per sieve segment, for build_sieve and SegmentedLambdaStream alike.
 DEFAULT_SEGMENT_SIZE = 1 << 18
 
-_MAGIC = b"RMBL"
 _FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SieveTables:
+class LambdaTables:
     """Immutable arrays indexed by n for 1 <= n <= bound (slot 0 unused).
 
-    spf[n]  smallest prime factor of n (0 for n < 2)
-    mu[n]   Moebius function, values in {-1, 0, 1}
-    phi[n]  Euler totient
     lam[n]  von Mangoldt function (nats)
     lam1[n] phi(n)/n * lam[n]
     """
 
     bound: int
-    spf: np.ndarray
-    mu: np.ndarray
-    phi: np.ndarray
     lam: np.ndarray
     lam1: np.ndarray
 
+    # Dump magic; the arrays in kernel output order with their dump dtypes;
+    # the measured peak RSS of build_sieve(10^7) per entry (194 MB), rounded
+    # up: the tables plus one segment of scratch.
+    MAGIC: ClassVar[bytes] = b"RMLA"
+    FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (("lam", "<f8"), ("lam1", "<f8"))
+    BYTES_PER_ENTRY: ClassVar[int] = 20
 
-def build_sieve(N: int) -> SieveTables:
-    """Build all tables for 1..N.
 
-    Raises ValueError for N < 1 and ResourceLimitError when the estimated
-    footprint exceeds the machine's physical memory.
+@dataclass(frozen=True)
+class SieveTables(LambdaTables):
+    """LambdaTables plus, for 1 <= n <= bound:
+
+    spf[n]  smallest prime factor of n (0 for n < 2)
+    mu[n]   Moebius function, values in {-1, 0, 1}
+    phi[n]  Euler totient
+    """
+
+    spf: np.ndarray
+    mu: np.ndarray
+    phi: np.ndarray
+
+    MAGIC: ClassVar[bytes] = b"RMBL"
+    FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
+        ("spf", "<i8"), ("mu", "<i1"), ("phi", "<i8"), ("lam", "<f8"), ("lam1", "<f8"),
+    )
+    BYTES_PER_ENTRY: ClassVar[int] = 40  # 371 MB at 10^7
+
+
+def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables:
+    """Build the tables for 1..N: ``SieveTables``, or ``LambdaTables`` from
+    the Lambda kernel alone when ``lambda_only``.
+
+    Raises ValueError for N < 1 and ResourceLimitError when the kernel's
+    measured footprint exceeds the machine's physical memory.
     """
     if N < 1:
         raise ValueError(f"sieve bound must be >= 1, got {N}")
-    need = BYTES_PER_ENTRY * (N + 1)
+    cls = LambdaTables if lambda_only else SieveTables
+    need = cls.BYTES_PER_ENTRY * (N + 1)
     memory_budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory_budget:
         raise ResourceLimitError(
@@ -68,35 +92,83 @@ def build_sieve(N: int) -> SieveTables:
             f"memory budget of {memory_budget} bytes"
         )
 
-    # Slot 0 keeps the zeros: spf, mu, phi, lam and lam1 are all 0 at n = 0.
-    arrays = [
-        np.zeros(N + 1, dtype=dt)
-        for dt in (np.int64, np.int8, np.int64, np.float64, np.float64)
-    ]
-    for lo, segment in _segments(N, DEFAULT_SEGMENT_SIZE):
-        for arr, part in zip(arrays, segment):
+    # Slot 0 keeps the zeros: every table is 0 at n = 0.
+    arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in cls.FIELDS}
+    kernel = _lambda_segment if lambda_only else _sieve_segment
+    for lo, segment in _segments(N, DEFAULT_SEGMENT_SIZE, kernel):
+        for arr, part in zip(arrays.values(), segment):
             arr[lo : lo + part.size] = part
-    for arr in arrays:
+    for arr in arrays.values():
         arr.flags.writeable = False
-    return SieveTables(N, *arrays)
+    return cls(bound=N, **arrays)
 
 
 def _segments(
-    bound: int, segment_size: int
+    bound: int, segment_size: int, kernel: Callable[..., tuple[np.ndarray, ...]]
 ) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
     """Yield (lo, kernel arrays for [lo, hi]) over consecutive segments of [1, bound]."""
     base = primes_up_to(math.isqrt(bound))
+    powers = _prime_powers(base, bound)
     for lo in range(1, bound + 1, segment_size):
-        yield lo, _sieve_segment(lo, min(lo + segment_size - 1, bound), base)
+        yield lo, kernel(lo, min(lo + segment_size - 1, bound), base, powers)
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
+def _prime_powers(base: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p^k, p) for every p in ``base`` and k >= 2 with p^k <= bound, sorted by p^k."""
+    p = base[base <= math.isqrt(bound)]
+    pks, ps = [p * p], [p]
+    while ps[-1].size:
+        more = pks[-1] <= bound // ps[-1]
+        p = ps[-1][more]
+        pks.append(pks[-1][more] * p)
+        ps.append(p)
+    pk, p = np.concatenate(pks), np.concatenate(ps)
+    order = np.argsort(pk)
+    return pk[order], p[order]
+
+
+def _lambda_segment(
+    lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
+
+    ``base`` must hold every prime p with p * p <= hi, and ``powers`` the
+    ``_prime_powers`` of ``base`` up to at least hi; larger primes and
+    powers are allowed and change nothing.  Each base prime marks its
+    multiples from max(p^2, first multiple >= lo), so the unmarked n >= 2
+    are the primes.  At n = p^k, lam is log p and lam1 is
+    ((n - n // p) / n) * lam, phi(n)/n evaluated the same way at every n.
+    """
+    size = hi - lo + 1
+    composite = np.zeros(size, dtype=bool)
+    if lo == 1:
+        composite[0] = True  # 1 is not a prime
+    first = np.maximum(base * base, -(-lo // base) * base) - lo
+    hit = first < size
+    for p, s in zip(base[hit].tolist(), first[hit].tolist()):
+        composite[s::p] = True
+    primes = np.flatnonzero(~composite) + lo
+
+    pk, pk_p = powers
+    i, j = np.searchsorted(pk, (lo, hi + 1))
+    n = np.concatenate((primes, pk[i:j]))
+    p = np.concatenate((primes, pk_p[i:j]))
+    lam = np.zeros(size, dtype=np.float64)
+    lam1 = np.zeros(size, dtype=np.float64)
+    at = n - lo
+    lam[at] = np.log(p.astype(np.float64))
+    lam1[at] = ((n - n // p) / n) * lam[at]
+    return lam, lam1
+
+
+def _sieve_segment(
+    lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, ...]:
     """spf, mu, phi, lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
 
-    ``base`` must hold every prime p with p * p <= hi; larger primes are
-    allowed and change nothing.  Every entry is an exact integer operation
-    or the same float expression at every n, so the values do not depend on
-    where the segment boundaries fall.
+    ``base`` and ``powers`` are as for ``_lambda_segment``, which gives lam
+    and lam1; spf, mu and phi are exact integer operations, so no value
+    depends on where the segment boundaries fall.
     """
     n = np.arange(lo, hi + 1, dtype=np.int64)
     size = n.size
@@ -104,7 +176,6 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> tuple[np.ndarray, ...]
     mu = np.ones(size, dtype=np.int8)
     phi = n.copy()
     rem = n.copy()  # cofactor left after dividing out the base primes
-    lam = np.zeros(size, dtype=np.float64)
 
     starts = -lo % base  # offset of the first multiple of p in the segment
     hit = starts < size
@@ -120,8 +191,6 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> tuple[np.ndarray, ...]
             rem[s::pk] //= p
             pk *= p
             s = -lo % pk
-            if lo <= pk <= hi:
-                lam[pk - lo] = np.log(np.float64(p))
 
     # Since n <= hi, what is left above 1 is a single prime above sqrt(hi).
     big = rem > 1
@@ -130,16 +199,10 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> tuple[np.ndarray, ...]
     mu[big] = -mu[big]
     untouched = (spf == 0) & (n >= 2)
     spf[untouched] = n[untouched]
-
-    primes = (spf == n) & (n >= 2)
-    lam[primes] = np.log(n[primes].astype(np.float64))
-    lam1 = np.zeros(size, dtype=np.float64)
-    nz = lam != 0.0
-    lam1[nz] = (phi[nz] / n[nz]) * lam[nz]
-    return spf, mu, phi, lam, lam1
+    return (spf, mu, phi, *_lambda_segment(lo, hi, base, powers))
 
 
-def lambda1_at(tables: SieveTables, n: int) -> float:
+def lambda1_at(tables: LambdaTables, n: int) -> float:
     """phi(n)/n * log p at prime powers n = p^k, zero elsewhere."""
     if not 1 <= n <= tables.bound:
         raise ValueError(f"n={n} outside table bound 1..{tables.bound}")
@@ -170,8 +233,9 @@ class SegmentedLambdaStream:
     """Stream of phi(n)/n-weighted von Mangoldt values over [1, bound].
 
     Yields (start, values) with values[i] = lam1[start + i].  The segments
-    come from the same kernel as ``build_sieve`` and concatenate to its
-    lam1 table bit-for-bit for any segment size.
+    come from the Lambda kernel alone, which also gives ``build_sieve`` its
+    lam1 table, and concatenate to that table bit-for-bit for any segment
+    size.
     """
 
     def __init__(self, bound: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
@@ -183,29 +247,20 @@ class SegmentedLambdaStream:
         self.segment_size = segment_size
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for lo, (_, _, _, _, lam1) in _segments(self.bound, self.segment_size):
+        for lo, (_, lam1) in _segments(self.bound, self.segment_size, _lambda_segment):
             yield lo, lam1
 
 
-# Field order and on-disk dtype of every table in the binary dump.
-_DUMP_FIELDS = (
-    ("spf", "<i8"),
-    ("mu", "<i1"),
-    ("phi", "<i8"),
-    ("lam", "<f8"),
-    ("lam1", "<f8"),
-)
-
-
-def _dump_parts(tables: SieveTables) -> Iterator[bytes | np.ndarray]:
-    """The dump in order: the 16-byte header (magic, format version, bound),
-    then each ``_DUMP_FIELDS`` array, not copied when already in its dtype."""
-    yield _MAGIC + struct.pack("<IQ", _FORMAT_VERSION, tables.bound)
-    for name, dt in _DUMP_FIELDS:
+def _dump_parts(tables: LambdaTables) -> Iterator[bytes | np.ndarray]:
+    """The dump in order: the 16-byte header (the kind's magic, format
+    version, bound), then each array of the kind's fields, not copied when
+    already in its dtype."""
+    yield tables.MAGIC + struct.pack("<IQ", _FORMAT_VERSION, tables.bound)
+    for name, dt in tables.FIELDS:
         yield np.ascontiguousarray(getattr(tables, name), dtype=dt)
 
 
-def save_tables(tables: SieveTables, path: str) -> None:
+def save_tables(tables: LambdaTables, path: str) -> None:
     """Write the binary dump of ``tables`` to ``path``.
 
     The dump goes to a temporary file beside ``path`` that is renamed onto
@@ -224,12 +279,14 @@ def save_tables(tables: SieveTables, path: str) -> None:
         raise
 
 
-def load_tables(path: str) -> SieveTables:
-    """Read a ``save_tables`` dump.  Raises TruncatedDumpError for a dump
-    that ends early and ValueError for any other file that is not a dump."""
+def load_tables(path: str) -> LambdaTables:
+    """Read a ``save_tables`` dump as the kind its magic names.  Raises
+    TruncatedDumpError for a dump that ends early and ValueError for any
+    other file that is not a dump."""
     with open(path, "rb") as f:
         header = f.read(16)
-        if header[:4] != _MAGIC:
+        cls = {c.MAGIC: c for c in (SieveTables, LambdaTables)}.get(header[:4])
+        if cls is None:
             raise ValueError(f"{path}: not a sieve table dump (bad magic {header[:4]!r})")
         if len(header) != 16:
             raise TruncatedDumpError(f"{path}: truncated table dump")
@@ -237,16 +294,16 @@ def load_tables(path: str) -> SieveTables:
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
         arrays = {}
-        for name, dt in _DUMP_FIELDS:
+        for name, dt in cls.FIELDS:
             arr = np.fromfile(f, dtype=dt, count=bound + 1)
             if arr.size != bound + 1:
                 raise TruncatedDumpError(f"{path}: truncated table dump")
             arr.flags.writeable = False
             arrays[name] = arr
-    return SieveTables(bound=int(bound), **arrays)
+    return cls(bound=int(bound), **arrays)
 
 
-def table_checksum(tables: SieveTables) -> str:
+def table_checksum(tables: LambdaTables) -> str:
     """SHA-256 of the binary dump of ``tables``."""
     h = hashlib.sha256()
     for part in _dump_parts(tables):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ramabel import load_tables, save_tables
+from ramabel import LambdaTables, SieveTables, load_tables, save_tables
 from ramabel.cli import main
 from ramabel.sieve import build_sieve, table_checksum
 
@@ -82,6 +82,25 @@ class TestErrors:
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
 
+    @pytest.mark.parametrize("argv, n", [
+        (("autocorr", "--gap", "2", "--n", "-5"), -5),
+        (("conjd", "--a", "1", "--b", "2", "--l", "1", "--n", "-4"), -4),
+        (("pnt", "--n", "0"), 0),
+        (("tuple", "--offsets", "0,2,6", "--n", "-10"), -10),
+    ])
+    def test_n_below_one_named_before_table_bound(self, tmp_path, capsys, argv, n):
+        # The table bound derived from these N is below 1 (or 0 for pnt);
+        # the error names the N that was given, not that bound.
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == f"error: N must be >= 1, got N={n}\n"
+        assert not (tmp_path / "cache").exists()
+
+    def test_conjd_zero_a_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "conjd", "--a", "0", "--b", "1", "--l", "1",
+                   "--n", "10") == 2
+        assert "must be positive" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         args = ("autocorr", "--gap", "2", "--n", "20000")
@@ -142,7 +161,7 @@ class TestTableCache:
     def test_truncated_cache_file_is_rebuilt(self, tmp_path, capsys):
         fresh = tmp_path / "fresh"
         assert main(["--out", str(fresh), "pnt", "--n", "1000"]) == 0
-        path = tmp_path / "cache" / "tables_N1000_v1.bin"
+        path = tmp_path / "cache" / "lambda_N1000_v1.bin"
         assert run(tmp_path, "pnt", "--n", "1000") == 0
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
@@ -166,4 +185,46 @@ class TestTableCache:
         before = path.read_bytes()
         argv = ["--out", str(tmp_path), "sieve", "--n", "100", "--cache", str(path)]
         assert main(argv) == 2
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("pnt", "--n", "3000"), 3000),
+        (("autocorr", "--gap", "2", "--n", "3000", "--p", "1000"), 3002),
+        (("autocorr", "--gap", "3", "--n", "3000"), 3003),
+        (("conjd", "--a", "1", "--b", "2", "--l", "1", "--n", "3000", "--p", "1000"), 6002),
+        (("tuple", "--offsets", "0,2,6", "--n", "3000", "--p", "1000"), 3006),
+    ])
+    def test_lambda_commands_cache_lambda_tables(self, tmp_path, argv, bound):
+        assert run(tmp_path, *argv) == 0
+        cold = (tmp_path / f"{argv[0]}.csv").read_bytes()
+        path = tmp_path / "cache" / f"lambda_N{bound}_v1.bin"
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+        assert type(load_tables(str(path))) is LambdaTables
+        before = path.read_bytes()
+        assert run(tmp_path, *argv) == 0
+        assert (tmp_path / f"{argv[0]}.csv").read_bytes() == cold
+        assert path.read_bytes() == before
+
+    def test_sieve_caches_full_tables(self, tmp_path):
+        assert run(tmp_path, "sieve", "--n", "1000") == 0
+        path = tmp_path / "cache" / "tables_N1000_v1.bin"
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+        assert type(load_tables(str(path))) is SieveTables
+
+    def test_lambda_dump_is_not_full_tables(self, tmp_path, capsys):
+        path = tmp_path / "lambda.bin"
+        save_tables(build_sieve(100, lambda_only=True), str(path))
+        before = path.read_bytes()
+        argv = ["--out", str(tmp_path), "sieve", "--n", "100", "--cache", str(path)]
+        assert main(argv) == 2
+        assert "holds LambdaTables, wanted SieveTables" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+    def test_full_dump_is_not_lambda_tables(self, tmp_path, capsys):
+        path = tmp_path / "cache" / "lambda_N100_v1.bin"
+        path.parent.mkdir()
+        save_tables(build_sieve(100), str(path))
+        before = path.read_bytes()
+        assert run(tmp_path, "pnt", "--n", "100") == 2
+        assert "holds SieveTables, wanted LambdaTables" in capsys.readouterr().err
         assert path.read_bytes() == before

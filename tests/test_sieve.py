@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
+    LambdaTables,
     ResourceLimitError,
     SegmentedLambdaStream,
     build_sieve,
@@ -18,7 +19,14 @@ from ramabel import (
     load_tables,
     save_tables,
 )
-from ramabel.sieve import _sieve_segment, primes_up_to, sigma_table, table_checksum
+from ramabel.sieve import (
+    _lambda_segment,
+    _prime_powers,
+    _sieve_segment,
+    primes_up_to,
+    sigma_table,
+    table_checksum,
+)
 
 
 def divisors(n):
@@ -42,13 +50,20 @@ def factorize(n):
 @st.composite
 def sieve_windows(draw):
     """(N, lo, hi) with 1 <= lo <= hi <= N: any short window, a single
-    entry, or a window that straddles the square of a base prime."""
+    entry, a window from lo = 1, a window that straddles the square of a
+    base prime, or a window that holds a higher power of one."""
     N = draw(st.integers(1, 200_000))
-    kind = draw(st.sampled_from(["any", "single", "square"]))
-    if kind == "square" and N >= 4:
+    kind = draw(st.sampled_from(["any", "single", "first", "square", "power"]))
+    if kind in ("square", "power") and N >= 4:
         p = draw(st.sampled_from(primes_up_to(math.isqrt(N)).tolist()))
-        lo = draw(st.integers(max(1, p * p - 100), p * p - 1))
-        hi = draw(st.integers(p * p, min(N, p * p + 100)))
+        pk = p * p
+        if kind == "power":
+            pk = draw(st.sampled_from([p**k for k in range(2, 64) if p**k <= N]))
+        lo = draw(st.integers(max(1, pk - 100), pk - 1 if kind == "square" else pk))
+        hi = draw(st.integers(pk, min(N, pk + 100)))
+    elif kind == "first":
+        lo = 1
+        hi = draw(st.integers(1, min(N, 300)))
     elif kind == "single":
         lo = hi = draw(st.integers(1, N))
     else:
@@ -136,7 +151,8 @@ class TestSegmentKernel:
     @settings(max_examples=200, deadline=None)
     def test_matches_trial_division(self, window):
         N, lo, hi = window
-        spf, mu, phi, lam, lam1 = _sieve_segment(lo, hi, primes_up_to(math.isqrt(N)))
+        base = primes_up_to(math.isqrt(N))
+        spf, mu, phi, lam, lam1 = _sieve_segment(lo, hi, base, _prime_powers(base, N))
         assert all(arr.size == hi - lo + 1 for arr in (spf, mu, phi, lam, lam1))
         for i, n in enumerate(range(lo, hi + 1)):
             f = factorize(n)
@@ -149,6 +165,53 @@ class TestSegmentKernel:
             else:
                 assert lam[i] == 0.0
             assert lam1[i] == np.divide(phi[i], n) * lam[i]
+
+
+class TestLambdaKernel:
+    @given(sieve_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_trial_division(self, window):
+        N, lo, hi = window
+        base = primes_up_to(math.isqrt(N))
+        lam, lam1 = _lambda_segment(lo, hi, base, _prime_powers(base, N))
+        assert lam.size == lam1.size == hi - lo + 1
+        for i, n in enumerate(range(lo, hi + 1)):
+            f = factorize(n)
+            if len(f) == 1:
+                (p,) = f
+                assert lam[i] == np.log(np.float64(p))
+            else:
+                assert lam[i] == 0.0
+            phi = math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
+            assert lam1[i] == np.divide(phi, n) * lam[i]
+
+    def test_prime_powers(self):
+        pk, p = _prime_powers(primes_up_to(10), 100)
+        assert pk.tolist() == [4, 8, 9, 16, 25, 27, 32, 49, 64, 81]
+        assert p.tolist() == [2, 2, 3, 2, 5, 3, 2, 7, 2, 3]
+
+
+class TestLambdaTables:
+    # Bounds at the session fixtures reuse them as the full build.
+    FIXTURES = {10_000: "tables_small", 300_000: "tables", 2_000_020: "tables_big"}
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 10, 100, 10_000, 300_000, 2_000_020])
+    def test_byte_identical_to_full_build(self, request, N):
+        full = (
+            request.getfixturevalue(self.FIXTURES[N]) if N in self.FIXTURES
+            else build_sieve(N)
+        )
+        t = build_sieve(N, lambda_only=True)
+        assert type(t) is LambdaTables
+        assert t.bound == N
+        assert t.lam.tobytes() == full.lam.tobytes()
+        assert t.lam1.tobytes() == full.lam1.tobytes()
+        with pytest.raises(ValueError):
+            t.lam1[1] = 0.0
+
+    def test_memory_budget(self):
+        with pytest.raises(ResourceLimitError, match=str(10**15)):
+            build_sieve(10**15, lambda_only=True)
 
 
 class TestLambda1At:
@@ -220,6 +283,19 @@ class TestDumpRestore:
             save_tables(bad, str(path))
         assert list(tmp_path.iterdir()) == [path]
         assert table_checksum(load_tables(str(path))) == table_checksum(tables_small)
+
+    def test_lambda_roundtrip(self, tmp_path):
+        t = build_sieve(1000, lambda_only=True)
+        path = tmp_path / "lambda.bin"
+        save_tables(t, str(path))
+        data = path.read_bytes()
+        assert data[:4] == b"RMLA" and len(data) == 16 + 2 * 8 * 1001
+        back = load_tables(str(path))
+        assert type(back) is LambdaTables
+        assert table_checksum(back) == table_checksum(t)
+        path.write_bytes(data[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            load_tables(str(path))
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -1,8 +1,9 @@
 """The benchmark's tracer finds its layers by patching names in ramabel.
 
 A renamed kernel or table function would leave its span empty and zero the
-per-layer metrics without any error, so each correlation command is run
-once under perfbench/tracer.py and its spans are checked by name.
+per-layer metrics without any error, so each correlation command, the
+`sieve` command and a cache save then load are run under
+perfbench/tracer.py and their spans are checked by name.
 """
 
 import json
@@ -16,6 +17,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def trace(tmp_path, *argv):
+    """Run ``ramabel argv`` under the tracer; the set of span names."""
+    spans_path = tmp_path / "spans.json"
+    env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_path), str(time.monotonic()),
+         "--out", str(tmp_path), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
 
 
 @pytest.mark.parametrize(
@@ -34,16 +49,21 @@ TRACER = ROOT / "perfbench" / "tracer.py"
     ids=["autocorr-even", "autocorr-odd", "conjd", "tuple", "pnt"],
 )
 def test_tracer_records_kernel_and_sieve_spans(tmp_path, argv, kernels):
-    spans_path = tmp_path / "spans.json"
-    env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(TRACER), str(spans_path), str(time.monotonic()),
-         "--out", str(tmp_path), *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+    names = trace(tmp_path, *argv)
     for kernel in kernels:
         assert f"mean_values.{kernel}" in names, names
     assert "sieve.build_sieve" in names, names
+
+
+def test_tracer_records_sieve_checksum(tmp_path):
+    names = trace(tmp_path, "sieve", "--n", "500")
+    assert {"sieve.build_sieve", "sieve.table_checksum"} <= names, names
+
+
+def test_tracer_records_cache_save_then_load(tmp_path):
+    argv = ("--cache-dir", str(tmp_path / "cache"), "pnt", "--n", "500")
+    first = trace(tmp_path, *argv)
+    assert {"sieve.build_sieve", "sieve.save_tables"} <= first, first
+    second = trace(tmp_path, *argv)
+    assert "sieve.load_tables" in second, second
+    assert "sieve.build_sieve" not in second, second
