@@ -8,7 +8,8 @@ byte for byte; only the duration field varies.  ``--threads`` is accepted
 for compatibility with older command lines and has no effect: ramabel
 starts no worker threads, and results do not depend on the flag.
 
-Exit codes: 0 success, 1 check failure (props), 2 usage or argument error.
+Exit codes: 0 success, 1 check failure (props), 2 usage, argument or
+resource error (memory budget, I/O, an array allocation that failed).
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         return _dispatch(args, out, start)
-    except (ValueError, ResourceLimitError, OSError) as exc:
+    except (ValueError, ResourceLimitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

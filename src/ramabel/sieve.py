@@ -3,11 +3,12 @@
 Two segmented sieve kernels work on one segment of n at a time, from the
 base primes up to sqrt(N) and their powers.  The Lambda kernel is a boolean
 prime sieve that gives the von Mangoldt function and its phi(n)/n-weighted
-variant alone.  The full kernel adds smallest prime factor, Moebius mu and
-Euler phi, and takes its two von Mangoldt arrays from the Lambda kernel.
+variant alone.  The spf kernel adds the smallest prime factor and takes its
+two von Mangoldt arrays from the Lambda kernel; Moebius mu and Euler phi
+then follow from spf by the multiplicative recurrence over n = spf(n) * m.
 
 ``build_sieve`` fills whole tables from either kernel, segment by segment:
-``SieveTables`` from the full kernel, ``LambdaTables`` (the two von Mangoldt
+``SieveTables`` from the spf kernel, ``LambdaTables`` (the two von Mangoldt
 arrays) from the Lambda kernel.  Tables are immutable after construction.
 ``SegmentedLambdaStream`` yields the Lambda kernel's weighted values one
 segment at a time, for bounds whose tables do not fit in memory at once.
@@ -46,9 +47,8 @@ class LambdaTables:
     lam: np.ndarray
     lam1: np.ndarray
 
-    # Dump magic; the arrays in kernel output order with their dump dtypes;
-    # the measured peak RSS of build_sieve(10^7) per entry (194 MB), rounded
-    # up: the tables plus one segment of scratch.
+    # Dump magic; the arrays in dump order with their dtypes; the peak RSS of
+    # build_sieve(10^7) per entry (194 MB) rounded up: tables plus scratch.
     MAGIC: ClassVar[bytes] = b"RMLA"
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (("lam", "<f8"), ("lam1", "<f8"))
     BYTES_PER_ENTRY: ClassVar[int] = 20
@@ -71,7 +71,7 @@ class SieveTables(LambdaTables):
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
         ("spf", "<i8"), ("mu", "<i1"), ("phi", "<i8"), ("lam", "<f8"), ("lam1", "<f8"),
     )
-    BYTES_PER_ENTRY: ClassVar[int] = 40  # 371 MB at 10^7
+    BYTES_PER_ENTRY: ClassVar[int] = 40  # 359-362 MB at 10^7
 
 
 def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables:
@@ -87,17 +87,19 @@ def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables:
     need = cls.BYTES_PER_ENTRY * (N + 1)
     memory_budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory_budget:
-        raise ResourceLimitError(
-            f"sieve bound {N} needs about {need} bytes, over the "
-            f"memory budget of {memory_budget} bytes"
-        )
+        raise ResourceLimitError(f"sieve bound {N} needs about {need} bytes, over the "
+                                 f"memory budget of {memory_budget} bytes")
 
     # Slot 0 keeps the zeros: every table is 0 at n = 0.
     arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in cls.FIELDS}
-    kernel = _lambda_segment if lambda_only else _sieve_segment
+    # The kernel fills every table but mu and phi, which come from spf.
+    filled = [arr for name, arr in arrays.items() if name not in ("mu", "phi")]
+    kernel = _lambda_segment if lambda_only else _spf_segment
     for lo, segment in _segments(N, DEFAULT_SEGMENT_SIZE, kernel):
-        for arr, part in zip(arrays.values(), segment):
+        for arr, part in zip(filled, segment):
             arr[lo : lo + part.size] = part
+    if not lambda_only:
+        _fill_mu_phi(arrays["spf"], arrays["mu"], arrays["phi"])
     for arr in arrays.values():
         arr.flags.writeable = False
     return cls(bound=N, **arrays)
@@ -161,45 +163,40 @@ def _lambda_segment(
     return lam, lam1
 
 
-def _sieve_segment(
+def _spf_segment(
     lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, ...]:
-    """spf, mu, phi, lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
+    """spf, lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
 
     ``base`` and ``powers`` are as for ``_lambda_segment``, which gives lam
-    and lam1; spf, mu and phi are exact integer operations, so no value
-    depends on where the segment boundaries fall.
+    and lam1.  Each n starts as its own spf, right for the primes; the base
+    primes then write p at their multiples in descending order, so the
+    smallest prime factor of n writes last and no mask is needed.
     """
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    size = n.size
-    spf = np.zeros(size, dtype=np.int64)
-    mu = np.ones(size, dtype=np.int8)
-    phi = n.copy()
-    rem = n.copy()  # cofactor left after dividing out the base primes
+    spf = np.arange(lo, hi + 1, dtype=np.int64)
+    if lo == 1:
+        spf[0] = 0  # 1 has no prime factor
+    for p, s in zip(base[::-1].tolist(), (-lo % base)[::-1].tolist()):
+        spf[s::p] = p
+    return (spf, *_lambda_segment(lo, hi, base, powers))
 
-    starts = -lo % base  # offset of the first multiple of p in the segment
-    hit = starts < size
-    for p, s in zip(base[hit].tolist(), starts[hit].tolist()):
-        sl = spf[s::p]
-        sl[sl == 0] = p
-        phi[s::p] -= phi[s::p] // p
-        mu[s::p] = -mu[s::p]
-        mu[-lo % (p * p) :: p * p] = 0
-        # Divide rem by p once for every p^k that divides n.
-        pk = p
-        while s < size:
-            rem[s::pk] //= p
-            pk *= p
-            s = -lo % pk
 
-    # Since n <= hi, what is left above 1 is a single prime above sqrt(hi).
-    big = rem > 1
-    r = rem[big]
-    phi[big] = phi[big] // r * (r - 1)
-    mu[big] = -mu[big]
-    untouched = (spf == 0) & (n >= 2)
-    spf[untouched] = n[untouched]
-    return (spf, mu, phi, *_lambda_segment(lo, hi, base, powers))
+def _fill_mu_phi(spf: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> None:
+    """Fill mu and phi for n >= 1 from a whole spf table by the recurrence over
+    n = p * m, p = spf[n] (Gries & Misra, CACM 21, 1978): mu(n) = 0 and phi(n) =
+    p * phi(m) when p divides m, else mu(n) = -mu(m) and phi(n) = (p - 1) * phi(m).
+    Chunks [lo, min(2 lo, lo + DEFAULT_SEGMENT_SIZE)) ascend, so every m <= n/2
+    is filled before it is read."""
+    mu[1] = phi[1] = 1
+    lo = 2
+    while lo < spf.size:
+        hi = min(2 * lo, lo + DEFAULT_SEGMENT_SIZE, spf.size)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int64) // p
+        same = spf[m] == p
+        mu[lo:hi] = np.where(same, 0, -mu[m])
+        phi[lo:hi] = phi[m] * np.where(same, p, p - 1)
+        lo = hi
 
 
 def lambda1_at(tables: LambdaTables, n: int) -> float:

@@ -95,6 +95,16 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: N must be >= 1, got N={n}\n"
         assert not (tmp_path / "cache").exists()
 
+    # 2N int64 entries are more than the address space holds, so the
+    # allocation fails at once (a MemoryError at 10^17, a ValueError at
+    # 10^18) and no memory is touched.
+    @pytest.mark.parametrize("n", ["100000000000000000", "1000000000000000000"])
+    def test_failed_allocation_exit_two(self, tmp_path, capsys, n):
+        assert run(tmp_path, "goldbach", "--n", n, "--q1", "3", "--q2", "5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "goldbach.csv").exists()
+
     def test_conjd_zero_a_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "conjd", "--a", "0", "--b", "1", "--l", "1",
                    "--n", "10") == 2

@@ -20,9 +20,10 @@ from ramabel import (
     save_tables,
 )
 from ramabel.sieve import (
+    DEFAULT_SEGMENT_SIZE,
     _lambda_segment,
     _prime_powers,
-    _sieve_segment,
+    _spf_segment,
     primes_up_to,
     sigma_table,
     table_checksum,
@@ -45,6 +46,14 @@ def factorize(n):
     if n > 1:
         f[n] = f.get(n, 0) + 1
     return f
+
+
+# Bounds at the session fixtures reuse them as the full build.
+FIXTURES = {10_000: "tables_small", 300_000: "tables", 2_000_020: "tables_big"}
+
+
+def full_tables(request, N):
+    return request.getfixturevalue(FIXTURES[N]) if N in FIXTURES else build_sieve(N)
 
 
 @st.composite
@@ -141,6 +150,20 @@ class TestBuildSieve:
         mean = float(tables_big.lam[1 : N + 1].mean())
         assert 0.9 <= mean <= 1.1
 
+    # SHA-256 of the RMBL dump; any changed byte of any table fails.
+    DIGESTS = {
+        1: "57ea9acd9b2fed635aff991d9a2782052b3edec90c7bd5821dcbb1ef088b1a93",
+        2: "dfce17bd43fc6288f979ca3520f465f345d5150ca45ff065ee02c246b600b6a7",
+        10: "1900ed9e3d9fefbd7e1b8bd374e1fc95c4c4deb400d302e3712477d6e2061efe",
+        10_000: "b056392414c5b8af93aae5b9c4678887442244c3afa0bf3014a51775e7933120",
+        300_000: "42584e9a7da81fc66ff44e5f6bf3e427d7e9dc3803173a6b62869a2746442e14",
+        2_000_020: "8d54a531e18c9b5cd1ef85ac003c88a7c0491812cd231baa59ef82ce2b16ea4e",
+    }
+
+    @pytest.mark.parametrize("N", sorted(DIGESTS))
+    def test_pinned_digest(self, request, N):
+        assert table_checksum(full_tables(request, N)) == self.DIGESTS[N]
+
     def test_tables_are_read_only(self, tables_small):
         with pytest.raises(ValueError):
             tables_small.mu[1] = 0
@@ -152,19 +175,38 @@ class TestSegmentKernel:
     def test_matches_trial_division(self, window):
         N, lo, hi = window
         base = primes_up_to(math.isqrt(N))
-        spf, mu, phi, lam, lam1 = _sieve_segment(lo, hi, base, _prime_powers(base, N))
-        assert all(arr.size == hi - lo + 1 for arr in (spf, mu, phi, lam, lam1))
+        spf, lam, lam1 = _spf_segment(lo, hi, base, _prime_powers(base, N))
+        assert all(arr.size == hi - lo + 1 for arr in (spf, lam, lam1))
         for i, n in enumerate(range(lo, hi + 1)):
             f = factorize(n)
             assert spf[i] == min(f, default=0)
-            assert mu[i] == (0 if any(k > 1 for k in f.values()) else (-1) ** len(f))
-            assert phi[i] == math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
             if len(f) == 1:
                 (p,) = f
                 assert lam[i] == np.log(np.float64(p))
             else:
                 assert lam[i] == 0.0
-            assert lam1[i] == np.divide(phi[i], n) * lam[i]
+            phi = math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
+            assert lam1[i] == np.divide(phi, n) * lam[i]
+
+
+class TestMuPhiRecurrence:
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_trial_division(self, data):
+        # Bounds up to about 600,000 span several segments and several
+        # recurrence chunks; n is drawn anywhere, or next to a chunk start
+        # (a power of two or a multiple of the segment size).
+        N = data.draw(st.integers(1, 600_000))
+        t = build_sieve(N)
+        starts = [2**k for k in range(1, N.bit_length())]
+        starts += list(range(DEFAULT_SEGMENT_SIZE, N + 1, DEFAULT_SEGMENT_SIZE))
+        near = st.sampled_from(starts).flatmap(
+            lambda s: st.integers(max(1, s - 3), min(N, s + 3))
+        ) if starts else st.just(1)
+        for n in data.draw(st.lists(st.one_of(st.integers(1, N), near), max_size=40)):
+            f = factorize(n)
+            assert t.mu[n] == (0 if any(k > 1 for k in f.values()) else (-1) ** len(f))
+            assert t.phi[n] == math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
 
 
 class TestLambdaKernel:
@@ -192,15 +234,9 @@ class TestLambdaKernel:
 
 
 class TestLambdaTables:
-    # Bounds at the session fixtures reuse them as the full build.
-    FIXTURES = {10_000: "tables_small", 300_000: "tables", 2_000_020: "tables_big"}
-
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 10, 100, 10_000, 300_000, 2_000_020])
     def test_byte_identical_to_full_build(self, request, N):
-        full = (
-            request.getfixturevalue(self.FIXTURES[N]) if N in self.FIXTURES
-            else build_sieve(N)
-        )
+        full = full_tables(request, N)
         t = build_sieve(N, lambda_only=True)
         assert type(t) is LambdaTables
         assert t.bound == N
