@@ -1,11 +1,11 @@
 """Tables of the classical arithmetic functions up to a bound N.
 
-Two segmented sieve kernels work on one segment of n at a time, from the
-base primes up to sqrt(N) and their powers.  The Lambda kernel is a boolean
-prime sieve that gives the von Mangoldt function and its phi(n)/n-weighted
-variant alone.  The spf kernel adds the smallest prime factor and takes its
-two von Mangoldt arrays from the Lambda kernel; Moebius mu and Euler phi
-then follow from spf by the multiplicative recurrence over n = spf(n) * m.
+One boolean segment sieve, ``_prime_segment``, finds every prime, for
+``primes_up_to`` and for the Lambda kernel, which adds the prime powers and
+gives the von Mangoldt function and its phi(n)/n-weighted variant alone.
+The spf kernel adds the smallest prime factor and takes its Lambda arrays
+from the Lambda kernel; Moebius mu and Euler phi then follow from spf by the
+recurrence over n = spf(n) * m.  Each kernel works on one segment at a time.
 
 ``build_sieve`` fills whole tables from either kernel, segment by segment:
 ``SieveTables`` from the spf kernel, ``LambdaTables`` (the two von Mangoldt
@@ -129,28 +129,30 @@ def _prime_powers(base: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
     return pk[order], p[order]
 
 
-def _lambda_segment(
-    lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
-
-    ``base`` must hold every prime p with p * p <= hi, and ``powers`` the
-    ``_prime_powers`` of ``base`` up to at least hi; larger primes and
-    powers are allowed and change nothing.  Each base prime marks its
-    multiples from max(p^2, first multiple >= lo), so the unmarked n >= 2
-    are the primes.  At n = p^k, lam is log p and lam1 is
-    ((n - n // p) / n) * lam, phi(n)/n evaluated the same way at every n.
-    """
-    size = hi - lo + 1
-    composite = np.zeros(size, dtype=bool)
+def _prime_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The primes in [lo, hi] as ascending int64, where 1 <= lo <= hi and
+    ``base`` holds every prime p with p * p <= hi (larger ones are harmless).
+    Each base prime marks its multiples from max(p^2, first multiple >= lo),
+    so the unmarked n >= 2 are the primes (Bays & Hudson, BIT 17, 1977)."""
+    composite = np.zeros(hi - lo + 1, dtype=bool)
     if lo == 1:
         composite[0] = True  # 1 is not a prime
     first = np.maximum(base * base, -(-lo // base) * base) - lo
-    hit = first < size
+    hit = first < composite.size
     for p, s in zip(base[hit].tolist(), first[hit].tolist()):
         composite[s::p] = True
-    primes = np.flatnonzero(~composite) + lo
+    return np.flatnonzero(~composite) + lo
 
+
+def _lambda_segment(
+    lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """lam and lam1 for n in [lo, hi], 1 <= lo <= hi, from ``_prime_segment``
+    and ``powers``, the ``_prime_powers`` of ``base`` up to at least hi.  At
+    n = p^k, lam is log p and lam1 is ((n - n // p) / n) * lam, phi(n)/n
+    evaluated the same way at every n."""
+    size = hi - lo + 1
+    primes = _prime_segment(lo, hi, base)
     pk, pk_p = powers
     i, j = np.searchsorted(pk, (lo, hi + 1))
     n = np.concatenate((primes, pk[i:j]))
@@ -207,15 +209,12 @@ def lambda1_at(tables: LambdaTables, n: int) -> float:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain boolean sieve)."""
+    """All primes <= n, ascending int64: ``_prime_segment`` over the segments of [1, n]."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    is_p = np.ones(n + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.nonzero(is_p)[0].astype(np.int64)
+    base = primes_up_to(math.isqrt(n))
+    return np.concatenate([_prime_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, n), base)
+                           for lo in range(1, n + 1, DEFAULT_SEGMENT_SIZE)])
 
 
 def sigma_table(n: int) -> np.ndarray:

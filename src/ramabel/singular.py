@@ -36,7 +36,7 @@ def twin_constant(P: int) -> SingularConstant:
         raise ValueError(f"P must be >= 3, got {P}")
     p = primes_up_to(P)[1:].astype(np.float64)  # drop p = 2
     logs = np.log1p(-1.0 / (p - 1.0) ** 2)
-    value = math.exp(math.fsum(logs.tolist()))
+    value = math.exp(math.fsum(logs))
     return SingularConstant(
         value=value, truncation_prime=P, tail_estimate=1.0 / (P - 1), form="C2"
     )
@@ -111,7 +111,8 @@ def distinct_residues(offsets: Sequence[int], p: int) -> int:
 
 def check_admissible(offsets: Sequence[int]) -> int | None:
     """Return the obstructing prime if some p covers every residue, else None."""
-    for p in primes_up_to(max(offsets) + 1 if max(offsets) >= 1 else 2):
+    # Only a prime p <= len(offsets) can cover all p residues.
+    for p in primes_up_to(len(offsets)):
         p = int(p)
         if distinct_residues(offsets, p) == p:
             return p
@@ -179,6 +180,8 @@ def series_constant(h: int, P: int) -> SingularConstant:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
+    if P < 2:
+        raise ValueError(f"P must be >= 2, got {P}")
     ps = primes_up_to(P)
     logs = []
     naive_logs = []

@@ -105,6 +105,18 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "goldbach.csv").exists()
 
+    def test_tuple_constant_p_too_small(self, tmp_path, capsys):
+        assert run(tmp_path, "singular", "--form", "tuple", "--params", "0,2,100000002",
+                   "--p", "1000") == 2
+        assert "P=1000 too small" in capsys.readouterr().err
+        assert not (tmp_path / "singular.csv").exists()
+
+    @pytest.mark.parametrize("p", ["1", "0", "-5"])
+    def test_series_constant_p_below_two(self, tmp_path, capsys, p):
+        assert run(tmp_path, "singular", "--form", "series", "--params", "2", "--p", p) == 2
+        assert capsys.readouterr().err == f"error: P must be >= 2, got {p}\n"
+        assert not (tmp_path / "singular.csv").exists()
+
     def test_conjd_zero_a_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "conjd", "--a", "0", "--b", "1", "--l", "1",
                    "--n", "10") == 2

@@ -1,6 +1,7 @@
 """Sieve table construction, segmented streaming, and binary round-trips."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -357,6 +358,36 @@ class TestHelpers:
     def test_primes_up_to(self):
         assert list(primes_up_to(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert list(primes_up_to(1)) == []
+
+    # SHA-256 of the little-endian int64 primes; any changed prime fails.
+    PRIME_DIGESTS = {
+        10**6: (78_498, "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40"),
+        10**7: (664_579, "2ad296d1337aaafbb800643fa0cf7a36badb424747f4b9a112d353f8b6631993"),
+    }
+
+    @pytest.mark.parametrize("N", sorted(PRIME_DIGESTS))
+    def test_primes_up_to_pinned_digest(self, N):
+        primes = primes_up_to(N)
+        assert primes.dtype == np.int64
+        count, digest = self.PRIME_DIGESTS[N]
+        assert primes.size == count
+        assert hashlib.sha256(np.ascontiguousarray(primes, dtype="<i8")).hexdigest() == digest
+
+    def test_primes_up_to_matches_spf(self, tables_big):
+        # The spf kernel is another algorithm: n >= 2 is prime iff spf[n] == n.
+        # Bounds at and next to each segment edge k * 2^18, and p^2 and
+        # p^2 +- 1 for the base primes whose squares lie nearest each edge.
+        edges = [k * DEFAULT_SEGMENT_SIZE for k in range(1, 8)]
+        ns = [1, 2, 3, 4] + [e + d for e in edges for d in (-1, 0, 1)]
+        small = primes_up_to(math.isqrt(tables_big.bound)).tolist()
+        for e in edges:
+            below = max(p for p in small if p * p <= e)
+            above = min(p for p in small if p * p > e)
+            ns += [p * p + d for p in (below, above) for d in (-1, 0, 1)]
+        n_all = np.arange(tables_big.bound + 1)
+        prime = (tables_big.spf == n_all) & (n_all >= 2)
+        for n in ns:
+            assert primes_up_to(n).tolist() == np.flatnonzero(prime[: n + 1]).tolist(), n
 
     def test_sigma_table(self):
         sig = sigma_table(12)

@@ -4,6 +4,8 @@ constants, linear-pair (conjecture D) constant, and the series route."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramabel import (
     conjecture_d_constant,
@@ -38,6 +40,15 @@ class TestTwinConstant:
     def test_tail_estimate_shrinks(self):
         tails = [twin_constant(P).tail_estimate for P in (10**2, 10**4, 10**6)]
         assert tails[0] > tails[1] > tails[2] > 0
+
+    # Bit-exact: fsum is correctly rounded over the same float64 logs.
+    @pytest.mark.parametrize("P, value", [
+        (10**3, 0.6602457439708007),
+        (10**6, 0.6601618605898408),
+        (10**7, 0.6601618197154555),
+    ])
+    def test_pinned_values(self, P, value):
+        assert twin_constant(P).value == value
 
     def test_invalid_truncation(self):
         with pytest.raises(ValueError):
@@ -103,6 +114,19 @@ class TestAdmissibility:
         assert check_admissible((0, 2, 6)) is None
         assert check_admissible((0, 2, 4)) == 3
         assert check_admissible((0,)) is None
+        assert check_admissible((0, 2, 6, 8, 14)) == 5
+
+    # Offsets are multiples of a scale in {1, 2, 6, 30}, so the first
+    # obstructing prime is often above 2, 3 or 5.
+    @given(st.sampled_from([1, 2, 6, 30]).flatmap(lambda scale: st.lists(
+        st.integers(0, 300 // scale).map(lambda o: o * scale), max_size=40, unique=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_check_admissible_matches_all_primes_to_max_offset(self, offsets):
+        # The reference tries every prime up to max(offsets) + 1.
+        offsets = (0, *sorted(o for o in offsets if o))
+        want = next((p for p in map(int, primes_up_to(max(max(offsets) + 1, 2)))
+                     if distinct_residues(offsets, p) == p), None)
+        assert check_admissible(offsets) == want
 
 
 class TestTupleConstant:
@@ -140,6 +164,11 @@ class TestSeriesConstant:
         got = series_constant(h, P).value
         want = pair_constant(h, P).value
         assert got == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("P", [1, 0, -5])
+    def test_invalid_truncation(self, P):
+        with pytest.raises(ValueError, match="P must be >= 2"):
+            series_constant(2, P)
 
     def test_odd_gap_vanishes(self):
         for h in (1, 3, 9):

@@ -2,7 +2,7 @@
 
 A renamed kernel or table function would leave its span empty and zero the
 per-layer metrics without any error, so each correlation command, the
-`sieve` command and a cache save then load are run under
+`sieve` command, a cache save then load and an Euler product are run under
 perfbench/tracer.py and their spans are checked by name.
 """
 
@@ -67,3 +67,8 @@ def test_tracer_records_cache_save_then_load(tmp_path):
     second = trace(tmp_path, *argv)
     assert "sieve.load_tables" in second, second
     assert "sieve.build_sieve" not in second, second
+
+
+def test_tracer_records_euler_product_primes(tmp_path):
+    names = trace(tmp_path, "singular", "--form", "C2", "--p", "1000")
+    assert {"singular.twin_constant", "sieve.primes_up_to"} <= names, names
