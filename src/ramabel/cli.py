@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__, mean_values, ramanujan, rf_series, singular
-from .errors import ResourceLimitError, TruncatedDumpError
+from .errors import DamagedDumpError, ResourceLimitError
 from .sieve import (
     LambdaTables,
     SieveTables,
@@ -79,20 +79,21 @@ def _get_tables(bound: int, cache_dir: str | None, path: str | None = None,
     """Tables for 1..bound, through one table cache file if there is one:
     ``LambdaTables`` when ``lambda_only``, else ``SieveTables``.
 
-    The file is ``path`` if given, else ``<cache_dir>/lambda_N{bound}_v1.bin``
+    The file is ``path`` if given, else ``<cache_dir>/lambda_N{bound}_v2.bin``
     for Lambda tables and ``<cache_dir>/tables_N{bound}_v1.bin`` for full
-    ones.  An existing file is loaded and must hold that kind at ``bound``; a
-    truncated dump is rebuilt and replaced with a warning.  A missing file
-    is built and saved.
+    ones: the suffix is the kind's dump format version.  An existing file is
+    loaded and must hold that kind at ``bound``; a truncated dump, or one
+    that fails its crc32 check, is rebuilt and replaced with a warning.  A
+    missing file is built and saved.
     """
     kind = LambdaTables if lambda_only else SieveTables
     if path is None and cache_dir:
         name = "lambda" if lambda_only else "tables"
-        path = str(Path(cache_dir) / f"{name}_N{bound}_v1.bin")
+        path = str(Path(cache_dir) / f"{name}_N{bound}_v{kind.VERSION}.bin")
     if path and Path(path).exists():
         try:
             tables = load_tables(path)
-        except TruncatedDumpError as exc:
+        except DamagedDumpError as exc:
             print(f"warning: {exc}; rebuilding it", file=sys.stderr)
         else:
             if type(tables) is not kind:

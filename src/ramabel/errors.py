@@ -13,5 +13,6 @@ class InternalConsistencyError(RuntimeError):
     """A self-check failed; indicates a bug, never expected in normal use."""
 
 
-class TruncatedDumpError(ValueError):
-    """A file starts with the table dump magic but ends before its tables do."""
+class DamagedDumpError(ValueError):
+    """A file starts with a table dump's magic but ends before its tables do,
+    or fails the dump's crc32 check."""

@@ -1,16 +1,17 @@
 """Tables of the classical arithmetic functions up to a bound N.
 
 One boolean segment sieve, ``_prime_segment``, finds every prime, for
-``primes_up_to`` and for the Lambda kernel, which adds the prime powers and
-gives the von Mangoldt function and its phi(n)/n-weighted variant alone.
-The spf kernel adds the smallest prime factor and takes its Lambda arrays
-from the Lambda kernel; Moebius mu and Euler phi then follow from spf by the
-recurrence over n = spf(n) * m.  Each kernel works on one segment at a time.
+``primes_up_to`` and for the segment kernels.  One Lambda fill,
+``_lambda_segment``, turns the primes of a range and the prime powers into
+the von Mangoldt function and its phi(n)/n-weighted variant.  The spf kernel
+adds the smallest prime factor; Moebius mu and Euler phi then follow from
+spf by the recurrence over n = spf(n) * m.
 
-``build_sieve`` fills whole tables from either kernel, segment by segment:
-``SieveTables`` from the spf kernel, ``LambdaTables`` (the two von Mangoldt
-arrays) from the Lambda kernel.  Tables are immutable after construction.
-``SegmentedLambdaStream`` yields the Lambda kernel's weighted values one
+``build_sieve`` makes ``SieveTables`` from the spf kernel, segment by
+segment, and ``LambdaTables`` (the two von Mangoldt arrays) from
+``primes_up_to`` and the Lambda fill; ``load_tables`` makes ``LambdaTables``
+from a dump of the primes by the same fill.  Tables are immutable after
+construction.  ``SegmentedLambdaStream`` yields the weighted values one
 segment at a time, for bounds whose tables do not fit in memory at once.
 Each kind has its own dump format, told apart by the header magic.
 """
@@ -22,17 +23,16 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+import zlib
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError, TruncatedDumpError
+from .errors import DamagedDumpError, ResourceLimitError
 
 # Entries per sieve segment, for build_sieve and SegmentedLambdaStream alike.
 DEFAULT_SEGMENT_SIZE = 1 << 18
-
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,24 @@ class LambdaTables:
 
     lam[n]  von Mangoldt function (nats)
     lam1[n] phi(n)/n * lam[n]
+
+    ``primes`` holds the primes <= bound, ascending, that lam and lam1 were
+    made from, and is all the dump stores; it is None for ``SieveTables``.
     """
 
     bound: int
     lam: np.ndarray
     lam1: np.ndarray
+    primes: np.ndarray | None = field(default=None, kw_only=True)
 
-    # Dump magic; the arrays in dump order with their dtypes; the peak RSS of
-    # build_sieve(10^7) per entry (194 MB) rounded up: tables plus scratch.
+    # Dump magic and format version; the arrays in dump order with their
+    # dtypes; whether a crc32 of the dump follows them; the peak RSS of
+    # build_sieve(10^7) per entry (192 MB) rounded up: tables, primes and
+    # scratch.
     MAGIC: ClassVar[bytes] = b"RMLA"
-    FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (("lam", "<f8"), ("lam1", "<f8"))
+    VERSION: ClassVar[int] = 2
+    FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (("primes", "<i8"),)
+    CRC32: ClassVar[bool] = True
     BYTES_PER_ENTRY: ClassVar[int] = 20
 
 
@@ -68,41 +76,62 @@ class SieveTables(LambdaTables):
     phi: np.ndarray
 
     MAGIC: ClassVar[bytes] = b"RMBL"
+    VERSION: ClassVar[int] = 1
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
         ("spf", "<i8"), ("mu", "<i1"), ("phi", "<i8"), ("lam", "<f8"), ("lam1", "<f8"),
     )
+    CRC32: ClassVar[bool] = False
     BYTES_PER_ENTRY: ClassVar[int] = 40  # 359-362 MB at 10^7
 
 
 def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables:
     """Build the tables for 1..N: ``SieveTables``, or ``LambdaTables`` from
-    the Lambda kernel alone when ``lambda_only``.
+    ``primes_up_to`` and the Lambda fill alone when ``lambda_only``.
 
-    Raises ValueError for N < 1 and ResourceLimitError when the kernel's
+    Raises ValueError for N < 1 and ResourceLimitError when the kind's
     measured footprint exceeds the machine's physical memory.
     """
     if N < 1:
         raise ValueError(f"sieve bound must be >= 1, got {N}")
     cls = LambdaTables if lambda_only else SieveTables
-    need = cls.BYTES_PER_ENTRY * (N + 1)
-    memory_budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory_budget:
-        raise ResourceLimitError(f"sieve bound {N} needs about {need} bytes, over the "
-                                 f"memory budget of {memory_budget} bytes")
+    _check_memory(cls.BYTES_PER_ENTRY * (N + 1), f"sieve bound {N}")
+    if lambda_only:
+        return _lambda_tables(N, primes_up_to(N))
 
     # Slot 0 keeps the zeros: every table is 0 at n = 0.
     arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in cls.FIELDS}
     # The kernel fills every table but mu and phi, which come from spf.
     filled = [arr for name, arr in arrays.items() if name not in ("mu", "phi")]
-    kernel = _lambda_segment if lambda_only else _spf_segment
-    for lo, segment in _segments(N, DEFAULT_SEGMENT_SIZE, kernel):
+    for lo, segment in _segments(N, DEFAULT_SEGMENT_SIZE, _spf_segment):
         for arr, part in zip(filled, segment):
             arr[lo : lo + part.size] = part
-    if not lambda_only:
-        _fill_mu_phi(arrays["spf"], arrays["mu"], arrays["phi"])
+    _fill_mu_phi(arrays["spf"], arrays["mu"], arrays["phi"])
     for arr in arrays.values():
         arr.flags.writeable = False
     return cls(bound=N, **arrays)
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Raise ResourceLimitError when ``need`` bytes exceed physical memory."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > budget:
+        raise ResourceLimitError(f"{what} needs about {need} bytes, over the "
+                                 f"memory budget of {budget} bytes")
+
+
+def _lambda_tables(N: int, primes: np.ndarray) -> LambdaTables:
+    """LambdaTables for 1..N from ``primes``, every prime <= N ascending:
+    ``_lambda_segment`` writes each segment of [1, N] in place."""
+    lam = np.zeros(N + 1, dtype=np.float64)
+    lam1 = np.zeros(N + 1, dtype=np.float64)
+    powers = _prime_powers(primes[: np.searchsorted(primes, math.isqrt(N), "right")], N)
+    for lo in range(1, N + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, N + 1)
+        i, j = np.searchsorted(primes, (lo, hi))
+        _lambda_segment(lo, primes[i:j], powers, lam[lo:hi], lam1[lo:hi])
+    for arr in (lam, lam1, primes):
+        arr.flags.writeable = False
+    return LambdaTables(bound=N, lam=lam, lam1=lam1, primes=primes)
 
 
 def _segments(
@@ -116,7 +145,8 @@ def _segments(
 
 
 def _prime_powers(base: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p^k, p) for every p in ``base`` and k >= 2 with p^k <= bound, sorted by p^k."""
+    """(p^k, p) for every p in ``base`` and k >= 2 with p^k <= bound, sorted by p^k.
+    ``base`` holds at least the primes <= isqrt(bound), ascending."""
     p = base[base <= math.isqrt(bound)]
     pks, ps = [p * p], [p]
     while ps[-1].size:
@@ -145,23 +175,35 @@ def _prime_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 
 
 def _lambda_segment(
+    lo: int, primes: np.ndarray, powers: tuple[np.ndarray, np.ndarray],
+    lam: np.ndarray, lam1: np.ndarray,
+) -> None:
+    """Write lam and lam1 for n in [lo, lo + lam.size), lo >= 1, into the
+    zeroed arrays ``lam`` and ``lam1``.  ``primes`` holds the primes of that
+    range, ascending, and ``powers`` the ``_prime_powers`` up to at least its
+    end.  At n = p^k, lam is log p and lam1 is ((n - n // p) / n) * lam,
+    phi(n)/n evaluated the same way at every n; at n = p that is
+    ((p - 1) / p) * lam, the same float without the division n // p."""
+    at = primes - lo
+    p = primes.astype(np.float64)
+    lam[at] = log_p = np.log(p)
+    lam1[at] = (p - 1) / p * log_p
+    pk, pk_p = powers
+    i, j = np.searchsorted(pk, (lo, lo + lam.size))
+    n, p = pk[i:j], pk_p[i:j]
+    lam[n - lo] = log_p = np.log(p.astype(np.float64))
+    lam1[n - lo] = ((n - n // p) / n) * log_p
+
+
+def _lambda_kernel(
     lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lam and lam1 for n in [lo, hi], 1 <= lo <= hi, from ``_prime_segment``
-    and ``powers``, the ``_prime_powers`` of ``base`` up to at least hi.  At
-    n = p^k, lam is log p and lam1 is ((n - n // p) / n) * lam, phi(n)/n
-    evaluated the same way at every n."""
-    size = hi - lo + 1
-    primes = _prime_segment(lo, hi, base)
-    pk, pk_p = powers
-    i, j = np.searchsorted(pk, (lo, hi + 1))
-    n = np.concatenate((primes, pk[i:j]))
-    p = np.concatenate((primes, pk_p[i:j]))
-    lam = np.zeros(size, dtype=np.float64)
-    lam1 = np.zeros(size, dtype=np.float64)
-    at = n - lo
-    lam[at] = np.log(p.astype(np.float64))
-    lam1[at] = ((n - n // p) / n) * lam[at]
+    """lam and lam1 for n in [lo, hi], 1 <= lo <= hi, as new arrays: the
+    primes from ``_prime_segment`` with ``base`` holding every prime p with
+    p * p <= hi, then ``_lambda_segment`` with ``powers``."""
+    lam = np.zeros(hi - lo + 1, dtype=np.float64)
+    lam1 = np.zeros(hi - lo + 1, dtype=np.float64)
+    _lambda_segment(lo, _prime_segment(lo, hi, base), powers, lam, lam1)
     return lam, lam1
 
 
@@ -170,7 +212,7 @@ def _spf_segment(
 ) -> tuple[np.ndarray, ...]:
     """spf, lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
 
-    ``base`` and ``powers`` are as for ``_lambda_segment``, which gives lam
+    ``base`` and ``powers`` are as for ``_lambda_kernel``, which gives lam
     and lam1.  Each n starts as its own spf, right for the primes; the base
     primes then write p at their multiples in descending order, so the
     smallest prime factor of n writes last and no mask is needed.
@@ -180,7 +222,7 @@ def _spf_segment(
         spf[0] = 0  # 1 has no prime factor
     for p, s in zip(base[::-1].tolist(), (-lo % base)[::-1].tolist()):
         spf[s::p] = p
-    return (spf, *_lambda_segment(lo, hi, base, powers))
+    return (spf, *_lambda_kernel(lo, hi, base, powers))
 
 
 def _fill_mu_phi(spf: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> None:
@@ -209,9 +251,15 @@ def lambda1_at(tables: LambdaTables, n: int) -> float:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending int64: ``_prime_segment`` over the segments of [1, n]."""
+    """All primes <= n, ascending int64: ``_prime_segment`` over the segments of [1, n].
+
+    Raises ResourceLimitError, before sieving, when the primes and the list
+    of segments they are joined from, 2 * 8 * 1.26 n / ln n bytes by
+    pi(n) < 1.25506 n / ln n (Rosser & Schoenfeld, 1962), exceed the
+    machine's physical memory."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
+    _check_memory(math.ceil(2 * 8 * 1.26 * n / math.log(n)), f"sieving the primes up to {n}")
     base = primes_up_to(math.isqrt(n))
     return np.concatenate([_prime_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, n), base)
                            for lo in range(1, n + 1, DEFAULT_SEGMENT_SIZE)])
@@ -229,9 +277,9 @@ class SegmentedLambdaStream:
     """Stream of phi(n)/n-weighted von Mangoldt values over [1, bound].
 
     Yields (start, values) with values[i] = lam1[start + i].  The segments
-    come from the Lambda kernel alone, which also gives ``build_sieve`` its
-    lam1 table, and concatenate to that table bit-for-bit for any segment
-    size.
+    come from ``_lambda_kernel``, whose fill also gives ``build_sieve`` and
+    ``load_tables`` their lam1 tables, and concatenate to those tables
+    bit-for-bit for any segment size.
     """
 
     def __init__(self, bound: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
@@ -243,17 +291,24 @@ class SegmentedLambdaStream:
         self.segment_size = segment_size
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for lo, (_, lam1) in _segments(self.bound, self.segment_size, _lambda_segment):
+        for lo, (_, lam1) in _segments(self.bound, self.segment_size, _lambda_kernel):
             yield lo, lam1
 
 
 def _dump_parts(tables: LambdaTables) -> Iterator[bytes | np.ndarray]:
     """The dump in order: the 16-byte header (the kind's magic, format
     version, bound), then each array of the kind's fields, not copied when
-    already in its dtype."""
-    yield tables.MAGIC + struct.pack("<IQ", _FORMAT_VERSION, tables.bound)
-    for name, dt in tables.FIELDS:
-        yield np.ascontiguousarray(getattr(tables, name), dtype=dt)
+    already in its dtype, then for a kind with ``CRC32`` the <u4 crc32 of
+    all the bytes before it."""
+    parts = [tables.MAGIC + struct.pack("<IQ", tables.VERSION, tables.bound)]
+    parts += [np.ascontiguousarray(getattr(tables, name), dtype=dt)
+              for name, dt in tables.FIELDS]
+    yield from parts
+    if tables.CRC32:
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        yield struct.pack("<I", crc)
 
 
 def save_tables(tables: LambdaTables, path: str) -> None:
@@ -276,27 +331,38 @@ def save_tables(tables: LambdaTables, path: str) -> None:
 
 
 def load_tables(path: str) -> LambdaTables:
-    """Read a ``save_tables`` dump as the kind its magic names.  Raises
-    TruncatedDumpError for a dump that ends early and ValueError for any
-    other file that is not a dump."""
+    """Read a ``save_tables`` dump as the kind its magic names: the arrays of
+    ``SieveTables``, or the primes of ``LambdaTables``, whose crc32 is
+    checked before the Lambda fill makes lam and lam1 from them.  Raises
+    DamagedDumpError for a dump that ends early or fails its crc32 check
+    and ValueError for any other file that is not a dump of this version."""
     with open(path, "rb") as f:
         header = f.read(16)
         cls = {c.MAGIC: c for c in (SieveTables, LambdaTables)}.get(header[:4])
         if cls is None:
             raise ValueError(f"{path}: not a sieve table dump (bad magic {header[:4]!r})")
         if len(header) != 16:
-            raise TruncatedDumpError(f"{path}: truncated table dump")
+            raise DamagedDumpError(f"{path}: truncated table dump")
         version, bound = struct.unpack("<IQ", header[4:])
-        if version != _FORMAT_VERSION:
+        if version != cls.VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        arrays = {}
-        for name, dt in cls.FIELDS:
-            arr = np.fromfile(f, dtype=dt, count=bound + 1)
-            if arr.size != bound + 1:
-                raise TruncatedDumpError(f"{path}: truncated table dump")
-            arr.flags.writeable = False
-            arrays[name] = arr
-    return cls(bound=int(bound), **arrays)
+        if cls is LambdaTables:
+            body = np.fromfile(f, dtype=np.uint8)
+        else:
+            arrays = {}
+            for name, dt in cls.FIELDS:
+                arr = np.fromfile(f, dtype=dt, count=bound + 1)
+                if arr.size != bound + 1:
+                    raise DamagedDumpError(f"{path}: truncated table dump")
+                arr.flags.writeable = False
+                arrays[name] = arr
+            return cls(bound=int(bound), **arrays)
+    # The primes as <i8, then the crc32 of the header and the primes.
+    if body.size < 4 or (body.size - 4) % 8:
+        raise DamagedDumpError(f"{path}: truncated table dump")
+    if zlib.crc32(body[:-4], zlib.crc32(header)) != int(body[-4:].view("<u4")[0]):
+        raise DamagedDumpError(f"{path}: table dump fails its crc32 check")
+    return _lambda_tables(int(bound), body[:-4].view("<i8"))
 
 
 def table_checksum(tables: LambdaTables) -> str:

@@ -105,6 +105,15 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "goldbach.csv").exists()
 
+    def test_euler_product_over_memory_exit_two(self, tmp_path, capsys):
+        # The primes up to 10^15 need far more than any machine's memory;
+        # primes_up_to says so before it sieves.
+        assert run(tmp_path, "singular", "--form", "C2", "--p", str(10**15)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sieving the primes up to {10**15} needs about ")
+        assert "memory budget" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "singular.csv").exists()
+
     def test_tuple_constant_p_too_small(self, tmp_path, capsys):
         assert run(tmp_path, "singular", "--form", "tuple", "--params", "0,2,100000002",
                    "--p", "1000") == 2
@@ -183,7 +192,7 @@ class TestTableCache:
     def test_truncated_cache_file_is_rebuilt(self, tmp_path, capsys):
         fresh = tmp_path / "fresh"
         assert main(["--out", str(fresh), "pnt", "--n", "1000"]) == 0
-        path = tmp_path / "cache" / "lambda_N1000_v1.bin"
+        path = tmp_path / "cache" / "lambda_N1000_v2.bin"
         assert run(tmp_path, "pnt", "--n", "1000") == 0
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
@@ -192,6 +201,53 @@ class TestTableCache:
         assert "truncated table dump" in capsys.readouterr().err
         assert (tmp_path / "pnt.csv").read_bytes() == (fresh / "pnt.csv").read_bytes()
         assert load_tables(str(path)).bound == 1000
+
+    # Bit 0 of the bound (1000 -> 1001), a bit of the 100th prime, the top
+    # bit of the crc32 trailer: each is found by the crc32 check.
+    @pytest.mark.parametrize("byte, bit", [(8, 0), (16 + 8 * 99 + 3, 5), (-1, 7)],
+                             ids=["header", "primes", "trailer"])
+    def test_flipped_bit_in_lambda_dump_is_rebuilt(self, tmp_path, capsys, byte, bit):
+        fresh = tmp_path / "fresh"
+        assert main(["--out", str(fresh), "pnt", "--n", "1000"]) == 0
+        path = tmp_path / "cache" / "lambda_N1000_v2.bin"
+        assert run(tmp_path, "pnt", "--n", "1000") == 0
+        data = bytearray(path.read_bytes())
+        data[byte] ^= 1 << bit
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert run(tmp_path, "pnt", "--n", "1000") == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning:") and "fails its crc32 check" in err
+        assert (tmp_path / "pnt.csv").read_bytes() == (fresh / "pnt.csv").read_bytes()
+        assert load_tables(str(path)).bound == 1000
+
+    # The magic and the version name the file's format, so a flip there
+    # makes a file of another format: left alone, exit 2.
+    @pytest.mark.parametrize("byte", [0, 4])
+    def test_flipped_bit_in_lambda_magic_or_version_is_kept(self, tmp_path, byte):
+        assert run(tmp_path, "pnt", "--n", "1000") == 0
+        path = tmp_path / "cache" / "lambda_N1000_v2.bin"
+        data = bytearray(path.read_bytes())
+        data[byte] ^= 1
+        path.write_bytes(data)
+        assert run(tmp_path, "pnt", "--n", "1000") == 2
+        assert path.read_bytes() == data
+
+    def test_old_lambda_dump_is_ignored(self, tmp_path):
+        # A dense dump of format 1, the Lambda cache file before format 2.
+        fresh = tmp_path / "fresh"
+        assert main(["--out", str(fresh), "pnt", "--n", "1000"]) == 0
+        old = tmp_path / "cache" / "lambda_N1000_v1.bin"
+        old.parent.mkdir()
+        t = build_sieve(1000)
+        old.write_bytes(b"RMLA" + (1).to_bytes(4, "little") + (1000).to_bytes(8, "little")
+                        + t.lam.tobytes() + t.lam1.tobytes())
+        before = old.read_bytes()
+        assert run(tmp_path, "pnt", "--n", "1000") == 0
+        assert (tmp_path / "pnt.csv").read_bytes() == (fresh / "pnt.csv").read_bytes()
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in old.parent.iterdir()) == [
+            "lambda_N1000_v1.bin", "lambda_N1000_v2.bin"]
 
     @pytest.mark.parametrize("content", [
         b"not a table dump",
@@ -219,7 +275,7 @@ class TestTableCache:
     def test_lambda_commands_cache_lambda_tables(self, tmp_path, argv, bound):
         assert run(tmp_path, *argv) == 0
         cold = (tmp_path / f"{argv[0]}.csv").read_bytes()
-        path = tmp_path / "cache" / f"lambda_N{bound}_v1.bin"
+        path = tmp_path / "cache" / f"lambda_N{bound}_v2.bin"
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
         assert type(load_tables(str(path))) is LambdaTables
         before = path.read_bytes()
@@ -243,7 +299,7 @@ class TestTableCache:
         assert path.read_bytes() == before
 
     def test_full_dump_is_not_lambda_tables(self, tmp_path, capsys):
-        path = tmp_path / "cache" / "lambda_N100_v1.bin"
+        path = tmp_path / "cache" / "lambda_N100_v2.bin"
         path.parent.mkdir()
         save_tables(build_sieve(100), str(path))
         before = path.read_bytes()

@@ -5,6 +5,8 @@ import hashlib
 import math
 import os
 import random
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from ramabel import (
 )
 from ramabel.sieve import (
     DEFAULT_SEGMENT_SIZE,
-    _lambda_segment,
+    _lambda_kernel,
     _prime_powers,
     _spf_segment,
     primes_up_to,
@@ -216,7 +218,7 @@ class TestLambdaKernel:
     def test_matches_trial_division(self, window):
         N, lo, hi = window
         base = primes_up_to(math.isqrt(N))
-        lam, lam1 = _lambda_segment(lo, hi, base, _prime_powers(base, N))
+        lam, lam1 = _lambda_kernel(lo, hi, base, _prime_powers(base, N))
         assert lam.size == lam1.size == hi - lo + 1
         for i, n in enumerate(range(lo, hi + 1)):
             f = factorize(n)
@@ -234,17 +236,58 @@ class TestLambdaKernel:
         assert p.tolist() == [2, 2, 3, 2, 5, 3, 2, 7, 2, 3]
 
 
+def assert_lambda_identical(tables, full):
+    assert tables.bound == full.bound
+    assert tables.lam.tobytes() == full.lam.tobytes()
+    assert tables.lam1.tobytes() == full.lam1.tobytes()
+
+
 class TestLambdaTables:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 10, 100, 10_000, 300_000, 2_000_020])
-    def test_byte_identical_to_full_build(self, request, N):
+    def test_byte_identical_to_full_build(self, request, tmp_path, N):
         full = full_tables(request, N)
         t = build_sieve(N, lambda_only=True)
         assert type(t) is LambdaTables
-        assert t.bound == N
-        assert t.lam.tobytes() == full.lam.tobytes()
-        assert t.lam1.tobytes() == full.lam1.tobytes()
+        assert_lambda_identical(t, full)
         with pytest.raises(ValueError):
             t.lam1[1] = 0.0
+        path = tmp_path / "lambda.bin"
+        save_tables(t, str(path))
+        back = load_tables(str(path))
+        assert type(back) is LambdaTables
+        assert_lambda_identical(back, full)
+        for arr in (back.lam, back.lam1, back.primes):
+            assert not arr.flags.writeable
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_build_load_and_full_build_agree(self, tmp_path_factory, data):
+        # N anywhere up to 600,000, or next to a segment edge k * 2^18 or
+        # next to a square p^2, where the fill's segments and prime powers
+        # change.
+        edges = [k * DEFAULT_SEGMENT_SIZE for k in (1, 2)]
+        squares = [p * p for p in primes_up_to(math.isqrt(600_000)).tolist()]
+        near = st.sampled_from(edges + squares).flatmap(
+            lambda c: st.sampled_from([c - 1, c + 1]))
+        N = data.draw(st.one_of(st.integers(1, 600_000), near))
+        t = build_sieve(N, lambda_only=True)
+        path = tmp_path_factory.mktemp("dump") / "lambda.bin"
+        save_tables(t, str(path))
+        full = build_sieve(N)
+        assert_lambda_identical(t, full)
+        assert_lambda_identical(load_tables(str(path)), full)
+
+    # SHA-256 of the RMLA dump: header, primes and crc32.
+    DIGESTS = {
+        1: "3d3355d757d941c8e5434481de3a3470441c429b49625faf1b40c8022f316b35",
+        10: "8e227e8d7ea8ba8e42eb162dfffdeddbd596ba320feed7b1082a352d0f14d70c",
+        10_000: "c30b95c59a2ecd2b0f80d0b747756f7bd7f9e584bd0120aa2f3d08f9261bbbaf",
+        300_000: "d524c1aa6d9a84db6187314d37f3411f6799520ddbb1062e66ae66f656d68f97",
+    }
+
+    @pytest.mark.parametrize("N", sorted(DIGESTS))
+    def test_pinned_digest(self, N):
+        assert table_checksum(build_sieve(N, lambda_only=True)) == self.DIGESTS[N]
 
     def test_memory_budget(self):
         with pytest.raises(ResourceLimitError, match=str(10**15)):
@@ -304,8 +347,8 @@ class TestDumpRestore:
         assert table_checksum(back) == table_checksum(tables_small)
 
     def test_failed_save_leaves_no_file(self, tmp_path, tables_small):
-        # lam1 cannot be cast to float, so the save fails after the first
-        # four arrays are written.
+        # lam1 cannot be cast to float, so the save fails before the dump
+        # is complete.
         bad = dataclasses.replace(tables_small, lam1=np.array(["x"], dtype=object))
         path = tmp_path / "tables.bin"
         with pytest.raises(ValueError):
@@ -322,16 +365,20 @@ class TestDumpRestore:
         assert table_checksum(load_tables(str(path))) == table_checksum(tables_small)
 
     def test_lambda_roundtrip(self, tmp_path):
+        # Header, the 168 primes <= 1000 as <i8, crc32 of both as <u4.
         t = build_sieve(1000, lambda_only=True)
         path = tmp_path / "lambda.bin"
         save_tables(t, str(path))
         data = path.read_bytes()
-        assert data[:4] == b"RMLA" and len(data) == 16 + 2 * 8 * 1001
+        assert len(data) == 16 + 8 * 168 + 4
+        assert data[:16] == b"RMLA" + (2).to_bytes(4, "little") + (1000).to_bytes(8, "little")
+        assert data[16:-4] == primes_up_to(1000).astype("<i8").tobytes()
+        assert data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little")
         back = load_tables(str(path))
         assert type(back) is LambdaTables
         assert table_checksum(back) == table_checksum(t)
         path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="crc32"):
             load_tables(str(path))
 
     def test_rejects_garbage(self, tmp_path):
@@ -353,11 +400,46 @@ class TestDumpRestore:
         with pytest.raises(ValueError, match=message):
             load_tables(str(path))
 
+    # Lambda dump prefixes (9,852 bytes at N = 10^4): empty, cut inside the
+    # header, the header alone, cut inside the primes, and all but the last
+    # byte of the crc32; and a cut at a prime's end, which the length allows.
+    @pytest.mark.parametrize("keep, message", [
+        (0, "bad magic"), (6, "truncated"), (16, "truncated"),
+        (5_001, "truncated"), (9_851, "truncated"), (16 + 8 * 1000 + 4, "crc32"),
+    ])
+    def test_rejects_truncated_lambda(self, tmp_path, keep, message):
+        path = tmp_path / "lambda.bin"
+        save_tables(build_sieve(10_000, lambda_only=True), str(path))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=message):
+            load_tables(str(path))
+
 
 class TestHelpers:
     def test_primes_up_to(self):
         assert list(primes_up_to(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert list(primes_up_to(1)) == []
+
+    def test_primes_up_to_memory_budget(self):
+        # The primes up to 10^15 need about 5.8 * 10^14 bytes: the check
+        # raises before anything is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=str(10**15)):
+                primes_up_to(10**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_primes_up_to_memory_check_scale(self, monkeypatch):
+        # With 1 MiB of memory, the primes up to 10^5 (about 175 kB by the
+        # estimate) fit and those up to 10^6 (about 1.46 MB) do not.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        assert primes_up_to(10**5).size == 9_592
+        with pytest.raises(ResourceLimitError, match="memory budget of 1048576 bytes"):
+            primes_up_to(10**6)
 
     # SHA-256 of the little-endian int64 primes; any changed prime fails.
     PRIME_DIGESTS = {
