@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import InternalConsistencyError, ResourceLimitError
 from .sieve import (
     LambdaTables,
-    SegmentedLambdaStream,
     SieveTables,
     build_sieve,
     lambda1_at,

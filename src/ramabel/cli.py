@@ -35,8 +35,8 @@ from .sieve import (
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
 REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
-# The correlation commands: each reads only lam and lam1 (so builds
-# LambdaTables) and takes its N from --n.
+# The correlation commands: each reduces the prime powers up to its bound,
+# so needs only the primes (LambdaTables), and takes its N from --n.
 LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 
 
@@ -75,7 +75,7 @@ def _write_manifest(path: Path, args: argparse.Namespace, bound: int | None,
 
 
 def _get_tables(bound: int, cache_dir: str | None, path: str | None = None,
-                lambda_only: bool = False) -> LambdaTables:
+                lambda_only: bool = False) -> LambdaTables | SieveTables:
     """Tables for 1..bound, through one table cache file if there is one:
     ``LambdaTables`` when ``lambda_only``, else ``SieveTables``.
 

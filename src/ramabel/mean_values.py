@@ -4,7 +4,8 @@ Every report carries a ten-checkpoint convergence trace, and periodic
 summands additionally carry the exact one-period average computed in
 integer/rational arithmetic, which is the finite-N-free value of the
 corresponding limit.  All float reductions run over fixed-size contiguous
-blocks combined in ascending order.
+blocks combined in ascending order.  The weighted prime correlations read
+only the prime powers of their range, from ``sieve.lambda_support``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import singular
 from .ramanujan import cq_int, cq_int_over_n
-from .sieve import LambdaTables, SieveTables
+from .sieve import LambdaTables, SieveTables, lambda_support
 
 _BLOCK = 1 << 20
 
@@ -82,20 +83,29 @@ def _report(
     )
 
 
-def _array_trace(vals: np.ndarray, ns: list[int]) -> list[tuple[int, float]]:
-    """Checkpoint means at ns = _checkpoint_ns(N) of the summands for n = 1..N;
-    callers take ns first, so a bad N fails before anything N-sized is built.
+def _array_trace(n: np.ndarray, vals: np.ndarray, ns: list[int]) -> list[tuple[int, float]]:
+    """Checkpoint means at ns = _checkpoint_ns(N) of the summands for n = 1..N,
+    given as vals[i] at the ascending positions n[i] and zero elsewhere;
+    callers take ns first, so a bad N fails before anything is built.
 
-    Block sums use a fixed block size and are combined in ascending order,
-    so every checkpoint mean is a fixed function of the summands.
+    Blocks of _BLOCK positions restart at each checkpoint and their sums are
+    combined in ascending order, so every checkpoint mean is a fixed
+    function of the summands.  Each block's summands are scattered into one
+    reused zeroed buffer of the block's length, and np.sum of that buffer is
+    the sum of the dense block: the same values at the same places.
     """
-    assert len(vals) == ns[-1]
+    buf = np.zeros(min(_BLOCK, ns[-1]), dtype=np.float64)
     trace = []
     sums: list[float] = []
     prev = 0
     for n_i in ns:
-        seg = vals[prev:n_i]
-        sums.extend(float(np.sum(seg[s : s + _BLOCK])) for s in range(0, len(seg), _BLOCK))
+        for lo in range(prev, n_i, _BLOCK):
+            hi = min(lo + _BLOCK, n_i)
+            i, j = np.searchsorted(n, (lo + 1, hi + 1))
+            at = n[i:j] - (lo + 1)
+            buf[at] = vals[i:j]
+            sums.append(float(np.sum(buf[: hi - lo])))
+            buf[at] = 0.0
         prev = n_i
         trace.append((n_i, math.fsum(sums) / n_i))
     return trace
@@ -186,21 +196,35 @@ def polynomial_cq_mean(
     )
 
 
-def _weights(tables: LambdaTables, weight: str) -> np.ndarray:
-    if weight == "lambda":
-        return tables.lam
-    if weight == "lambda1":
-        return tables.lam1
-    raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
+def _lookup(n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, j): which entries of m are in the ascending array n, and for
+    each m[hit] its index j in n."""
+    j = np.minimum(np.searchsorted(n, m), n.size - 1)
+    hit = n[j] == m
+    return hit, j[hit]
+
+
+def _linear_pairs(n: np.ndarray, a: int, b: int, l: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j): the indices into the ascending support n of every n[i] <= N with
+    a | b n[i] + l and (b n[i] + l)/a in n, and of that partner n[j].  The
+    support must reach max(N, (b N + l) // a)."""
+    n0 = (-l * pow(b, -1, a)) % a or a  # a | b n + l exactly for n = n0 mod a
+    if n0 > N:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    m0 = (b * n0 + l) // a
+    if n0 + a > N:  # n0 is alone in its class, so a and b may overflow int64
+        a, b = N, 0
+    i = np.flatnonzero((n[: np.searchsorted(n, N, "right")] - n0) % a == 0)
+    hit, j = _lookup(n, m0 + b * ((n[i] - n0) // a))
+    return i[hit], j
 
 
 def _linear_pair_trace(
-    tables: LambdaTables, weight: str, a: int, b: int, l: int, N: int
+    tables: LambdaTables | SieveTables, weight: str, a: int, b: int, l: int, N: int
 ) -> list[tuple[int, float]]:
     """Trace of w(n) w((b n + l)/a) over n = 1..N, with 0 where a does not
-    divide b n + l.  For gcd(a, b) = 1 the other n are one class n0 mod a,
-    1 <= n0 <= a, along which (b n + l)/a steps by b: the summands are one
-    product of the strided slices w[n0::a] and w[(b n0 + l)/a::b].
+    divide b n + l or either point is not a prime power.  For gcd(a, b) = 1
+    the other n are one class n0 mod a, along which (b n + l)/a steps by b.
     """
     ns = _checkpoint_ns(N)
     top = max(N, (b * N + l) // a)
@@ -208,17 +232,16 @@ def _linear_pair_trace(
         raise ValueError(
             f"index {top} = max(N, ({b}*{N} + {l})//{a}) beyond table bound {tables.bound}"
         )
-    w = _weights(tables, weight)
-    n0 = (-l * pow(b, -1, a)) % a or a
-    vals = np.zeros(N, dtype=np.float64)
-    out = vals[n0 - 1 :: a]
-    k = len(out)
-    np.multiply(w[n0::a][:k], w[(b * n0 + l) // a :: b][:k], out=out)
-    return _array_trace(vals, ns)
+    if weight not in ("lambda", "lambda1"):
+        raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
+    n, lam, lam1 = lambda_support(tables.primes, top)
+    w = lam if weight == "lambda" else lam1
+    i, j = _linear_pairs(n, a, b, l, N)
+    return _array_trace(n[i], w[i] * w[j], ns)
 
 
 def pair_autocorrelation(
-    tables: LambdaTables,
+    tables: LambdaTables | SieveTables,
     h2: int,
     N: int,
     P: int = 10**6,
@@ -238,7 +261,7 @@ def pair_autocorrelation(
 
 
 def odd_gap_mean(
-    tables: LambdaTables,
+    tables: LambdaTables | SieveTables,
     h: int,
     N: int,
     weight: str = "lambda1",
@@ -251,7 +274,7 @@ def odd_gap_mean(
 
 
 def conjecture_d_mean(
-    tables: LambdaTables,
+    tables: LambdaTables | SieveTables,
     a: int,
     b: int,
     l: int,
@@ -307,7 +330,7 @@ class TupleMeanReport:
 
 
 def tuple_mean(
-    tables: LambdaTables,
+    tables: LambdaTables | SieveTables,
     spec: TupleSpec,
     N: int,
     P: int = 10**6,
@@ -329,18 +352,22 @@ def tuple_mean(
             f"N + max offset = {N + spec.offsets[-1]} beyond table bound {tables.bound}"
         )
     predicted = singular.tuple_constant(spec.offsets, P).value
-    # One buffer serves both weights.  offsets[0] is 0, so the copy is the
-    # first factor, and the rest multiply in place in offset order.
-    vals = np.empty(N, dtype=np.float64)
+    # The n <= N with every n + offset in the support, as indices into it
+    # per offset; the products multiply in offset order.
+    n, lam, lam1 = lambda_support(tables.primes, N + spec.offsets[-1])
+    idx = [np.arange(np.searchsorted(n, N, "right"))]
+    for off in spec.offsets[1:]:
+        hit, j = _lookup(n, n[idx[0]] + off)
+        idx = [k[hit] for k in idx] + [j]
     reports = {}
-    for weight, w in (("lambda", tables.lam), ("lambda1", tables.lam1)):
-        vals[:] = w[1 : N + 1]
-        for off in spec.offsets[1:]:
-            vals *= w[1 + off : N + 1 + off]
+    for weight, w in (("lambda", lam), ("lambda1", lam1)):
+        vals = w[idx[0]]
+        for k in idx[1:]:
+            vals *= w[k]
         reports[weight] = _report(
             f"tuple_mean(offsets={spec.offsets},w={weight})",
             N,
-            _array_trace(vals, ns),
+            _array_trace(n[idx[0]], vals, ns),
             predicted,
         )
     return TupleMeanReport(
@@ -350,12 +377,13 @@ def tuple_mean(
     )
 
 
-def pnt_mean(tables: LambdaTables, N: int) -> MeanValueReport:
+def pnt_mean(tables: LambdaTables | SieveTables, N: int) -> MeanValueReport:
     """Mean of the weighted von Mangoldt function; the limit is 1."""
     ns = _checkpoint_ns(N)
     if N > tables.bound:
         raise ValueError(f"N={N} beyond table bound {tables.bound}")
-    return _report("pnt_mean", N, _array_trace(tables.lam1[1 : N + 1], ns), 1.0)
+    n, _, lam1 = lambda_support(tables.primes, N)
+    return _report("pnt_mean", N, _array_trace(n, lam1, ns), 1.0)
 
 
 def goldbach_correlation(tables: SieveTables, N: int, q1: int, q2: int) -> int:

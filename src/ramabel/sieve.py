@@ -1,19 +1,18 @@
 """Tables of the classical arithmetic functions up to a bound N.
 
 One boolean segment sieve, ``_prime_segment``, finds every prime, for
-``primes_up_to`` and for the segment kernels.  One Lambda fill,
-``_lambda_segment``, turns the primes of a range and the prime powers into
-the von Mangoldt function and its phi(n)/n-weighted variant.  The spf kernel
-adds the smallest prime factor; Moebius mu and Euler phi then follow from
-spf by the recurrence over n = spf(n) * m.
+``primes_up_to`` and for the spf kernel.  One producer, ``lambda_support``,
+turns the primes up to N into the support of the von Mangoldt function: the
+prime powers n <= N with Lambda(n) and its phi(n)/n-weighted variant.  The
+spf kernel gives the smallest prime factor; Moebius mu and Euler phi then
+follow from spf by the recurrence over n = spf(n) * m.
 
-``build_sieve`` makes ``SieveTables`` from the spf kernel, segment by
-segment, and ``LambdaTables`` (the two von Mangoldt arrays) from
-``primes_up_to`` and the Lambda fill; ``load_tables`` makes ``LambdaTables``
-from a dump of the primes by the same fill.  Tables are immutable after
-construction.  ``SegmentedLambdaStream`` yields the weighted values one
-segment at a time, for bounds whose tables do not fit in memory at once.
-Each kind has its own dump format, told apart by the header magic.
+``build_sieve`` makes ``SieveTables``, five dense arrays: Lambda and Lambda_1
+scattered from ``lambda_support``, then spf segment by segment, then mu and
+phi.  ``LambdaTables`` hold only the primes, from ``primes_up_to`` or from a
+dump; the correlation means reduce ``lambda_support`` of either kind.
+Tables are immutable after construction.  Each kind has its own dump
+format, told apart by the header magic.
 """
 
 from __future__ import annotations
@@ -24,56 +23,52 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator
+from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from .errors import DamagedDumpError, ResourceLimitError
 
-# Entries per sieve segment, for build_sieve and SegmentedLambdaStream alike.
+# Entries per sieve segment, for build_sieve and primes_up_to alike.
 DEFAULT_SEGMENT_SIZE = 1 << 18
 
 
 @dataclass(frozen=True)
 class LambdaTables:
-    """Immutable arrays indexed by n for 1 <= n <= bound (slot 0 unused).
-
-    lam[n]  von Mangoldt function (nats)
-    lam1[n] phi(n)/n * lam[n]
-
-    ``primes`` holds the primes <= bound, ascending, that lam and lam1 were
-    made from, and is all the dump stores; it is None for ``SieveTables``.
-    """
+    """The primes <= bound, ascending and read-only: all that the
+    correlation means read, through ``lambda_support``, and all the dump
+    stores."""
 
     bound: int
-    lam: np.ndarray
-    lam1: np.ndarray
-    primes: np.ndarray | None = field(default=None, kw_only=True)
+    primes: np.ndarray
 
     # Dump magic and format version; the arrays in dump order with their
-    # dtypes; whether a crc32 of the dump follows them; the peak RSS of
-    # build_sieve(10^7) per entry (192 MB) rounded up: tables, primes and
-    # scratch.
+    # dtypes; whether a crc32 of the dump follows them.
     MAGIC: ClassVar[bytes] = b"RMLA"
     VERSION: ClassVar[int] = 2
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (("primes", "<i8"),)
     CRC32: ClassVar[bool] = True
-    BYTES_PER_ENTRY: ClassVar[int] = 20
 
 
 @dataclass(frozen=True)
-class SieveTables(LambdaTables):
-    """LambdaTables plus, for 1 <= n <= bound:
+class SieveTables:
+    """Immutable arrays indexed by n for 1 <= n <= bound (slot 0 unused):
 
     spf[n]  smallest prime factor of n (0 for n < 2)
     mu[n]   Moebius function, values in {-1, 0, 1}
     phi[n]  Euler totient
+    lam[n]  von Mangoldt function (nats)
+    lam1[n] phi(n)/n * lam[n]
     """
 
+    bound: int
     spf: np.ndarray
     mu: np.ndarray
     phi: np.ndarray
+    lam: np.ndarray
+    lam1: np.ndarray
 
     MAGIC: ClassVar[bytes] = b"RMBL"
     VERSION: ClassVar[int] = 1
@@ -83,32 +78,46 @@ class SieveTables(LambdaTables):
     CRC32: ClassVar[bool] = False
     BYTES_PER_ENTRY: ClassVar[int] = 40  # 359-362 MB at 10^7
 
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """The primes <= bound, ascending and read-only, as for ``LambdaTables``:
+        the n >= 2 that are their own smallest prime factor.  Made on first use."""
+        primes = np.flatnonzero(self.spf[2:] == np.arange(2, self.bound + 1)) + 2
+        primes.flags.writeable = False
+        return primes
 
-def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables:
+
+def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables | SieveTables:
     """Build the tables for 1..N: ``SieveTables``, or ``LambdaTables`` from
-    ``primes_up_to`` and the Lambda fill alone when ``lambda_only``.
+    ``primes_up_to`` alone when ``lambda_only``.
 
-    Raises ValueError for N < 1 and ResourceLimitError when the kind's
-    measured footprint exceeds the machine's physical memory.
+    Raises ValueError for N < 1 and ResourceLimitError when the tables
+    exceed the machine's physical memory: ``SieveTables`` by their measured
+    footprint, ``LambdaTables`` by the check of ``primes_up_to``.
     """
     if N < 1:
         raise ValueError(f"sieve bound must be >= 1, got {N}")
-    cls = LambdaTables if lambda_only else SieveTables
-    _check_memory(cls.BYTES_PER_ENTRY * (N + 1), f"sieve bound {N}")
     if lambda_only:
-        return _lambda_tables(N, primes_up_to(N))
+        primes = primes_up_to(N)
+        primes.flags.writeable = False
+        return LambdaTables(bound=N, primes=primes)
 
-    # Slot 0 keeps the zeros: every table is 0 at n = 0.
-    arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in cls.FIELDS}
-    # The kernel fills every table but mu and phi, which come from spf.
-    filled = [arr for name, arr in arrays.items() if name not in ("mu", "phi")]
-    for lo, segment in _segments(N, DEFAULT_SEGMENT_SIZE, _spf_segment):
-        for arr, part in zip(filled, segment):
-            arr[lo : lo + part.size] = part
+    _check_memory(SieveTables.BYTES_PER_ENTRY * (N + 1), f"sieve bound {N}")
+    # Slot 0 keeps the zeros: every table is 0 at n = 0.  Lambda goes first,
+    # so its support is freed before the other tables are touched.
+    arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in SieveTables.FIELDS}
+    n, lam, lam1 = lambda_support(primes_up_to(N), N)
+    arrays["lam"][n] = lam
+    arrays["lam1"][n] = lam1
+    del n, lam, lam1
+    base = primes_up_to(math.isqrt(N))
+    for lo in range(1, N + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE - 1, N)
+        arrays["spf"][lo : hi + 1] = _spf_segment(lo, hi, base)
     _fill_mu_phi(arrays["spf"], arrays["mu"], arrays["phi"])
     for arr in arrays.values():
         arr.flags.writeable = False
-    return cls(bound=N, **arrays)
+    return SieveTables(bound=N, **arrays)
 
 
 def _check_memory(need: int, what: str) -> None:
@@ -119,29 +128,21 @@ def _check_memory(need: int, what: str) -> None:
                                  f"memory budget of {budget} bytes")
 
 
-def _lambda_tables(N: int, primes: np.ndarray) -> LambdaTables:
-    """LambdaTables for 1..N from ``primes``, every prime <= N ascending:
-    ``_lambda_segment`` writes each segment of [1, N] in place."""
-    lam = np.zeros(N + 1, dtype=np.float64)
-    lam1 = np.zeros(N + 1, dtype=np.float64)
-    powers = _prime_powers(primes[: np.searchsorted(primes, math.isqrt(N), "right")], N)
-    for lo in range(1, N + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, N + 1)
-        i, j = np.searchsorted(primes, (lo, hi))
-        _lambda_segment(lo, primes[i:j], powers, lam[lo:hi], lam1[lo:hi])
-    for arr in (lam, lam1, primes):
-        arr.flags.writeable = False
-    return LambdaTables(bound=N, lam=lam, lam1=lam1, primes=primes)
+def lambda_support(primes: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, lam, lam1): every prime power n <= N ascending, with the von
+    Mangoldt function lam(n) = log p and lam1(n) = phi(n)/n * lam(n), where
+    ``primes`` holds every prime <= N ascending (larger ones are ignored).
 
-
-def _segments(
-    bound: int, segment_size: int, kernel: Callable[..., tuple[np.ndarray, ...]]
-) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
-    """Yield (lo, kernel arrays for [lo, hi]) over consecutive segments of [1, bound]."""
-    base = primes_up_to(math.isqrt(bound))
-    powers = _prime_powers(base, bound)
-    for lo in range(1, bound + 1, segment_size):
-        yield lo, kernel(lo, min(lo + segment_size - 1, bound), base, powers)
+    This is the only code that computes Lambda.  lam1 is ((n - n // p) / n)
+    * log p at every n = p^k; at n = p that is ((p - 1) / p) * log p, the
+    same float, since p - 1 is exact in float64.
+    """
+    primes = primes[: np.searchsorted(primes, N, "right")]
+    pk, p_of = _prime_powers(primes[: np.searchsorted(primes, math.isqrt(N), "right")], N)
+    at = np.searchsorted(primes, pk)
+    n, p = np.insert(primes, at, pk), np.insert(primes, at, p_of)
+    lam = np.log(p.astype(np.float64))
+    return n, lam, ((n - n // p) / n) * lam
 
 
 def _prime_powers(base: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,55 +175,20 @@ def _prime_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~composite) + lo
 
 
-def _lambda_segment(
-    lo: int, primes: np.ndarray, powers: tuple[np.ndarray, np.ndarray],
-    lam: np.ndarray, lam1: np.ndarray,
-) -> None:
-    """Write lam and lam1 for n in [lo, lo + lam.size), lo >= 1, into the
-    zeroed arrays ``lam`` and ``lam1``.  ``primes`` holds the primes of that
-    range, ascending, and ``powers`` the ``_prime_powers`` up to at least its
-    end.  At n = p^k, lam is log p and lam1 is ((n - n // p) / n) * lam,
-    phi(n)/n evaluated the same way at every n; at n = p that is
-    ((p - 1) / p) * lam, the same float without the division n // p."""
-    at = primes - lo
-    p = primes.astype(np.float64)
-    lam[at] = log_p = np.log(p)
-    lam1[at] = (p - 1) / p * log_p
-    pk, pk_p = powers
-    i, j = np.searchsorted(pk, (lo, lo + lam.size))
-    n, p = pk[i:j], pk_p[i:j]
-    lam[n - lo] = log_p = np.log(p.astype(np.float64))
-    lam1[n - lo] = ((n - n // p) / n) * log_p
+def _spf_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """spf for n in [lo, hi], where 1 <= lo <= hi and ``base`` holds every
+    prime p with p * p <= hi.
 
-
-def _lambda_kernel(
-    lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """lam and lam1 for n in [lo, hi], 1 <= lo <= hi, as new arrays: the
-    primes from ``_prime_segment`` with ``base`` holding every prime p with
-    p * p <= hi, then ``_lambda_segment`` with ``powers``."""
-    lam = np.zeros(hi - lo + 1, dtype=np.float64)
-    lam1 = np.zeros(hi - lo + 1, dtype=np.float64)
-    _lambda_segment(lo, _prime_segment(lo, hi, base), powers, lam, lam1)
-    return lam, lam1
-
-
-def _spf_segment(
-    lo: int, hi: int, base: np.ndarray, powers: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, ...]:
-    """spf, lam and lam1 for n in [lo, hi], where 1 <= lo <= hi.
-
-    ``base`` and ``powers`` are as for ``_lambda_kernel``, which gives lam
-    and lam1.  Each n starts as its own spf, right for the primes; the base
-    primes then write p at their multiples in descending order, so the
-    smallest prime factor of n writes last and no mask is needed.
+    Each n starts as its own spf, right for the primes; the base primes then
+    write p at their multiples in descending order, so the smallest prime
+    factor of n writes last and no mask is needed.
     """
     spf = np.arange(lo, hi + 1, dtype=np.int64)
     if lo == 1:
         spf[0] = 0  # 1 has no prime factor
     for p, s in zip(base[::-1].tolist(), (-lo % base)[::-1].tolist()):
         spf[s::p] = p
-    return (spf, *_lambda_kernel(lo, hi, base, powers))
+    return spf
 
 
 def _fill_mu_phi(spf: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> None:
@@ -243,7 +209,7 @@ def _fill_mu_phi(spf: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> None:
         lo = hi
 
 
-def lambda1_at(tables: LambdaTables, n: int) -> float:
+def lambda1_at(tables: SieveTables, n: int) -> float:
     """phi(n)/n * log p at prime powers n = p^k, zero elsewhere."""
     if not 1 <= n <= tables.bound:
         raise ValueError(f"n={n} outside table bound 1..{tables.bound}")
@@ -273,29 +239,7 @@ def sigma_table(n: int) -> np.ndarray:
     return s
 
 
-class SegmentedLambdaStream:
-    """Stream of phi(n)/n-weighted von Mangoldt values over [1, bound].
-
-    Yields (start, values) with values[i] = lam1[start + i].  The segments
-    come from ``_lambda_kernel``, whose fill also gives ``build_sieve`` and
-    ``load_tables`` their lam1 tables, and concatenate to those tables
-    bit-for-bit for any segment size.
-    """
-
-    def __init__(self, bound: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        if segment_size < 1:
-            raise ValueError(f"segment size must be >= 1, got {segment_size}")
-        self.bound = bound
-        self.segment_size = segment_size
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for lo, (_, lam1) in _segments(self.bound, self.segment_size, _lambda_kernel):
-            yield lo, lam1
-
-
-def _dump_parts(tables: LambdaTables) -> Iterator[bytes | np.ndarray]:
+def _dump_parts(tables: LambdaTables | SieveTables) -> Iterator[bytes | np.ndarray]:
     """The dump in order: the 16-byte header (the kind's magic, format
     version, bound), then each array of the kind's fields, not copied when
     already in its dtype, then for a kind with ``CRC32`` the <u4 crc32 of
@@ -311,7 +255,7 @@ def _dump_parts(tables: LambdaTables) -> Iterator[bytes | np.ndarray]:
         yield struct.pack("<I", crc)
 
 
-def save_tables(tables: LambdaTables, path: str) -> None:
+def save_tables(tables: LambdaTables | SieveTables, path: str) -> None:
     """Write the binary dump of ``tables`` to ``path``.
 
     The dump goes to a temporary file beside ``path`` that is renamed onto
@@ -330,10 +274,10 @@ def save_tables(tables: LambdaTables, path: str) -> None:
         raise
 
 
-def load_tables(path: str) -> LambdaTables:
+def load_tables(path: str) -> LambdaTables | SieveTables:
     """Read a ``save_tables`` dump as the kind its magic names: the arrays of
-    ``SieveTables``, or the primes of ``LambdaTables``, whose crc32 is
-    checked before the Lambda fill makes lam and lam1 from them.  Raises
+    ``SieveTables``, or the primes of ``LambdaTables`` once their crc32 is
+    checked.  Raises
     DamagedDumpError for a dump that ends early or fails its crc32 check
     and ValueError for any other file that is not a dump of this version."""
     with open(path, "rb") as f:
@@ -362,10 +306,12 @@ def load_tables(path: str) -> LambdaTables:
         raise DamagedDumpError(f"{path}: truncated table dump")
     if zlib.crc32(body[:-4], zlib.crc32(header)) != int(body[-4:].view("<u4")[0]):
         raise DamagedDumpError(f"{path}: table dump fails its crc32 check")
-    return _lambda_tables(int(bound), body[:-4].view("<i8"))
+    primes = body[:-4].view("<i8")
+    primes.flags.writeable = False
+    return LambdaTables(bound=int(bound), primes=primes)
 
 
-def table_checksum(tables: LambdaTables) -> str:
+def table_checksum(tables: LambdaTables | SieveTables) -> str:
     """SHA-256 of the binary dump of ``tables``."""
     h = hashlib.sha256()
     for part in _dump_parts(tables):

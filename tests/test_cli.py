@@ -271,6 +271,14 @@ class TestTableCache:
         (("autocorr", "--gap", "3", "--n", "3000"), 3003),
         (("conjd", "--a", "1", "--b", "2", "--l", "1", "--n", "3000", "--p", "1000"), 6002),
         (("tuple", "--offsets", "0,2,6", "--n", "3000", "--p", "1000"), 3006),
+        # N = 1, 2 and 3, where the support of Lambda below N is empty or
+        # its partners lie past its end.
+        *[(("pnt", "--n", str(n)), n) for n in (1, 2, 3)],
+        *[(("autocorr", "--gap", "2", "--n", str(n), "--p", "1000"), n + 2) for n in (1, 2, 3)],
+        *[(("conjd", "--a", "1", "--b", "2", "--l", "1", "--n", str(n), "--p", "1000"),
+           2 * n + 2) for n in (1, 2, 3)],
+        *[(("tuple", "--offsets", "0,2,6", "--n", str(n), "--p", "1000"), n + 6)
+          for n in (1, 2, 3)],
     ])
     def test_lambda_commands_cache_lambda_tables(self, tmp_path, argv, bound):
         assert run(tmp_path, *argv) == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ramabel import (
     TupleSpec,
+    build_sieve,
     conjecture_d_mean,
     cq_int,
     cq_mean,
@@ -22,7 +23,8 @@ from ramabel import (
     polynomial_cq_mean,
     tuple_mean,
 )
-from ramabel.mean_values import _array_trace, _checkpoint_ns
+from ramabel.mean_values import _BLOCK, _array_trace, _checkpoint_ns, _linear_pairs
+from ramabel.sieve import lambda_support, primes_up_to
 from ramabel.singular import validate_linear_pair
 
 
@@ -34,6 +36,21 @@ def _valid_linear_pair(abl) -> bool:
     return True
 
 
+def _dense_array_trace(vals, ns):
+    """Reference for ``_array_trace``: checkpoint means of the dense summands
+    vals[n - 1], n = 1..N, each block of _BLOCK entries summed by np.sum."""
+    assert len(vals) == ns[-1]
+    trace = []
+    sums = []
+    prev = 0
+    for n_i in ns:
+        seg = vals[prev:n_i]
+        sums.extend(float(np.sum(seg[s : s + _BLOCK])) for s in range(0, len(seg), _BLOCK))
+        prev = n_i
+        trace.append((n_i, math.fsum(sums) / n_i))
+    return trace
+
+
 def _direct_conjd_trace(tables, a, b, l, N, weight):
     """Reference: the direct modular filter over n = 1..N."""
     w = tables.lam if weight == "lambda" else tables.lam1
@@ -42,7 +59,76 @@ def _direct_conjd_trace(tables, a, b, l, N, weight):
     hit = t % a == 0
     vals = np.zeros(N, dtype=np.float64)
     vals[hit] = w[ns[hit]] * w[t[hit] // a]
-    return _array_trace(vals, _checkpoint_ns(N))
+    return _dense_array_trace(vals, _checkpoint_ns(N))
+
+
+class TestArrayTrace:
+    # Every N below 8, where np.sum adds left to right; N in 8-128, its
+    # eight-lane loop, at multiples of 8 and not; larger non-multiples of 8;
+    # and 10 * 2^20, 10 * (2^20 + 1) and 11 * 2^20 + 3, whose checkpoints
+    # fall every 2^20, 2^20 + 1 and about 1.1 * 2^20 positions: whole
+    # blocks, and blocks split by a checkpoint into a partial last block.
+    # Density 0 is the empty support; density 1 is dense, at the smaller N.
+    SMALL = [*range(1, 8), 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 1003, 99_999]
+    LARGE = [10 * _BLOCK, 10 * (_BLOCK + 1), 11 * _BLOCK + 3]
+
+    @pytest.mark.parametrize("N, density", [
+        *[(N, d) for N in SMALL for d in (0.0, 0.005, 0.07, 1.0)],
+        *[(N, d) for N in LARGE for d in (0.0, 0.005, 0.07)],
+    ])
+    def test_matches_dense_reference(self, N, density):
+        rng = np.random.default_rng(N)
+        if density == 1.0:
+            n = np.arange(1, N + 1)
+        else:
+            n = np.unique(rng.integers(1, N + 1, size=round(density * N)))
+        # Magnitudes over twelve decades, so a change of summation order
+        # changes the sum.
+        vals = rng.random(n.size) * 10.0 ** rng.integers(-6, 7, n.size)
+        dense = np.zeros(N)
+        dense[n - 1] = vals
+        ns = _checkpoint_ns(N)
+        assert _array_trace(n, vals, ns) == _dense_array_trace(dense, ns)
+
+
+class TestSparseMatchesDense:
+    """Each correlation mean over the support of Lambda of ``LambdaTables``,
+    as the CLI builds them, against the dense products of the full tables."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 1000, 99_999])
+    def test_means(self, tables, N):
+        ns = _checkpoint_ns(N)
+        pnt = pnt_mean(build_sieve(N, lambda_only=True), N)
+        assert pnt.trace == _dense_array_trace(tables.lam1[1 : N + 1], ns)
+        for a, b, l in [(1, 1, 1), (1, 1, 2), (1, 1, 30), (1, 2, 1), (3, 2, 1), (2, 5, 3)]:
+            lt = build_sieve(max(N, (b * N + l) // a), lambda_only=True)
+            for weight in ("lambda", "lambda1"):
+                if a == b == 1:
+                    rep = pair_autocorrelation(lt, l, N, P=10**3, weight=weight)
+                else:
+                    rep = conjecture_d_mean(lt, a, b, l, N, P=10**3, weight=weight)
+                assert rep.trace == _direct_conjd_trace(tables, a, b, l, N, weight)
+        for offsets in [(0, 2), (0, 2, 6), (0, 4, 6, 10)]:
+            rep = tuple_mean(build_sieve(N + offsets[-1], lambda_only=True),
+                             TupleSpec.from_offsets(offsets), N, P=10**3)
+            for got, w in ((rep.lambda_weighted, tables.lam), (rep.lambda1_weighted, tables.lam1)):
+                vals = w[1 : N + 1].copy()
+                for off in offsets[1:]:
+                    vals *= w[1 + off : N + 1 + off]
+                assert got.trace == _dense_array_trace(vals, ns)
+
+
+class TestTwinPairs:
+    # pi_2(x), the pairs (p, p + 2) of primes with p <= x (Brent, Math.
+    # Comp. 29, 1975); the counts with p + 2 <= x are the same at these x.
+    @pytest.mark.parametrize("N, count", [(10**6, 8_169), (10**7, 58_980)])
+    def test_literature_counts(self, N, count):
+        primes = primes_up_to(N + 2)
+        n, _, _ = lambda_support(primes, N + 2)
+        i, j = _linear_pairs(n, 1, 1, 2, N)
+        assert np.all(n[j] == n[i] + 2)
+        prime = np.isin(n, primes)
+        assert np.count_nonzero(prime[i] & prime[j]) == count
 
 
 class TestCqMean:
@@ -209,6 +295,14 @@ class TestConjectureDMean:
         bound = tables_small.bound
         with pytest.raises(ValueError, match=f"index {bound + 1} .* table bound {bound}"):
             conjecture_d_mean(tables_small, a, 2, 1, bound + 1)
+
+    def test_modulus_beyond_int64(self, tables_small):
+        # a = 3^40 > 2^63 divides 4 n + l only for n = 2 mod a, and
+        # (4 * 2 + l)/a = 7: one summand, w(2) w(7), from n = 2 on.
+        a = 3**40
+        rep = conjecture_d_mean(tables_small, a, 4, 7 * a - 8, 10, P=10**3)
+        w = tables_small.lam1
+        assert rep.trace == [(k, 0.0 if k < 2 else w[2] * w[7] / k) for k in range(1, 11)]
 
     @given(
         abl=st.tuples(

@@ -1,4 +1,4 @@
-"""Sieve table construction, segmented streaming, and binary round-trips."""
+"""Sieve table construction, the support of Lambda, and binary round-trips."""
 
 import dataclasses
 import hashlib
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ramabel import (
     LambdaTables,
     ResourceLimitError,
-    SegmentedLambdaStream,
     build_sieve,
     lambda1_at,
     load_tables,
@@ -24,9 +23,9 @@ from ramabel import (
 )
 from ramabel.sieve import (
     DEFAULT_SEGMENT_SIZE,
-    _lambda_kernel,
     _prime_powers,
     _spf_segment,
+    lambda_support,
     primes_up_to,
     sigma_table,
     table_checksum,
@@ -177,19 +176,10 @@ class TestSegmentKernel:
     @settings(max_examples=200, deadline=None)
     def test_matches_trial_division(self, window):
         N, lo, hi = window
-        base = primes_up_to(math.isqrt(N))
-        spf, lam, lam1 = _spf_segment(lo, hi, base, _prime_powers(base, N))
-        assert all(arr.size == hi - lo + 1 for arr in (spf, lam, lam1))
+        spf = _spf_segment(lo, hi, primes_up_to(math.isqrt(N)))
+        assert spf.size == hi - lo + 1
         for i, n in enumerate(range(lo, hi + 1)):
-            f = factorize(n)
-            assert spf[i] == min(f, default=0)
-            if len(f) == 1:
-                (p,) = f
-                assert lam[i] == np.log(np.float64(p))
-            else:
-                assert lam[i] == 0.0
-            phi = math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
-            assert lam1[i] == np.divide(phi, n) * lam[i]
+            assert spf[i] == min(factorize(n), default=0)
 
 
 class TestMuPhiRecurrence:
@@ -213,22 +203,40 @@ class TestMuPhiRecurrence:
 
 
 class TestLambdaKernel:
-    @given(sieve_windows())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_trial_division(self, window):
-        N, lo, hi = window
-        base = primes_up_to(math.isqrt(N))
-        lam, lam1 = _lambda_kernel(lo, hi, base, _prime_powers(base, N))
-        assert lam.size == lam1.size == hi - lo + 1
-        for i, n in enumerate(range(lo, hi + 1)):
-            f = factorize(n)
-            if len(f) == 1:
-                (p,) = f
-                assert lam[i] == np.log(np.float64(p))
-            else:
-                assert lam[i] == 0.0
+    """``lambda_support``, the one code that computes Lambda."""
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_trial_division(self, data):
+        # N anywhere up to 600,000, or next to a segment edge k * 2^18 or a
+        # square p^2.  Every n in a window around each edge and square below
+        # N, and n drawn anywhere, is checked by trial division: in the
+        # support exactly when a prime power, with its Lambda and Lambda_1.
+        edges = [k * DEFAULT_SEGMENT_SIZE for k in (1, 2)]
+        squares = [p * p for p in primes_up_to(math.isqrt(600_000)).tolist()]
+        near = st.sampled_from(edges + squares).flatmap(
+            lambda c: st.integers(c - 3, c + 3))
+        N = data.draw(st.one_of(st.integers(1, 600_000), near))
+        primes = primes_up_to(N)
+        n, lam, lam1 = lambda_support(primes, N)
+        assert n.dtype == np.int64 and n.size == lam.size == lam1.size
+        assert np.all(np.diff(n) > 0)
+        powers = sum(1 for p in primes[primes * primes <= N].tolist()
+                     for k in range(2, 64) if p**k <= N)
+        assert n.size == primes.size + powers
+        at = dict(zip(n.tolist(), range(n.size)))
+        checks = [m for c in edges + squares for m in range(c - 3, c + 4) if 1 <= m <= N]
+        checks += data.draw(st.lists(st.integers(1, N), max_size=40))
+        for m in checks:
+            f = factorize(m)
+            if len(f) != 1:
+                assert m not in at
+                continue
+            (p,) = f
+            i = at[m]
+            assert lam[i] == np.log(np.float64(p))
             phi = math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
-            assert lam1[i] == np.divide(phi, n) * lam[i]
+            assert lam1[i] == np.divide(phi, m) * lam[i]
 
     def test_prime_powers(self):
         pk, p = _prime_powers(primes_up_to(10), 100)
@@ -237,9 +245,16 @@ class TestLambdaKernel:
 
 
 def assert_lambda_identical(tables, full):
+    """The support of Lambda from ``tables``' primes, scattered into zeros,
+    is the full build's lam and lam1 byte for byte."""
     assert tables.bound == full.bound
-    assert tables.lam.tobytes() == full.lam.tobytes()
-    assert tables.lam1.tobytes() == full.lam1.tobytes()
+    n, lam_n, lam1_n = lambda_support(tables.primes, tables.bound)
+    lam = np.zeros(full.bound + 1)
+    lam1 = np.zeros(full.bound + 1)
+    lam[n] = lam_n
+    lam1[n] = lam1_n
+    assert lam.tobytes() == full.lam.tobytes()
+    assert lam1.tobytes() == full.lam1.tobytes()
 
 
 class TestLambdaTables:
@@ -250,14 +265,13 @@ class TestLambdaTables:
         assert type(t) is LambdaTables
         assert_lambda_identical(t, full)
         with pytest.raises(ValueError):
-            t.lam1[1] = 0.0
+            t.primes[:] = 0
         path = tmp_path / "lambda.bin"
         save_tables(t, str(path))
         back = load_tables(str(path))
         assert type(back) is LambdaTables
         assert_lambda_identical(back, full)
-        for arr in (back.lam, back.lam1, back.primes):
-            assert not arr.flags.writeable
+        assert not back.primes.flags.writeable
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
@@ -311,26 +325,6 @@ class TestLambda1At:
             n = p**k
             want = ((p - 1) / p) * math.log(p)
             assert lambda1_at(tables_small, n) == pytest.approx(want, rel=1e-15)
-
-
-class TestSegmentedStream:
-    @pytest.mark.parametrize("segment_size", [1, 7, 4096, 77_777])
-    def test_bit_identical_to_monolithic(self, segment_size):
-        N = 50_000
-        mono = build_sieve(N).lam1[1 : N + 1]
-        parts = []
-        seen = 0
-        for start, chunk in SegmentedLambdaStream(N, segment_size=segment_size):
-            assert start == seen + 1
-            seen += len(chunk)
-            parts.append(chunk)
-        assert np.array_equal(np.concatenate(parts), mono)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            SegmentedLambdaStream(0)
-        with pytest.raises(ValueError):
-            SegmentedLambdaStream(100, segment_size=0)
 
 
 class TestDumpRestore:
