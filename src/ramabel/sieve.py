@@ -217,18 +217,21 @@ def lambda1_at(tables: SieveTables, n: int) -> float:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending int64: ``_prime_segment`` over the segments of [1, n].
-
-    Raises ResourceLimitError, before sieving, when the primes and the list
-    of segments they are joined from, 2 * 8 * 1.26 n / ln n bytes by
-    pi(n) < 1.25506 n / ln n (Rosser & Schoenfeld, 1962), exceed the
-    machine's physical memory."""
+    """All primes <= n, ascending int64: ``_prime_segment`` over the segments
+    of [1, n], written into one array of pi(n) < 1.25506 n / ln n entries
+    (Rosser & Schoenfeld, 1962) whose filled prefix is returned; the rest is
+    never written.  Raises ResourceLimitError, before sieving, when that
+    array exceeds the machine's physical memory."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    _check_memory(math.ceil(2 * 8 * 1.26 * n / math.log(n)), f"sieving the primes up to {n}")
-    base = primes_up_to(math.isqrt(n))
-    return np.concatenate([_prime_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, n), base)
-                           for lo in range(1, n + 1, DEFAULT_SEGMENT_SIZE)])
+    size = math.ceil(1.25506 * n / math.log(n))
+    _check_memory(8 * size, f"sieving the primes up to {n}")
+    base, out, count = primes_up_to(math.isqrt(n)), np.empty(size, dtype=np.int64), 0
+    for lo in range(1, n + 1, DEFAULT_SEGMENT_SIZE):
+        primes = _prime_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, n), base)
+        out[count : count + primes.size] = primes
+        count += primes.size
+    return out[:count]
 
 
 def sigma_table(n: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Hardy-Littlewood singular-series constants via truncated Euler products.
 
-All products are evaluated in log space with exact (fsum) compensation over
-the prime factors up to a truncation bound P, and each result carries a
-rigorous estimate of the omitted factors' log-contribution.
+Every product over the primes p <= P is one array of per-prime log terms,
+summed by ``_euler_product``.  Each docstring says whether ``tail_estimate``
+is a proven bound, on the log or on the value, or an estimate.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ramanujan import cq_int_over_q
 from .sieve import SieveTables, primes_up_to
 
 TWIN_CONSTANT_REFERENCE = 0.6601618158
@@ -27,35 +28,40 @@ class SingularConstant:
     extra: dict = field(default_factory=dict)
 
 
+def _euler_product(logs: np.ndarray) -> float:
+    """exp of the fsum of the per-prime log terms; fsum is correctly rounded,
+    so it depends only on the set of terms.  A factor of exactly 0 has log
+    -inf and makes the product 0.0 without a sum."""
+    return 0.0 if np.isneginf(logs).any() else math.exp(math.fsum(logs))
+
+
 def twin_constant(P: int) -> SingularConstant:
     """prod over odd primes p <= P of (1 - 1/(p-1)^2).
 
-    Tail: sum over p > P of 1/(p-1)^2 is below 1/(P-1).
+    ``tail_estimate`` = 1/(P-1) is a proven bound on the log of the omitted
+    factors: |log(1 - x)| <= x/(1 - x) = 1/((p-1)^2 - 1) at x = 1/(p-1)^2,
+    and sum_{n>P} 1/((n-1)^2 - 1) = 1/2 (1/(P-1) + 1/P) < 1/(P-1).
     """
     if P < 3:
         raise ValueError(f"P must be >= 3, got {P}")
     p = primes_up_to(P)[1:].astype(np.float64)  # drop p = 2
-    logs = np.log1p(-1.0 / (p - 1.0) ** 2)
-    value = math.exp(math.fsum(logs))
-    return SingularConstant(
-        value=value, truncation_prime=P, tail_estimate=1.0 / (P - 1), form="C2"
-    )
+    return SingularConstant(value=_euler_product(np.log1p(-1.0 / (p - 1.0) ** 2)),
+                            truncation_prime=P, tail_estimate=1.0 / (P - 1), form="C2")
 
 
-def _odd_prime_factors(n: int) -> list[int]:
-    out = []
-    n = abs(n)
-    while n % 2 == 0:
-        n //= 2
-    d = 3
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each p^e exactly dividing |n| >= 1, p ascending, by trial
+    division: O(sqrt(n)) steps."""
+    out, n, d = [], abs(n), 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
@@ -93,7 +99,7 @@ def conjecture_d_constant(a: int, b: int, l: int, P: int) -> SingularConstant:
     validate_linear_pair(a, b, l)
     c2 = twin_constant(P)
     value = 2.0 * c2.value / a
-    ps = sorted(set(_odd_prime_factors(a)) | set(_odd_prime_factors(b)) | set(_odd_prime_factors(l)))
+    ps = sorted({p for n in (a, b, l) for p, _ in _prime_factors(n) if p > 2})
     for p in ps:
         value *= (p - 1.0) / (p - 2.0)
     return SingularConstant(
@@ -125,6 +131,8 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     offsets must be strictly increasing and start at 0; m counts the
     offsets beyond the leading 0.  nu is the number of distinct residues
     of the tuple mod p, which equals m + 1 once p exceeds every offset.
+    ``tail_estimate`` = 2m(m+1)/(P-1) estimates the log of the omitted
+    factors; it is not a proven bound.
     """
     offsets = tuple(offsets)
     if not offsets or offsets[0] != 0:
@@ -145,23 +153,19 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     if P < small_cut:
         raise ValueError(f"P={P} too small; need P >= {small_cut}")
     ps = primes_up_to(P)
-    logs = []
-    for p in ps[ps <= small_cut]:
-        p = int(p)
-        nu = distinct_residues(offsets, p)
-        logs.append(
-            m * math.log(p / (p - 1.0)) + math.log((p - nu) / (p - 1.0))
-        )
-    big = ps[ps > small_cut].astype(np.float64)
-    if big.size:
-        vec = m * np.log(big / (big - 1.0)) + np.log((big - (m + 1.0)) / (big - 1.0))
-        logs.extend(vec.tolist())
-    value = math.exp(math.fsum(logs))
-    tail = 2.0 * m * (m + 1) / (P - 1)
+    # nu(p) for every p <= small_cut at once: the distinct entries of the
+    # sorted offsets mod p, row by row, sorted in place to hold one matrix.
+    small = ps[: np.searchsorted(ps, small_cut, "right")]
+    rows = np.array(offsets, dtype=np.int64) % small[:, None]
+    rows.sort(axis=1)
+    nu = np.full(ps.size, m + 1, dtype=np.int64)
+    nu[: small.size] = 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+    p = ps.astype(np.float64)
+    value = _euler_product(m * np.log(p / (p - 1.0)) + np.log((p - nu) / (p - 1.0)))
     return SingularConstant(
         value=value,
         truncation_prime=P,
-        tail_estimate=tail,
+        tail_estimate=2.0 * m * (m + 1) / (P - 1),
         form=f"tuple{offsets}",
     )
 
@@ -176,32 +180,22 @@ def series_constant(h: int, P: int) -> SingularConstant:
     literal prime-by-prime product of the raw coefficients,
     prod_p (1 + mu(p) c_p(h) / phi(p)), does not converge to the series'
     value (its p = 2 factor vanishes at even h); it is reported in
-    ``extra["naive_product"]`` as a finding.
+    ``extra["naive_product"]`` as a finding.  h may exceed int64.
+    ``tail_estimate`` = 2/(P-1) estimates the log of the omitted diagonal
+    factors; it is not a proven bound.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if P < 2:
         raise ValueError(f"P must be >= 2, got {P}")
     ps = primes_up_to(P)
-    logs = []
-    naive_logs = []
-    value_is_zero = False
-    naive_is_zero = False
-    for p in ps:
-        p = int(p)
-        cp = p - 1 if h % p == 0 else -1
-        diag = 1.0 + cp / (p - 1.0) ** 2
-        if diag == 0.0:
-            value_is_zero = True
-        else:
-            logs.append(math.log(diag))
-        naive = 1.0 - cp / (p - 1.0)  # mu(p) = -1
-        if naive == 0.0:
-            naive_is_zero = True
-        else:
-            naive_logs.append(math.log(naive))
-    value = 0.0 if value_is_zero else math.exp(math.fsum(logs))
-    naive = 0.0 if naive_is_zero else math.exp(math.fsum(naive_logs))
+    # c_p(h) = p - 1 where p divides h, else -1; Python ints beyond int64.
+    rem = h % ps if h < 2**63 else h % ps.astype(object)
+    p = ps.astype(np.float64)
+    cp = np.where(rem == 0, p - 1.0, -1.0)
+    with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
+        value = _euler_product(np.log(1.0 + cp / (p - 1.0) ** 2))
+        naive = _euler_product(np.log(1.0 - cp / (p - 1.0)))  # mu(p) = -1
     return SingularConstant(
         value=value,
         truncation_prime=P,
@@ -215,20 +209,19 @@ def series_wk(tables: SieveTables, h: int, Q: int) -> SingularConstant:
     """Direct q-sum of the squared-coefficient series sum mu(q)^2/phi(q)^2 c_q(h).
 
     Absolutely convergent, so the plain truncation is meaningful; the tail
-    estimate scales sigma(h) by an empirical bound on sum_{q>Q} 1/phi(q)^2.
+    estimate scales sigma(h), from the factorisation of h, by an empirical
+    bound on sum_{q>Q} 1/phi(q)^2.  It is an estimate, not a proven bound.
     """
     if h < 1 or Q < 1:
         raise ValueError(f"need h >= 1 and Q >= 1, got h={h}, Q={Q}")
     if Q > tables.bound:
         raise ValueError(f"Q={Q} beyond table bound {tables.bound}")
-    from .ramanujan import cq_int_over_q
-
     qs = np.arange(1, Q + 1, dtype=np.int64)
     c = cq_int_over_q(tables, qs, h).astype(np.float64)
     musq = (tables.mu[1 : Q + 1].astype(np.float64)) ** 2
     phisq = tables.phi[1 : Q + 1].astype(np.float64) ** 2
     value = math.fsum((musq / phisq * c).tolist())
-    sigma_h = sum(d for d in range(1, h + 1) if h % d == 0)
+    sigma_h = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in _prime_factors(h))
     # sum_{q>Q} 1/phi(q)^2 ~ 2.2/Q; doubled for slack.
     tail = sigma_h * 4.4 / Q
     return SingularConstant(

@@ -415,7 +415,7 @@ class TestHelpers:
         assert list(primes_up_to(1)) == []
 
     def test_primes_up_to_memory_budget(self):
-        # The primes up to 10^15 need about 5.8 * 10^14 bytes: the check
+        # The primes up to 10^15 need about 2.9 * 10^14 bytes: the check
         # raises before anything is allocated.
         tracemalloc.start()
         try:
@@ -427,13 +427,13 @@ class TestHelpers:
         assert peak < 100_000
 
     def test_primes_up_to_memory_check_scale(self, monkeypatch):
-        # With 1 MiB of memory, the primes up to 10^5 (about 175 kB by the
-        # estimate) fit and those up to 10^6 (about 1.46 MB) do not.
+        # With 1 MiB of memory, the primes up to 10^5 (about 87 kB by the
+        # estimate) fit and those up to 2 * 10^6 (about 1.39 MB) do not.
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         assert primes_up_to(10**5).size == 9_592
         with pytest.raises(ResourceLimitError, match="memory budget of 1048576 bytes"):
-            primes_up_to(10**6)
+            primes_up_to(2 * 10**6)
 
     # SHA-256 of the little-endian int64 primes; any changed prime fails.
     PRIME_DIGESTS = {

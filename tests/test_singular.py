@@ -2,9 +2,10 @@
 constants, linear-pair (conjecture D) constant, and the series route."""
 
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
@@ -21,7 +22,7 @@ from ramabel.singular import (
     distinct_residues,
     validate_linear_pair,
 )
-from ramabel.sieve import primes_up_to
+from ramabel.sieve import build_sieve, primes_up_to
 
 
 class TestTwinConstant:
@@ -103,6 +104,14 @@ class TestConjectureDConstant:
             2 * twin_constant(P).value, rel=1e-12
         )
 
+    # Bit-exact: the odd prime factors of a, b and l multiply in ascending order.
+    @pytest.mark.parametrize("abl, value", [
+        ((105, 4, 11), 0.04470940752367316),
+        ((2, 9, 35), 2.112519505493557),
+    ])
+    def test_pinned_values(self, abl, value):
+        assert conjecture_d_constant(*abl, 10**5).value == value
+
 
 class TestAdmissibility:
     def test_distinct_residues(self):
@@ -136,17 +145,35 @@ class TestTupleConstant:
             pair_constant(2, P).value, abs=1e-8
         )
 
-    def test_independent_direct_product(self):
-        # recompute the (0, 2, 6) constant with a plain per-prime loop
-        offsets = (0, 2, 6)
-        P = 10**4
+    # Admissible tuples of offsets below 300, at P from the largest offset
+    # up: nu(p) for the primes up to the largest offset are counted at once.
+    @given(st.lists(st.integers(1, 299), min_size=1, max_size=5, unique=True),
+           st.integers(0, 2000))
+    @example([2, 6], 10**4 - 6)
+    @settings(max_examples=150, deadline=None)
+    def test_independent_direct_product(self, rest, extra_p):
+        # recompute the constant with a plain per-prime loop
+        offsets = (0, *sorted(rest))
+        assume(check_admissible(offsets) is None)
         m = len(offsets) - 1
+        P = max(offsets[-1], m + 1) + extra_p
         prod = 1.0
         for p in map(int, primes_up_to(P)):
             nu = len({a % p for a in offsets})
             prod *= (p / (p - 1)) ** m * (p - nu) / (p - 1)
         got = tuple_constant(offsets, P).value
         assert got == pytest.approx(prod, rel=1e-12)
+
+    # Bit-exact: fsum is correctly rounded, so these hold while every log
+    # term keeps its float.
+    @pytest.mark.parametrize("offsets, value", [
+        ((0, 2), 1.320323639431023),
+        ((0, 2, 6), 2.8582486459680605),
+        ((0, 4, 6, 10, 12), 10.131795543727534),
+        ((0, 2, 6000002), 4.293638455914987),
+    ])
+    def test_pinned_values(self, offsets, value):
+        assert tuple_constant(offsets, 10**7).value == value
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +201,34 @@ class TestSeriesConstant:
         for h in (1, 3, 9):
             assert series_constant(h, 10**4).value == 0.0
 
+    # Bit-exact value and naive product, as for the tuple constant; h
+    # beyond int64 is reduced mod each p in Python ints.
+    @pytest.mark.parametrize("h, P, value, naive", [
+        (1, 10**3, 0.0, 12.350975673851657),
+        (2, 10**3, 1.3204914879416014, 0.0),
+        (3, 10**3, 0.0, 0.0),
+        (6, 10**3, 2.640982975883203, 0.0),
+        (30, 10**3, 3.521310634510937, 0.0),
+        (60, 10**3, 3.521310634510937, 0.0),
+        (1, 10**6, 0.0, 24.607382947629816),
+        (2, 10**6, 1.3203237211796743, 0.0),
+        (3, 10**6, 0.0, 0.0),
+        (6, 10**6, 2.6406474423593487, 0.0),
+        (30, 10**6, 3.5208632564791316, 0.0),
+        (60, 10**6, 3.5208632564791316, 0.0),
+        (1, 10**7, 0.0, 28.70777036091289),
+        (2, 10**7, 1.320323639430981, 0.0),
+        (3, 10**7, 0.0, 0.0),
+        (6, 10**7, 2.640647278861962, 0.0),
+        (30, 10**7, 3.5208630384826165, 0.0),
+        (60, 10**7, 3.5208630384826165, 0.0),
+        (3 * 2**64, 10**3, 2.640982975883203, 0.0),
+        (10**20 + 7, 10**3, 0.0, 0.0),
+    ])
+    def test_pinned_values(self, h, P, value, naive):
+        got = series_constant(h, P)
+        assert (got.value, got.extra["naive_product"]) == (value, naive)
+
     def test_naive_rearrangement_is_degenerate(self):
         # the term-by-term product (1 + mu(p) c_p(h) / phi(p)) collapses
         # to zero at even h because the p=2 factor is 1 + (-1)(-1)/1 ... = 0
@@ -191,3 +246,19 @@ class TestSeriesConstant:
     def test_series_wk_odd_gap_small(self, tables):
         got = series_wk(tables, 3, tables.bound)
         assert abs(got.value) < 5e-2
+
+    @given(st.integers(1, 2000))
+    @settings(max_examples=200, deadline=None)
+    def test_series_wk_sigma_matches_divisor_sum(self, tables_small, h):
+        # The tail estimate is sigma(h) * 4.4 / Q, sigma(h) from the divisors.
+        sigma = sum(d for d in range(1, h + 1) if h % d == 0)
+        assert series_wk(tables_small, h, 10).tail_estimate == sigma * 4.4 / 10
+
+    def test_series_wk_large_gap_is_fast(self):
+        # sigma(10^8) from the factorisation 2^8 5^8, not from 10^8 trial
+        # divisors; the tail estimate is the one pinned before the change.
+        tables = build_sieve(1000)
+        start = time.perf_counter()
+        got = series_wk(tables, 10**8, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert got.tail_estimate == 1097851.0004
