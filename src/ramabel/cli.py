@@ -77,7 +77,9 @@ def _write_manifest(path: Path, args: argparse.Namespace, bound: int | None,
 def _get_tables(bound: int, cache_dir: str | None, path: str | None = None,
                 lambda_only: bool = False) -> LambdaTables | SieveTables:
     """Tables for 1..bound, through one table cache file if there is one:
-    ``LambdaTables`` when ``lambda_only``, else ``SieveTables``.
+    ``LambdaTables`` when ``lambda_only``, else ``SieveTables``, for ``sieve``
+    only.  The other full-table commands call ``build_sieve``: at their
+    bounds a build costs about a load, and no damaged file reaches a result.
 
     The file is ``path`` if given, else ``<cache_dir>/lambda_N{bound}_v2.bin``
     for Lambda tables and ``<cache_dir>/tables_N{bound}_v1.bin`` for full
@@ -122,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ramabel", description=__doc__)
     ap.add_argument("--out", default=".", help="output directory for CSV/manifest")
     ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
-                    help=f"sieve cache directory (default: ${CACHE_ENV})")
+                    help="cache directory for the Lambda tables of pnt, autocorr, conjd "
+                         f"and tuple and the full tables of sieve (default: ${CACHE_ENV})")
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -226,7 +229,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "csum":
         bound = max(abs(args.q), 1)
-        tables = _get_tables(bound, args.cache_dir)
+        tables = build_sieve(bound)
         value = ramanujan.cq_int(tables, args.q, args.n)
         return _finish(
             args, out, start, bound,
@@ -285,7 +288,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "polymean":
-        tables = _get_tables(max(args.q, 1), args.cache_dir)
+        tables = build_sieve(max(args.q, 1))
         report = mean_values.polynomial_cq_mean(tables, args.q, _ints(args.poly), args.n)
         return _finish(
             args, out, start, args.q, REPORT_HEADER, report.csv_rows(),
@@ -296,7 +299,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "goldbach":
         bound = max(args.q1, args.q2)
-        tables = _get_tables(bound, args.cache_dir)
+        tables = build_sieve(bound)
         value = mean_values.goldbach_correlation(tables, args.n, args.q1, args.q2)
         return _finish(
             args, out, start, bound,
@@ -324,7 +327,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         elif form == "series":
             const = singular.series_constant(params[0], args.p)
         else:  # series_wk: --p doubles as the q-sum truncation
-            tables = _get_tables(args.p, args.cache_dir)
+            tables = build_sieve(args.p)
             const = singular.series_wk(tables, params[0], args.p)
         row = [const.form, const.value, const.truncation_prime, const.tail_estimate]
         return _finish(
@@ -338,7 +341,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         zs = _floats(args.zs)
         max_q = max(rf_series.required_Q(z, args.eps) for z in zs)
         bound = max(args.x, max_q)
-        tables = _get_tables(bound, args.cache_dir)
+        tables = build_sieve(bound)
         trace = rf_series.abel_ladder(tables, args.x, tuple(zs), args.eps)
         rows = [
             [trace.x, z, q, v, trace.target,
@@ -353,7 +356,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "props":
-        tables = _get_tables(args.qmax, args.cache_dir)
+        tables = build_sieve(args.qmax)
         report = ramanujan.check_property_catalog(tables, args.qmax, args.nmax)
         rows = [list(r) for r in report.rows()]
         failures = sum(1 for c in report.checks if not c.passed)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import singular
-from .ramanujan import cq_int, cq_int_over_n
+from .ramanujan import cq_int
 from .sieve import LambdaTables, SieveTables, lambda_support
 
 _BLOCK = 1 << 20
@@ -136,7 +136,7 @@ def cq_mean(tables: SieveTables, q: int, N: int) -> MeanValueReport:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    period = [cq_int(tables, q, n) for n in range(1, q + 1)]
+    period = cq_int(tables, q, np.arange(1, q + 1)).tolist()
     exact = Fraction(sum(period), q)
     predicted = 1.0 if q == 1 else 0.0
     return _report(f"cq_mean(q={q})", N, _periodic_trace(period, N), predicted, exact)
@@ -149,9 +149,9 @@ def cq_orthogonality(
     if r < 1 or s < 1:
         raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
     L = math.lcm(r, s)
-    period = [
-        cq_int(tables, r, n) * cq_int(tables, s, n + m) for n in range(1, L + 1)
-    ]
+    n = np.arange(1, L + 1)
+    # c_s has period s, so m % s keeps n + m in int64 for any integer m.
+    period = (cq_int(tables, r, n) * cq_int(tables, s, n + m % s)).tolist()
     exact = Fraction(sum(period), L)
     predicted = float(cq_int(tables, r, m)) if r == s else 0.0
     return _report(
@@ -177,15 +177,13 @@ def polynomial_cq_mean(
     if q > tables.bound:
         raise ValueError(f"q={q} beyond table bound {tables.bound}")
     coeffs = list(poly)
-
-    def f_mod(n: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * n + c) % q
-        return acc
-
-    by_residue = [cq_int(tables, q, f_mod(r)) for r in range(q)]
-    period = [by_residue[n % q] for n in range(1, q + 1)]
+    # f(r) mod q for every residue r by Horner's rule; each step stays below q^2.
+    r = np.arange(q, dtype=np.int64)
+    f_mod = np.zeros(q, dtype=np.int64)
+    for c in reversed(coeffs):
+        f_mod = (f_mod * r + c % q) % q
+    by_residue = cq_int(tables, q, f_mod).tolist()
+    period = by_residue[1:] + by_residue[:1]  # n = 1..q
     exact = Fraction(sum(by_residue), q)
     return _report(
         f"polynomial_cq_mean(q={q},poly={coeffs})",
@@ -391,6 +389,6 @@ def goldbach_correlation(tables: SieveTables, N: int, q1: int, q2: int) -> int:
     if N < 1 or q1 < 1 or q2 < 1:
         raise ValueError(f"need N, q1, q2 >= 1, got N={N}, q1={q1}, q2={q2}")
     ns = np.arange(1, 2 * N + 1, dtype=np.int64)
-    c1 = cq_int_over_n(tables, q1, ns)
-    c2 = cq_int_over_n(tables, q2, 2 * N - ns)
+    c1 = cq_int(tables, q1, ns)
+    c2 = cq_int(tables, q2, 2 * N - ns)
     return int(np.sum(c1 * c2))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,61 +21,52 @@ DEFAULT_DIRECT_THRESHOLD = 5000
 _RESIDUE_TOL = 1e-6
 
 
-def cq_int(tables: SieveTables, q: int, n: int) -> int:
-    """Exact c_q(n) for integer n.
+def cq_int(tables: SieveTables, q: int | np.ndarray, n: int | np.ndarray):
+    """Exact c_q(n) by Hoelder's closed form, for integer q and n.
 
-    q = 0 follows the real-argument convention and returns 1; negative q
-    uses c_{-q} = c_q.
+    Integers give a Python int, for n of any size.  If q or n is an array,
+    the two broadcast together into an int64 array.  Either way q = 0 gives
+    1, as c_0 = c_1 = 1 in the real-argument convention, and c_{-q} = c_q.
     """
-    if q == 0:
-        return 1
-    q = abs(q)
-    if q > tables.bound:
-        raise ValueError(f"q={q} beyond table bound {tables.bound}")
-    g = math.gcd(q, abs(n))
-    qg = q // g
-    m = int(tables.mu[qg])
-    if m == 0:
-        return 0
-    return m * int(tables.phi[q]) // int(tables.phi[qg])
+    if isinstance(q, int) and isinstance(n, int):
+        q = abs(q) or 1
+        if q > tables.bound:
+            raise ValueError(f"q={q} beyond table bound {tables.bound}")
+        qg = q // math.gcd(q, n)
+        m = tables.mu.item(qg)
+        if m == 0:
+            return 0
+        return m * tables.phi.item(q) // tables.phi.item(qg)
+    q = np.maximum(np.abs(np.asarray(q, dtype=np.int64)), 1)
+    if q.size and int(q.max()) > tables.bound:
+        raise ValueError(f"q={int(q.max())} beyond table bound {tables.bound}")
+    qg = q // np.gcd(q, np.asarray(n, dtype=np.int64))
+    c = tables.mu[qg].astype(np.int64) * tables.phi[q] // tables.phi[qg]
+    return c if c.ndim else int(c)  # NumPy integer scalars, as Python ints
 
 
-def cq_int_over_n(tables: SieveTables, q: int, ns: np.ndarray) -> np.ndarray:
-    """Vectorised c_q(n) over an integer array ns (Hoelder path)."""
-    if q == 0:
-        return np.ones(len(ns), dtype=np.int64)
-    q = abs(q)
-    if q > tables.bound:
-        raise ValueError(f"q={q} beyond table bound {tables.bound}")
-    g = np.gcd(np.int64(q), np.abs(np.asarray(ns, dtype=np.int64)))
-    qg = q // g
-    return tables.mu[qg].astype(np.int64) * tables.phi[q] // tables.phi[qg]
+def cq_real(q: int, x: float | np.ndarray) -> float | np.ndarray:
+    """Real-argument Ramanujan sum via the four-case cosine form.
 
-
-def cq_int_over_q(tables: SieveTables, qs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorised c_q(n) over an array of positive moduli qs."""
-    qs = np.asarray(qs, dtype=np.int64)
-    if qs.size and int(qs.max()) > tables.bound:
-        raise ValueError(f"q={int(qs.max())} beyond table bound {tables.bound}")
-    g = np.gcd(qs, np.int64(abs(n)))
-    qg = qs // g
-    return tables.mu[qg].astype(np.int64) * tables.phi[qs] // tables.phi[qg]
-
-
-def cq_real(q: int, x: float) -> float:
-    """Real-argument Ramanujan sum via the four-case cosine form."""
-    if not math.isfinite(x):
+    A float x gives a float; an array x gives an array whose every entry is
+    the float the scalar call gives at that x.
+    """
+    scalar = not isinstance(x, np.ndarray)
+    if not (math.isfinite(x) if scalar else np.isfinite(x).all()):
         raise ValueError(f"x must be finite, got {x}")
     q = abs(q)
     if q == 0:
-        return 1.0
-    if q == 1:
-        return math.cos(2.0 * math.pi * x)
-    if q == 2:
-        return math.cos(math.pi * x)
-    k = np.arange(1, q // 2 + 1, dtype=np.int64)
-    k = k[np.gcd(k, np.int64(q)) == 1]
-    return 2.0 * float(np.sum(np.cos((2.0 * math.pi * x / q) * k)))
+        return 1.0 if scalar else np.ones(x.shape)
+    # c_1(x) = cos 2 pi x and c_2(x) = cos pi x; for q >= 3 the k coprime
+    # to q pair up as k and q - k, so c_q is twice the sum over k <= q/2.
+    if q <= 2:
+        k, twice = np.ones(1, dtype=np.int64), 1.0
+    else:
+        k = np.arange(1, q // 2 + 1, dtype=np.int64)
+        k, twice = k[np.gcd(k, q) == 1], 2.0
+    t = 2.0 * math.pi * x / q
+    s = np.cos((t if scalar else t[..., None]) * k).sum(axis=-1)
+    return twice * float(s) if scalar else twice * s
 
 
 def direct_oracle(
@@ -145,19 +135,8 @@ class PropertyReport:
 
 # Sample points for the real-argument checks; deterministic on purpose.
 _REAL_XS = (0.5, 1.25, 2.75, 3.1, 7.9)
-
-
-def _first_counterexample(cases: Iterable, bad: Callable[..., bool], witness: str) -> str | None:
-    """Witness for the first case on which ``bad`` holds, or None if none does.
-
-    A tuple case is unpacked into the arguments of ``bad`` and the fields
-    of the ``witness`` format.
-    """
-    for case in cases:
-        args = case if isinstance(case, tuple) else (case,)
-        if bad(*args):
-            return witness.format(*args)
-    return None
+# The integer x of the real multiplicativity check.
+_INT_XS = (0.0, 1.0, 2.0, 3.0, 7.0, 12.0)
 
 
 def check_property_catalog(
@@ -169,6 +148,11 @@ def check_property_catalog(
     is tested at prime q only (it is false at composite q, e.g. c_4(2) = -2),
     and the sigma bound for real arguments only at integer x, where sigma
     is defined.
+
+    Each check is a lazy generator of witnesses in a fixed order; the first
+    is reported.  ``for v in a[bad][:1]`` takes the first failing point of
+    an array, if any.  The cosine sums are computed once per modulus on
+    each set of points and shared by the checks that read them.
     """
     qs = range(1, q_max + 1)
     qs0 = range(0, q_max + 1)
@@ -179,64 +163,75 @@ def check_property_catalog(
     coprime = [
         (r, s) for r in qs for s in range(1, q_max // r + 1) if math.gcd(r, s) == 1
     ]
+    xs, ints = np.array(_REAL_XS), np.array(_INT_XS)
+    real_at_pos = {q: cq_real(q, pos.astype(np.float64)) for q in qs}
+    real_at_ints = {q: cq_real(q, ints) for q in qs}
+    real_at_xs = {q: cq_real(q, xs) for q in qs0}
 
     def cq(q: int, arg: np.ndarray) -> np.ndarray:
-        return cq_int_over_n(tables, q, arg)
+        return cq_int(tables, q, arg)
 
-    # (name, cases, bad(case) at a counterexample, witness format, note)
+    # (name, witnesses, note)
     checks = [
-        ("int a) c_1(n) = 1", ns.tolist(),
-         lambda n: cq_int(tables, 1, n) != 1, "n={}", ""),
-        ("int b) c_q(0) = phi(q)", qs,
-         lambda q: cq_int(tables, q, 0) != int(phi[q]), "q={}", ""),
-        ("int c) c_q(1) = mu(q)", qs,
-         lambda q: cq_int(tables, q, 1) != int(mu[q]), "q={}", ""),
+        ("int a) c_1(n) = 1",
+         (f"n={n}" for n in ns.tolist() if cq_int(tables, 1, n) != 1), ""),
+        ("int b) c_q(0) = phi(q)",
+         (f"q={q}" for q in qs if cq_int(tables, q, 0) != int(phi[q])), ""),
+        ("int c) c_q(1) = mu(q)",
+         (f"q={q}" for q in qs if cq_int(tables, q, 1) != int(mu[q])), ""),
         ("int d) c_p(n) = phi(p) if p|n else -1 (prime q only)",
-         (q for q in qs if q >= 2 and int(tables.spf[q]) == q),
-         lambda p: not np.array_equal(cq(p, ns), np.where(ns % p == 0, int(phi[p]), -1)),
-         "p={}", "restricted to prime q; false at composite q (c_4(2) = -2)"),
-        ("int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1", coprime,
-         lambda r, s: not np.array_equal(cq(r * s, ns), cq(r, ns) * cq(s, ns)),
-         "r={}, s={}", "tested in the corrected c_r*c_s form; source prints c_s twice"),
-        ("int f) |c_q(n)| <= phi(q)", qs,
-         lambda q: np.abs(cq(q, ns)).max() > int(phi[q]), "q={}", ""),
+         (f"p={p}" for p in qs if p >= 2 and int(tables.spf[p]) == p
+          and not np.array_equal(cq(p, ns), np.where(ns % p == 0, int(phi[p]), -1))),
+         "restricted to prime q; false at composite q (c_4(2) = -2)"),
+        ("int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1",
+         (f"r={r}, s={s}" for r, s in coprime
+          if not np.array_equal(cq(r * s, ns), cq(r, ns) * cq(s, ns))),
+         "tested in the corrected c_r*c_s form; source prints c_s twice"),
+        ("int f) |c_q(n)| <= phi(q)",
+         (f"q={q}" for q in qs if np.abs(cq(q, ns)).max() > int(phi[q])), ""),
         ("int g) |c_q(n)| <= sigma(n), n >= 1",
-         ((q, pos[np.abs(cq(q, pos)) > sig[pos]]) for q in qs),
-         lambda q, excess: excess.size > 0, "q={0}, n={1[0]}", ""),
-        ("int h) c_q(n) = c_q(-n)", qs,
-         lambda q: not np.array_equal(cq(q, ns), cq(q, -ns)), "q={}", ""),
-        ("int i) c_q(n) = c_{-q}(n)", ((q, n) for q in qs for n in (0, 1, 2, n_max)),
-         lambda q, n: cq_int(tables, q, n) != cq_int(tables, -q, n), "({}, {})", ""),
+         (f"q={q}, n={n}" for q in qs for n in pos[np.abs(cq(q, pos)) > sig[pos]][:1]),
+         ""),
+        ("int h) c_q(n) = c_q(-n)",
+         (f"q={q}" for q in qs if not np.array_equal(cq(q, ns), cq(q, -ns))), ""),
+        ("int i) c_q(n) = c_{-q}(n)",
+         (f"({q}, {n})" for q in qs for n in (0, 1, 2, n_max)
+          if cq_int(tables, q, n) != cq_int(tables, -q, n)), ""),
         ("real a) c_q(x) = c_q(n) at integer x",
-         ((q, n, v) for q in qs for n, v in zip(pos, cq(q, pos))),
-         lambda q, n, v: abs(cq_real(q, float(n)) - float(v)) > 1e-9, "q={}, n={}", ""),
-        ("real b) c_q(0) = phi(q)", qs0,
-         lambda q: abs(cq_real(q, 0.0) - (1.0 if q == 0 else float(phi[q]))) > 1e-9,
-         "q={}", "phi(0) taken as 1 by convention"),
-        ("real c) c_q(1) = mu(q)", qs0,
-         lambda q: abs(cq_real(q, 1.0) - (1.0 if q == 0 else float(mu[q]))) > 1e-9,
-         "q={}", "mu(0) taken as 1 by convention"),
+         (f"q={q}, n={n}" for q in qs
+          for n in pos[np.abs(real_at_pos[q] - cq(q, pos)) > 1e-9][:1]), ""),
+        ("real b) c_q(0) = phi(q)",
+         (f"q={q}" for q in qs0
+          if abs(cq_real(q, 0.0) - (1.0 if q == 0 else float(phi[q]))) > 1e-9),
+         "phi(0) taken as 1 by convention"),
+        ("real c) c_q(1) = mu(q)",
+         (f"q={q}" for q in qs0
+          if abs(cq_real(q, 1.0) - (1.0 if q == 0 else float(mu[q]))) > 1e-9),
+         "mu(0) taken as 1 by convention"),
         ("real d) c_rs(x) = c_r(x) c_s(x), (r,s)=1, integer x",
-         ((r, s, x) for r, s in coprime for x in (0.0, 1.0, 2.0, 3.0, 7.0, 12.0)),
-         lambda r, s, x: abs(cq_real(r * s, x) - cq_real(r, x) * cq_real(s, x)) > 1e-9,
-         "r={}, s={}, x={}",
+         (f"r={r}, s={s}, x={x}" for r, s in coprime
+          for x in ints[np.abs(real_at_ints[r * s] - real_at_ints[r] * real_at_ints[s])
+                        > 1e-9][:1]),
          "checked at integer x only; the cosine extension is not "
          "multiplicative off the integers (c_3(0.5) c_1(0.5) != c_3(0.5))"),
-        ("real e) |c_q(x)| <= phi(q)", ((q, x) for q in qs for x in _REAL_XS),
-         lambda q, x: abs(cq_real(q, x)) > (float(phi[q]) if q > 1 else 1.0) + 1e-12,
-         "q={}, x={}", ""),
+        ("real e) |c_q(x)| <= phi(q)",
+         (f"q={q}, x={x}" for q in qs
+          for x in xs[np.abs(real_at_xs[q]) > (float(phi[q]) if q > 1 else 1.0) + 1e-12][:1]),
+         ""),
         ("real g) |c_q(x)| <= sigma(x), integer x only",
-         ((q, n) for q in qs for n in range(1, n_max + 1)),
-         lambda q, n: abs(cq_real(q, float(n))) > float(sig[n]) + 1e-9,
-         "q={}, n={}", "sigma undefined off the integers; domain restricted"),
+         (f"q={q}, n={n}" for q in qs
+          for n in pos[np.abs(real_at_pos[q]) > sig[pos] + 1e-9][:1]),
+         "sigma undefined off the integers; domain restricted"),
         ("real h) evenness in x and in q",
-         ((q, x, tag) for q in qs0 for x in _REAL_XS for tag in ("", " (sign of q)")),
-         lambda q, x, tag: abs(cq_real(q, x) - (cq_real(-q, x) if tag else cq_real(q, -x)))
-         > 1e-12,
-         "q={}, x={}{}", ""),
+         (f"q={q}, x={x}{tag}" for q in qs0
+          for x, v, flipped_x, flipped_q in zip(
+              _REAL_XS, real_at_xs[q], cq_real(q, -xs), cq_real(-q, xs))
+          for tag, other in (("", flipped_x), (" (sign of q)", flipped_q))
+          if abs(v - other) > 1e-12),
+         ""),
     ]
     report = PropertyReport(q_max=q_max, n_max=n_max)
-    for name, cases, bad, witness, note in checks:
-        found = _first_counterexample(cases, bad, witness)
+    for name, witnesses, note in checks:
+        found = next(witnesses, None)
         report.checks.append(PropertyCheck(name, found is None, found or "", note))
     return report

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .mean_values import _checkpoint_ns
-from .ramanujan import cq_int_over_q, cq_real
+from .ramanujan import cq_int, cq_real
 from .sieve import SieveTables, lambda1_at
 
 _MAX_Q = 10**9
@@ -91,7 +91,7 @@ def lambda1_series(tables: SieveTables, params: SeriesParams, x: float) -> float
         raise ValueError(f"Q={Q} beyond table bound {tables.bound}")
     qs = np.arange(1, Q + 1, dtype=np.int64)
     if float(x).is_integer():
-        c = cq_int_over_q(tables, qs, int(x)).astype(np.float64)
+        c = cq_int(tables, qs, int(x)).astype(np.float64)
     else:
         c = np.array([cq_real(int(q), float(x)) for q in qs])
     coef = tables.mu[1 : Q + 1].astype(np.float64) / tables.phi[1 : Q + 1]
@@ -152,7 +152,7 @@ def sigma_rf(tables: SieveTables, n: int, Q: int) -> float:
     if n < 1 or Q < 1:
         raise ValueError(f"need n >= 1 and Q >= 1, got n={n}, Q={Q}")
     qs = np.arange(1, Q + 1, dtype=np.int64)
-    c = cq_int_over_q(tables, qs, n).astype(np.float64)
+    c = cq_int(tables, qs, n).astype(np.float64)
     return (math.pi**2 * n / 6.0) * math.fsum((c / qs.astype(np.float64) ** 2).tolist())
 
 
@@ -165,7 +165,7 @@ def divisor_rf(tables: SieveTables, n: int, Q: int) -> ExpansionTrace:
     if n < 1 or Q < 1:
         raise ValueError(f"need n >= 1 and Q >= 1, got n={n}, Q={Q}")
     qs = np.arange(1, Q + 1, dtype=np.int64)
-    c = cq_int_over_q(tables, qs, n).astype(np.float64)
+    c = cq_int(tables, qs, n).astype(np.float64)
     terms = -(np.log(qs.astype(np.float64)) / qs) * c
     partial = np.cumsum(terms)
     trace = [(int(k), float(partial[k - 1])) for k in _checkpoint_ns(Q)]
@@ -184,7 +184,7 @@ def circle_lattice_rf(tables: SieveTables, a: int, Q: int) -> ExpansionTrace:
         raise ValueError(f"need a >= 0 and Q >= 1, got a={a}, Q={Q}")
     qs = np.arange(1, Q + 1, dtype=np.int64)
     odd = 2 * qs - 1
-    c = cq_int_over_q(tables, odd, a).astype(np.float64)
+    c = cq_int(tables, odd, a).astype(np.float64)
     signs = np.where(qs % 2 == 1, 1.0, -1.0)
     terms = math.pi * signs / odd.astype(np.float64) * c
     partial = np.cumsum(terms)

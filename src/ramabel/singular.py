@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ramanujan import cq_int_over_q
+from .ramanujan import cq_int
 from .sieve import SieveTables, primes_up_to
 
 TWIN_CONSTANT_REFERENCE = 0.6601618158
@@ -153,13 +153,16 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     if P < small_cut:
         raise ValueError(f"P={P} too small; need P >= {small_cut}")
     ps = primes_up_to(P)
-    # nu(p) for every p <= small_cut at once: the distinct entries of the
-    # sorted offsets mod p, row by row, sorted in place to hold one matrix.
-    small = ps[: np.searchsorted(ps, small_cut, "right")]
-    rows = np.array(offsets, dtype=np.int64) % small[:, None]
-    rows.sort(axis=1)
+    # nu(p) for the p <= small_cut: the distinct entries of each sorted row
+    # of the offsets mod p, over blocks of rows of about 2^16 entries.
+    offs = np.array(offsets, dtype=np.int64)
     nu = np.full(ps.size, m + 1, dtype=np.int64)
-    nu[: small.size] = 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+    n_small = np.searchsorted(ps, small_cut, "right")
+    step = max(1, (1 << 16) // offs.size)
+    for lo in range(0, n_small, step):
+        rows = offs % ps[lo : min(lo + step, n_small), None]
+        rows.sort(axis=1)
+        nu[lo : lo + len(rows)] = 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
     p = ps.astype(np.float64)
     value = _euler_product(m * np.log(p / (p - 1.0)) + np.log((p - nu) / (p - 1.0)))
     return SingularConstant(
@@ -217,7 +220,7 @@ def series_wk(tables: SieveTables, h: int, Q: int) -> SingularConstant:
     if Q > tables.bound:
         raise ValueError(f"Q={Q} beyond table bound {tables.bound}")
     qs = np.arange(1, Q + 1, dtype=np.int64)
-    c = cq_int_over_q(tables, qs, h).astype(np.float64)
+    c = cq_int(tables, qs, h).astype(np.float64)
     musq = (tables.mu[1 : Q + 1].astype(np.float64)) ** 2
     phisq = tables.phi[1 : Q + 1].astype(np.float64) ** 2
     value = math.fsum((musq / phisq * c).tolist())

@@ -297,6 +297,23 @@ class TestTableCache:
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
         assert type(load_tables(str(path))) is SieveTables
 
+    # Their full tables are built every time: a cache directory stays
+    # absent or empty.
+    @pytest.mark.parametrize("argv", [
+        ("csum", "--q", "1000", "--n", "12"),
+        ("polymean", "--q", "30", "--poly", "1,0,1", "--n", "1000"),
+        ("goldbach", "--n", "50", "--q1", "12", "--q2", "30"),
+        ("props", "--qmax", "10", "--nmax", "20"),
+        ("abel", "--x", "6", "--zs", "0.5,0.9"),
+        ("singular", "--form", "series_wk", "--params", "6", "--p", "2000"),
+    ], ids=lambda argv: argv[0])
+    def test_full_table_commands_leave_no_cache(self, tmp_path, argv):
+        cache = tmp_path / "cache"
+        for _ in range(2):
+            assert run(tmp_path, *argv) == 0
+            assert not cache.exists() or not any(cache.iterdir())
+        assert read_manifest(tmp_path, argv[0])["output_sha256"]
+
     def test_lambda_dump_is_not_full_tables(self, tmp_path, capsys):
         path = tmp_path / "lambda.bin"
         save_tables(build_sieve(100, lambda_only=True), str(path))

@@ -176,6 +176,15 @@ class TestOrthogonality:
         want = cq_int(tables_small, r, m) if r == s else 0
         assert rep.exact_mean == want
 
+    # Every checkpoint mean is the direct sum over n <= n_i, for m of any size.
+    @pytest.mark.parametrize("r, s, m", [(6, 6, 4), (4, 6, -7), (12, 30, 10**20 + 3)])
+    def test_trace_matches_direct_sum(self, tables_small, r, s, m):
+        rep = cq_orthogonality(tables_small, r, s, m, 97)
+        for n_i, mean in rep.trace:
+            direct = sum(cq_int(tables_small, r, n) * cq_int(tables_small, s, n + m)
+                         for n in range(1, n_i + 1))
+            assert mean == direct / n_i
+
     def test_empirical_within_partial_period_bound(self, tables_small):
         N = 10**4
         for r, s, m in [(3, 3, 1), (4, 6, 2), (5, 7, 0), (12, 12, 5)]:
@@ -209,6 +218,14 @@ class TestPolynomialMean:
                     q,
                 )
                 assert rep.exact_mean == want
+
+    @pytest.mark.parametrize("q, poly", [(7, [1, 0, 1]), (12, [-3, 2, 3]), (30, [5, 10**20])])
+    def test_trace_matches_direct_sum(self, tables_small, q, poly):
+        rep = polynomial_cq_mean(tables_small, q, poly, 97)
+        for n_i, mean in rep.trace:
+            direct = sum(cq_int(tables_small, q, sum(c * n**k for k, c in enumerate(poly)))
+                         for n in range(1, n_i + 1))
+            assert mean == direct / n_i
 
     def test_partial_period_bound(self, tables_small):
         N = 10**5

@@ -1,6 +1,7 @@
 """Ramanujan sums: closed form vs. exponential-sum oracle, and the
 property catalog."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq_real
-from ramabel.ramanujan import (
-    cq_int_over_n,
-    cq_int_over_q,
-    direct_oracle,
-    direct_oracle_over_n,
-)
+from ramabel.ramanujan import direct_oracle, direct_oracle_over_n
 from ramabel.sieve import sigma_table
 
 
@@ -55,14 +51,36 @@ class TestCqInt:
         for q in (1, 2, 6, 30, 97, 128, 210):
             ns = np.arange(-2 * q, 2 * q + 1)
             assert np.array_equal(
-                cq_int_over_n(tables_small, q, ns), direct_oracle_over_n(q, ns)
+                cq_int(tables_small, q, ns), direct_oracle_over_n(q, ns)
             )
 
     def test_vector_over_q(self, tables_small):
         qs = np.arange(1, 200)
-        got = cq_int_over_q(tables_small, qs, 12)
+        got = cq_int(tables_small, qs, 12)
         want = np.array([cq_int(tables_small, int(q), 12) for q in qs])
         assert np.array_equal(got, want)
+
+    # The array forms against the scalar form, entry by entry with ==, over
+    # q = -30..200 (0 included) and n = -500..500.
+    @pytest.mark.parametrize("form", ["array q", "array n", "both arrays"])
+    def test_array_forms_match_scalar(self, tables_small, form):
+        qs, ns = np.arange(-30, 201), np.arange(-500, 501)
+        want = [[cq_int(tables_small, q, n) for n in ns.tolist()] for q in qs.tolist()]
+        assert all(type(v) is int for v in want[0])
+        if form == "array q":
+            got = np.column_stack([cq_int(tables_small, qs, n) for n in ns.tolist()])
+        elif form == "array n":
+            got = np.array([cq_int(tables_small, q, ns) for q in qs.tolist()])
+        else:
+            got = cq_int(tables_small, qs[:, None], ns)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.array(want))
+
+    def test_numpy_integers_give_int(self, tables_small):
+        got = cq_int(tables_small, np.int64(6), np.int32(3))
+        assert type(got) is int and got == -2
+        with pytest.raises(ValueError):
+            cq_int(tables_small, np.array([5, tables_small.bound + 1]), 1)
 
     def test_divisor_sum_identity(self, tables_small):
         # sum over d | q of c_d(n) is q when q | n, else 0
@@ -145,6 +163,23 @@ class TestCqReal:
             for x in (0.1, 0.9, 2.5, 7.3):
                 assert abs(cq_real(q, x)) <= tables_small.phi[q] + 1e-9
 
+    # An array x gives, entry by entry, the float of the scalar call.
+    @pytest.mark.parametrize("xs", [
+        np.arange(-200, 201, dtype=np.float64),
+        np.array([0.5, 1.25, 2.75, 3.1, 7.9, -0.3, 12345.678]),
+    ], ids=["integer", "non-integer"])
+    def test_array_matches_scalar(self, xs):
+        for q in range(-2, 401):
+            got = cq_real(q, xs)
+            assert got.shape == xs.shape
+            assert got.tolist() == [cq_real(q, x) for x in xs.tolist()], q
+        grid = xs.reshape(1, -1)
+        assert np.array_equal(cq_real(30, grid), cq_real(30, xs)[None, :])
+
+    def test_array_must_be_finite(self):
+        with pytest.raises(ValueError):
+            cq_real(5, np.array([1.0, np.nan]))
+
 
 class TestPropertyCatalog:
     def test_all_pass(self, tables_small):
@@ -152,6 +187,25 @@ class TestPropertyCatalog:
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == []
         assert report.all_passed
+
+    def test_witnesses_of_a_damaged_table(self, tables_small):
+        # phi(7) = 5 in place of 6.  The witnesses are those the catalog
+        # found when it evaluated one (q, n) at a time: the array checks
+        # must stop at the same first counterexamples.
+        phi = tables_small.phi.copy()
+        phi[7] = 5
+        bad = dataclasses.replace(tables_small, phi=phi)
+        rows = check_property_catalog(bad, q_max=30, n_max=100).rows()
+        failed = {name: witness for name, status, witness, _ in rows if status == "FAIL"}
+        assert failed == {
+            "int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1": "r=2, s=7",
+            "real a) c_q(x) = c_q(n) at integer x": "q=7, n=7",
+            "real b) c_q(0) = phi(q)": "q=7",
+        }
+        good = check_property_catalog(tables_small, q_max=30, n_max=100).rows()
+        assert [r[0] for r in rows] == [r[0] for r in good]
+        assert [r[3] for r in rows] == [r[3] for r in good]
+        assert len(rows) == 16
 
     def test_composite_modulus_breaks_naive_mu_formula(self, tables_small):
         # c_q(n) = mu(q/(q,n)) only when q is prime; q=4, n=2 is the

@@ -146,7 +146,8 @@ class TestTupleConstant:
         )
 
     # Admissible tuples of offsets below 300, at P from the largest offset
-    # up: nu(p) for the primes up to the largest offset are counted at once.
+    # up.  Their nu(p) fit in one block; the 13-offset pinned value below
+    # spans many.
     @given(st.lists(st.integers(1, 299), min_size=1, max_size=5, unique=True),
            st.integers(0, 2000))
     @example([2, 6], 10**4 - 6)
@@ -171,6 +172,8 @@ class TestTupleConstant:
         ((0, 2, 6), 2.8582486459680605),
         ((0, 4, 6, 10, 12), 10.131795543727534),
         ((0, 2, 6000002), 4.293638455914987),
+        # 13 offsets up to 9,699,690: nu(p) is counted over many blocks.
+        ((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 9699690), 54782.79623962369),
     ])
     def test_pinned_values(self, offsets, value):
         assert tuple_constant(offsets, 10**7).value == value
