@@ -82,11 +82,11 @@ def _get_tables(bound: int, cache_dir: str | None, path: str | None = None,
     bounds a build costs about a load, and no damaged file reaches a result.
 
     The file is ``path`` if given, else ``<cache_dir>/lambda_N{bound}_v2.bin``
-    for Lambda tables and ``<cache_dir>/tables_N{bound}_v1.bin`` for full
-    ones: the suffix is the kind's dump format version.  An existing file is
-    loaded and must hold that kind at ``bound``; a truncated dump, or one
-    that fails its crc32 check, is rebuilt and replaced with a warning.  A
-    missing file is built and saved.
+    for Lambda tables and ``<cache_dir>/tables_N{bound}_v2.bin`` for full
+    ones: the suffix is the kind's dump format version, so older formats are
+    never opened.  An existing file is loaded and must hold that kind at
+    ``bound``; a dump of the wrong length or failing its crc32 check is
+    rebuilt and replaced with a warning.  A missing file is built and saved.
     """
     kind = LambdaTables if lambda_only else SieveTables
     if path is None and cache_dir:
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="build or load cached tables")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cache", help="explicit table file to write/read")
+    p.add_argument("--cache", help="explicit table file to write/read, crc32-checked")
 
     p = sub.add_parser("csum", help="print one Ramanujan sum c_q(n)")
     p.add_argument("--q", type=int, required=True)

@@ -3,16 +3,17 @@
 One boolean segment sieve, ``_prime_segment``, finds every prime, for
 ``primes_up_to`` and for the spf kernel.  One producer, ``lambda_support``,
 turns the primes up to N into the support of the von Mangoldt function: the
-prime powers n <= N with Lambda(n) and its phi(n)/n-weighted variant.  The
+prime powers n <= N with Lambda(n) and its phi(n)/n-weighted variant.  It
+is the only representation of Lambda: no table holds Lambda densely.  The
 spf kernel gives the smallest prime factor; Moebius mu and Euler phi then
 follow from spf by the recurrence over n = spf(n) * m.
 
-``build_sieve`` makes ``SieveTables``, five dense arrays: Lambda and Lambda_1
-scattered from ``lambda_support``, then spf segment by segment, then mu and
-phi.  ``LambdaTables`` hold only the primes, from ``primes_up_to`` or from a
-dump; the correlation means reduce ``lambda_support`` of either kind.
-Tables are immutable after construction.  Each kind has its own dump
-format, told apart by the header magic.
+``build_sieve`` makes ``SieveTables``, three dense arrays: spf segment by
+segment from the base primes <= sqrt(N), then mu and phi.  ``LambdaTables``
+hold only the primes, from ``primes_up_to`` or from a dump; the correlation
+means reduce ``lambda_support`` of either kind.  Tables are immutable after
+construction.  Each kind has its own dump format, told apart by the header
+magic, and every dump ends in a crc32 of the bytes before it.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ class LambdaTables:
     bound: int
     primes: np.ndarray
 
-    # Dump magic and format version; the arrays in dump order with their
-    # dtypes; whether a crc32 of the dump follows them.
+    # Dump magic, format version, and the arrays in dump order with dtypes.
     MAGIC: ClassVar[bytes] = b"RMLA"
     VERSION: ClassVar[int] = 2
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (("primes", "<i8"),)
-    CRC32: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -59,24 +58,22 @@ class SieveTables:
     spf[n]  smallest prime factor of n (0 for n < 2)
     mu[n]   Moebius function, values in {-1, 0, 1}
     phi[n]  Euler totient
-    lam[n]  von Mangoldt function (nats)
-    lam1[n] phi(n)/n * lam[n]
+
+    Lambda is not a table: ``lambda_support`` gives it on the prime powers,
+    and ``lambda1_at`` at one n.
     """
 
     bound: int
     spf: np.ndarray
     mu: np.ndarray
     phi: np.ndarray
-    lam: np.ndarray
-    lam1: np.ndarray
 
     MAGIC: ClassVar[bytes] = b"RMBL"
-    VERSION: ClassVar[int] = 1
+    VERSION: ClassVar[int] = 2
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
-        ("spf", "<i8"), ("mu", "<i1"), ("phi", "<i8"), ("lam", "<f8"), ("lam1", "<f8"),
+        ("spf", "<i8"), ("mu", "<i1"), ("phi", "<i8"),
     )
-    CRC32: ClassVar[bool] = False
-    BYTES_PER_ENTRY: ClassVar[int] = 40  # 359-362 MB at 10^7
+    BYTES_PER_ENTRY: ClassVar[int] = 20  # build's peak RSS rise: 19.3 at 4*10^6, 17.8 at 10^7
 
     @cached_property
     def primes(self) -> np.ndarray:
@@ -103,13 +100,8 @@ def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables | SieveTables
         return LambdaTables(bound=N, primes=primes)
 
     _check_memory(SieveTables.BYTES_PER_ENTRY * (N + 1), f"sieve bound {N}")
-    # Slot 0 keeps the zeros: every table is 0 at n = 0.  Lambda goes first,
-    # so its support is freed before the other tables are touched.
+    # Slot 0 keeps the zeros: every table is 0 at n = 0.
     arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in SieveTables.FIELDS}
-    n, lam, lam1 = lambda_support(primes_up_to(N), N)
-    arrays["lam"][n] = lam
-    arrays["lam1"][n] = lam1
-    del n, lam, lam1
     base = primes_up_to(math.isqrt(N))
     for lo in range(1, N + 1, DEFAULT_SEGMENT_SIZE):
         hi = min(lo + DEFAULT_SEGMENT_SIZE - 1, N)
@@ -129,9 +121,10 @@ def _check_memory(need: int, what: str) -> None:
 
 
 def lambda_support(primes: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, lam, lam1): every prime power n <= N ascending, with the von
-    Mangoldt function lam(n) = log p and lam1(n) = phi(n)/n * lam(n), where
-    ``primes`` holds every prime <= N ascending (larger ones are ignored).
+    """(n, lam, lam1): every power n <= N of the given primes ascending, with
+    the von Mangoldt function lam(n) = log p and lam1(n) = phi(n)/n * lam(n).
+    ``primes`` is ascending and holds every prime <= N for the whole support
+    (larger ones are ignored).
 
     This is the only code that computes Lambda.  lam1 is ((n - n // p) / n)
     * log p at every n = p^k; at n = p that is ((p - 1) / p) * log p, the
@@ -210,10 +203,15 @@ def _fill_mu_phi(spf: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> None:
 
 
 def lambda1_at(tables: SieveTables, n: int) -> float:
-    """phi(n)/n * log p at prime powers n = p^k, zero elsewhere."""
+    """phi(n)/n * log p at prime powers n = p^k, zero elsewhere: the
+    ``lambda_support`` of the one prime spf(n) up to n, whose last entry is
+    n exactly when n is a power of spf(n)."""
     if not 1 <= n <= tables.bound:
         raise ValueError(f"n={n} outside table bound 1..{tables.bound}")
-    return float(tables.lam1[n])
+    if n == 1:
+        return 0.0
+    pk, _, lam1 = lambda_support(tables.spf[n : n + 1], n)
+    return float(lam1[-1]) if pk[-1] == n else 0.0
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -245,17 +243,15 @@ def sigma_table(n: int) -> np.ndarray:
 def _dump_parts(tables: LambdaTables | SieveTables) -> Iterator[bytes | np.ndarray]:
     """The dump in order: the 16-byte header (the kind's magic, format
     version, bound), then each array of the kind's fields, not copied when
-    already in its dtype, then for a kind with ``CRC32`` the <u4 crc32 of
-    all the bytes before it."""
-    parts = [tables.MAGIC + struct.pack("<IQ", tables.VERSION, tables.bound)]
-    parts += [np.ascontiguousarray(getattr(tables, name), dtype=dt)
-              for name, dt in tables.FIELDS]
-    yield from parts
-    if tables.CRC32:
-        crc = 0
-        for part in parts:
-            crc = zlib.crc32(part, crc)
-        yield struct.pack("<I", crc)
+    already in its dtype, then the <u4 crc32 of all the bytes before it."""
+    header = tables.MAGIC + struct.pack("<IQ", tables.VERSION, tables.bound)
+    crc = zlib.crc32(header)
+    yield header
+    for name, dt in tables.FIELDS:
+        arr = np.ascontiguousarray(getattr(tables, name), dtype=dt)
+        crc = zlib.crc32(arr, crc)
+        yield arr
+    yield struct.pack("<I", crc)
 
 
 def save_tables(tables: LambdaTables | SieveTables, path: str) -> None:
@@ -278,11 +274,13 @@ def save_tables(tables: LambdaTables | SieveTables, path: str) -> None:
 
 
 def load_tables(path: str) -> LambdaTables | SieveTables:
-    """Read a ``save_tables`` dump as the kind its magic names: the arrays of
-    ``SieveTables``, or the primes of ``LambdaTables`` once their crc32 is
-    checked.  Raises
-    DamagedDumpError for a dump that ends early or fails its crc32 check
-    and ValueError for any other file that is not a dump of this version."""
+    """Read a ``save_tables`` dump as the kind its magic names, once its
+    length and crc32 are checked: each field of ``SieveTables`` has bound + 1
+    entries, and the primes of ``LambdaTables`` fill the rest of the file
+    (a partial prime means a truncated file).
+    Raises DamagedDumpError for a dump of the wrong length or one that fails
+    its crc32 check, and ValueError for any other file that is not a dump of
+    this version."""
     with open(path, "rb") as f:
         header = f.read(16)
         cls = {c.MAGIC: c for c in (SieveTables, LambdaTables)}.get(header[:4])
@@ -293,25 +291,21 @@ def load_tables(path: str) -> LambdaTables | SieveTables:
         version, bound = struct.unpack("<IQ", header[4:])
         if version != cls.VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        if cls is LambdaTables:
-            body = np.fromfile(f, dtype=np.uint8)
-        else:
-            arrays = {}
-            for name, dt in cls.FIELDS:
-                arr = np.fromfile(f, dtype=dt, count=bound + 1)
-                if arr.size != bound + 1:
-                    raise DamagedDumpError(f"{path}: truncated table dump")
-                arr.flags.writeable = False
-                arrays[name] = arr
-            return cls(bound=int(bound), **arrays)
-    # The primes as <i8, then the crc32 of the header and the primes.
-    if body.size < 4 or (body.size - 4) % 8:
-        raise DamagedDumpError(f"{path}: truncated table dump")
-    if zlib.crc32(body[:-4], zlib.crc32(header)) != int(body[-4:].view("<u4")[0]):
-        raise DamagedDumpError(f"{path}: table dump fails its crc32 check")
-    primes = body[:-4].view("<i8")
-    primes.flags.writeable = False
-    return LambdaTables(bound=int(bound), primes=primes)
+        rest = os.fstat(f.fileno()).st_size - 16 - 4
+        width = sum(np.dtype(dt).itemsize for _, dt in cls.FIELDS)
+        count = bound + 1 if cls is SieveTables else -(-rest // width)
+        if rest != count * width:
+            flaw = "truncated" if rest < count * width else "overlong"
+            raise DamagedDumpError(f"{path}: {flaw} table dump")
+        crc, arrays = zlib.crc32(header), {}
+        for name, dt in cls.FIELDS:
+            arr = np.fromfile(f, dtype=dt, count=count)
+            crc = zlib.crc32(arr, crc)
+            arr.flags.writeable = False
+            arrays[name] = arr
+        if f.read(4) != struct.pack("<I", crc):
+            raise DamagedDumpError(f"{path}: table dump fails its crc32 check")
+    return cls(bound=int(bound), **arrays)
 
 
 def table_checksum(tables: LambdaTables | SieveTables) -> str:

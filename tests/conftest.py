@@ -1,5 +1,6 @@
 """Shared sieve fixtures, built once per session."""
 
+import numpy as np
 import pytest
 
 from ramabel import build_sieve
@@ -20,3 +21,27 @@ def tables_big():
     # Large enough for N = 10^6 means, tuple offsets, and the linear pair
     # (1, 2, 1) which reaches 2N + 1.
     return build_sieve(2_000_020)
+
+
+def _dense_lambda(tables):
+    """(lam, lam1): dense Lambda and Lambda_1 over 0..bound of full tables,
+    from spf alone.  n >= 2 is a prime power exactly when dividing out
+    p = spf(n) leaves 1; there lam = log p and lam1 = ((n - n // p) / n) * lam,
+    the float formulas of ``lambda_support``; elsewhere both are 0."""
+    spf = tables.spf
+    rest = np.arange(tables.bound + 1)
+    live = rest[2:]
+    while live.size:
+        live = live[rest[live] % spf[live] == 0]
+        rest[live] //= spf[live]
+    n = np.flatnonzero(rest == 1)[1:]  # drop n = 1
+    lam, lam1 = np.zeros(tables.bound + 1), np.zeros(tables.bound + 1)
+    lam[n] = np.log(spf[n].astype(np.float64))
+    lam1[n] = ((n - n // spf[n]) / n) * lam[n]
+    return lam, lam1
+
+
+@pytest.fixture(scope="session")
+def dense_lambda():
+    """The dense-reference function: ``dense_lambda(tables) -> (lam, lam1)``."""
+    return _dense_lambda

@@ -1,6 +1,7 @@
 """CLI subcommands, exercised in-process through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -167,6 +168,17 @@ class TestSubcommandCoverage:
                    "--n", "1000") == 0
         assert read_manifest(tmp_path, "conjd")["sieve_bound"] == 1001
 
+    def test_conjd_large_prime_a(self, tmp_path, capsys):
+        # a = 10^16 + 61 is prime: its factoring takes milliseconds, not the
+        # 10^8 steps of trial division.
+        start = time.perf_counter()
+        assert run(tmp_path, "conjd", "--a", "10000000000000061", "--b", "2", "--l", "1",
+                   "--n", "10") == 0
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().out == (
+            "conjecture_d_mean(a=10000000000000061,b=2,l=1,w=lambda1): "
+            "empirical=0 predicted=1.32032372118e-16\n")
+
     def test_tuple(self, tmp_path):
         assert run(tmp_path, "tuple", "--offsets", "0,2,6", "--n", "20000") == 0
         lines = (tmp_path / "tuple.csv").read_text().splitlines()
@@ -186,7 +198,7 @@ class TestTableCache:
         fresh = capsys.readouterr().out
         assert run(tmp_path, "sieve", "--n", "1000") == 0
         assert capsys.readouterr().out == fresh
-        cached = load_tables(str(tmp_path / "cache" / "tables_N1000_v1.bin"))
+        cached = load_tables(str(tmp_path / "cache" / "tables_N1000_v2.bin"))
         assert f"checksum={table_checksum(cached)}" in fresh
 
     def test_truncated_cache_file_is_rebuilt(self, tmp_path, capsys):
@@ -233,15 +245,15 @@ class TestTableCache:
         assert run(tmp_path, "pnt", "--n", "1000") == 2
         assert path.read_bytes() == data
 
-    def test_old_lambda_dump_is_ignored(self, tmp_path):
+    def test_old_lambda_dump_is_ignored(self, tmp_path, dense_lambda):
         # A dense dump of format 1, the Lambda cache file before format 2.
         fresh = tmp_path / "fresh"
         assert main(["--out", str(fresh), "pnt", "--n", "1000"]) == 0
         old = tmp_path / "cache" / "lambda_N1000_v1.bin"
         old.parent.mkdir()
-        t = build_sieve(1000)
+        lam, lam1 = dense_lambda(build_sieve(1000))
         old.write_bytes(b"RMLA" + (1).to_bytes(4, "little") + (1000).to_bytes(8, "little")
-                        + t.lam.tobytes() + t.lam1.tobytes())
+                        + lam.tobytes() + lam1.tobytes())
         before = old.read_bytes()
         assert run(tmp_path, "pnt", "--n", "1000") == 0
         assert (tmp_path / "pnt.csv").read_bytes() == (fresh / "pnt.csv").read_bytes()
@@ -249,9 +261,60 @@ class TestTableCache:
         assert sorted(p.name for p in old.parent.iterdir()) == [
             "lambda_N1000_v1.bin", "lambda_N1000_v2.bin"]
 
+    # The 17,037-byte dump at N = 1000: header, spf from byte 16, mu from
+    # 8,024, phi from 9,025, crc32 from 17,033.  Bit 0 of the bound (1000 ->
+    # 1001) makes the length wrong; a bit of spf(97), of mu(30) and of
+    # phi(100), the top bit of the trailer and a cut in half are each found
+    # by the length or the crc32 check.
+    @pytest.mark.parametrize("byte, bit", [
+        (8, 0), (16 + 8 * 97, 1), (8024 + 30, 0), (9025 + 8 * 100 + 1, 3), (-1, 7), (None, None),
+    ], ids=["header", "spf", "mu", "phi", "trailer", "truncated"])
+    def test_damaged_full_dump_is_rebuilt(self, tmp_path, capsys, byte, bit):
+        assert main(["--out", str(tmp_path / "fresh"), "sieve", "--n", "1000"]) == 0
+        fresh = capsys.readouterr().out
+        path = tmp_path / "cache" / "tables_N1000_v2.bin"
+        assert run(tmp_path, "sieve", "--n", "1000") == 0
+        data = bytearray(path.read_bytes())
+        assert len(data) == 17_037
+        if byte is None:
+            del data[len(data) // 2 :]
+        else:
+            data[byte] ^= 1 << bit
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert run(tmp_path, "sieve", "--n", "1000") == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("warning:") and "rebuilding it" in err
+        assert out == fresh
+        assert f"checksum={table_checksum(load_tables(str(path)))}" in fresh
+
+    # The magic and the version name the file's format, so a flip there
+    # makes a file of another format: left alone, exit 2.
+    @pytest.mark.parametrize("byte", [0, 4])
+    def test_flipped_bit_in_full_magic_or_version_is_kept(self, tmp_path, byte):
+        assert run(tmp_path, "sieve", "--n", "1000") == 0
+        path = tmp_path / "cache" / "tables_N1000_v2.bin"
+        data = bytearray(path.read_bytes())
+        data[byte] ^= 1
+        path.write_bytes(data)
+        assert run(tmp_path, "sieve", "--n", "1000") == 2
+        assert path.read_bytes() == data
+
+    def test_old_full_dump_is_ignored(self, tmp_path, capsys):
+        # A full dump of format 1 in the cache directory is never opened.
+        assert main(["--out", str(tmp_path / "fresh"), "sieve", "--n", "1000"]) == 0
+        fresh = capsys.readouterr().out
+        old = tmp_path / "cache" / "tables_N1000_v1.bin"
+        old.parent.mkdir()
+        old.write_bytes(b"RMBL" + (1).to_bytes(4, "little") + (1000).to_bytes(8, "little"))
+        assert run(tmp_path, "sieve", "--n", "1000") == 0
+        assert capsys.readouterr().out == fresh
+        assert sorted(p.name for p in old.parent.iterdir()) == [
+            "tables_N1000_v1.bin", "tables_N1000_v2.bin"]
+
     @pytest.mark.parametrize("content", [
         b"not a table dump",
-        b"RMBL\x02\x00\x00\x00" + bytes(8),
+        b"RMBL\x01\x00\x00\x00" + bytes(8),
         None,  # a good dump of another bound
     ])
     def test_foreign_cache_file_is_kept(self, tmp_path, content):
@@ -293,7 +356,7 @@ class TestTableCache:
 
     def test_sieve_caches_full_tables(self, tmp_path):
         assert run(tmp_path, "sieve", "--n", "1000") == 0
-        path = tmp_path / "cache" / "tables_N1000_v1.bin"
+        path = tmp_path / "cache" / "tables_N1000_v2.bin"
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
         assert type(load_tables(str(path))) is SieveTables
 

@@ -17,6 +17,7 @@ from ramabel import (
     cq_mean,
     cq_orthogonality,
     goldbach_correlation,
+    lambda1_at,
     odd_gap_mean,
     pair_autocorrelation,
     pnt_mean,
@@ -51,9 +52,10 @@ def _dense_array_trace(vals, ns):
     return trace
 
 
-def _direct_conjd_trace(tables, a, b, l, N, weight):
-    """Reference: the direct modular filter over n = 1..N."""
-    w = tables.lam if weight == "lambda" else tables.lam1
+def _direct_conjd_trace(dense, a, b, l, N, weight):
+    """Reference: the direct modular filter over n = 1..N of the dense
+    (lam, lam1)."""
+    w = dense[0] if weight == "lambda" else dense[1]
     ns = np.arange(1, N + 1, dtype=np.int64)
     t = b * ns + l
     hit = t % a == 0
@@ -96,10 +98,11 @@ class TestSparseMatchesDense:
     as the CLI builds them, against the dense products of the full tables."""
 
     @pytest.mark.parametrize("N", [1, 2, 3, 10, 1000, 99_999])
-    def test_means(self, tables, N):
+    def test_means(self, tables, dense_lambda, N):
         ns = _checkpoint_ns(N)
+        lam, lam1 = dense = dense_lambda(tables)
         pnt = pnt_mean(build_sieve(N, lambda_only=True), N)
-        assert pnt.trace == _dense_array_trace(tables.lam1[1 : N + 1], ns)
+        assert pnt.trace == _dense_array_trace(lam1[1 : N + 1], ns)
         for a, b, l in [(1, 1, 1), (1, 1, 2), (1, 1, 30), (1, 2, 1), (3, 2, 1), (2, 5, 3)]:
             lt = build_sieve(max(N, (b * N + l) // a), lambda_only=True)
             for weight in ("lambda", "lambda1"):
@@ -107,11 +110,11 @@ class TestSparseMatchesDense:
                     rep = pair_autocorrelation(lt, l, N, P=10**3, weight=weight)
                 else:
                     rep = conjecture_d_mean(lt, a, b, l, N, P=10**3, weight=weight)
-                assert rep.trace == _direct_conjd_trace(tables, a, b, l, N, weight)
+                assert rep.trace == _direct_conjd_trace(dense, a, b, l, N, weight)
         for offsets in [(0, 2), (0, 2, 6), (0, 4, 6, 10)]:
             rep = tuple_mean(build_sieve(N + offsets[-1], lambda_only=True),
                              TupleSpec.from_offsets(offsets), N, P=10**3)
-            for got, w in ((rep.lambda_weighted, tables.lam), (rep.lambda1_weighted, tables.lam1)):
+            for got, w in ((rep.lambda_weighted, lam), (rep.lambda1_weighted, lam1)):
                 vals = w[1 : N + 1].copy()
                 for off in offsets[1:]:
                     vals *= w[1 + off : N + 1 + off]
@@ -240,7 +243,7 @@ class TestPairAutocorrelation:
         # N = 10, gap 2: nonzero products at (2,4),(3,5),(5,7),(7,9),(9,11)
         N, h = 10, 2
         want = sum(
-            float(tables_small.lam1[n]) * float(tables_small.lam1[n + h])
+            lambda1_at(tables_small, n) * lambda1_at(tables_small, n + h)
             for n in range(1, N + 1)
         ) / N
         rep = pair_autocorrelation(tables_small, h, N)
@@ -265,7 +268,7 @@ class TestOddGapMean:
     def test_small_enumeration(self, tables_small):
         N, h = 10, 1
         want = sum(
-            float(tables_small.lam1[n]) * float(tables_small.lam1[n + h])
+            lambda1_at(tables_small, n) * lambda1_at(tables_small, n + h)
             for n in range(1, N + 1)
         ) / N
         rep = odd_gap_mean(tables_small, h, N)
@@ -313,12 +316,12 @@ class TestConjectureDMean:
         with pytest.raises(ValueError, match=f"index {bound + 1} .* table bound {bound}"):
             conjecture_d_mean(tables_small, a, 2, 1, bound + 1)
 
-    def test_modulus_beyond_int64(self, tables_small):
+    def test_modulus_beyond_int64(self, tables_small, dense_lambda):
         # a = 3^40 > 2^63 divides 4 n + l only for n = 2 mod a, and
         # (4 * 2 + l)/a = 7: one summand, w(2) w(7), from n = 2 on.
         a = 3**40
         rep = conjecture_d_mean(tables_small, a, 4, 7 * a - 8, 10, P=10**3)
-        w = tables_small.lam1
+        w = dense_lambda(tables_small)[1]
         assert rep.trace == [(k, 0.0 if k < 2 else w[2] * w[7] / k) for k in range(1, 11)]
 
     @given(
@@ -331,14 +334,15 @@ class TestConjectureDMean:
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_direct_modular_filter(self, tables_small, abl, weight, data):
+    def test_matches_direct_modular_filter(self, tables_small, dense_lambda, abl, weight,
+                                           data):
         a, b, l = abl
         # Largest N whose indices n and (b N + l) // a stay within the table.
         n_max = min(tables_small.bound, (a * (tables_small.bound + 1) - 1 - l) // b)
         # N in 1..a often falls below the first qualifying n, so no n counts.
         N = data.draw(st.one_of(st.integers(1, a), st.integers(1, n_max)), label="N")
         rep = conjecture_d_mean(tables_small, a, b, l, N, P=10**3, weight=weight)
-        assert rep.trace == _direct_conjd_trace(tables_small, a, b, l, N, weight)
+        assert rep.trace == _direct_conjd_trace(dense_lambda(tables_small), a, b, l, N, weight)
 
     def test_root_of_unity_indicator_identity(self):
         # (1/a) sum_{k=0}^{a-1} e^{2 pi i k t / a} is 1 when a | t else 0;

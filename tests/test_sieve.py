@@ -5,17 +5,21 @@ import hashlib
 import math
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+import ramabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
     LambdaTables,
     ResourceLimitError,
+    SieveTables,
     build_sieve,
     lambda1_at,
     load_tables,
@@ -84,26 +88,40 @@ def sieve_windows(draw):
 
 
 class TestBuildSieve:
-    def test_identity_case(self):
+    def test_identity_case(self, dense_lambda):
         t = build_sieve(1)
         assert t.mu[1] == 1
         assert t.phi[1] == 1
-        assert t.lam[1] == 0.0
+        assert dense_lambda(t)[0][1] == 0.0
 
-    def test_small_von_mangoldt(self):
-        t = build_sieve(10)
-        assert t.lam[8] == pytest.approx(math.log(2), rel=0, abs=1e-15)
-        assert t.lam[9] == pytest.approx(math.log(3), rel=0, abs=1e-15)
-        assert t.lam[10] == 0.0
+    def test_small_von_mangoldt(self, dense_lambda):
+        lam, _ = dense_lambda(build_sieve(10))
+        assert lam[8] == pytest.approx(math.log(2), rel=0, abs=1e-15)
+        assert lam[9] == pytest.approx(math.log(3), rel=0, abs=1e-15)
+        assert lam[10] == 0.0
 
     def test_lambda1_at_nine(self):
         t = build_sieve(10)
-        assert t.lam1[9] == (6.0 / 9.0) * np.log(np.float64(3))
-        assert t.lam1[9] == pytest.approx(0.7324082, abs=5e-8)
+        assert lambda1_at(t, 9) == (6.0 / 9.0) * np.log(np.float64(3))
+        assert lambda1_at(t, 9) == pytest.approx(0.7324082, abs=5e-8)
 
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             build_sieve(0)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_bytes_per_entry_covers_build(self):
+        # The peak RSS rise of a full build in a fresh process, per entry,
+        # is within the footprint the memory check assumes.  VmHWM starts
+        # afresh at exec, where ru_maxrss keeps the peak of the forked parent.
+        code = ("import re; from ramabel import build_sieve; "
+                "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
+                "open('/proc/self/status').read())[1]); "
+                "h0 = hwm(); build_sieve(4 * 10**6); print(hwm() - h0)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ramabel.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) * 1024 / (4 * 10**6 + 1) <= SieveTables.BYTES_PER_ENTRY
 
     def test_memory_budget_error_names_budget(self):
         # 64 * 10^15 bytes is over any machine's memory; the check raises
@@ -114,16 +132,17 @@ class TestBuildSieve:
         assert str(10**15) in str(exc.value)
         assert str(budget) in str(exc.value)
 
-    def test_primes_agree_with_trial_division(self, tables_small):
+    def test_primes_agree_with_trial_division(self, tables_small, dense_lambda):
         def is_prime(n):
             return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
+        lam, _ = dense_lambda(tables_small)
         for p in range(2, 200):
             if is_prime(p):
                 assert tables_small.spf[p] == p
                 assert tables_small.mu[p] == -1
                 assert tables_small.phi[p] == p - 1
-                assert tables_small.lam[p] == pytest.approx(math.log(p))
+                assert lam[p] == pytest.approx(math.log(p))
 
     def test_totient_divisor_sum(self, tables_small):
         rng = random.Random(1)
@@ -147,19 +166,20 @@ class TestBuildSieve:
         for N in (10, 100, 1000, 10_000):
             assert abs(int(mu[1 : N + 1].sum())) <= N / 2
 
-    def test_chebyshev_sanity(self, tables_big):
+    def test_chebyshev_sanity(self, tables_big, dense_lambda):
         N = 10**6
-        mean = float(tables_big.lam[1 : N + 1].mean())
+        mean = float(dense_lambda(tables_big)[0][1 : N + 1].mean())
         assert 0.9 <= mean <= 1.1
 
-    # SHA-256 of the RMBL dump; any changed byte of any table fails.
+    # SHA-256 of the RMBL dump of format 2: header, spf, mu, phi and crc32.
+    # Any changed byte of any table fails.
     DIGESTS = {
-        1: "57ea9acd9b2fed635aff991d9a2782052b3edec90c7bd5821dcbb1ef088b1a93",
-        2: "dfce17bd43fc6288f979ca3520f465f345d5150ca45ff065ee02c246b600b6a7",
-        10: "1900ed9e3d9fefbd7e1b8bd374e1fc95c4c4deb400d302e3712477d6e2061efe",
-        10_000: "b056392414c5b8af93aae5b9c4678887442244c3afa0bf3014a51775e7933120",
-        300_000: "42584e9a7da81fc66ff44e5f6bf3e427d7e9dc3803173a6b62869a2746442e14",
-        2_000_020: "8d54a531e18c9b5cd1ef85ac003c88a7c0491812cd231baa59ef82ce2b16ea4e",
+        1: "8af22dea1f7ec1214692e375444eb440bd81ec337176b3598b3aaa368993c071",
+        2: "b3b4e39cbf37d8198e4faa849936f897050fa844b93ba5b7c80b5ea6e4d0f261",
+        10: "5674fd4ee3e0fff941c8c1bbbb771e24485918e4d756fc8d14ae2062100f5b28",
+        10_000: "3b7f5e21909061c3e2a108b65f40f1fc35a15ef8dd0f3a055d12fe2e41a07605",
+        300_000: "2d6d01249a02467ff3055475e1ad1978d2c578d9eea63d908f7c6870c98accf3",
+        2_000_020: "213c1c33e1460812330a37c292d0dac39122c796dd06c34d8d5726a33df74174",
     }
 
     @pytest.mark.parametrize("N", sorted(DIGESTS))
@@ -244,38 +264,39 @@ class TestLambdaKernel:
         assert p.tolist() == [2, 2, 3, 2, 5, 3, 2, 7, 2, 3]
 
 
-def assert_lambda_identical(tables, full):
+def assert_lambda_identical(tables, dense):
     """The support of Lambda from ``tables``' primes, scattered into zeros,
-    is the full build's lam and lam1 byte for byte."""
-    assert tables.bound == full.bound
+    is ``dense``, the reference (lam, lam1) from a full build's spf, byte
+    for byte."""
+    assert tables.bound + 1 == dense[0].size
     n, lam_n, lam1_n = lambda_support(tables.primes, tables.bound)
-    lam = np.zeros(full.bound + 1)
-    lam1 = np.zeros(full.bound + 1)
+    lam = np.zeros(tables.bound + 1)
+    lam1 = np.zeros(tables.bound + 1)
     lam[n] = lam_n
     lam1[n] = lam1_n
-    assert lam.tobytes() == full.lam.tobytes()
-    assert lam1.tobytes() == full.lam1.tobytes()
+    assert lam.tobytes() == dense[0].tobytes()
+    assert lam1.tobytes() == dense[1].tobytes()
 
 
 class TestLambdaTables:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 10, 100, 10_000, 300_000, 2_000_020])
-    def test_byte_identical_to_full_build(self, request, tmp_path, N):
-        full = full_tables(request, N)
+    def test_byte_identical_to_full_build(self, request, tmp_path, dense_lambda, N):
+        dense = dense_lambda(full_tables(request, N))
         t = build_sieve(N, lambda_only=True)
         assert type(t) is LambdaTables
-        assert_lambda_identical(t, full)
+        assert_lambda_identical(t, dense)
         with pytest.raises(ValueError):
             t.primes[:] = 0
         path = tmp_path / "lambda.bin"
         save_tables(t, str(path))
         back = load_tables(str(path))
         assert type(back) is LambdaTables
-        assert_lambda_identical(back, full)
+        assert_lambda_identical(back, dense)
         assert not back.primes.flags.writeable
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
-    def test_build_load_and_full_build_agree(self, tmp_path_factory, data):
+    def test_build_load_and_full_build_agree(self, tmp_path_factory, dense_lambda, data):
         # N anywhere up to 600,000, or next to a segment edge k * 2^18 or
         # next to a square p^2, where the fill's segments and prime powers
         # change.
@@ -287,9 +308,9 @@ class TestLambdaTables:
         t = build_sieve(N, lambda_only=True)
         path = tmp_path_factory.mktemp("dump") / "lambda.bin"
         save_tables(t, str(path))
-        full = build_sieve(N)
-        assert_lambda_identical(t, full)
-        assert_lambda_identical(load_tables(str(path)), full)
+        dense = dense_lambda(build_sieve(N))
+        assert_lambda_identical(t, dense)
+        assert_lambda_identical(load_tables(str(path)), dense)
 
     # SHA-256 of the RMLA dump: header, primes and crc32.
     DIGESTS = {
@@ -320,6 +341,11 @@ class TestLambda1At:
         with pytest.raises(ValueError):
             lambda1_at(tables_small, tables_small.bound + 1)
 
+    def test_matches_dense_reference(self, tables_small, dense_lambda):
+        lam1 = dense_lambda(tables_small)[1]
+        for n in range(1, tables_small.bound + 1):
+            assert lambda1_at(tables_small, n) == lam1[n], n
+
     def test_prime_power_formula(self, tables_small):
         for p, k in [(2, 5), (3, 3), (7, 2), (101, 1)]:
             n = p**k
@@ -336,14 +362,12 @@ class TestDumpRestore:
         assert np.array_equal(back.mu, tables_small.mu)
         assert np.array_equal(back.phi, tables_small.phi)
         assert np.array_equal(back.spf, tables_small.spf)
-        assert np.array_equal(back.lam, tables_small.lam)
-        assert np.array_equal(back.lam1, tables_small.lam1)
         assert table_checksum(back) == table_checksum(tables_small)
 
     def test_failed_save_leaves_no_file(self, tmp_path, tables_small):
-        # lam1 cannot be cast to float, so the save fails before the dump
-        # is complete.
-        bad = dataclasses.replace(tables_small, lam1=np.array(["x"], dtype=object))
+        # phi cannot be cast to int, so the save fails before the dump is
+        # complete.
+        bad = dataclasses.replace(tables_small, phi=np.array(["x"], dtype=object))
         path = tmp_path / "tables.bin"
         with pytest.raises(ValueError):
             save_tables(bad, str(path))
@@ -352,7 +376,7 @@ class TestDumpRestore:
     def test_failed_save_keeps_previous_file(self, tmp_path, tables_small):
         path = tmp_path / "tables.bin"
         save_tables(tables_small, str(path))
-        bad = dataclasses.replace(tables_small, lam1=np.array(["x"], dtype=object))
+        bad = dataclasses.replace(tables_small, phi=np.array(["x"], dtype=object))
         with pytest.raises(ValueError):
             save_tables(bad, str(path))
         assert list(tmp_path.iterdir()) == [path]
@@ -375,6 +399,30 @@ class TestDumpRestore:
         with pytest.raises(ValueError, match="crc32"):
             load_tables(str(path))
 
+    def test_full_layout(self, tmp_path):
+        # Header, spf <i8, mu <i1, phi <i8 over 0..100, crc32 of all as <u4.
+        t = build_sieve(100)
+        path = tmp_path / "tables.bin"
+        save_tables(t, str(path))
+        data = path.read_bytes()
+        assert len(data) == 16 + 17 * 101 + 4
+        assert data[:16] == b"RMBL" + (2).to_bytes(4, "little") + (100).to_bytes(8, "little")
+        assert data[16:-4] == (t.spf.astype("<i8").tobytes() + t.mu.astype("<i1").tobytes()
+                               + t.phi.astype("<i8").tobytes())
+        assert data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little")
+        assert table_checksum(t) == hashlib.sha256(data).hexdigest()
+        back = load_tables(str(path))
+        assert type(back) is SieveTables
+        assert all(not getattr(back, name).flags.writeable for name in ("spf", "mu", "phi"))
+        data = bytearray(data)
+        data[16 + 8 * 101 + 30] ^= 1  # mu(30)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="crc32"):
+            load_tables(str(path))
+        path.write_bytes(bytes(data) + b"\0")
+        with pytest.raises(ValueError, match="overlong"):
+            load_tables(str(path))
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a table dump")
@@ -382,14 +430,15 @@ class TestDumpRestore:
             load_tables(str(path))
 
     # Dump prefixes: empty, cut inside the header, the header alone, cut
-    # inside the first and inside the last of the 330,049-byte dump's arrays.
+    # inside the first and inside the last array of the 340,037-byte dump at
+    # N = 20,000 (spf ends at byte 160,024, mu at 180,025, phi at 340,033).
     @pytest.mark.parametrize("keep, message", [
         (0, "bad magic"), (6, "truncated"), (16, "truncated"),
         (40_000, "truncated"), (330_000, "truncated"),
     ])
-    def test_rejects_truncated(self, tmp_path, tables_small, keep, message):
+    def test_rejects_truncated(self, tmp_path, keep, message):
         path = tmp_path / "tables.bin"
-        save_tables(tables_small, str(path))
+        save_tables(build_sieve(20_000), str(path))
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match=message):
             load_tables(str(path))

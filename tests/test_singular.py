@@ -16,8 +16,10 @@ from ramabel import (
     tuple_constant,
     twin_constant,
 )
+from ramabel import singular
 from ramabel.singular import (
     TWIN_CONSTANT_REFERENCE,
+    _prime_factors,
     check_admissible,
     distinct_residues,
     validate_linear_pair,
@@ -78,6 +80,70 @@ class TestPairConstant:
     def test_rejects_odd_gap(self):
         with pytest.raises(ValueError):
             pair_constant(3, 100)
+
+
+def _trial_factors(n):
+    """Reference: (p, e) by trial division over every d >= 2."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + ([(n, 1)] if n > 1 else [])
+
+
+def _next_prime(n):
+    """The least prime >= n, for 2 <= n < 10^10."""
+    small = primes_up_to(10**5)
+    while (n % small[small < n] == 0).any():
+        n += 1
+    return n
+
+
+class TestPrimeFactors:
+    @given(st.integers(-10**7, 10**7).filter(bool))
+    @settings(max_examples=500, deadline=None)
+    @example(1)
+    @example(2**23)
+    @example(1021 * 1031)  # the primes either side of the trial cutoff 2^10
+    @example(1031**2)
+    @example(1031 * 1039)  # rho's first batch reaches both factors: retraced
+    @example(9_999_991)
+    def test_matches_trial_division(self, n):
+        assert _prime_factors(n) == _trial_factors(abs(n))
+
+    # Two primes near 10^9, or one squared: the cofactor after trial
+    # division is composite, split by rho.
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    @settings(max_examples=60, deadline=None)
+    @example(0, 0)
+    def test_products_of_primes_near_1e9(self, dp, dq):
+        p, q = sorted((_next_prime(10**9 + dp), _next_prime(10**9 + dq)))
+        assert _prime_factors(p * q) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
+
+    @pytest.mark.parametrize("n, factors", [
+        (10**16 + 61, [(10**16 + 61, 1)]),
+        (2**64 - 1, [(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)]),
+        (4294967279 * 4294967291, [(4294967279, 1), (4294967291, 1)]),
+        # A strong pseudoprime to the bases 2 to 23 (Jaeschke, 1993).
+        (3825123056546413051, [(149491, 1), (747451, 1), (34233211, 1)]),
+    ])
+    def test_large_n_is_fast(self, n, factors):
+        start = time.perf_counter()
+        assert _prime_factors(n) == factors
+        assert time.perf_counter() - start < 0.5
+
+    def test_pseudoprime_beyond_the_proven_range(self, monkeypatch):
+        # 25326001 = 2251 * 11251 is the least strong pseudoprime to the
+        # bases 2, 3 and 5, so Miller-Rabin to those bases is proven only
+        # below it; at and above the limit trial division decides.
+        monkeypatch.setattr(singular, "_MR_BASES", (2, 3, 5))
+        monkeypatch.setattr(singular, "_MR_LIMIT", 25326001)
+        assert _prime_factors(25326001) == [(2251, 1), (11251, 1)]
+        assert _prime_factors(25326023) == [(25326023, 1)]
 
 
 class TestLinearPairValidation:
@@ -265,3 +331,13 @@ class TestSeriesConstant:
         got = series_wk(tables, 10**8, 1000)
         assert time.perf_counter() - start < 1.0
         assert got.tail_estimate == 1097851.0004
+
+    def test_series_wk_large_prime_gap_is_fast(self):
+        # h = 10^16 + 61 is prime, so sigma(h) = h + 1, from Miller-Rabin
+        # rather than 10^8 trial divisors.
+        tables = build_sieve(1000)
+        h = 10**16 + 61
+        start = time.perf_counter()
+        got = series_wk(tables, h, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert got.tail_estimate == (h + 1) * 4.4 / 1000

@@ -2,8 +2,9 @@
 
 A renamed kernel or table function would leave its span empty and zero the
 per-layer metrics without any error, so each correlation command, the
-`sieve` command, a cache save then load and an Euler product are run under
-perfbench/tracer.py and their spans are checked by name.
+`sieve` command, a cache save then load of each table kind and an Euler
+product are run under perfbench/tracer.py and their spans are checked by
+name.
 """
 
 import json
@@ -66,6 +67,15 @@ def test_tracer_records_cache_save_then_load(tmp_path):
     assert {"sieve.build_sieve", "sieve.save_tables"} <= first, first
     second = trace(tmp_path, *argv)
     assert "sieve.load_tables" in second, second
+    assert "sieve.build_sieve" not in second, second
+
+
+def test_tracer_records_full_cache_save_then_load(tmp_path):
+    argv = ("sieve", "--n", "500", "--cache", str(tmp_path / "tables.bin"))
+    first = trace(tmp_path, *argv)
+    assert {"sieve.build_sieve", "sieve.save_tables", "sieve.table_checksum"} <= first, first
+    second = trace(tmp_path, *argv)
+    assert {"sieve.load_tables", "sieve.table_checksum"} <= second, second
     assert "sieve.build_sieve" not in second, second
 
 
