@@ -82,7 +82,7 @@ def _get_tables(bound: int, cache_dir: str | None, path: str | None = None,
     bounds a build costs about a load, and no damaged file reaches a result.
 
     The file is ``path`` if given, else ``<cache_dir>/lambda_N{bound}_v2.bin``
-    for Lambda tables and ``<cache_dir>/tables_N{bound}_v2.bin`` for full
+    for Lambda tables and ``<cache_dir>/tables_N{bound}_v3.bin`` for full
     ones: the suffix is the kind's dump format version, so older formats are
     never opened.  An existing file is loaded and must hold that kind at
     ``bound``; a dump of the wrong length or failing its crc32 check is

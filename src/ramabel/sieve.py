@@ -8,12 +8,12 @@ is the only representation of Lambda: no table holds Lambda densely.  The
 spf kernel gives the smallest prime factor; Moebius mu and Euler phi then
 follow from spf by the recurrence over n = spf(n) * m.
 
-``build_sieve`` makes ``SieveTables``, three dense arrays: spf segment by
-segment from the base primes <= sqrt(N), then mu and phi.  ``LambdaTables``
-hold only the primes, from ``primes_up_to`` or from a dump; the correlation
-means reduce ``lambda_support`` of either kind.  Tables are immutable after
-construction.  Each kind has its own dump format, told apart by the header
-magic, and every dump ends in a crc32 of the bytes before it.
+``build_sieve`` makes ``SieveTables``, three dense arrays of 9 bytes an entry:
+int32 spf segment by segment from the base primes <= sqrt(N), then int8 mu and
+int32 phi.  ``LambdaTables`` hold only the primes, from ``primes_up_to`` or
+from a dump; the correlation means reduce ``lambda_support`` of either kind.
+Tables are immutable.  Each kind has its own dump format, told apart by the
+header magic, and every dump ends in a crc32 of the bytes before it.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ class LambdaTables:
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Immutable arrays indexed by n for 1 <= n <= bound (slot 0 unused):
+    """Immutable arrays indexed by n for 1 <= n <= bound < 2^31 (slot 0 unused):
 
-    spf[n]  smallest prime factor of n (0 for n < 2)
-    mu[n]   Moebius function, values in {-1, 0, 1}
-    phi[n]  Euler totient
+    spf[n]  smallest prime factor of n (0 for n < 2), int32
+    mu[n]   Moebius function, values in {-1, 0, 1}, int8
+    phi[n]  Euler totient, int32; readers widen it before integer products
 
     Lambda is not a table: ``lambda_support`` gives it on the prime powers,
     and ``lambda1_at`` at one n.
@@ -69,17 +69,17 @@ class SieveTables:
     phi: np.ndarray
 
     MAGIC: ClassVar[bytes] = b"RMBL"
-    VERSION: ClassVar[int] = 2
+    VERSION: ClassVar[int] = 3
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
-        ("spf", "<i8"), ("mu", "<i1"), ("phi", "<i8"),
+        ("spf", "<i4"), ("mu", "<i1"), ("phi", "<i4"),
     )
-    BYTES_PER_ENTRY: ClassVar[int] = 20  # build's peak RSS rise: 19.3 at 4*10^6, 17.8 at 10^7
+    BYTES_PER_ENTRY: ClassVar[int] = 11  # build's peak RSS rise: 10.9 at 4*10^6, 9.8 at 10^7
 
     @cached_property
     def primes(self) -> np.ndarray:
         """The primes <= bound, ascending and read-only, as for ``LambdaTables``:
         the n >= 2 that are their own smallest prime factor.  Made on first use."""
-        primes = np.flatnonzero(self.spf[2:] == np.arange(2, self.bound + 1)) + 2
+        primes = np.flatnonzero(self.spf[2:] == np.arange(2, self.bound + 1, dtype=np.int32)) + 2
         primes.flags.writeable = False
         return primes
 
@@ -88,9 +88,9 @@ def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables | SieveTables
     """Build the tables for 1..N: ``SieveTables``, or ``LambdaTables`` from
     ``primes_up_to`` alone when ``lambda_only``.
 
-    Raises ValueError for N < 1 and ResourceLimitError when the tables
-    exceed the machine's physical memory: ``SieveTables`` by their measured
-    footprint, ``LambdaTables`` by the check of ``primes_up_to``.
+    Raises ValueError for N < 1, ResourceLimitError when the tables exceed
+    physical memory (``SieveTables`` by their measured footprint, ``LambdaTables``
+    by ``primes_up_to``), then ValueError for ``SieveTables`` past 2^31 - 1.
     """
     if N < 1:
         raise ValueError(f"sieve bound must be >= 1, got {N}")
@@ -100,6 +100,8 @@ def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables | SieveTables
         return LambdaTables(bound=N, primes=primes)
 
     _check_memory(SieveTables.BYTES_PER_ENTRY * (N + 1), f"sieve bound {N}")
+    if N > np.iinfo(np.int32).max:
+        raise ValueError(f"sieve bound {N} is over the int32 table limit 2^31 - 1")
     # Slot 0 keeps the zeros: every table is 0 at n = 0.
     arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in SieveTables.FIELDS}
     base = primes_up_to(math.isqrt(N))
@@ -130,6 +132,7 @@ def lambda_support(primes: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, 
     * log p at every n = p^k; at n = p that is ((p - 1) / p) * log p, the
     same float, since p - 1 is exact in float64.
     """
+    primes = np.asarray(primes, dtype=np.int64)
     primes = primes[: np.searchsorted(primes, N, "right")]
     pk, p_of = _prime_powers(primes[: np.searchsorted(primes, math.isqrt(N), "right")], N)
     at = np.searchsorted(primes, pk)
@@ -169,14 +172,14 @@ def _prime_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 
 
 def _spf_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """spf for n in [lo, hi], where 1 <= lo <= hi and ``base`` holds every
-    prime p with p * p <= hi.
+    """spf for n in [lo, hi] as int32, where 1 <= lo <= hi < 2^31 and
+    ``base`` holds every prime p with p * p <= hi.
 
     Each n starts as its own spf, right for the primes; the base primes then
     write p at their multiples in descending order, so the smallest prime
     factor of n writes last and no mask is needed.
     """
-    spf = np.arange(lo, hi + 1, dtype=np.int64)
+    spf = np.arange(lo, hi + 1, dtype=np.int32)
     if lo == 1:
         spf[0] = 0  # 1 has no prime factor
     for p, s in zip(base[::-1].tolist(), (-lo % base)[::-1].tolist()):

@@ -1,7 +1,9 @@
 """CLI subcommands, exercised in-process through main(argv)."""
 
 import json
+import os
 import time
+import zlib
 
 import pytest
 
@@ -106,6 +108,16 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "goldbach.csv").exists()
 
+    def test_full_tables_past_int32_exit_two(self, tmp_path, capsys, monkeypatch):
+        # With memory to spare, sieve tables past 2^31 - 1 do not fit int32:
+        # the guard refuses them before anything is allocated.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**40}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        assert run(tmp_path, "sieve", "--n", str(2**31)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sieve bound {2**31} ") and "int32" in err, err
+        assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
     def test_euler_product_over_memory_exit_two(self, tmp_path, capsys):
         # The primes up to 10^15 need far more than any machine's memory;
         # primes_up_to says so before it sieves.
@@ -198,7 +210,7 @@ class TestTableCache:
         fresh = capsys.readouterr().out
         assert run(tmp_path, "sieve", "--n", "1000") == 0
         assert capsys.readouterr().out == fresh
-        cached = load_tables(str(tmp_path / "cache" / "tables_N1000_v2.bin"))
+        cached = load_tables(str(tmp_path / "cache" / "tables_N1000_v3.bin"))
         assert f"checksum={table_checksum(cached)}" in fresh
 
     def test_truncated_cache_file_is_rebuilt(self, tmp_path, capsys):
@@ -261,21 +273,21 @@ class TestTableCache:
         assert sorted(p.name for p in old.parent.iterdir()) == [
             "lambda_N1000_v1.bin", "lambda_N1000_v2.bin"]
 
-    # The 17,037-byte dump at N = 1000: header, spf from byte 16, mu from
-    # 8,024, phi from 9,025, crc32 from 17,033.  Bit 0 of the bound (1000 ->
+    # The 9,029-byte dump at N = 1000: header, spf from byte 16, mu from
+    # 4,020, phi from 5,021, crc32 from 9,025.  Bit 0 of the bound (1000 ->
     # 1001) makes the length wrong; a bit of spf(97), of mu(30) and of
     # phi(100), the top bit of the trailer and a cut in half are each found
     # by the length or the crc32 check.
     @pytest.mark.parametrize("byte, bit", [
-        (8, 0), (16 + 8 * 97, 1), (8024 + 30, 0), (9025 + 8 * 100 + 1, 3), (-1, 7), (None, None),
+        (8, 0), (16 + 4 * 97, 1), (4020 + 30, 0), (5021 + 4 * 100 + 1, 3), (-1, 7), (None, None),
     ], ids=["header", "spf", "mu", "phi", "trailer", "truncated"])
     def test_damaged_full_dump_is_rebuilt(self, tmp_path, capsys, byte, bit):
         assert main(["--out", str(tmp_path / "fresh"), "sieve", "--n", "1000"]) == 0
         fresh = capsys.readouterr().out
-        path = tmp_path / "cache" / "tables_N1000_v2.bin"
+        path = tmp_path / "cache" / "tables_N1000_v3.bin"
         assert run(tmp_path, "sieve", "--n", "1000") == 0
         data = bytearray(path.read_bytes())
-        assert len(data) == 17_037
+        assert len(data) == 9_029
         if byte is None:
             del data[len(data) // 2 :]
         else:
@@ -293,7 +305,7 @@ class TestTableCache:
     @pytest.mark.parametrize("byte", [0, 4])
     def test_flipped_bit_in_full_magic_or_version_is_kept(self, tmp_path, byte):
         assert run(tmp_path, "sieve", "--n", "1000") == 0
-        path = tmp_path / "cache" / "tables_N1000_v2.bin"
+        path = tmp_path / "cache" / "tables_N1000_v3.bin"
         data = bytearray(path.read_bytes())
         data[byte] ^= 1
         path.write_bytes(data)
@@ -301,16 +313,25 @@ class TestTableCache:
         assert path.read_bytes() == data
 
     def test_old_full_dump_is_ignored(self, tmp_path, capsys):
-        # A full dump of format 1 in the cache directory is never opened.
+        # Full dumps of formats 1 and 2 in the cache directory are never
+        # opened; the v2 file is a whole format-2 dump with int64 spf and phi.
         assert main(["--out", str(tmp_path / "fresh"), "sieve", "--n", "1000"]) == 0
         fresh = capsys.readouterr().out
-        old = tmp_path / "cache" / "tables_N1000_v1.bin"
-        old.parent.mkdir()
-        old.write_bytes(b"RMBL" + (1).to_bytes(4, "little") + (1000).to_bytes(8, "little"))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        old = {cache / "tables_N1000_v1.bin":
+               b"RMBL" + (1).to_bytes(4, "little") + (1000).to_bytes(8, "little")}
+        t = build_sieve(1000)
+        v2 = (b"RMBL" + (2).to_bytes(4, "little") + (1000).to_bytes(8, "little")
+              + t.spf.astype("<i8").tobytes() + t.mu.tobytes() + t.phi.astype("<i8").tobytes())
+        old[cache / "tables_N1000_v2.bin"] = v2 + zlib.crc32(v2).to_bytes(4, "little")
+        for path, data in old.items():
+            path.write_bytes(data)
         assert run(tmp_path, "sieve", "--n", "1000") == 0
         assert capsys.readouterr().out == fresh
-        assert sorted(p.name for p in old.parent.iterdir()) == [
-            "tables_N1000_v1.bin", "tables_N1000_v2.bin"]
+        assert all(path.read_bytes() == data for path, data in old.items())
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "tables_N1000_v1.bin", "tables_N1000_v2.bin", "tables_N1000_v3.bin"]
 
     @pytest.mark.parametrize("content", [
         b"not a table dump",
@@ -356,7 +377,7 @@ class TestTableCache:
 
     def test_sieve_caches_full_tables(self, tmp_path):
         assert run(tmp_path, "sieve", "--n", "1000") == 0
-        path = tmp_path / "cache" / "tables_N1000_v2.bin"
+        path = tmp_path / "cache" / "tables_N1000_v3.bin"
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
         assert type(load_tables(str(path))) is SieveTables
 

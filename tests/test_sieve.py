@@ -132,6 +132,20 @@ class TestBuildSieve:
         assert str(10**15) in str(exc.value)
         assert str(budget) in str(exc.value)
 
+    def test_int32_bound_guard(self, monkeypatch):
+        # With memory to spare, full tables past 2^31 - 1 still do not fit
+        # int32; the guard raises before anything is allocated.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**40}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int32"):
+                build_sieve(2**31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_primes_agree_with_trial_division(self, tables_small, dense_lambda):
         def is_prime(n):
             return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
@@ -171,24 +185,66 @@ class TestBuildSieve:
         mean = float(dense_lambda(tables_big)[0][1 : N + 1].mean())
         assert 0.9 <= mean <= 1.1
 
-    # SHA-256 of the RMBL dump of format 2: header, spf, mu, phi and crc32.
+    # SHA-256 of the RMBL dump of format 3: header, spf, mu, phi and crc32.
     # Any changed byte of any table fails.
     DIGESTS = {
-        1: "8af22dea1f7ec1214692e375444eb440bd81ec337176b3598b3aaa368993c071",
-        2: "b3b4e39cbf37d8198e4faa849936f897050fa844b93ba5b7c80b5ea6e4d0f261",
-        10: "5674fd4ee3e0fff941c8c1bbbb771e24485918e4d756fc8d14ae2062100f5b28",
-        10_000: "3b7f5e21909061c3e2a108b65f40f1fc35a15ef8dd0f3a055d12fe2e41a07605",
-        300_000: "2d6d01249a02467ff3055475e1ad1978d2c578d9eea63d908f7c6870c98accf3",
-        2_000_020: "213c1c33e1460812330a37c292d0dac39122c796dd06c34d8d5726a33df74174",
+        1: "e2b37c04f530bce2e438ec72696189862debb590815bbb6c87b88858cbca82a4",
+        2: "38564ea035c3a3b64d375a1717b4bc24b6823888a50df8586c98ea54105005e0",
+        10: "48574363537c9139482a979980e59a4b7f81e92c3739524a90b8df5ffd081318",
+        10_000: "29f0a89842c2a054da8581fc4feaaeb47f24bfde78ea90ef2562944bb696c428",
+        300_000: "960c301e8228ed55a39d0fcaddc04b14272c1ba87737e253a3d17808ec2b4329",
+        2_000_020: "3918eed310312880e5a395feac38b3635726cd83b582c5ac01ff05737954b294",
     }
 
     @pytest.mark.parametrize("N", sorted(DIGESTS))
     def test_pinned_digest(self, request, N):
         assert table_checksum(full_tables(request, N)) == self.DIGESTS[N]
 
+    # SHA-256 of spf as <i8, mu as <i1 and phi as <i8, one after another:
+    # the values alone, in a form no dump format change touches.
+    VALUE_DIGESTS = {
+        1: "385e7f1062b621eeaca74138d55f55e940a0002f37f32c587fe7c406c44b9cf9",
+        2: "75d1c976f595f9fd52b883a9b2f2e919382a8f4053c1d31d5d79b9722c7b7892",
+        10: "d963675a7882b0b2088709100aa0cbfb2d61d2b07d3943c3c02f02acadbd493b",
+        10_000: "62f799926286b1cd49b8df5afe22a2f1d3c6cd60bb02b693ef4b653f53c15a4a",
+        300_000: "bf68b8be703493ee931678f1463abb90051a113c1f82d736f30d641b5588d69a",
+        2_000_020: "7937f41cfc1528a958045349d85c865725078b833caf69f4d7b5a948fd20d28b",
+    }
+
+    @pytest.mark.parametrize("N", sorted(VALUE_DIGESTS))
+    def test_pinned_values(self, request, N):
+        t = full_tables(request, N)
+        h = hashlib.sha256()
+        for arr in (t.spf.astype("<i8"), t.mu.astype("<i1"), t.phi.astype("<i8")):
+            h.update(arr)
+        assert h.hexdigest() == self.VALUE_DIGESTS[N]
+
     def test_tables_are_read_only(self, tables_small):
         with pytest.raises(ValueError):
             tables_small.mu[1] = 0
+
+    def test_dtypes_built_and_loaded(self, tmp_path, tables_small):
+        path = tmp_path / "tables.bin"
+        save_tables(tables_small, str(path))
+        for t in (tables_small, load_tables(str(path))):
+            arrays = (t.spf, t.mu, t.phi)
+            assert [a.dtype for a in arrays] == [np.int32, np.int8, np.int32]
+            assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("N", [10_000, 2_000_020])
+    def test_primes_match_primes_up_to(self, request, N):
+        # A copy has its primes still unmade.  Comparing spf with an arange
+        # in spf's dtype peaks near 5 bytes an entry; an int64 one near 9.
+        t = dataclasses.replace(full_tables(request, N))
+        tracemalloc.start()
+        try:
+            primes = t.primes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * (N + 1)
+        assert primes.dtype == np.int64 and not primes.flags.writeable
+        assert np.array_equal(primes, primes_up_to(N))
 
 
 class TestSegmentKernel:
@@ -257,6 +313,18 @@ class TestLambdaKernel:
             assert lam[i] == np.log(np.float64(p))
             phi = math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
             assert lam1[i] == np.divide(phi, m) * lam[i]
+
+    @pytest.mark.parametrize("primes, N", [
+        ([2, 3, 46_349], 46_349**2),  # p^2 past 2^31 once it is squared
+        (primes_up_to(10_000).tolist(), 10**8),
+    ])
+    def test_int32_primes_widen(self, primes, N):
+        # An int32 spf slice, as lambda1_at passes, gives the int64 result.
+        got = lambda_support(np.array(primes, dtype=np.int32), N)
+        want = lambda_support(np.array(primes, dtype=np.int64), N)
+        assert got[0].dtype == np.int64
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_prime_powers(self):
         pk, p = _prime_powers(primes_up_to(10), 100)
@@ -400,22 +468,22 @@ class TestDumpRestore:
             load_tables(str(path))
 
     def test_full_layout(self, tmp_path):
-        # Header, spf <i8, mu <i1, phi <i8 over 0..100, crc32 of all as <u4.
+        # Header, spf <i4, mu <i1, phi <i4 over 0..100, crc32 of all as <u4.
         t = build_sieve(100)
         path = tmp_path / "tables.bin"
         save_tables(t, str(path))
         data = path.read_bytes()
-        assert len(data) == 16 + 17 * 101 + 4
-        assert data[:16] == b"RMBL" + (2).to_bytes(4, "little") + (100).to_bytes(8, "little")
-        assert data[16:-4] == (t.spf.astype("<i8").tobytes() + t.mu.astype("<i1").tobytes()
-                               + t.phi.astype("<i8").tobytes())
+        assert len(data) == 16 + 9 * 101 + 4
+        assert data[:16] == b"RMBL" + (3).to_bytes(4, "little") + (100).to_bytes(8, "little")
+        assert data[16:-4] == (t.spf.astype("<i4").tobytes() + t.mu.astype("<i1").tobytes()
+                               + t.phi.astype("<i4").tobytes())
         assert data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little")
         assert table_checksum(t) == hashlib.sha256(data).hexdigest()
         back = load_tables(str(path))
         assert type(back) is SieveTables
         assert all(not getattr(back, name).flags.writeable for name in ("spf", "mu", "phi"))
         data = bytearray(data)
-        data[16 + 8 * 101 + 30] ^= 1  # mu(30)
+        data[16 + 4 * 101 + 30] ^= 1  # mu(30)
         path.write_bytes(data)
         with pytest.raises(ValueError, match="crc32"):
             load_tables(str(path))
@@ -430,15 +498,15 @@ class TestDumpRestore:
             load_tables(str(path))
 
     # Dump prefixes: empty, cut inside the header, the header alone, cut
-    # inside the first and inside the last array of the 340,037-byte dump at
-    # N = 20,000 (spf ends at byte 160,024, mu at 180,025, phi at 340,033).
+    # inside the first and inside the last array of the 360,029-byte dump at
+    # N = 40,000 (spf ends at byte 160,020, mu at 200,021, phi at 360,025).
     @pytest.mark.parametrize("keep, message", [
         (0, "bad magic"), (6, "truncated"), (16, "truncated"),
         (40_000, "truncated"), (330_000, "truncated"),
     ])
     def test_rejects_truncated(self, tmp_path, keep, message):
         path = tmp_path / "tables.bin"
-        save_tables(build_sieve(20_000), str(path))
+        save_tables(build_sieve(40_000), str(path))
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match=message):
             load_tables(str(path))

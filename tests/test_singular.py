@@ -213,8 +213,10 @@ class TestTupleConstant:
 
     # Admissible tuples of offsets below 300, at P from the largest offset
     # up.  Their nu(p) fit in one block; the 13-offset pinned value below
-    # spans many.
-    @given(st.lists(st.integers(1, 299), min_size=1, max_size=5, unique=True),
+    # spans many.  Offsets are drawn even, since with 0 an odd one covers
+    # both residues mod 2, so that few draws are filtered out.
+    @given(st.lists(st.integers(1, 149).map(lambda k: 2 * k), min_size=1, max_size=5,
+                    unique=True),
            st.integers(0, 2000))
     @example([2, 6], 10**4 - 6)
     @settings(max_examples=150, deadline=None)
