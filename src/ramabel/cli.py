@@ -24,19 +24,12 @@ from pathlib import Path
 
 from . import __version__, mean_values, ramanujan, rf_series, singular
 from .errors import DamagedDumpError, ResourceLimitError
-from .sieve import (
-    LambdaTables,
-    SieveTables,
-    build_sieve,
-    load_tables,
-    save_tables,
-    table_checksum,
-)
+from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_checksum
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
 REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
 # The correlation commands: each reduces the prime powers up to its bound,
-# so needs only the primes (LambdaTables), and takes its N from --n.
+# so sieves only the primes (LambdaTables), and takes its N from --n.
 LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 
 
@@ -74,38 +67,31 @@ def _write_manifest(path: Path, args: argparse.Namespace, bound: int | None,
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _get_tables(bound: int, cache_dir: str | None, path: str | None = None,
-                lambda_only: bool = False) -> LambdaTables | SieveTables:
-    """Tables for 1..bound, through one table cache file if there is one:
-    ``LambdaTables`` when ``lambda_only``, else ``SieveTables``, for ``sieve``
-    only.  The other full-table commands call ``build_sieve``: at their
-    bounds a build costs about a load, and no damaged file reaches a result.
+def _get_tables(bound: int, cache_dir: str | None, path: str | None = None) -> SieveTables:
+    """Full tables for 1..bound, for ``sieve``, through one table cache file
+    if there is one.  No other command reads or writes a cache file: the
+    other full-table commands call ``build_sieve`` (at their bounds a build
+    costs about a load, and no damaged file reaches a result), and the
+    correlation commands sieve their primes on every run.
 
-    The file is ``path`` if given, else ``<cache_dir>/lambda_N{bound}_v2.bin``
-    for Lambda tables and ``<cache_dir>/tables_N{bound}_v3.bin`` for full
-    ones: the suffix is the kind's dump format version, so older formats are
-    never opened.  An existing file is loaded and must hold that kind at
-    ``bound``; a dump of the wrong length or failing its crc32 check is
-    rebuilt and replaced with a warning.  A missing file is built and saved.
+    The file is ``path`` if given, else ``<cache_dir>/tables_N{bound}_v3.bin``:
+    the suffix is the dump format version, so older formats are never opened.
+    An existing file is loaded and must hold ``bound``; a dump of the wrong
+    length or failing its crc32 check is rebuilt and replaced with a warning.
+    A missing file is built and saved.
     """
-    kind = LambdaTables if lambda_only else SieveTables
     if path is None and cache_dir:
-        name = "lambda" if lambda_only else "tables"
-        path = str(Path(cache_dir) / f"{name}_N{bound}_v{kind.VERSION}.bin")
+        path = str(Path(cache_dir) / f"tables_N{bound}_v{SieveTables.VERSION}.bin")
     if path and Path(path).exists():
         try:
             tables = load_tables(path)
         except DamagedDumpError as exc:
             print(f"warning: {exc}; rebuilding it", file=sys.stderr)
         else:
-            if type(tables) is not kind:
-                raise ValueError(
-                    f"cache {path} holds {type(tables).__name__}, wanted {kind.__name__}"
-                )
             if tables.bound != bound:
                 raise ValueError(f"cache {path} holds bound {tables.bound}, wanted {bound}")
             return tables
-    tables = build_sieve(bound, lambda_only=lambda_only)
+    tables = build_sieve(bound)
     if path:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         save_tables(tables, path)
@@ -124,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ramabel", description=__doc__)
     ap.add_argument("--out", default=".", help="output directory for CSV/manifest")
     ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
-                    help="cache directory for the Lambda tables of pnt, autocorr, conjd "
-                         f"and tuple and the full tables of sieve (default: ${CACHE_ENV})")
+                    help=f"cache directory for the full tables of sieve (default: ${CACHE_ENV})")
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -240,7 +225,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "autocorr":
         bound = args.n + args.gap
-        tables = _get_tables(bound, args.cache_dir, lambda_only=True)
+        tables = build_sieve(bound, lambda_only=True)
         report = mean_values.pair_autocorrelation(
             tables, args.gap, args.n, P=args.p, weight=args.weights
         )
@@ -254,7 +239,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "conjd":
         singular.validate_linear_pair(args.a, args.b, args.l)
         bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
-        tables = _get_tables(bound, args.cache_dir, lambda_only=True)
+        tables = build_sieve(bound, lambda_only=True)
         report = mean_values.conjecture_d_mean(
             tables, args.a, args.b, args.l, args.n, P=args.p
         )
@@ -268,7 +253,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "tuple":
         spec = mean_values.TupleSpec.from_offsets(_ints(args.offsets))
         bound = args.n + spec.offsets[-1]
-        tables = _get_tables(bound, args.cache_dir, lambda_only=True)
+        tables = build_sieve(bound, lambda_only=True)
         result = mean_values.tuple_mean(tables, spec, args.n, P=args.p)
         rows = result.lambda_weighted.csv_rows() + result.lambda1_weighted.csv_rows()
         return _finish(
@@ -280,7 +265,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "pnt":
-        tables = _get_tables(args.n, args.cache_dir, lambda_only=True)
+        tables = build_sieve(args.n, lambda_only=True)
         report = mean_values.pnt_mean(tables, args.n)
         return _finish(
             args, out, start, args.n, REPORT_HEADER, report.csv_rows(), {"n": args.n},

@@ -1,19 +1,19 @@
 """Tables of the classical arithmetic functions up to a bound N.
 
-One boolean segment sieve, ``_prime_segment``, finds every prime, for
-``primes_up_to`` and for the spf kernel.  One producer, ``lambda_support``,
-turns the primes up to N into the support of the von Mangoldt function: the
-prime powers n <= N with Lambda(n) and its phi(n)/n-weighted variant.  It
-is the only representation of Lambda: no table holds Lambda densely.  The
-spf kernel gives the smallest prime factor; Moebius mu and Euler phi then
-follow from spf by the recurrence over n = spf(n) * m.
+One boolean segment sieve over the odd numbers, ``_prime_segment``, finds
+every prime, for ``primes_up_to`` and so for the spf kernel's base primes.
+One producer, ``lambda_support``, turns the primes up to N into the support
+of the von Mangoldt function: the prime powers n <= N with Lambda(n) and its
+phi(n)/n-weighted variant.  It is the only representation of Lambda: no table
+holds Lambda densely.  The spf kernel gives the smallest prime factor; Moebius
+mu and Euler phi then follow from spf by the recurrence over n = spf(n) * m.
 
 ``build_sieve`` makes ``SieveTables``, three dense arrays of 9 bytes an entry:
 int32 spf segment by segment from the base primes <= sqrt(N), then int8 mu and
-int32 phi.  ``LambdaTables`` hold only the primes, from ``primes_up_to`` or
-from a dump; the correlation means reduce ``lambda_support`` of either kind.
-Tables are immutable.  Each kind has its own dump format, told apart by the
-header magic, and every dump ends in a crc32 of the bytes before it.
+int32 phi.  ``LambdaTables`` hold only the primes, from ``primes_up_to`` on
+every build; the correlation means reduce ``lambda_support`` of either kind.
+Tables are immutable.  Only ``SieveTables`` have a dump format, and every
+dump ends in a crc32 of the bytes before it.
 """
 
 from __future__ import annotations
@@ -32,23 +32,19 @@ import numpy as np
 
 from .errors import DamagedDumpError, ResourceLimitError
 
-# Entries per sieve segment, for build_sieve and primes_up_to alike.
+# Entries per spf segment of build_sieve and per chunk of the mu/phi fill.
 DEFAULT_SEGMENT_SIZE = 1 << 18
+# Odd n per segment of primes_up_to, measured fastest of 2^18 to 2^21.
+PRIME_SEGMENT_ODDS = 1 << 20
 
 
 @dataclass(frozen=True)
 class LambdaTables:
     """The primes <= bound, ascending and read-only: all that the
-    correlation means read, through ``lambda_support``, and all the dump
-    stores."""
+    correlation means read, through ``lambda_support``."""
 
     bound: int
     primes: np.ndarray
-
-    # Dump magic, format version, and the arrays in dump order with dtypes.
-    MAGIC: ClassVar[bytes] = b"RMLA"
-    VERSION: ClassVar[int] = 2
-    FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (("primes", "<i8"),)
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,7 @@ class SieveTables:
     mu: np.ndarray
     phi: np.ndarray
 
+    # Dump magic, format version, and the arrays in dump order with dtypes.
     MAGIC: ClassVar[bytes] = b"RMBL"
     VERSION: ClassVar[int] = 3
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
@@ -159,16 +156,24 @@ def _prime_powers(base: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
 def _prime_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """The primes in [lo, hi] as ascending int64, where 1 <= lo <= hi and
     ``base`` holds every prime p with p * p <= hi (larger ones are harmless).
-    Each base prime marks its multiples from max(p^2, first multiple >= lo),
-    so the unmarked n >= 2 are the primes (Bays & Hudson, BIT 17, 1977)."""
-    composite = np.zeros(hi - lo + 1, dtype=bool)
-    if lo == 1:
+
+    Only the odd n are sieved (the mod-2 wheel: Pritchard, CACM 24, 1981):
+    index i stands for odd + 2i, odd = lo | 1.  Each odd base prime marks its
+    odd multiples from the first one >= max(p^2, lo), with stride p in index
+    space, so the unmarked odd n >= 3 are the primes (Bays & Hudson, BIT 17,
+    1977); 2 is added where the segment holds it."""
+    odd = lo | 1
+    composite = np.zeros((hi - odd) // 2 + 1, dtype=bool)
+    if odd == 1:
         composite[0] = True  # 1 is not a prime
-    first = np.maximum(base * base, -(-lo // base) * base) - lo
+    p = base[base > 2]
+    first = np.maximum(p * p, -(-odd // p) * p)
+    first = (first + (first % 2 == 0) * p - odd) // 2
     hit = first < composite.size
-    for p, s in zip(base[hit].tolist(), first[hit].tolist()):
-        composite[s::p] = True
-    return np.flatnonzero(~composite) + lo
+    for q, s in zip(p[hit].tolist(), first[hit].tolist()):
+        composite[s::q] = True
+    primes = 2 * np.flatnonzero(~composite) + odd
+    return np.concatenate(([2], primes)) if lo <= 2 <= hi else primes
 
 
 def _spf_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
@@ -228,8 +233,8 @@ def primes_up_to(n: int) -> np.ndarray:
     size = math.ceil(1.25506 * n / math.log(n))
     _check_memory(8 * size, f"sieving the primes up to {n}")
     base, out, count = primes_up_to(math.isqrt(n)), np.empty(size, dtype=np.int64), 0
-    for lo in range(1, n + 1, DEFAULT_SEGMENT_SIZE):
-        primes = _prime_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, n), base)
+    for lo in range(1, n + 1, 2 * PRIME_SEGMENT_ODDS):
+        primes = _prime_segment(lo, min(lo + 2 * PRIME_SEGMENT_ODDS - 1, n), base)
         out[count : count + primes.size] = primes
         count += primes.size
     return out[:count]
@@ -243,10 +248,10 @@ def sigma_table(n: int) -> np.ndarray:
     return s
 
 
-def _dump_parts(tables: LambdaTables | SieveTables) -> Iterator[bytes | np.ndarray]:
-    """The dump in order: the 16-byte header (the kind's magic, format
-    version, bound), then each array of the kind's fields, not copied when
-    already in its dtype, then the <u4 crc32 of all the bytes before it."""
+def _dump_parts(tables: SieveTables) -> Iterator[bytes | np.ndarray]:
+    """The dump in order: the 16-byte header (magic, format version, bound),
+    then each array of ``FIELDS``, not copied when already in its dtype, then
+    the <u4 crc32 of all the bytes before it."""
     header = tables.MAGIC + struct.pack("<IQ", tables.VERSION, tables.bound)
     crc = zlib.crc32(header)
     yield header
@@ -257,7 +262,7 @@ def _dump_parts(tables: LambdaTables | SieveTables) -> Iterator[bytes | np.ndarr
     yield struct.pack("<I", crc)
 
 
-def save_tables(tables: LambdaTables | SieveTables, path: str) -> None:
+def save_tables(tables: SieveTables, path: str) -> None:
     """Write the binary dump of ``tables`` to ``path``.
 
     The dump goes to a temporary file beside ``path`` that is renamed onto
@@ -276,42 +281,38 @@ def save_tables(tables: LambdaTables | SieveTables, path: str) -> None:
         raise
 
 
-def load_tables(path: str) -> LambdaTables | SieveTables:
-    """Read a ``save_tables`` dump as the kind its magic names, once its
-    length and crc32 are checked: each field of ``SieveTables`` has bound + 1
-    entries, and the primes of ``LambdaTables`` fill the rest of the file
-    (a partial prime means a truncated file).
+def load_tables(path: str) -> SieveTables:
+    """Read a ``save_tables`` dump once its length and crc32 are checked: each
+    field has bound + 1 entries.
     Raises DamagedDumpError for a dump of the wrong length or one that fails
     its crc32 check, and ValueError for any other file that is not a dump of
     this version."""
     with open(path, "rb") as f:
         header = f.read(16)
-        cls = {c.MAGIC: c for c in (SieveTables, LambdaTables)}.get(header[:4])
-        if cls is None:
+        if header[:4] != SieveTables.MAGIC:
             raise ValueError(f"{path}: not a sieve table dump (bad magic {header[:4]!r})")
         if len(header) != 16:
             raise DamagedDumpError(f"{path}: truncated table dump")
         version, bound = struct.unpack("<IQ", header[4:])
-        if version != cls.VERSION:
+        if version != SieveTables.VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
         rest = os.fstat(f.fileno()).st_size - 16 - 4
-        width = sum(np.dtype(dt).itemsize for _, dt in cls.FIELDS)
-        count = bound + 1 if cls is SieveTables else -(-rest // width)
-        if rest != count * width:
-            flaw = "truncated" if rest < count * width else "overlong"
+        need = (bound + 1) * sum(np.dtype(dt).itemsize for _, dt in SieveTables.FIELDS)
+        if rest != need:
+            flaw = "truncated" if rest < need else "overlong"
             raise DamagedDumpError(f"{path}: {flaw} table dump")
         crc, arrays = zlib.crc32(header), {}
-        for name, dt in cls.FIELDS:
-            arr = np.fromfile(f, dtype=dt, count=count)
+        for name, dt in SieveTables.FIELDS:
+            arr = np.fromfile(f, dtype=dt, count=bound + 1)
             crc = zlib.crc32(arr, crc)
             arr.flags.writeable = False
             arrays[name] = arr
         if f.read(4) != struct.pack("<I", crc):
             raise DamagedDumpError(f"{path}: table dump fails its crc32 check")
-    return cls(bound=int(bound), **arrays)
+    return SieveTables(bound=int(bound), **arrays)
 
 
-def table_checksum(tables: LambdaTables | SieveTables) -> str:
+def table_checksum(tables: SieveTables) -> str:
     """SHA-256 of the binary dump of ``tables``."""
     h = hashlib.sha256()
     for part in _dump_parts(tables):

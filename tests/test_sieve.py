@@ -27,7 +27,9 @@ from ramabel import (
 )
 from ramabel.sieve import (
     DEFAULT_SEGMENT_SIZE,
+    PRIME_SEGMENT_ODDS,
     _prime_powers,
+    _prime_segment,
     _spf_segment,
     lambda_support,
     primes_up_to,
@@ -258,6 +260,22 @@ class TestSegmentKernel:
             assert spf[i] == min(factorize(n), default=0)
 
 
+class TestPrimeSegment:
+    @given(sieve_windows(), st.sampled_from(["drawn", "next", 1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_trial_division(self, window, start):
+        # The drawn window, the same one from lo + 1 (the other parity of
+        # lo), or its first 300 entries moved to start at lo = 1, 2 or 3.
+        N, lo, hi = window
+        if start == "next":
+            lo = min(lo + 1, hi)
+        elif start != "drawn":
+            lo, hi = start, max(start, min(hi, start + 300))
+        primes = _prime_segment(lo, hi, primes_up_to(math.isqrt(max(N, hi))))
+        assert primes.dtype == np.int64
+        assert primes.tolist() == [n for n in range(lo, hi + 1) if factorize(n) == {n: 1}]
+
+
 class TestMuPhiRecurrence:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -348,49 +366,13 @@ def assert_lambda_identical(tables, dense):
 
 class TestLambdaTables:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 10, 100, 10_000, 300_000, 2_000_020])
-    def test_byte_identical_to_full_build(self, request, tmp_path, dense_lambda, N):
+    def test_byte_identical_to_full_build(self, request, dense_lambda, N):
         dense = dense_lambda(full_tables(request, N))
         t = build_sieve(N, lambda_only=True)
         assert type(t) is LambdaTables
         assert_lambda_identical(t, dense)
         with pytest.raises(ValueError):
             t.primes[:] = 0
-        path = tmp_path / "lambda.bin"
-        save_tables(t, str(path))
-        back = load_tables(str(path))
-        assert type(back) is LambdaTables
-        assert_lambda_identical(back, dense)
-        assert not back.primes.flags.writeable
-
-    @given(st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_build_load_and_full_build_agree(self, tmp_path_factory, dense_lambda, data):
-        # N anywhere up to 600,000, or next to a segment edge k * 2^18 or
-        # next to a square p^2, where the fill's segments and prime powers
-        # change.
-        edges = [k * DEFAULT_SEGMENT_SIZE for k in (1, 2)]
-        squares = [p * p for p in primes_up_to(math.isqrt(600_000)).tolist()]
-        near = st.sampled_from(edges + squares).flatmap(
-            lambda c: st.sampled_from([c - 1, c + 1]))
-        N = data.draw(st.one_of(st.integers(1, 600_000), near))
-        t = build_sieve(N, lambda_only=True)
-        path = tmp_path_factory.mktemp("dump") / "lambda.bin"
-        save_tables(t, str(path))
-        dense = dense_lambda(build_sieve(N))
-        assert_lambda_identical(t, dense)
-        assert_lambda_identical(load_tables(str(path)), dense)
-
-    # SHA-256 of the RMLA dump: header, primes and crc32.
-    DIGESTS = {
-        1: "3d3355d757d941c8e5434481de3a3470441c429b49625faf1b40c8022f316b35",
-        10: "8e227e8d7ea8ba8e42eb162dfffdeddbd596ba320feed7b1082a352d0f14d70c",
-        10_000: "c30b95c59a2ecd2b0f80d0b747756f7bd7f9e584bd0120aa2f3d08f9261bbbaf",
-        300_000: "d524c1aa6d9a84db6187314d37f3411f6799520ddbb1062e66ae66f656d68f97",
-    }
-
-    @pytest.mark.parametrize("N", sorted(DIGESTS))
-    def test_pinned_digest(self, N):
-        assert table_checksum(build_sieve(N, lambda_only=True)) == self.DIGESTS[N]
 
     def test_memory_budget(self):
         with pytest.raises(ResourceLimitError, match=str(10**15)):
@@ -450,23 +432,6 @@ class TestDumpRestore:
         assert list(tmp_path.iterdir()) == [path]
         assert table_checksum(load_tables(str(path))) == table_checksum(tables_small)
 
-    def test_lambda_roundtrip(self, tmp_path):
-        # Header, the 168 primes <= 1000 as <i8, crc32 of both as <u4.
-        t = build_sieve(1000, lambda_only=True)
-        path = tmp_path / "lambda.bin"
-        save_tables(t, str(path))
-        data = path.read_bytes()
-        assert len(data) == 16 + 8 * 168 + 4
-        assert data[:16] == b"RMLA" + (2).to_bytes(4, "little") + (1000).to_bytes(8, "little")
-        assert data[16:-4] == primes_up_to(1000).astype("<i8").tobytes()
-        assert data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little")
-        back = load_tables(str(path))
-        assert type(back) is LambdaTables
-        assert table_checksum(back) == table_checksum(t)
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="crc32"):
-            load_tables(str(path))
-
     def test_full_layout(self, tmp_path):
         # Header, spf <i4, mu <i1, phi <i4 over 0..100, crc32 of all as <u4.
         t = build_sieve(100)
@@ -511,20 +476,6 @@ class TestDumpRestore:
         with pytest.raises(ValueError, match=message):
             load_tables(str(path))
 
-    # Lambda dump prefixes (9,852 bytes at N = 10^4): empty, cut inside the
-    # header, the header alone, cut inside the primes, and all but the last
-    # byte of the crc32; and a cut at a prime's end, which the length allows.
-    @pytest.mark.parametrize("keep, message", [
-        (0, "bad magic"), (6, "truncated"), (16, "truncated"),
-        (5_001, "truncated"), (9_851, "truncated"), (16 + 8 * 1000 + 4, "crc32"),
-    ])
-    def test_rejects_truncated_lambda(self, tmp_path, keep, message):
-        path = tmp_path / "lambda.bin"
-        save_tables(build_sieve(10_000, lambda_only=True), str(path))
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(ValueError, match=message):
-            load_tables(str(path))
-
 
 class TestHelpers:
     def test_primes_up_to(self):
@@ -554,8 +505,12 @@ class TestHelpers:
 
     # SHA-256 of the little-endian int64 primes; any changed prime fails.
     PRIME_DIGESTS = {
+        10: (4, "0e37d337015d595e2cb60f8d4519a6d98b6b6fabb1dc3d329966c2297bbc70c7"),
+        10**4: (1_229, "ed1b13e85f736ccfaf0919e82e7e5efebe1000b71388ed6ff365c27a615f95b8"),
+        3 * 10**5: (25_997, "8a7f4b1cbea613a29405e8c2285b60ebd988e034eb9a5805c9f628d31df01d52"),
         10**6: (78_498, "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40"),
         10**7: (664_579, "2ad296d1337aaafbb800643fa0cf7a36badb424747f4b9a112d353f8b6631993"),
+        10**8: (5_761_455, "a7eead5377c738f5ecdd62fd01a0cedbcecee527cbf31739d4ecc1f3fae07766"),
     }
 
     @pytest.mark.parametrize("N", sorted(PRIME_DIGESTS))
@@ -566,19 +521,22 @@ class TestHelpers:
         assert primes.size == count
         assert hashlib.sha256(np.ascontiguousarray(primes, dtype="<i8")).hexdigest() == digest
 
-    def test_primes_up_to_matches_spf(self, tables_big):
+    def test_primes_up_to_matches_spf(self):
         # The spf kernel is another algorithm: n >= 2 is prime iff spf[n] == n.
-        # Bounds at and next to each segment edge k * 2^18, and p^2 and
+        # Bounds at and next to each edge k * 2 * PRIME_SEGMENT_ODDS of the
+        # prime segments and k * 2^18 of the spf segments, and p^2 and
         # p^2 +- 1 for the base primes whose squares lie nearest each edge.
-        edges = [k * DEFAULT_SEGMENT_SIZE for k in range(1, 8)]
+        span = 2 * PRIME_SEGMENT_ODDS
+        edges = [k * DEFAULT_SEGMENT_SIZE for k in range(1, 8)] + [span, 2 * span]
         ns = [1, 2, 3, 4] + [e + d for e in edges for d in (-1, 0, 1)]
-        small = primes_up_to(math.isqrt(tables_big.bound)).tolist()
+        small = primes_up_to(math.isqrt(2 * span) + 100).tolist()
         for e in edges:
             below = max(p for p in small if p * p <= e)
             above = min(p for p in small if p * p > e)
             ns += [p * p + d for p in (below, above) for d in (-1, 0, 1)]
-        n_all = np.arange(tables_big.bound + 1)
-        prime = (tables_big.spf == n_all) & (n_all >= 2)
+        t = build_sieve(max(ns))
+        n_all = np.arange(t.bound + 1)
+        prime = (t.spf == n_all) & (n_all >= 2)
         for n in ns:
             assert primes_up_to(n).tolist() == np.flatnonzero(prime[: n + 1]).tolist(), n
 

@@ -2,7 +2,7 @@
 
 A renamed kernel or table function would leave its span empty and zero the
 per-layer metrics without any error, so each correlation command, the
-`sieve` command, a cache save then load of each table kind and an Euler
+`sieve` command, a cache save then load of the full tables and an Euler
 product are run under perfbench/tracer.py and their spans are checked by
 name.
 """
@@ -59,15 +59,6 @@ def test_tracer_records_kernel_and_sieve_spans(tmp_path, argv, kernels):
 def test_tracer_records_sieve_checksum(tmp_path):
     names = trace(tmp_path, "sieve", "--n", "500")
     assert {"sieve.build_sieve", "sieve.table_checksum"} <= names, names
-
-
-def test_tracer_records_cache_save_then_load(tmp_path):
-    argv = ("--cache-dir", str(tmp_path / "cache"), "pnt", "--n", "500")
-    first = trace(tmp_path, *argv)
-    assert {"sieve.build_sieve", "sieve.save_tables"} <= first, first
-    second = trace(tmp_path, *argv)
-    assert "sieve.load_tables" in second, second
-    assert "sieve.build_sieve" not in second, second
 
 
 def test_tracer_records_full_cache_save_then_load(tmp_path):
