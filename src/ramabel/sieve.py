@@ -2,6 +2,8 @@
 
 One boolean segment sieve over the odd numbers, ``_prime_segment``, finds
 every prime, for ``primes_up_to`` and so for the spf kernel's base primes.
+``primes_up_to(n, lo)`` gives the primes of a window [lo, n], so that the
+Euler products stream over windows and never hold every prime <= P.
 One producer, ``lambda_support``, turns the primes up to N into the support
 of the von Mangoldt function: the prime powers n <= N with Lambda(n) and its
 phi(n)/n-weighted variant.  It is the only representation of Lambda: no table
@@ -222,19 +224,29 @@ def lambda1_at(tables: SieveTables, n: int) -> float:
     return float(lam1[-1]) if pk[-1] == n else 0.0
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending int64: ``_prime_segment`` over the segments
-    of [1, n], written into one array of pi(n) < 1.25506 n / ln n entries
-    (Rosser & Schoenfeld, 1962) whose filled prefix is returned; the rest is
-    never written.  Raises ResourceLimitError, before sieving, when that
-    array exceeds the machine's physical memory."""
-    if n < 2:
+def pi_bound(n: int) -> int:
+    """An upper bound on pi(n) for n >= 2: pi(n) < 1.25506 n / ln n
+    (Rosser & Schoenfeld, Illinois J. Math. 6, 1962)."""
+    return math.ceil(1.25506 * n / math.log(n))
+
+
+def primes_up_to(n: int, lo: int = 1) -> np.ndarray:
+    """The primes in [lo, n], ascending int64: ``_prime_segment`` over the
+    segments of [max(lo, 1), n], each written into one array whose filled
+    prefix is returned; the rest is never written.  The array has
+    min(pi_bound(n), (n - lo) // 2 + 2) entries, the second a count of
+    the odd numbers in [lo, n] and 2, so a window of one segment costs one
+    segment's memory whatever n is.  lo = 1 gives every prime <= n.  Raises
+    ResourceLimitError, before sieving, when that array exceeds the
+    machine's physical memory."""
+    lo = max(lo, 1)
+    if n < max(lo, 2):
         return np.empty(0, dtype=np.int64)
-    size = math.ceil(1.25506 * n / math.log(n))
+    size = min(pi_bound(n), (n - lo) // 2 + 2)
     _check_memory(8 * size, f"sieving the primes up to {n}")
     base, out, count = primes_up_to(math.isqrt(n)), np.empty(size, dtype=np.int64), 0
-    for lo in range(1, n + 1, 2 * PRIME_SEGMENT_ODDS):
-        primes = _prime_segment(lo, min(lo + 2 * PRIME_SEGMENT_ODDS - 1, n), base)
+    for start in range(lo, n + 1, 2 * PRIME_SEGMENT_ODDS):
+        primes = _prime_segment(start, min(start + 2 * PRIME_SEGMENT_ODDS - 1, n), base)
         out[count : count + primes.size] = primes
         count += primes.size
     return out[:count]

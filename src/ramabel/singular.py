@@ -1,8 +1,10 @@
 """Hardy-Littlewood singular-series constants via truncated Euler products.
 
-Every product over the primes p <= P is one array of per-prime log terms,
-summed by ``_euler_product``.  Each docstring says whether ``tail_estimate``
-is a proven bound, on the log or on the value, or an estimate.
+Every product over the primes p <= P streams: ``_euler_product`` sieves the
+primes one window at a time, turns each window into its per-prime log terms
+and sums them all, so a product holds one window whatever P is.  Each
+docstring says whether ``tail_estimate`` is a proven bound, on the log or on
+the value, or an estimate.
 """
 
 from __future__ import annotations
@@ -10,12 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .ramanujan import cq_int
-from .sieve import SieveTables, primes_up_to
+from .sieve import PRIME_SEGMENT_ODDS, SieveTables, pi_bound, primes_up_to
 
 TWIN_CONSTANT_REFERENCE = 0.6601618158
 
@@ -29,11 +32,35 @@ class SingularConstant:
     extra: dict = field(default_factory=dict)
 
 
-def _euler_product(logs: np.ndarray) -> float:
-    """exp of the fsum of the per-prime log terms; fsum is correctly rounded,
-    so it depends only on the set of terms.  A factor of exactly 0 has log
-    -inf and makes the product 0.0 without a sum."""
-    return 0.0 if np.isneginf(logs).any() else math.exp(math.fsum(logs))
+# The most factors a product takes: by pi_bound, P up to about 1.9 * 10^10.
+_MAX_FACTORS = 10**9
+
+
+def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> float:
+    """exp of the fsum of the per-prime log terms over the primes p <= P, P >= 2.
+
+    The primes come in windows of 2 * PRIME_SEGMENT_ODDS integers, from
+    ``primes_up_to(hi, lo)``, and ``log_terms`` maps a window's primes to
+    their float64 log terms; only one window is held at a time.  fsum is
+    correctly rounded, so the value depends only on the multiset of terms,
+    not on the windows.  A factor of exactly 0 has log -inf: the windows
+    stop at the first that holds one, whose fsum is -inf and whose exp is
+    0.0.  Raises ResourceLimitError, before sieving, when pi_bound(P)
+    exceeds _MAX_FACTORS.
+    """
+    factors = pi_bound(P)
+    if factors > _MAX_FACTORS:
+        raise ResourceLimitError(f"an Euler product over the primes up to {P} takes up "
+                                 f"to {factors} factors, over the limit of {_MAX_FACTORS}")
+    span = 2 * PRIME_SEGMENT_ODDS
+
+    def windows() -> Iterator[np.ndarray]:
+        for lo in range(1, P + 1, span):
+            yield (logs := log_terms(primes_up_to(min(lo + span - 1, P), lo)))
+            if np.isneginf(logs).any():
+                return
+
+    return math.exp(math.fsum(itertools.chain.from_iterable(windows())))
 
 
 def twin_constant(P: int) -> SingularConstant:
@@ -45,9 +72,13 @@ def twin_constant(P: int) -> SingularConstant:
     """
     if P < 3:
         raise ValueError(f"P must be >= 3, got {P}")
-    p = primes_up_to(P)[1:].astype(np.float64)  # drop p = 2
-    return SingularConstant(value=_euler_product(np.log1p(-1.0 / (p - 1.0) ** 2)),
-                            truncation_prime=P, tail_estimate=1.0 / (P - 1), form="C2")
+
+    def log_terms(ps: np.ndarray) -> np.ndarray:
+        p = ps[np.searchsorted(ps, 3) :].astype(np.float64)  # drop p = 2
+        return np.log1p(-1.0 / (p - 1.0) ** 2)
+
+    return SingularConstant(value=_euler_product(P, log_terms), truncation_prime=P,
+                            tail_estimate=1.0 / (P - 1), form="C2")
 
 
 # Trial division removes the prime factors below _TRIAL.  Miller-Rabin to
@@ -224,19 +255,23 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     small_cut = max(offsets[-1], m + 1)
     if P < small_cut:
         raise ValueError(f"P={P} too small; need P >= {small_cut}")
-    ps = primes_up_to(P)
-    # nu(p) for the p <= small_cut: the distinct entries of each sorted row
-    # of the offsets mod p, over blocks of rows of about 2^16 entries.
     offs = np.array(offsets, dtype=np.int64)
-    nu = np.full(ps.size, m + 1, dtype=np.int64)
-    n_small = np.searchsorted(ps, small_cut, "right")
     step = max(1, (1 << 16) // offs.size)
-    for lo in range(0, n_small, step):
-        rows = offs % ps[lo : min(lo + step, n_small), None]
-        rows.sort(axis=1)
-        nu[lo : lo + len(rows)] = 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
-    p = ps.astype(np.float64)
-    value = _euler_product(m * np.log(p / (p - 1.0)) + np.log((p - nu) / (p - 1.0)))
+
+    def log_terms(ps: np.ndarray) -> np.ndarray:
+        # nu(p) for the window's p <= small_cut: the distinct entries of each
+        # sorted row of the offsets mod p, over blocks of rows of about 2^16
+        # entries.
+        nu = np.full(ps.size, m + 1, dtype=np.int64)
+        n_small = np.searchsorted(ps, small_cut, "right")
+        for lo in range(0, n_small, step):
+            rows = offs % ps[lo : min(lo + step, n_small), None]
+            rows.sort(axis=1)
+            nu[lo : lo + len(rows)] = 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+        p = ps.astype(np.float64)
+        return m * np.log(p / (p - 1.0)) + np.log((p - nu) / (p - 1.0))
+
+    value = _euler_product(P, log_terms)
     return SingularConstant(
         value=value,
         truncation_prime=P,
@@ -263,14 +298,25 @@ def series_constant(h: int, P: int) -> SingularConstant:
         raise ValueError(f"h must be >= 1, got {h}")
     if P < 2:
         raise ValueError(f"P must be >= 2, got {P}")
-    ps = primes_up_to(P)
-    # c_p(h) = p - 1 where p divides h, else -1; Python ints beyond int64.
-    rem = h % ps if h < 2**63 else h % ps.astype(object)
-    p = ps.astype(np.float64)
-    cp = np.where(rem == 0, p - 1.0, -1.0)
+
+    def coefficients(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (c_p(h), p - 1) as float64: c_p(h) = p - 1 where p divides h, else
+        # -1; Python ints beyond int64.
+        rem = h % ps if h < 2**63 else h % ps.astype(object)
+        p1 = ps.astype(np.float64) - 1.0
+        return np.where(rem == 0, p1, -1.0), p1
+
+    def diagonal(ps: np.ndarray) -> np.ndarray:
+        cp, p1 = coefficients(ps)
+        return np.log(1.0 + cp / p1**2)
+
+    def raw(ps: np.ndarray) -> np.ndarray:
+        cp, p1 = coefficients(ps)
+        return np.log(1.0 - cp / p1)  # mu(p) = -1
+
     with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
-        value = _euler_product(np.log(1.0 + cp / (p - 1.0) ** 2))
-        naive = _euler_product(np.log(1.0 - cp / (p - 1.0)))  # mu(p) = -1
+        value = _euler_product(P, diagonal)
+        naive = _euler_product(P, raw)
     return SingularConstant(
         value=value,
         truncation_prime=P,
@@ -291,11 +337,10 @@ def series_wk(tables: SieveTables, h: int, Q: int) -> SingularConstant:
         raise ValueError(f"need h >= 1 and Q >= 1, got h={h}, Q={Q}")
     if Q > tables.bound:
         raise ValueError(f"Q={Q} beyond table bound {tables.bound}")
-    qs = np.arange(1, Q + 1, dtype=np.int64)
-    c = cq_int(tables, qs, h).astype(np.float64)
-    musq = (tables.mu[1 : Q + 1].astype(np.float64)) ** 2
-    phisq = tables.phi[1 : Q + 1].astype(np.float64) ** 2
-    value = math.fsum((musq / phisq * c).tolist())
+    # Only the squarefree q have a term: mu(q)^2 is 1 there and 0 elsewhere.
+    q = np.flatnonzero(tables.mu[1 : Q + 1]) + 1
+    c = cq_int(tables, q, h).astype(np.float64)
+    value = math.fsum(1.0 / tables.phi[q].astype(np.float64) ** 2 * c)
     sigma_h = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in _prime_factors(h))
     # sum_{q>Q} 1/phi(q)^2 ~ 2.2/Q; doubled for slack.
     tail = sigma_h * 4.4 / Q

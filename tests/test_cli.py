@@ -127,12 +127,12 @@ class TestErrors:
         assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
     def test_euler_product_over_memory_exit_two(self, tmp_path, capsys):
-        # The primes up to 10^15 need far more than any machine's memory;
-        # primes_up_to says so before it sieves.
+        # The primes up to 10^15 are far more than the 10^9 factors a
+        # product takes; the product says so before it sieves.
         assert run(tmp_path, "singular", "--form", "C2", "--p", str(10**15)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: sieving the primes up to {10**15} needs about ")
-        assert "memory budget" in err and err.count("\n") == 1, err
+        assert err.startswith(f"error: an Euler product over the primes up to {10**15} takes ")
+        assert "over the limit of 1000000000" in err and err.count("\n") == 1, err
         assert not (tmp_path / "singular.csv").exists()
 
     def test_tuple_constant_p_too_small(self, tmp_path, capsys):

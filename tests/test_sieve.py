@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 import ramabel
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
@@ -87,6 +87,20 @@ def sieve_windows(draw):
         lo = draw(st.integers(1, N))
         hi = draw(st.integers(lo, min(N, lo + 200)))
     return N, lo, hi
+
+
+@st.composite
+def prime_windows(draw):
+    """(n, lo) for ``primes_up_to(n, lo)``: n and lo near a segment start
+    1 + k * 2 * PRIME_SEGMENT_ODDS up to the fourth, or anywhere below it;
+    lo also 1, 2, 3, up to 3 either side of n, or anywhere up to n + 3."""
+    span = 2 * PRIME_SEGMENT_ODDS
+    near = st.sampled_from([1 + k * span for k in range(4)]).flatmap(
+        lambda e: st.integers(max(0, e - 3), e + 3))
+    n = draw(st.one_of(st.integers(0, 4 * span), near))
+    lo = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(-3, n + 3), near,
+                        st.integers(max(0, n - 3), n + 3)))
+    return n, lo
 
 
 class TestBuildSieve:
@@ -520,6 +534,23 @@ class TestHelpers:
         count, digest = self.PRIME_DIGESTS[N]
         assert primes.size == count
         assert hashlib.sha256(np.ascontiguousarray(primes, dtype="<i8")).hexdigest() == digest
+
+    @given(prime_windows())
+    @settings(max_examples=60, deadline=None)
+    @example((2, 2))
+    @example((2, 3))
+    @example((3, 2))  # two primes in a window of two integers
+    @example((10, 11))
+    @example((10, 0))
+    @example((10, -3))
+    @example((2 * PRIME_SEGMENT_ODDS + 1, 2 * PRIME_SEGMENT_ODDS + 1))
+    @example((4 * PRIME_SEGMENT_ODDS + 1, 2 * PRIME_SEGMENT_ODDS + 1))
+    def test_primes_up_to_window_is_a_slice(self, window):
+        n, lo = window
+        full = primes_up_to(n)
+        got = primes_up_to(n, lo)
+        assert got.dtype == np.int64
+        assert got.tolist() == full[full >= lo].tolist()
 
     def test_primes_up_to_matches_spf(self):
         # The spf kernel is another algorithm: n >= 2 is prime iff spf[n] == n.

@@ -3,12 +3,14 @@ constants, linear-pair (conjecture D) constant, and the series route."""
 
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
+    ResourceLimitError,
     conjecture_d_constant,
     pair_constant,
     series_constant,
@@ -24,7 +26,7 @@ from ramabel.singular import (
     distinct_residues,
     validate_linear_pair,
 )
-from ramabel.sieve import build_sieve, primes_up_to
+from ramabel.sieve import PRIME_SEGMENT_ODDS, build_sieve, primes_up_to
 
 
 class TestTwinConstant:
@@ -314,6 +316,20 @@ class TestSeriesConstant:
             assert got.value == pytest.approx(want, abs=5e-2)
             assert got.tail_estimate > 0
 
+    # Bit-exact: the fsum of the same float terms, computed before the sum
+    # was restricted to the squarefree q.
+    @pytest.mark.parametrize("h, Q, value", [
+        (1, 300_000, 7.153406499174436e-09),
+        (2, 300_000, 1.3203236318733198),
+        (7, 300_000, -2.046473097236952e-08),
+        (30, 300_000, 3.520862997752856),
+        (10**8, 300_000, 1.7604315150531697),
+        (1, 99_991, -2.7192915449070753e-08),
+        (6, 99_991, 2.6406472255535927),
+    ])
+    def test_series_wk_pinned_values(self, tables, h, Q, value):
+        assert series_wk(tables, h, Q).value == value
+
     def test_series_wk_odd_gap_small(self, tables):
         got = series_wk(tables, 3, tables.bound)
         assert abs(got.value) < 5e-2
@@ -343,3 +359,135 @@ class TestSeriesConstant:
         got = series_wk(tables, h, 1000)
         assert time.perf_counter() - start < 1.0
         assert got.tail_estimate == (h + 1) * 4.4 / 1000
+
+
+# The products stream over windows of 2 * PRIME_SEGMENT_ODDS = 2^21 integers.
+WINDOW = 2 * PRIME_SEGMENT_ODDS
+H0 = 3_000_017  # the least prime above 3 * 10^6, in the second window
+TUPLE13 = (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 1_999_998)
+
+
+class TestWindowedProducts:
+    """Every product is bit-identical to the one over the whole array of
+    primes <= P: fsum depends only on the multiset of terms."""
+
+    # Computed at each P over one array of all the primes <= P.  2^21 - 1,
+    # 2^21 and 2^21 + 1 share their primes; the first ends the first window,
+    # the others open the second.
+    PINS = {
+        WINDOW - 1: (0.66016183615218, 3.52086312614496, 0.04470937303041218,
+                     2.858248859462158, 51748.967094940526),
+        WINDOW: (0.66016183615218, 3.52086312614496, 0.04470937303041218,
+                 2.858248859462158, 51748.967094940526),
+        WINDOW + 1: (0.66016183615218, 3.52086312614496, 0.04470937303041218,
+                     2.858248859462158, 51748.967094940526),
+        2 * WINDOW + 1: (0.6601618255642252, 3.5208630696758676, 0.04470937231334435,
+                         2.858248721936943, 51748.90235703125),
+        10**7: (0.6601618197154555, 3.520863038482429, 0.044709371917237194,
+                2.8582486459680605, 51748.8665959813),
+    }
+
+    @pytest.mark.parametrize("P", sorted(PINS))
+    def test_pinned_values(self, P):
+        got = (twin_constant(P).value, pair_constant(30, P).value,
+               conjecture_d_constant(105, 4, 11, P).value,
+               tuple_constant((0, 2, 6), P).value, tuple_constant(TUPLE13, P).value)
+        assert got == self.PINS[P]
+
+    # small_cut = 3,000,002 lies in the second window, so nu(p) < m + 1 is
+    # counted for primes of two windows.
+    @pytest.mark.parametrize("P, value", [
+        (2 * WINDOW + 1, 4.296708719407788),
+        (10**7, 4.296708605206334),
+    ])
+    def test_tuple_small_cut_beyond_first_window(self, P, value):
+        assert tuple_constant((0, 2, 3_000_002), P).value == value
+
+    # (value, naive product) at h = 1, 2, 30, the prime H0 and 2 * H0.  At
+    # odd h the diagonal factor at p = 2 is 0, in the first window; at H0 the
+    # raw factor at p = H0 is 0, in the second, and before it the raw
+    # product is the one at h = 1.
+    SERIES_PINS = {
+        WINDOW - 1: [(0.0, 25.926658975346125), (1.3203236723043732, 0.0),
+                     (3.520863126144995, 0.0), (0.0, 25.926658975346125),
+                     (1.3203236723043732, 0.0)],
+        WINDOW + 1: [(0.0, 25.926658975346125), (1.3203236723043732, 0.0),
+                     (3.520863126144995, 0.0), (0.0, 25.926658975346125),
+                     (1.3203236723043732, 0.0)],
+        2 * WINDOW + 1: [(0.0, 27.16087131842328), (1.320323651128458, 0.0),
+                         (3.520863069675888, 0.0), (0.0, 0.0),
+                         (1.3203240912341412, 0.0)],
+        10**7: [(0.0, 28.70777036091289), (1.320323639430981, 0.0),
+                (3.5208630384826165, 0.0), (0.0, 0.0),
+                (1.3203240795366602, 0.0)],
+    }
+
+    @pytest.mark.parametrize("P", sorted(SERIES_PINS))
+    def test_series_pinned_values(self, P):
+        got = [series_constant(h, P) for h in (1, 2, 30, H0, 2 * H0)]
+        assert [(c.value, c.extra["naive_product"]) for c in got] == self.SERIES_PINS[P]
+
+    def test_one_window_of_memory(self):
+        # One window: its 8 MiB output array, the 1 MiB mask and its terms.
+        # Over one array of the primes <= 2 * 10^7 the peak was 29.1 MiB.
+        twin_constant(10**6)
+        tracemalloc.start()
+        try:
+            twin_constant(2 * 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    # No window edge k * 2^21 + 1 up to 10^7 is prime, so the pins above
+    # would not see a prime read twice or skipped there.  Windows of a few
+    # integers put edges at primes, at the small cut and at p | h.
+    @pytest.mark.parametrize("odds", [1, 2, 5, 64, 1000])
+    def test_window_size_does_not_change_values(self, monkeypatch, odds):
+        P = 3_001
+
+        def values():
+            consts = [twin_constant(P), pair_constant(30, P),
+                      tuple_constant((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 2310), P)]
+            consts += [series_constant(h, P) for h in (1, 2, 30, 1499, 2 * 1499)]
+            return [(c.value, c.extra.get("naive_product")) for c in consts]
+
+        want = values()
+        monkeypatch.setattr(singular, "PRIME_SEGMENT_ODDS", odds)
+        assert values() == want
+
+    def test_zero_factor_stops_the_windows(self, monkeypatch):
+        # At h = 1 the diagonal factor at p = 2 is 0, so that product reads
+        # the first window alone; the raw product reads all three.
+        starts = []
+
+        def recorded(n, lo=1):
+            starts.append(lo)
+            return primes_up_to(n, lo)
+
+        monkeypatch.setattr(singular, "primes_up_to", recorded)
+        got = series_constant(1, 2 * WINDOW + 1)
+        assert (got.value, got.extra["naive_product"]) == (0.0, 27.16087131842328)
+        assert starts == [1, 1, WINDOW + 1, 2 * WINDOW + 1]
+
+    @pytest.mark.parametrize("product", [
+        lambda P: twin_constant(P),
+        lambda P: tuple_constant((0, 2, 6), P),
+        lambda P: series_constant(2, P),
+    ], ids=["twin", "tuple", "series"])
+    def test_refused_before_sieving(self, monkeypatch, product):
+        # pi(10^15) is far over the 10^9 factors a product takes: the check
+        # raises before anything is sieved or allocated.
+        def small_only(n, lo=1):  # the tuple's admissibility check sieves to 3
+            assert n < 100, f"the primes up to {n} were sieved"
+            return primes_up_to(n, lo)
+
+        monkeypatch.setattr(singular, "primes_up_to", small_only)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="over the limit of 1000000000"):
+                product(10**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000

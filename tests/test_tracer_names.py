@@ -4,7 +4,7 @@ A renamed kernel or table function would leave its span empty and zero the
 per-layer metrics without any error, so each correlation command, the
 `sieve` command, a cache save then load of the full tables and an Euler
 product are run under perfbench/tracer.py and their spans are checked by
-name.
+name.  An Euler product records one primes span per window of primes.
 """
 
 import json
@@ -20,8 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def trace(tmp_path, *argv):
-    """Run ``ramabel argv`` under the tracer; the set of span names."""
+def trace_spans(tmp_path, *argv):
+    """Run ``ramabel argv`` under the tracer; its spans, in call order."""
     spans_path = tmp_path / "spans.json"
     env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
     env["PYTHONPATH"] = str(ROOT / "src")
@@ -31,7 +31,12 @@ def trace(tmp_path, *argv):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+    return json.loads(spans_path.read_text())["spans"]
+
+
+def trace(tmp_path, *argv):
+    """Run ``ramabel argv`` under the tracer; the set of span names."""
+    return {span["name"] for span in trace_spans(tmp_path, *argv)}
 
 
 @pytest.mark.parametrize(
@@ -73,3 +78,13 @@ def test_tracer_records_full_cache_save_then_load(tmp_path):
 def test_tracer_records_euler_product_primes(tmp_path):
     names = trace(tmp_path, "singular", "--form", "C2", "--p", "1000")
     assert {"singular.twin_constant", "sieve.primes_up_to"} <= names, names
+
+
+def test_tracer_records_one_primes_span_per_window(tmp_path):
+    # P = 5 * 10^6 spans three windows of 2^21 integers; their prime counts
+    # add up to pi(5 * 10^6), the product's factors.
+    spans = trace_spans(tmp_path, "singular", "--form", "C2", "--p", "5000000")
+    (twin,) = [i for i, s in enumerate(spans) if s["name"] == "singular.twin_constant"]
+    windows = [s for s in spans if s["name"] == "sieve.primes_up_to"]
+    assert len(windows) == 3 and all(s["parent"] == twin for s in windows), spans
+    assert sum(s["count"] for s in windows) == 348_513
