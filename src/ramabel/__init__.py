@@ -31,7 +31,6 @@ from .rf_series import (
 )
 from .mean_values import (
     MeanValueReport,
-    TupleSpec,
     cq_mean,
     cq_orthogonality,
     conjecture_d_mean,
@@ -50,4 +49,5 @@ from .singular import (
     series_wk,
     tuple_constant,
     twin_constant,
+    validate_tuple,
 )

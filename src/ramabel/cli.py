@@ -251,15 +251,15 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "tuple":
-        spec = mean_values.TupleSpec.from_offsets(_ints(args.offsets))
-        bound = args.n + spec.offsets[-1]
+        offsets = singular.validate_tuple(_ints(args.offsets))
+        bound = args.n + offsets[-1]
         tables = build_sieve(bound, lambda_only=True)
-        result = mean_values.tuple_mean(tables, spec, args.n, P=args.p)
+        result = mean_values.tuple_mean(tables, offsets, args.n, P=args.p)
         rows = result.lambda_weighted.csv_rows() + result.lambda1_weighted.csv_rows()
         return _finish(
             args, out, start, bound, REPORT_HEADER, rows,
-            {"offsets": list(spec.offsets), "n": args.n, "p": args.p},
-            f"tuple {spec.offsets}: lambda={result.lambda_weighted.empirical:.12g} "
+            {"offsets": list(offsets), "n": args.n, "p": args.p},
+            f"tuple {offsets}: lambda={result.lambda_weighted.empirical:.12g} "
             f"lambda1={result.lambda1_weighted.empirical:.12g} "
             f"predicted={result.lambda1_weighted.predicted:.12g}",
         )

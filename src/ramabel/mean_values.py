@@ -293,43 +293,18 @@ def conjecture_d_mean(
     return _report(f"conjecture_d_mean(a={a},b={b},l={l},w={weight})", N, trace, predicted)
 
 
-@dataclass(frozen=True)
-class TupleSpec:
-    """Offset tuple 0 = a_0 < a_1 < ... < a_m with its admissibility flag."""
-
-    offsets: tuple[int, ...]
-    admissible: bool
-    obstructing_prime: int | None = None
-
-    @classmethod
-    def from_offsets(cls, offsets: Sequence[int]) -> "TupleSpec":
-        offs = tuple(int(o) for o in offsets)
-        if not offs or offs[0] != 0:
-            raise ValueError(f"offsets must begin with 0, got {offs}")
-        if any(o < 0 for o in offs):
-            raise ValueError(f"offsets must be non-negative, got {offs}")
-        if any(y <= x for x, y in zip(offs, offs[1:])):
-            raise ValueError(f"offsets must be strictly increasing, got {offs}")
-        bad = singular.check_admissible(offs)
-        return cls(offsets=offs, admissible=bad is None, obstructing_prime=bad)
-
-    @property
-    def m(self) -> int:
-        return len(self.offsets) - 1
-
-
 @dataclass
 class TupleMeanReport:
     """Both weightings of the tuple correlation against one predicted constant."""
 
-    spec: TupleSpec
+    offsets: tuple[int, ...]
     lambda_weighted: MeanValueReport
     lambda1_weighted: MeanValueReport
 
 
 def tuple_mean(
     tables: LambdaTables | SieveTables,
-    spec: TupleSpec,
+    offsets: Sequence[int],
     N: int,
     P: int = 10**6,
 ) -> TupleMeanReport:
@@ -337,24 +312,20 @@ def tuple_mean(
 
     The raw and phi(n)/n-weighted products are both reported; the raw one
     dominates the weighted one term by term, which makes the lower-bound
-    chain checkable.
+    chain checkable.  ``offsets`` must pass ``singular.validate_tuple``.
     """
-    if not spec.admissible:
-        raise ValueError(
-            f"offsets {spec.offsets} inadmissible: prime "
-            f"{spec.obstructing_prime} covers every residue class"
-        )
+    offsets = singular.validate_tuple(offsets)
     ns = _checkpoint_ns(N)
-    if N + spec.offsets[-1] > tables.bound:
+    if N + offsets[-1] > tables.bound:
         raise ValueError(
-            f"N + max offset = {N + spec.offsets[-1]} beyond table bound {tables.bound}"
+            f"N + max offset = {N + offsets[-1]} beyond table bound {tables.bound}"
         )
-    predicted = singular.tuple_constant(spec.offsets, P).value
+    predicted = singular.tuple_constant(offsets, P).value
     # The n <= N with every n + offset in the support, as indices into it
     # per offset; the products multiply in offset order.
-    n, lam, lam1 = lambda_support(tables.primes, N + spec.offsets[-1])
+    n, lam, lam1 = lambda_support(tables.primes, N + offsets[-1])
     idx = [np.arange(np.searchsorted(n, N, "right"))]
-    for off in spec.offsets[1:]:
+    for off in offsets[1:]:
         hit, j = _lookup(n, n[idx[0]] + off)
         idx = [k[hit] for k in idx] + [j]
     reports = {}
@@ -363,13 +334,13 @@ def tuple_mean(
         for k in idx[1:]:
             vals *= w[k]
         reports[weight] = _report(
-            f"tuple_mean(offsets={spec.offsets},w={weight})",
+            f"tuple_mean(offsets={offsets},w={weight})",
             N,
             _array_trace(n[idx[0]], vals, ns),
             predicted,
         )
     return TupleMeanReport(
-        spec=spec,
+        offsets=offsets,
         lambda_weighted=reports["lambda"],
         lambda1_weighted=reports["lambda1"],
     )

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .sieve import SieveTables, sigma_table
 
-DEFAULT_DIRECT_THRESHOLD = 5000
+# The largest q of the oracle, whose sum takes phi(q) terms per n.
+DIRECT_MAX_Q = 5000
 _RESIDUE_TOL = 1e-6
 
 
@@ -25,7 +26,8 @@ def cq_int(tables: SieveTables, q: int | np.ndarray, n: int | np.ndarray):
     """Exact c_q(n) by Hoelder's closed form, for integer q and n.
 
     Integers give a Python int, for n of any size.  If q or n is an array,
-    the two broadcast together into an int64 array.  Either way q = 0 gives
+    the two broadcast together into an int64 array; an int n of any size
+    goes with an array q, reduced mod each q.  Either way q = 0 gives
     1, as c_0 = c_1 = 1 in the real-argument convention, and c_{-q} = c_q.
     """
     if isinstance(q, int) and isinstance(n, int):
@@ -40,6 +42,8 @@ def cq_int(tables: SieveTables, q: int | np.ndarray, n: int | np.ndarray):
     q = np.maximum(np.abs(np.asarray(q, dtype=np.int64)), 1)
     if q.size and int(q.max()) > tables.bound:
         raise ValueError(f"q={int(q.max())} beyond table bound {tables.bound}")
+    if isinstance(n, int) and not -(2**63) <= n < 2**63:
+        n = n % q.astype(object)  # c_q(n) = c_q(n mod q), exact in Python ints
     qg = q // np.gcd(q, np.asarray(n, dtype=np.int64))
     c = tables.mu[qg].astype(np.int64) * tables.phi[q] // tables.phi[qg]
     return c if c.ndim else int(c)  # NumPy integer scalars, as Python ints
@@ -69,43 +73,25 @@ def cq_real(q: int, x: float | np.ndarray) -> float | np.ndarray:
     return twice * float(s) if scalar else twice * s
 
 
-def direct_oracle(
-    q: int, n: int, direct_threshold: int = DEFAULT_DIRECT_THRESHOLD
-) -> int:
-    """c_q(n) straight from the defining exponential sum.
+def direct_oracle(q: int, n: int | np.ndarray) -> int | np.ndarray:
+    """c_q(n) straight from the defining exponential sum, for 1 <= q <= DIRECT_MAX_Q.
 
-    Accumulates sum of exp(2 pi i k n / q) over k coprime to q and rounds;
-    residues above the gate signal a bug, not an expected condition.
+    n is an int, of any size, or an integer array, reduced mod q first,
+    which is exact; the sum of exp(2 pi i k n / q) over the k coprime to q
+    is rounded to an int, or to an int64 array for an array n.  Residues
+    above the gate signal a bug, not an expected condition.
     """
-    if q < 1:
-        raise ValueError(f"direct oracle needs q >= 1, got {q}")
-    if q > direct_threshold:
-        raise ValueError(f"q={q} above direct-evaluation threshold {direct_threshold}")
+    if not 1 <= q <= DIRECT_MAX_Q:
+        raise ValueError(f"direct oracle needs 1 <= q <= {DIRECT_MAX_Q}, got q={q}")
     k = np.arange(1, q + 1, dtype=np.int64)
-    k = k[np.gcd(k, np.int64(q)) == 1]
-    z = complex(np.sum(np.exp((2j * math.pi * n / q) * k)))
-    nearest = round(z.real)
-    if abs(z.imag) > _RESIDUE_TOL or abs(z.real - nearest) > _RESIDUE_TOL:
-        raise InternalConsistencyError(
-            f"exponential sum for c_{q}({n}) left residue {z - nearest}"
-        )
-    return int(nearest)
-
-
-def direct_oracle_over_n(
-    q: int, ns: np.ndarray, direct_threshold: int = DEFAULT_DIRECT_THRESHOLD
-) -> np.ndarray:
-    """Oracle values for one q across many n (same definition, vectorised)."""
-    if q < 1 or q > direct_threshold:
-        raise ValueError(f"q={q} outside 1..{direct_threshold}")
-    k = np.arange(1, q + 1, dtype=np.int64)
-    k = k[np.gcd(k, np.int64(q)) == 1]
-    ns = np.asarray(ns, dtype=np.int64)
-    z = np.exp(np.multiply.outer(ns, k) * (2j * math.pi / q)).sum(axis=1)
+    k = k[np.gcd(k, q) == 1]
+    r = n % q if isinstance(n, int) else np.asarray(n, dtype=np.int64) % q
+    z = np.exp(np.multiply.outer(r, k) * (2j * math.pi / q)).sum(axis=-1)
     nearest = np.rint(z.real)
     if np.abs(z.imag).max() > _RESIDUE_TOL or np.abs(z.real - nearest).max() > _RESIDUE_TOL:
-        raise InternalConsistencyError(f"exponential sums for q={q} left large residue")
-    return nearest.astype(np.int64)
+        raise InternalConsistencyError(f"exponential sums for c_{q}(n) left a residue "
+                                       f"above {_RESIDUE_TOL}")
+    return nearest.astype(np.int64) if z.ndim else int(nearest)
 
 
 @dataclass

@@ -63,7 +63,6 @@ class SeriesParams:
 
     z: float
     Q: int
-    epsilon: float | None = None
 
     def __post_init__(self):
         _check_z(self.z)
@@ -72,7 +71,7 @@ class SeriesParams:
 
     @classmethod
     def for_accuracy(cls, z: float, epsilon: float) -> "SeriesParams":
-        return cls(z=z, Q=required_Q(z, epsilon), epsilon=epsilon)
+        return cls(z=z, Q=required_Q(z, epsilon))
 
     @property
     def tail(self) -> float:

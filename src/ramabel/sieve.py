@@ -13,7 +13,8 @@ mu and Euler phi then follow from spf by the recurrence over n = spf(n) * m.
 ``build_sieve`` makes ``SieveTables``, three dense arrays of 9 bytes an entry:
 int32 spf segment by segment from the base primes <= sqrt(N), then int8 mu and
 int32 phi.  ``LambdaTables`` hold only the primes, from ``primes_up_to`` on
-every build; the correlation means reduce ``lambda_support`` of either kind.
+every build, and ``SieveTables`` take theirs from it on first use; the
+correlation means reduce ``lambda_support`` of either kind.
 Tables are immutable.  Only ``SieveTables`` have a dump format, and every
 dump ends in a crc32 of the bytes before it.
 """
@@ -76,9 +77,9 @@ class SieveTables:
 
     @cached_property
     def primes(self) -> np.ndarray:
-        """The primes <= bound, ascending and read-only, as for ``LambdaTables``:
-        the n >= 2 that are their own smallest prime factor.  Made on first use."""
-        primes = np.flatnonzero(self.spf[2:] == np.arange(2, self.bound + 1, dtype=np.int32)) + 2
+        """The primes <= bound, ascending and read-only, from ``primes_up_to``
+        as for ``LambdaTables``.  Made on first use."""
+        primes = primes_up_to(self.bound)
         primes.flags.writeable = False
         return primes
 

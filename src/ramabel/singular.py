@@ -95,9 +95,9 @@ def _prime_factors(n: int) -> list[tuple[int, int]]:
     Trial division takes the primes below 2^10; the cofactor is settled by
     deterministic Miller-Rabin and a composite one split by Pollard-Brent
     rho.  Run time is bounded for n < 2^64: a composite cofactor then has a
-    prime factor below 2^32, which rho finds in about 2^16 steps.  Beyond
-    3.3 * 10^24 a cofactor that passes Miller-Rabin is proven prime by trial
-    division, as slow as plain trial division.
+    prime factor below 2^32, which rho finds in about 2^16 steps.  A cofactor
+    at or above _MR_LIMIT that passes Miller-Rabin cannot be proven prime
+    that way, and raises ResourceLimitError.
     """
     out, n, d = [], abs(n), 2
     while d < _TRIAL and d * d <= n:
@@ -122,7 +122,8 @@ def _large_factors(n: int) -> list[int]:
 
 def _is_prime(n: int) -> bool:
     """Whether n is prime, for odd n > 41: strong probable prime to every
-    base of _MR_BASES, then trial division from _TRIAL at n >= _MR_LIMIT."""
+    base of _MR_BASES.  Raises ResourceLimitError for a probable prime
+    n >= _MR_LIMIT, where the bases prove nothing."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -136,7 +137,10 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_LIMIT or all(n % m for m in range(_TRIAL + 1, math.isqrt(n) + 1, 2))
+    if n >= _MR_LIMIT:
+        raise ResourceLimitError(f"cannot prove the factor {n} prime: "
+                                 f"Miller-Rabin is proven only below {_MR_LIMIT}")
+    return True
 
 
 def _rho_factor(n: int) -> int:
@@ -213,31 +217,34 @@ def conjecture_d_constant(a: int, b: int, l: int, P: int) -> SingularConstant:
     )
 
 
-def distinct_residues(offsets: Sequence[int], p: int) -> int:
-    """Number of distinct residues of the offset tuple mod p."""
-    return len({o % p for o in offsets})
+def _residue_counts(offsets: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """nu(p) for each p of ``ps``: the number of distinct residues of the
+    offsets mod p, one plus the steps of each sorted row of the offsets mod
+    p, over blocks of rows of about 2^16 entries.  Offsets past int64 come
+    as an object array of Python ints, which the same code reduces exactly."""
+    nu = np.empty(ps.size, dtype=np.int64)
+    step = max(1, (1 << 16) // offsets.size)
+    for lo in range(0, ps.size, step):
+        rows = offsets % ps[lo : lo + step, None]
+        rows.sort(axis=1)
+        nu[lo : lo + len(rows)] = 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+    return nu
 
 
 def check_admissible(offsets: Sequence[int]) -> int | None:
-    """Return the obstructing prime if some p covers every residue, else None."""
-    # Only a prime p <= len(offsets) can cover all p residues.
-    for p in primes_up_to(len(offsets)):
-        p = int(p)
-        if distinct_residues(offsets, p) == p:
-            return p
-    return None
+    """The least prime p whose every residue the offsets cover, else None."""
+    # Only a prime p <= len(offsets) can be covered.
+    ps = primes_up_to(len(offsets))
+    bad = ps[_residue_counts(np.array(offsets), ps) == ps]
+    return int(bad[0]) if bad.size else None
 
 
-def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
-    """prod over p <= P of (p/(p-1))^m * (p - nu)/(p - 1) for an offset tuple.
-
-    offsets must be strictly increasing and start at 0; m counts the
-    offsets beyond the leading 0.  nu is the number of distinct residues
-    of the tuple mod p, which equals m + 1 once p exceeds every offset.
-    ``tail_estimate`` = 2m(m+1)/(P-1) estimates the log of the omitted
-    factors; it is not a proven bound.
+def validate_tuple(offsets: Sequence[int]) -> tuple[int, ...]:
+    """The offsets as a tuple of ints, once checked: non-empty, starting at 0,
+    strictly increasing, and admissible, so that no prime p has every residue
+    mod p among them.  The error for an inadmissible tuple names that prime.
     """
-    offsets = tuple(offsets)
+    offsets = tuple(int(o) for o in offsets)
     if not offsets or offsets[0] != 0:
         raise ValueError(f"offsets must start with 0, got {offsets}")
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
@@ -247,6 +254,19 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
         raise ValueError(
             f"offsets {offsets} are inadmissible: prime {bad} covers every residue"
         )
+    return offsets
+
+
+def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
+    """prod over p <= P of (p/(p-1))^m * (p - nu)/(p - 1) for an offset tuple.
+
+    offsets must pass ``validate_tuple``; m counts the offsets beyond the
+    leading 0.  nu is the number of distinct residues of the tuple mod p,
+    which equals m + 1 once p exceeds every offset.  ``tail_estimate`` =
+    2m(m+1)/(P-1) estimates the log of the omitted factors; it is not a
+    proven bound.
+    """
+    offsets = validate_tuple(offsets)
     m = len(offsets) - 1
     if m == 0:
         return SingularConstant(
@@ -255,19 +275,13 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     small_cut = max(offsets[-1], m + 1)
     if P < small_cut:
         raise ValueError(f"P={P} too small; need P >= {small_cut}")
-    offs = np.array(offsets, dtype=np.int64)
-    step = max(1, (1 << 16) // offs.size)
+    offs = np.array(offsets)
 
     def log_terms(ps: np.ndarray) -> np.ndarray:
-        # nu(p) for the window's p <= small_cut: the distinct entries of each
-        # sorted row of the offsets mod p, over blocks of rows of about 2^16
-        # entries.
+        # nu(p) is counted for the window's p <= small_cut only.
         nu = np.full(ps.size, m + 1, dtype=np.int64)
         n_small = np.searchsorted(ps, small_cut, "right")
-        for lo in range(0, n_small, step):
-            rows = offs % ps[lo : min(lo + step, n_small), None]
-            rows.sort(axis=1)
-            nu[lo : lo + len(rows)] = 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+        nu[:n_small] = _residue_counts(offs, ps[:n_small])
         p = ps.astype(np.float64)
         return m * np.log(p / (p - 1.0)) + np.log((p - nu) / (p - 1.0))
 

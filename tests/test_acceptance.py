@@ -31,7 +31,7 @@ from ramabel import (
     twin_constant,
 )
 from ramabel.cli import main as cli_main
-from ramabel.ramanujan import cq_int, direct_oracle_over_n
+from ramabel.ramanujan import cq_int, direct_oracle
 
 
 def announce(capsys, k, ok, detail=""):
@@ -56,7 +56,7 @@ def test_criterion_02_oracle_equivalence(capsys, tables):
     ns = np.arange(-500, 501)
     mismatches = sum(
         not np.array_equal(
-            cq_int(tables, q, ns), direct_oracle_over_n(q, ns)
+            cq_int(tables, q, ns), direct_oracle(q, ns)
         )
         for q in range(1, 201)
     )

@@ -78,6 +78,43 @@ class TestErrors:
     def test_bad_tuple(self, tmp_path):
         assert run(tmp_path, "tuple", "--offsets", "0,2,4", "--n", "100") == 2
 
+    # Both tuple commands check their offsets with one validator, before
+    # anything is sieved.
+    @pytest.mark.parametrize("argv, error", [
+        (("tuple", "--offsets", "", "--n", "100"), "offsets must start with 0, got ()"),
+        (("tuple", "--offsets", "2,4", "--n", "100"), "offsets must start with 0, got (2, 4)"),
+        (("tuple", "--offsets", "0,4,2", "--n", "100"),
+         "offsets must be strictly increasing, got (0, 4, 2)"),
+        (("tuple", "--offsets", "0,2,4", "--n", "100"),
+         "offsets (0, 2, 4) are inadmissible: prime 3 covers every residue"),
+        (("tuple", "--offsets", "0,2,6,8,14", "--n", "100"),
+         "offsets (0, 2, 6, 8, 14) are inadmissible: prime 5 covers every residue"),
+        (("singular", "--form", "tuple", "--params", "2,4"),
+         "offsets must start with 0, got (2, 4)"),
+        (("singular", "--form", "tuple", "--params", "0,4,2"),
+         "offsets must be strictly increasing, got (0, 4, 2)"),
+        (("singular", "--form", "tuple", "--params", "0,2,4"),
+         "offsets (0, 2, 4) are inadmissible: prime 3 covers every residue"),
+        (("singular", "--form", "tuple", "--params", "0,2,6,8,14", "--p", "1000"),
+         "offsets (0, 2, 6, 8, 14) are inadmissible: prime 5 covers every residue"),
+    ])
+    def test_bad_tuple_one_error_line(self, tmp_path, capsys, argv, error):
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    def test_unprovable_prime_factor_exit_two(self, tmp_path, capsys):
+        # a = 10^25 + 13 is prime, beyond the range where Miller-Rabin to the
+        # 13 bases proves primality: refused at once, not trial-divided.
+        start = time.perf_counter()
+        assert run(tmp_path, "singular", "--form", "conjD", "--params",
+                   "10000000000000000000000013,2,1", "--p", "1000") == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: cannot prove the factor 10000000000000000000000013 prime: "
+            "Miller-Rabin is proven only below 3317044064679887385961981\n")
+        assert not (tmp_path / "singular.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ("autocorr", "--gap", "2", "--n", "0"),
         ("autocorr", "--gap", "4", "--n", "-1"),
@@ -181,6 +218,12 @@ class TestSubcommandCoverage:
         assert run(tmp_path, "conjd", "--a", "1", "--b", "2", "--l", "1",
                    "--n", "20000") == 0
         assert "conjecture_d_mean" in capsys.readouterr().out
+
+    def test_series_wk_gap_beyond_int64(self, tmp_path):
+        assert run(tmp_path, "singular", "--form", "series_wk", "--params",
+                   str(2**63), "--p", "1000") == 0
+        assert (tmp_path / "singular.csv").read_text().splitlines()[1] == (
+            "series_wk(9223372036854775808),1.32029693531,1000,8.11656739243e+16")
 
     def test_conjd_a_above_b(self, tmp_path):
         # n itself, not (b n + l)/a, is the largest table index when a > b.

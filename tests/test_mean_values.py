@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
-    TupleSpec,
     build_sieve,
     conjecture_d_mean,
     cq_int,
@@ -113,7 +112,7 @@ class TestSparseMatchesDense:
                 assert rep.trace == _direct_conjd_trace(dense, a, b, l, N, weight)
         for offsets in [(0, 2), (0, 2, 6), (0, 4, 6, 10)]:
             rep = tuple_mean(build_sieve(N + offsets[-1], lambda_only=True),
-                             TupleSpec.from_offsets(offsets), N, P=10**3)
+                             offsets, N, P=10**3)
             for got, w in ((rep.lambda_weighted, lam), (rep.lambda1_weighted, lam1)):
                 vals = w[1 : N + 1].copy()
                 for off in offsets[1:]:
@@ -359,32 +358,27 @@ class TestConjectureDMean:
 
 
 class TestTupleMean:
-    def test_spec_validation(self):
-        spec = TupleSpec.from_offsets((0, 2, 6))
-        assert spec.admissible
-        assert spec.m == 2
-        bad = TupleSpec.from_offsets((0, 2, 4))
-        assert not bad.admissible
-        assert bad.obstructing_prime == 3
-        with pytest.raises(ValueError):
-            TupleSpec.from_offsets((2, 4))
-        with pytest.raises(ValueError):
-            TupleSpec.from_offsets((0, 4, 2))
+    def test_spec_validation(self, tables_small):
+        rep = tuple_mean(tables_small, np.array([0, 2, 6]), 100, P=10**3)
+        assert rep.offsets == (0, 2, 6) and all(type(o) is int for o in rep.offsets)
+        assert rep.lambda_weighted.label == "tuple_mean(offsets=(0, 2, 6),w=lambda)"
+        for offsets, error in [((), "start with 0"), ((2, 4), "start with 0"),
+                               ((0, 4, 2), "strictly increasing")]:
+            with pytest.raises(ValueError, match=error):
+                tuple_mean(tables_small, offsets, 100)
 
     def test_single_gap_agrees_with_pair_autocorrelation(self, tables_small):
-        spec = TupleSpec.from_offsets((0, 2))
-        rep = tuple_mean(tables_small, spec, 5000)
+        rep = tuple_mean(tables_small, (0, 2), 5000)
         pair = pair_autocorrelation(tables_small, 2, 5000)
         assert rep.lambda1_weighted.empirical == pair.empirical
 
     def test_raw_weights_dominate(self, tables_small):
-        spec = TupleSpec.from_offsets((0, 2, 6))
-        rep = tuple_mean(tables_small, spec, 5000)
+        rep = tuple_mean(tables_small, (0, 2, 6), 5000)
         assert rep.lambda_weighted.empirical >= rep.lambda1_weighted.empirical
 
     def test_inadmissible_rejected(self, tables_small):
-        with pytest.raises(ValueError):
-            tuple_mean(tables_small, TupleSpec.from_offsets((0, 2, 4)), 100)
+        with pytest.raises(ValueError, match="prime 3 covers every residue"):
+            tuple_mean(tables_small, (0, 2, 4), 100)
 
 
 class TestPntMean:

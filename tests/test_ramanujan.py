@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq_real
-from ramabel.ramanujan import direct_oracle, direct_oracle_over_n
+from ramabel.ramanujan import DIRECT_MAX_Q, direct_oracle
 from ramabel.sieve import sigma_table
 
 
@@ -51,7 +51,7 @@ class TestCqInt:
         for q in (1, 2, 6, 30, 97, 128, 210):
             ns = np.arange(-2 * q, 2 * q + 1)
             assert np.array_equal(
-                cq_int(tables_small, q, ns), direct_oracle_over_n(q, ns)
+                cq_int(tables_small, q, ns), direct_oracle(q, ns)
             )
 
     def test_vector_over_q(self, tables_small):
@@ -132,8 +132,29 @@ class TestDirectOracle:
             direct_oracle(7, 3)
 
     def test_threshold_guard(self):
-        with pytest.raises(ValueError):
-            direct_oracle(10_001, 1, direct_threshold=10_000)
+        assert DIRECT_MAX_Q == 5000
+        for q in (0, -3, DIRECT_MAX_Q + 1):
+            with pytest.raises(ValueError, match="1 <= q <= 5000"):
+                direct_oracle(q, 1)
+
+    def test_matches_unreduced_sum_on_criterion_2_grid(self):
+        # The reference sums exp(2 pi i k n / q) at n itself, not at n mod q.
+        ns = np.arange(-500, 501)
+        for q in range(1, 201):
+            k = np.arange(1, q + 1)
+            k = k[np.gcd(k, q) == 1]
+            z = np.exp(np.multiply.outer(ns, k) * (2j * math.pi / q)).sum(axis=1)
+            got = direct_oracle(q, ns)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.rint(z.real).astype(np.int64))
+
+    @pytest.mark.parametrize("q", [1, 4, 7, 12, 30, 97, 210, 5000])
+    def test_int_of_any_size_reduced_mod_q(self, q):
+        for n in (-7, 0, 1, 6, 1000):
+            got = direct_oracle(q, n)
+            assert type(got) is int
+            assert direct_oracle(q, n + q * 10**30) == got
+            assert direct_oracle(q, np.array([n]))[0] == got
 
 
 class TestCqReal:

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -19,12 +20,14 @@ from ramabel import (
     twin_constant,
 )
 from ramabel import singular
+from ramabel.ramanujan import cq_int
 from ramabel.singular import (
     TWIN_CONSTANT_REFERENCE,
     _prime_factors,
+    _residue_counts,
     check_admissible,
-    distinct_residues,
     validate_linear_pair,
+    validate_tuple,
 )
 from ramabel.sieve import PRIME_SEGMENT_ODDS, build_sieve, primes_up_to
 
@@ -141,11 +144,14 @@ class TestPrimeFactors:
     def test_pseudoprime_beyond_the_proven_range(self, monkeypatch):
         # 25326001 = 2251 * 11251 is the least strong pseudoprime to the
         # bases 2, 3 and 5, so Miller-Rabin to those bases is proven only
-        # below it; at and above the limit trial division decides.
+        # below it; at and above the limit a cofactor that passes, composite
+        # or prime, is refused.
         monkeypatch.setattr(singular, "_MR_BASES", (2, 3, 5))
         monkeypatch.setattr(singular, "_MR_LIMIT", 25326001)
-        assert _prime_factors(25326001) == [(2251, 1), (11251, 1)]
-        assert _prime_factors(25326023) == [(25326023, 1)]
+        for n in (25326001, 25326023):
+            with pytest.raises(ResourceLimitError, match=f"factor {n} prime: .* below 25326001$"):
+                _prime_factors(n)
+        assert _prime_factors(25325981) == [(25325981, 1)]  # the prime below it
 
 
 class TestLinearPairValidation:
@@ -182,10 +188,16 @@ class TestConjectureDConstant:
 
 
 class TestAdmissibility:
-    def test_distinct_residues(self):
-        assert distinct_residues((0, 2, 6), 3) == 2
-        assert distinct_residues((0, 2, 4), 3) == 3
-        assert distinct_residues((0, 2), 2) == 1
+    def test_residue_counts(self):
+        ps = np.array([2, 3, 5, 7])
+        assert _residue_counts(np.array([0, 2, 6]), ps).tolist() == [1, 2, 3, 3]
+        assert _residue_counts(np.array([0, 2, 4]), ps).tolist() == [1, 3, 3, 3]
+        assert _residue_counts(np.array([0, 2]), ps).tolist() == [1, 2, 2, 2]
+        # Offsets past int64 are reduced exactly, in Python ints:
+        # 2^64 + 4 is 2 mod 3, 0 mod 5 and 6 mod 7.
+        big = np.array([0, 2, 2**64 + 4])
+        assert big.dtype == object
+        assert _residue_counts(big, ps).tolist() == [1, 2, 2, 3]
 
     def test_check_admissible(self):
         assert check_admissible((0, 2, 6)) is None
@@ -199,11 +211,33 @@ class TestAdmissibility:
         st.integers(0, 300 // scale).map(lambda o: o * scale), max_size=40, unique=True)))
     @settings(max_examples=300, deadline=None)
     def test_check_admissible_matches_all_primes_to_max_offset(self, offsets):
-        # The reference tries every prime up to max(offsets) + 1.
+        # The reference counts the residues of every prime up to
+        # max(offsets) + 1 as a set.
         offsets = (0, *sorted(o for o in offsets if o))
         want = next((p for p in map(int, primes_up_to(max(max(offsets) + 1, 2)))
-                     if distinct_residues(offsets, p) == p), None)
+                     if len({o % p for o in offsets}) == p), None)
         assert check_admissible(offsets) == want
+
+    @pytest.mark.parametrize("offsets, error", [
+        ((), "must start with 0, got ()"),
+        ((2, 4), "must start with 0, got (2, 4)"),
+        ((0, 4, 2), "must be strictly increasing, got (0, 4, 2)"),
+        ((0, 2, 2), "must be strictly increasing, got (0, 2, 2)"),
+        ((0, 2, 4), "offsets (0, 2, 4) are inadmissible: prime 3 covers every residue"),
+        ((0, 2, 6, 8, 14),
+         "offsets (0, 2, 6, 8, 14) are inadmissible: prime 5 covers every residue"),
+        ((0, 1), "offsets (0, 1) are inadmissible: prime 2 covers every residue"),
+    ])
+    def test_validate_tuple_rejects(self, offsets, error):
+        with pytest.raises(ValueError) as info:
+            validate_tuple(offsets)
+        assert str(info.value).endswith(error)
+
+    def test_validate_tuple_returns_ints(self):
+        got = validate_tuple(np.array([0, 2, 6]))
+        assert got == (0, 2, 6) and all(type(o) is int for o in got)
+        assert validate_tuple([0]) == (0,)
+        assert validate_tuple((0, 2, 2**64 + 4)) == (0, 2, 2**64 + 4)
 
 
 class TestTupleConstant:
@@ -329,6 +363,15 @@ class TestSeriesConstant:
     ])
     def test_series_wk_pinned_values(self, tables, h, Q, value):
         assert series_wk(tables, h, Q).value == value
+
+    # h past int64 is reduced mod each q in Python ints: the sum is the fsum
+    # of the scalar int path's terms.
+    @pytest.mark.parametrize("h", [2**63, 2**64 + 6, 3 * 2**70])
+    def test_series_wk_beyond_int64(self, tables_small, h):
+        Q = tables_small.bound
+        want = math.fsum(1.0 / float(tables_small.phi[q]) ** 2 * cq_int(tables_small, q, h)
+                         for q in range(1, Q + 1) if tables_small.mu[q])
+        assert series_wk(tables_small, h, Q).value == want
 
     def test_series_wk_odd_gap_small(self, tables):
         got = series_wk(tables, 3, tables.bound)

@@ -2,9 +2,11 @@
 
 A renamed kernel or table function would leave its span empty and zero the
 per-layer metrics without any error, so each correlation command, the
-`sieve` command, a cache save then load of the full tables and an Euler
-product are run under perfbench/tracer.py and their spans are checked by
-name.  An Euler product records one primes span per window of primes.
+`sieve` command, a cache save then load of the full tables and every
+command kind of the `constants` workload are run under perfbench/tracer.py
+and their spans are checked by name.  An Euler product records one primes
+span per window of primes.  A renamed argument that a span's count reads
+fails the traced command.
 """
 
 import json
@@ -15,6 +17,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from ramabel.rf_series import required_Q
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -88,3 +92,41 @@ def test_tracer_records_one_primes_span_per_window(tmp_path):
     windows = [s for s in spans if s["name"] == "sieve.primes_up_to"]
     assert len(windows) == 3 and all(s["parent"] == twin for s in windows), spans
     assert sum(s["count"] for s in windows) == 348_513
+
+
+# Each command kind of the `constants` workload at smoke size: the span it
+# is named by, and the span whose counts add up to its work.  The
+# tuple constant's primes include the two primes <= 3 of its admissibility
+# check; the series constant walks the primes twice.
+@pytest.mark.parametrize(
+    "argv, named, counted, count",
+    [
+        (["singular", "--form", "C2", "--p", "1000"],
+         "singular.twin_constant", "sieve.primes_up_to", 168),
+        (["singular", "--form", "pair", "--params", "6", "--p", "1000"],
+         "singular.pair_constant", "sieve.primes_up_to", 168),
+        (["singular", "--form", "conjD", "--params", "1,2,1", "--p", "1000"],
+         "singular.conjecture_d_constant", "sieve.primes_up_to", 168),
+        (["singular", "--form", "tuple", "--params", "0,2,6", "--p", "1000"],
+         "singular.tuple_constant", "sieve.primes_up_to", 170),
+        (["singular", "--form", "series", "--params", "6", "--p", "1000"],
+         "singular.series_constant", "sieve.primes_up_to", 336),
+        (["singular", "--form", "series_wk", "--params", "6", "--p", "1000"],
+         "singular.series_wk", "sieve.build_sieve", 1001),
+        (["abel", "--x", "6"], "rf_series.abel_ladder", "rf_series.abel_ladder",
+         sum(required_Q(z, 1e-8) for z in (0.9, 0.99, 0.999))),
+        (["props", "--qmax", "10", "--nmax", "50"],
+         "ramanujan.check_property_catalog", "ramanujan.check_property_catalog", 16),
+        (["polymean", "--q", "5", "--poly=1,0,1", "--n", "100"],
+         "mean_values.polynomial_cq_mean", "mean_values.polynomial_cq_mean", 5),
+        (["goldbach", "--n", "3", "--q1", "2", "--q2", "2"],
+         "mean_values.goldbach_correlation", "mean_values.goldbach_correlation", 6),
+        (["csum", "--q", "6", "--n", "3"], "sieve.build_sieve", "sieve.build_sieve", 7),
+    ],
+    ids=["C2", "pair", "conjD", "tuple", "series", "series_wk", "abel", "props",
+         "polymean", "goldbach", "csum"],
+)
+def test_tracer_records_constants_deck_spans(tmp_path, argv, named, counted, count):
+    spans = trace_spans(tmp_path, *argv)
+    assert [s["name"] for s in spans].count(named) == 1, spans
+    assert sum(s["count"] for s in spans if s["name"] == counted) == count, spans
