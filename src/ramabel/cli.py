@@ -8,6 +8,12 @@ byte for byte; only the duration field varies.  ``--threads`` is accepted
 for compatibility with older command lines and has no effect: ramabel
 starts no worker threads, and results do not depend on the flag.
 
+``sieve`` prints the SHA-256 of the full-table dump for its bound, the same
+with no cache, a cold cache or a warm one, and never holds the tables: it
+streams the dump to the cache file, or with no cache to a temporary file in
+--out that it removes, and it checksums a cached dump in one checked pass.
+At 10^7 a process peaks at about 66 MB cold and 35 MB warm.
+
 Exit codes: 0 success, 1 check failure (props), 2 usage, argument or
 resource error (memory budget, I/O, an array allocation that failed).
 """
@@ -19,11 +25,13 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from . import __version__, mean_values, ramanujan, rf_series, singular
 from .errors import DamagedDumpError, ResourceLimitError
+# load_tables is not called here: it keeps its name in cli for perfbench/tracer.py.
 from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_checksum
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
@@ -67,35 +75,38 @@ def _write_manifest(path: Path, args: argparse.Namespace, bound: int | None,
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _get_tables(bound: int, cache_dir: str | None, path: str | None = None) -> SieveTables:
-    """Full tables for 1..bound, for ``sieve``, through one table cache file
-    if there is one.  No other command reads or writes a cache file: the
-    other full-table commands call ``build_sieve`` (at their bounds a build
-    costs about a load, and no damaged file reaches a result), and the
-    correlation commands sieve their primes on every run.
+def _get_checksum(bound: int, cache_dir: str | None, path: str | None, scratch: Path) -> str:
+    """The SHA-256 of the dump of the full tables for 1..bound, for ``sieve``,
+    through one table cache file if there is one.  No other command reads or
+    writes a cache file: the other full-table commands call ``build_sieve``
+    (at their bounds a build costs about a load, and no damaged file reaches
+    a result), and the correlation commands sieve their primes on every run.
 
     The file is ``path`` if given, else ``<cache_dir>/tables_N{bound}_v3.bin``:
     the suffix is the dump format version, so older formats are never opened.
-    An existing file is loaded and must hold ``bound``; a dump of the wrong
-    length or failing its crc32 check is rebuilt and replaced with a warning.
-    A missing file is built and saved.
+    An existing file is checksummed in one checked pass and must hold
+    ``bound``; a dump of the wrong length or failing its crc32 check is
+    rebuilt and replaced with a warning.  A missing file is streamed to disk
+    by ``save_tables``.  With no file, the dump goes to a temporary file in
+    ``scratch`` that is removed before this returns.  The tables are never
+    held in memory, and the checksum is the same in every case.
     """
     if path is None and cache_dir:
         path = str(Path(cache_dir) / f"tables_N{bound}_v{SieveTables.VERSION}.bin")
     if path and Path(path).exists():
         try:
-            tables = load_tables(path)
+            return table_checksum(path, bound)
         except DamagedDumpError as exc:
             print(f"warning: {exc}; rebuilding it", file=sys.stderr)
-        else:
-            if tables.bound != bound:
-                raise ValueError(f"cache {path} holds bound {tables.bound}, wanted {bound}")
-            return tables
-    tables = build_sieve(bound)
     if path:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        save_tables(tables, path)
-    return tables
+        return save_tables(bound, path)
+    fd, tmp = tempfile.mkstemp(prefix=f"tables_N{bound}_", suffix=".tmp", dir=scratch)
+    os.close(fd)
+    try:
+        return save_tables(bound, tmp)
+    finally:
+        os.remove(tmp)
 
 
 def _ints(text: str) -> list[int]:
@@ -115,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted for compatibility; has no effect")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", help="build or load cached tables")
+    p = sub.add_parser("sieve", help="write or check the full-table dump, print its SHA-256")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cache", help="explicit table file to write/read, crc32-checked")
 
@@ -203,13 +214,12 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         raise ValueError(f"N must be >= 1, got N={args.n}")
 
     if cmd == "sieve":
-        tables = _get_tables(args.n, args.cache_dir, args.cache)
-        digest = table_checksum(tables)
+        digest = _get_checksum(args.n, args.cache_dir, args.cache, out)
         return _finish(
-            args, out, start, tables.bound,
-            ["bound", "checksum"], [[tables.bound, digest]],
+            args, out, start, args.n,
+            ["bound", "checksum"], [[args.n, digest]],
             {"n": args.n, "cache": args.cache},
-            f"sieve N={tables.bound} checksum={digest}",
+            f"sieve N={args.n} checksum={digest}",
         )
 
     if cmd == "csum":

@@ -10,19 +10,25 @@ phi(n)/n-weighted variant.  It is the only representation of Lambda: no table
 holds Lambda densely.  The spf kernel gives the smallest prime factor; Moebius
 mu and Euler phi then follow from spf by the recurrence over n = spf(n) * m.
 
-``build_sieve`` makes ``SieveTables``, three dense arrays of 9 bytes an entry:
-int32 spf segment by segment from the base primes <= sqrt(N), then int8 mu and
-int32 phi.  ``LambdaTables`` hold only the primes, from ``primes_up_to`` on
-every build, and ``SieveTables`` take theirs from it on first use; the
-correlation means reduce ``lambda_support`` of either kind.
-Tables are immutable.  Only ``SieveTables`` have a dump format, and every
-dump ends in a crc32 of the bytes before it.
+``_table_segments`` gives the full tables one segment at a time: int32 spf
+from the base primes <= sqrt(N), then int8 mu and int32 phi by the recurrence,
+which reads mu(m) and phi(m) only for m <= n/2.  ``build_sieve`` collects
+them into ``SieveTables``, three dense arrays of 9 bytes an entry.
+``save_tables`` writes their dump to a file segment by segment and never
+holds them: it keeps mu and phi up to N/2 and one segment, 2.5 bytes an
+entry and about 8 MiB.  ``table_checksum`` and ``load_tables`` read a dump in
+one chunked pass that checks it as it goes.  ``LambdaTables`` hold only the
+primes, from ``primes_up_to`` on every build, and ``SieveTables`` take theirs
+from it on first use; the correlation means reduce ``lambda_support`` of
+either kind.  Tables are immutable.  Only ``SieveTables`` have a dump format,
+and every dump ends in a crc32 of the bytes before it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -35,10 +41,14 @@ import numpy as np
 
 from .errors import DamagedDumpError, ResourceLimitError
 
-# Entries per spf segment of build_sieve and per chunk of the mu/phi fill.
+# Entries per segment of _table_segments, for build_sieve and save_tables.
 DEFAULT_SEGMENT_SIZE = 1 << 18
 # Odd n per segment of primes_up_to, measured fastest of 2^18 to 2^21.
 PRIME_SEGMENT_ODDS = 1 << 20
+# Bytes a dump is read in at a time, and the most one segment of
+# _table_segments holds at once, its temporaries included.
+_CHUNK = 1 << 20
+_SEGMENT_BYTES = 32 * DEFAULT_SEGMENT_SIZE
 
 
 @dataclass(frozen=True)
@@ -92,26 +102,32 @@ def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables | SieveTables
     physical memory (``SieveTables`` by their measured footprint, ``LambdaTables``
     by ``primes_up_to``), then ValueError for ``SieveTables`` past 2^31 - 1.
     """
-    if N < 1:
-        raise ValueError(f"sieve bound must be >= 1, got {N}")
     if lambda_only:
+        if N < 1:
+            raise ValueError(f"sieve bound must be >= 1, got {N}")
         primes = primes_up_to(N)
         primes.flags.writeable = False
         return LambdaTables(bound=N, primes=primes)
 
-    _check_memory(SieveTables.BYTES_PER_ENTRY * (N + 1), f"sieve bound {N}")
-    if N > np.iinfo(np.int32).max:
-        raise ValueError(f"sieve bound {N} is over the int32 table limit 2^31 - 1")
+    _check_bound(N, SieveTables.BYTES_PER_ENTRY * (N + 1))
     # Slot 0 keeps the zeros: every table is 0 at n = 0.
     arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in SieveTables.FIELDS}
-    base = primes_up_to(math.isqrt(N))
-    for lo in range(1, N + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE - 1, N)
-        arrays["spf"][lo : hi + 1] = _spf_segment(lo, hi, base)
-    _fill_mu_phi(arrays["spf"], arrays["mu"], arrays["phi"])
+    for lo, spf, _, _ in _table_segments(N, arrays["mu"], arrays["phi"]):
+        arrays["spf"][lo : lo + spf.size] = spf
     for arr in arrays.values():
         arr.flags.writeable = False
     return SieveTables(bound=N, **arrays)
+
+
+def _check_bound(N: int, need: int) -> None:
+    """Refuse full tables for 1..N that would need ``need`` bytes: ValueError
+    for N < 1, ResourceLimitError past physical memory, then ValueError past
+    the int32 limit 2^31 - 1."""
+    if N < 1:
+        raise ValueError(f"sieve bound must be >= 1, got {N}")
+    _check_memory(need, f"sieve bound {N}")
+    if N > np.iinfo(np.int32).max:
+        raise ValueError(f"sieve bound {N} is over the int32 table limit 2^31 - 1")
 
 
 def _check_memory(need: int, what: str) -> None:
@@ -195,22 +211,50 @@ def _spf_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return spf
 
 
-def _fill_mu_phi(spf: np.ndarray, mu: np.ndarray, phi: np.ndarray) -> None:
-    """Fill mu and phi for n >= 1 from a whole spf table by the recurrence over
-    n = p * m, p = spf[n] (Gries & Misra, CACM 21, 1978): mu(n) = 0 and phi(n) =
-    p * phi(m) when p divides m, else mu(n) = -mu(m) and phi(n) = (p - 1) * phi(m).
-    Chunks [lo, min(2 lo, lo + DEFAULT_SEGMENT_SIZE)) ascend, so every m <= n/2
-    is filled before it is read."""
-    mu[1] = phi[1] = 1
-    lo = 2
-    while lo < spf.size:
-        hi = min(2 * lo, lo + DEFAULT_SEGMENT_SIZE, spf.size)
-        p = spf[lo:hi]
-        m = np.arange(lo, hi, dtype=np.int64) // p
-        same = spf[m] == p
-        mu[lo:hi] = np.where(same, 0, -mu[m])
-        phi[lo:hi] = phi[m] * np.where(same, p, p - 1)
-        lo = hi
+def _table_segments(N: int, mu: np.ndarray,
+                    phi: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(lo, spf, mu, phi) for n in [lo, lo + DEFAULT_SEGMENT_SIZE) up to N,
+    lo = 1, 1 + DEFAULT_SEGMENT_SIZE, ...: spf from ``_spf_segment`` as int32,
+    mu as int8 and phi as int32.  spf is new; mu and phi are views of the
+    arrays passed in, or of two buffers reused by the segments past them,
+    good until the next segment.
+
+    mu and phi follow from the recurrence over n = p * m, p = spf(n) (Gries &
+    Misra, CACM 21, 1978): mu(n) = 0 and phi(n) = p * phi(m) when p divides m,
+    else mu(n) = -mu(m) and phi(n) = (p - 1) * phi(m).  It reads mu(m) and
+    phi(m) for m <= n/2 from the arrays ``mu`` and ``phi``, at least N // 2 + 1
+    long, and writes mu(n) and phi(n) into them for every n they hold.  So
+    they need hold no more than N // 2 + 1 entries; the first segment goes
+    in chunks [a, 2a), whose m < a are filled before they are read.
+    """
+    base = primes_up_to(math.isqrt(N))
+    size, spare = min(DEFAULT_SEGMENT_SIZE, N), None
+    for lo in range(1, N + 1, size):
+        hi = min(lo + size, N + 1)
+        spf = _spf_segment(lo, hi - 1, base)
+        if hi <= mu.size:
+            seg_mu, seg_phi = mu[lo:hi], phi[lo:hi]
+        else:
+            spare = spare or (np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int32))
+            seg_mu, seg_phi = spare[0][: hi - lo], spare[1][: hi - lo]
+        a = lo
+        if lo == 1:
+            seg_mu[0] = seg_phi[0] = 1
+            mu[1:2] = phi[1:2] = 1  # an empty slice when N = 1
+            a = 2
+        while a < hi:
+            b = min(2 * a, hi)
+            p = spf[a - lo : b - lo]
+            m = np.arange(a, b, dtype=np.int32) // p
+            once = m % p != 0  # p divides n exactly once
+            m = m.astype(np.intp)
+            np.negative(mu[m] * once, out=seg_mu[a - lo : b - lo])
+            np.multiply(phi[m], p - once, out=seg_phi[a - lo : b - lo])
+            if hi > mu.size and a < mu.size:
+                held = min(b, mu.size)
+                mu[a:held], phi[a:held] = seg_mu[a - lo : held - lo], seg_phi[a - lo : held - lo]
+            a = b
+        yield lo, spf, seg_mu, seg_phi
 
 
 def lambda1_at(tables: SieveTables, n: int) -> float:
@@ -261,46 +305,75 @@ def sigma_table(n: int) -> np.ndarray:
     return s
 
 
-def _dump_parts(tables: SieveTables) -> Iterator[bytes | np.ndarray]:
-    """The dump in order: the 16-byte header (magic, format version, bound),
-    then each array of ``FIELDS``, not copied when already in its dtype, then
-    the <u4 crc32 of all the bytes before it."""
-    header = tables.MAGIC + struct.pack("<IQ", tables.VERSION, tables.bound)
-    crc = zlib.crc32(header)
-    yield header
-    for name, dt in tables.FIELDS:
-        arr = np.ascontiguousarray(getattr(tables, name), dtype=dt)
-        crc = zlib.crc32(arr, crc)
-        yield arr
-    yield struct.pack("<I", crc)
+def save_tables(bound: int, path: str) -> str:
+    """Write the binary dump of the full tables for 1..bound to ``path`` and
+    return its SHA-256, never holding the tables: the 16-byte header (magic,
+    format version, bound), then each array of ``FIELDS`` over 0..bound, then
+    the <u4 crc32 of all the bytes before it.
 
-
-def save_tables(tables: SieveTables, path: str) -> None:
-    """Write the binary dump of ``tables`` to ``path``.
-
-    The dump goes to a temporary file beside ``path`` that is renamed onto
-    it only when complete, so an interrupted save never leaves a truncated
-    file at ``path``.
+    Each segment of ``_table_segments`` is written into its place in the
+    spf, mu and phi regions of a temporary file beside ``path``; the file is
+    then read back in chunks for the crc32 and the SHA-256, and renamed onto
+    ``path`` only when complete, so a failed save never leaves a file or
+    changes the one at ``path``.  It holds mu and phi for n <= bound // 2,
+    5 bytes an entry, and one segment.  Raises as ``build_sieve`` does, for
+    that footprint, before anything is written.
     """
+    _check_bound(bound, 5 * (bound // 2 + 1) + _SEGMENT_BYTES)
+    mu, phi = np.zeros(bound // 2 + 1, dtype=np.int8), np.zeros(bound // 2 + 1, dtype=np.int32)
+    *starts, end = itertools.accumulate([16] + _field_sizes(bound))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as f:
-            for part in _dump_parts(tables):
-                f.write(part)
+        with open(tmp, "w+b") as f:  # slot 0 of each array is never written: it reads 0
+            f.write(SieveTables.MAGIC + struct.pack("<IQ", SieveTables.VERSION, bound))
+            for lo, *arrays in _table_segments(bound, mu, phi):
+                for start, (_, dt), arr in zip(starts, SieveTables.FIELDS, arrays):
+                    f.seek(start + lo * arr.itemsize)
+                    f.write(arr.astype(dt, copy=False))
+            f.seek(0)
+            crc, digest = 0, hashlib.sha256()
+            for chunk in _read_chunks(f, end):
+                crc = zlib.crc32(chunk, crc)
+                digest.update(chunk)
+            trailer = struct.pack("<I", crc)
+            f.write(trailer)  # at byte end, where the read stopped
+            digest.update(trailer)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    return digest.hexdigest()
 
 
-def load_tables(path: str) -> SieveTables:
-    """Read a ``save_tables`` dump once its length and crc32 are checked: each
-    field has bound + 1 entries.
+def _field_sizes(bound: int) -> list[int]:
+    """Bytes of each array of ``FIELDS`` in a dump of the given bound."""
+    return [np.dtype(dt).itemsize * (bound + 1) for _, dt in SieveTables.FIELDS]
+
+
+def _read_chunks(f, size: int) -> Iterator[memoryview]:
+    """The next ``size`` bytes of the file ``f`` in chunks of at most _CHUNK
+    bytes, each a view of one reused buffer that is good until the next.
+    Raises DamagedDumpError where the file ends first."""
+    buf = memoryview(bytearray(min(size, _CHUNK)))
+    while size:
+        n = f.readinto(buf[: min(size, _CHUNK)])
+        if not n:
+            raise DamagedDumpError(f"{f.name}: truncated table dump")
+        size -= n
+        yield buf[:n]
+
+
+def _dump_chunks(path: str) -> Iterator[bytes | memoryview]:
+    """The bytes of the dump at ``path`` in one pass: the 16-byte header, once
+    its magic, version and the file's length are checked; then each array
+    of ``FIELDS`` in chunks from ``_read_chunks``, none of which spans two
+    arrays; then the 4-byte trailer, once the crc32 of all before it is.
+
     Raises DamagedDumpError for a dump of the wrong length or one that fails
-    its crc32 check, and ValueError for any other file that is not a dump of
-    this version."""
-    with open(path, "rb") as f:
+    its crc32 check, and ValueError for any other file that is not a dump
+    of this version."""
+    with open(path, "rb", buffering=0) as f:
         header = f.read(16)
         if header[:4] != SieveTables.MAGIC:
             raise ValueError(f"{path}: not a sieve table dump (bad magic {header[:4]!r})")
@@ -309,25 +382,49 @@ def load_tables(path: str) -> SieveTables:
         version, bound = struct.unpack("<IQ", header[4:])
         if version != SieveTables.VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
+        sizes = _field_sizes(bound)
         rest = os.fstat(f.fileno()).st_size - 16 - 4
-        need = (bound + 1) * sum(np.dtype(dt).itemsize for _, dt in SieveTables.FIELDS)
-        if rest != need:
-            flaw = "truncated" if rest < need else "overlong"
+        if rest != sum(sizes):
+            flaw = "truncated" if rest < sum(sizes) else "overlong"
             raise DamagedDumpError(f"{path}: {flaw} table dump")
-        crc, arrays = zlib.crc32(header), {}
-        for name, dt in SieveTables.FIELDS:
-            arr = np.fromfile(f, dtype=dt, count=bound + 1)
-            crc = zlib.crc32(arr, crc)
-            arr.flags.writeable = False
-            arrays[name] = arr
+        crc = zlib.crc32(header)
+        yield header
+        for size in sizes:
+            for chunk in _read_chunks(f, size):
+                crc = zlib.crc32(chunk, crc)
+                yield chunk
         if f.read(4) != struct.pack("<I", crc):
             raise DamagedDumpError(f"{path}: table dump fails its crc32 check")
+        yield struct.pack("<I", crc)
+
+
+def load_tables(path: str) -> SieveTables:
+    """Read a ``save_tables`` dump in the one checked pass of ``_dump_chunks``:
+    each field has bound + 1 entries.  Raises what ``_dump_chunks`` raises."""
+    with contextlib.closing(_dump_chunks(path)) as chunks:
+        bound = struct.unpack("<Q", next(chunks)[8:])[0]
+        arrays = {name: np.empty(bound + 1, dtype=dt) for name, dt in SieveTables.FIELDS}
+        for arr in arrays.values():
+            raw, at = arr.view(np.uint8), 0
+            while at < raw.size:
+                chunk = np.frombuffer(next(chunks), dtype=np.uint8)
+                raw[at : at + chunk.size] = chunk
+                at += chunk.size
+            arr.flags.writeable = False
+        next(chunks)  # the trailer, once the crc32 check has passed
     return SieveTables(bound=int(bound), **arrays)
 
 
-def table_checksum(tables: SieveTables) -> str:
-    """SHA-256 of the binary dump of ``tables``."""
-    h = hashlib.sha256()
-    for part in _dump_parts(tables):
-        h.update(part)
-    return h.hexdigest()
+def table_checksum(path: str, bound: int) -> str:
+    """SHA-256 of the dump at ``path``, hashed in the one checked pass of
+    ``_dump_chunks``.  Raises what that raises, then ValueError when the
+    dump holds another bound than ``bound``."""
+    chunks = _dump_chunks(path)
+    header = next(chunks)
+    digest = hashlib.sha256(header)
+    for chunk in chunks:
+        digest.update(chunk)
+    held = struct.unpack("<Q", header[8:])[0]
+    if held != bound:
+        raise ValueError(f"cache {path} holds bound {held}, wanted {bound}")
+    return digest.hexdigest()

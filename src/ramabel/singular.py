@@ -34,6 +34,8 @@ class SingularConstant:
 
 # The most factors a product takes: by pi_bound, P up to about 1.9 * 10^10.
 _MAX_FACTORS = 10**9
+# Log terms handed to fsum as one list of Python floats.
+_FSUM_CHUNK = 4096
 
 
 def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -54,13 +56,17 @@ def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> flo
                                  f"to {factors} factors, over the limit of {_MAX_FACTORS}")
     span = 2 * PRIME_SEGMENT_ODDS
 
-    def windows() -> Iterator[np.ndarray]:
+    def terms() -> Iterator[list[float]]:
+        # fsum takes Python floats much faster than numpy scalars; chunks of
+        # _FSUM_CHUNK terms bound the list that holds them.
         for lo in range(1, P + 1, span):
-            yield (logs := log_terms(primes_up_to(min(lo + span - 1, P), lo)))
+            logs = log_terms(primes_up_to(min(lo + span - 1, P), lo))
+            for at in range(0, logs.size, _FSUM_CHUNK):
+                yield logs[at : at + _FSUM_CHUNK].tolist()
             if np.isneginf(logs).any():
                 return
 
-    return math.exp(math.fsum(itertools.chain.from_iterable(windows())))
+    return math.exp(math.fsum(itertools.chain.from_iterable(terms())))
 
 
 def twin_constant(P: int) -> SingularConstant:

@@ -163,6 +163,20 @@ class TestErrors:
         assert err.startswith(f"error: sieve bound {2**31} ") and "int32" in err, err
         assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
+    # 3 * 10^9 is past the int32 limit, or past this machine's memory for
+    # the mu and phi that a save holds: refused before any file is made,
+    # with a cache directory and with none (where the dump would go to a
+    # temporary file in --out).
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache-dir", "no-cache"])
+    def test_sieve_past_int32_leaves_no_file(self, tmp_path, capsys, cache):
+        out = tmp_path / "out"
+        argv = ["--out", str(out)] + (["--cache-dir", str(tmp_path / "cache")] if cache else [])
+        assert main([*argv, "sieve", "--n", "3000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sieve bound 3000000000 ") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+        assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
     def test_euler_product_over_memory_exit_two(self, tmp_path, capsys):
         # The primes up to 10^15 are far more than the 10^9 factors a
         # product takes; the product says so before it sieves.
@@ -261,8 +275,11 @@ class TestTableCache:
         fresh = capsys.readouterr().out
         assert run(tmp_path, "sieve", "--n", "1000") == 0
         assert capsys.readouterr().out == fresh
-        cached = load_tables(str(tmp_path / "cache" / "tables_N1000_v3.bin"))
-        assert f"checksum={table_checksum(cached)}" in fresh
+        cached = str(tmp_path / "cache" / "tables_N1000_v3.bin")
+        assert f"checksum={table_checksum(cached, 1000)}" in fresh
+        # With no cache the dump went to a temporary file in --out, now gone.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cache", "sieve.csv", "sieve_manifest.json"]
 
     def test_old_lambda_dump_is_ignored(self, tmp_path, dense_lambda):
         # The Lambda cache files of older versions: a dense dump of format 1,
@@ -311,7 +328,7 @@ class TestTableCache:
         out, err = capsys.readouterr()
         assert err.startswith("warning:") and "rebuilding it" in err
         assert out == fresh
-        assert f"checksum={table_checksum(load_tables(str(path)))}" in fresh
+        assert f"checksum={table_checksum(str(path), 1000)}" in fresh
 
     # The magic and the version name the file's format, so a flip there
     # makes a file of another format: left alone, exit 2.
@@ -355,7 +372,7 @@ class TestTableCache:
     def test_foreign_cache_file_is_kept(self, tmp_path, capsys, content):
         path = tmp_path / "tables.bin"
         if content is None:
-            save_tables(build_sieve(50), str(path))
+            save_tables(50, str(path))
         else:
             path.write_bytes(content)
         before = path.read_bytes()

@@ -25,6 +25,7 @@ from ramabel import (
     load_tables,
     save_tables,
 )
+from ramabel.errors import DamagedDumpError
 from ramabel.sieve import (
     DEFAULT_SEGMENT_SIZE,
     PRIME_SEGMENT_ODDS,
@@ -201,8 +202,9 @@ class TestBuildSieve:
         mean = float(dense_lambda(tables_big)[0][1 : N + 1].mean())
         assert 0.9 <= mean <= 1.1
 
-    # SHA-256 of the RMBL dump of format 3: header, spf, mu, phi and crc32.
-    # Any changed byte of any table fails.
+    # SHA-256 of the RMBL dump of format 3: header, spf, mu, phi and crc32,
+    # as save_tables returns it and table_checksum reads it back from the
+    # file.  Any changed byte of any table fails.
     DIGESTS = {
         1: "e2b37c04f530bce2e438ec72696189862debb590815bbb6c87b88858cbca82a4",
         2: "38564ea035c3a3b64d375a1717b4bc24b6823888a50df8586c98ea54105005e0",
@@ -213,8 +215,10 @@ class TestBuildSieve:
     }
 
     @pytest.mark.parametrize("N", sorted(DIGESTS))
-    def test_pinned_digest(self, request, N):
-        assert table_checksum(full_tables(request, N)) == self.DIGESTS[N]
+    def test_pinned_digest(self, tmp_path, N):
+        path = str(tmp_path / "tables.bin")
+        assert save_tables(N, path) == self.DIGESTS[N]
+        assert table_checksum(path, N) == self.DIGESTS[N]
 
     # SHA-256 of spf as <i8, mu as <i1 and phi as <i8, one after another:
     # the values alone, in a form no dump format change touches.
@@ -241,7 +245,7 @@ class TestBuildSieve:
 
     def test_dtypes_built_and_loaded(self, tmp_path, tables_small):
         path = tmp_path / "tables.bin"
-        save_tables(tables_small, str(path))
+        save_tables(tables_small.bound, str(path))
         for t in (tables_small, load_tables(str(path))):
             arrays = (t.spf, t.mu, t.phi)
             assert [a.dtype for a in arrays] == [np.int32, np.int8, np.int32]
@@ -417,78 +421,166 @@ class TestLambda1At:
             assert lambda1_at(tables_small, n) == pytest.approx(want, rel=1e-15)
 
 
+def dump_bytes(t):
+    """The RMBL dump of format 3 of tables ``t``, built in memory: header,
+    spf <i4, mu <i1, phi <i4 over 0..bound, crc32 of all before it as <u4."""
+    data = (b"RMBL" + (3).to_bytes(4, "little") + t.bound.to_bytes(8, "little")
+            + t.spf.astype("<i4").tobytes() + t.mu.astype("<i1").tobytes()
+            + t.phi.astype("<i4").tobytes())
+    return data + zlib.crc32(data).to_bytes(4, "little")
+
+
+def fail_second_segment(monkeypatch):
+    """Make the spf kernel raise on the second segment it is asked for."""
+    calls = []
+
+    def kernel(lo, hi, base):
+        calls.append(lo)
+        if len(calls) == 2:
+            raise OSError("no space left in the second segment")
+        return _spf_segment(lo, hi, base)
+
+    monkeypatch.setattr(ramabel.sieve, "_spf_segment", kernel)
+
+
 class TestDumpRestore:
     def test_roundtrip(self, tmp_path, tables_small):
         path = tmp_path / "tables.bin"
-        save_tables(tables_small, str(path))
+        digest = save_tables(tables_small.bound, str(path))
         back = load_tables(str(path))
         assert back.bound == tables_small.bound
         assert np.array_equal(back.mu, tables_small.mu)
         assert np.array_equal(back.phi, tables_small.phi)
         assert np.array_equal(back.spf, tables_small.spf)
-        assert table_checksum(back) == table_checksum(tables_small)
+        assert table_checksum(str(path), tables_small.bound) == digest
+        with pytest.raises(ValueError, match="holds bound 10000, wanted 9999"):
+            table_checksum(str(path), 9999)
 
-    def test_failed_save_leaves_no_file(self, tmp_path, tables_small):
-        # phi cannot be cast to int, so the save fails before the dump is
-        # complete.
-        bad = dataclasses.replace(tables_small, phi=np.array(["x"], dtype=object))
+    # One segment or less, the last N of one segment, one entry into the
+    # second, and a few into the fourth; at 2^17 the first segment ends
+    # with a one-entry recurrence chunk.
+    @pytest.mark.parametrize("N", [1, 2, 100, 2**17, 2**18 - 1, 2**18, 2**18 + 1,
+                                   3 * 2**18 + 5])
+    def test_streamed_dump_is_the_built_tables(self, tmp_path, N):
         path = tmp_path / "tables.bin"
-        with pytest.raises(ValueError):
-            save_tables(bad, str(path))
+        digest = save_tables(N, str(path))
+        data = dump_bytes(build_sieve(N))
+        assert path.read_bytes() == data
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    def test_streamed_dump_memory(self, tmp_path):
+        # save_tables holds mu and phi up to N/2 (2.5 bytes an entry of N)
+        # and one segment, table_checksum one chunk; the full tables would
+        # take 9 bytes an entry.
+        N, path = 2 * 10**6, str(tmp_path / "tables.bin")
+        tracemalloc.start()
+        try:
+            save_tables(N, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            table_checksum(path, N)
+            check_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 3 * N + 8 * 2**20
+        assert check_peak < 8 * 2**20
+
+    def test_save_memory_budget(self, tmp_path, monkeypatch):
+        # The check counts what a save holds, mu and phi up to N/2 and one
+        # segment of 8 MiB, and refuses one byte over before any file is made.
+        N, path = 10**6, str(tmp_path / "tables.bin")
+        need = 5 * (N // 2 + 1) + 8 * 2**20
+        for budget in (need - 1, need):
+            monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get)
+            if budget < need:
+                with pytest.raises(ResourceLimitError, match=f"sieve bound {N} needs about {need}"):
+                    save_tables(N, path)
+                assert list(tmp_path.iterdir()) == []
+            else:
+                save_tables(N, path)
+
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        fail_second_segment(monkeypatch)
+        path = tmp_path / "tables.bin"
+        with pytest.raises(OSError, match="second segment"):
+            save_tables(2**18 + 1, str(path))
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_save_keeps_previous_file(self, tmp_path, tables_small):
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "tables.bin"
-        save_tables(tables_small, str(path))
-        bad = dataclasses.replace(tables_small, phi=np.array(["x"], dtype=object))
-        with pytest.raises(ValueError):
-            save_tables(bad, str(path))
+        digest = save_tables(2**18 + 1, str(path))
+        before = path.read_bytes()
+        fail_second_segment(monkeypatch)
+        with pytest.raises(OSError, match="second segment"):
+            save_tables(2**18 + 1, str(path))
         assert list(tmp_path.iterdir()) == [path]
-        assert table_checksum(load_tables(str(path))) == table_checksum(tables_small)
+        assert path.read_bytes() == before
+        assert table_checksum(str(path), 2**18 + 1) == digest
 
     def test_full_layout(self, tmp_path):
         # Header, spf <i4, mu <i1, phi <i4 over 0..100, crc32 of all as <u4.
         t = build_sieve(100)
         path = tmp_path / "tables.bin"
-        save_tables(t, str(path))
+        digest = save_tables(100, str(path))
         data = path.read_bytes()
         assert len(data) == 16 + 9 * 101 + 4
         assert data[:16] == b"RMBL" + (3).to_bytes(4, "little") + (100).to_bytes(8, "little")
         assert data[16:-4] == (t.spf.astype("<i4").tobytes() + t.mu.astype("<i1").tobytes()
                                + t.phi.astype("<i4").tobytes())
         assert data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little")
-        assert table_checksum(t) == hashlib.sha256(data).hexdigest()
+        assert digest == table_checksum(str(path), 100) == hashlib.sha256(data).hexdigest()
         back = load_tables(str(path))
         assert type(back) is SieveTables
         assert all(not getattr(back, name).flags.writeable for name in ("spf", "mu", "phi"))
         data = bytearray(data)
         data[16 + 4 * 101 + 30] ^= 1  # mu(30)
         path.write_bytes(data)
-        with pytest.raises(ValueError, match="crc32"):
-            load_tables(str(path))
+        for read in (load_tables, lambda p: table_checksum(p, 100)):
+            with pytest.raises(DamagedDumpError, match="crc32"):
+                read(str(path))
         path.write_bytes(bytes(data) + b"\0")
-        with pytest.raises(ValueError, match="overlong"):
-            load_tables(str(path))
+        for read in (load_tables, lambda p: table_checksum(p, 100)):
+            with pytest.raises(DamagedDumpError, match="overlong"):
+                read(str(path))
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a table dump")
-        with pytest.raises(ValueError):
-            load_tables(str(path))
+        for read in (load_tables, lambda p: table_checksum(p, 100)):
+            with pytest.raises(ValueError, match="bad magic"):
+                read(str(path))
+
+    def test_length_checked_before_reading(self, tmp_path):
+        # A header whose bound is far past the file's length is refused by
+        # the length check before any array is allocated or byte read.
+        path = tmp_path / "tables.bin"
+        path.write_bytes(b"RMBL" + (3).to_bytes(4, "little") + (2**40).to_bytes(8, "little")
+                         + bytes(100))
+        tracemalloc.start()
+        try:
+            for read in (load_tables, lambda p: table_checksum(p, 2**40)):
+                with pytest.raises(DamagedDumpError, match="truncated"):
+                    read(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     # Dump prefixes: empty, cut inside the header, the header alone, cut
     # inside the first and inside the last array of the 360,029-byte dump at
     # N = 40,000 (spf ends at byte 160,020, mu at 200,021, phi at 360,025).
+    # The reader and the checksum raise alike.
     @pytest.mark.parametrize("keep, message", [
         (0, "bad magic"), (6, "truncated"), (16, "truncated"),
         (40_000, "truncated"), (330_000, "truncated"),
     ])
     def test_rejects_truncated(self, tmp_path, keep, message):
         path = tmp_path / "tables.bin"
-        save_tables(build_sieve(40_000), str(path))
+        save_tables(40_000, str(path))
         path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(ValueError, match=message):
-            load_tables(str(path))
+        for read in (load_tables, lambda p: table_checksum(p, 40_000)):
+            with pytest.raises(ValueError, match=message):
+                read(str(path))
 
 
 class TestHelpers:
