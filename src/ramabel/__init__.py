@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import InternalConsistencyError, ResourceLimitError
 from .sieve import (
-    LambdaTables,
     SieveTables,
     build_sieve,
     lambda1_at,

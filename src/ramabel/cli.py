@@ -36,8 +36,8 @@ from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_che
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
 REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
-# The correlation commands: each reduces the prime powers up to its bound,
-# so sieves only the primes (LambdaTables), and takes its N from --n.
+# The correlation commands: each mean takes N from --n, builds no table and
+# sieves the primes up to the largest n its support reaches.
 LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 
 
@@ -210,7 +210,8 @@ def _finish(args, out: Path, start: float, bound: int | None,
 def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     cmd = args.command
     if cmd in LAMBDA_COMMANDS and args.n < 1:
-        # Before a table bound is derived from N, so the error names N itself.
+        # Before anything else is checked, so that an argv with a bad N and
+        # another bad value names N.
         raise ValueError(f"N must be >= 1, got N={args.n}")
 
     if cmd == "sieve":
@@ -235,9 +236,8 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "autocorr":
         bound = args.n + args.gap
-        tables = build_sieve(bound, lambda_only=True)
         report = mean_values.pair_autocorrelation(
-            tables, args.gap, args.n, P=args.p, weight=args.weights
+            args.gap, args.n, P=args.p, weight=args.weights
         )
         return _finish(
             args, out, start, bound, REPORT_HEADER, report.csv_rows(),
@@ -249,9 +249,8 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "conjd":
         singular.validate_linear_pair(args.a, args.b, args.l)
         bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
-        tables = build_sieve(bound, lambda_only=True)
         report = mean_values.conjecture_d_mean(
-            tables, args.a, args.b, args.l, args.n, P=args.p
+            args.a, args.b, args.l, args.n, P=args.p
         )
         return _finish(
             args, out, start, bound, REPORT_HEADER, report.csv_rows(),
@@ -263,8 +262,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "tuple":
         offsets = singular.validate_tuple(_ints(args.offsets))
         bound = args.n + offsets[-1]
-        tables = build_sieve(bound, lambda_only=True)
-        result = mean_values.tuple_mean(tables, offsets, args.n, P=args.p)
+        result = mean_values.tuple_mean(offsets, args.n, P=args.p)
         rows = result.lambda_weighted.csv_rows() + result.lambda1_weighted.csv_rows()
         return _finish(
             args, out, start, bound, REPORT_HEADER, rows,
@@ -275,8 +273,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "pnt":
-        tables = build_sieve(args.n, lambda_only=True)
-        report = mean_values.pnt_mean(tables, args.n)
+        report = mean_values.pnt_mean(args.n)
         return _finish(
             args, out, start, args.n, REPORT_HEADER, report.csv_rows(), {"n": args.n},
             f"pnt_mean: empirical={report.empirical:.12g} predicted=1",
@@ -306,8 +303,9 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "singular":
         params = _ints(args.params)
         form = args.form
-        needed = {"C2": 0, "pair": 1, "conjD": 3, "tuple": 2, "series": 1, "series_wk": 1}
-        if len(params) < needed[form]:
+        # A tuple takes one value or more; the other forms exactly this many.
+        needed = {"C2": 0, "pair": 1, "conjD": 3, "tuple": 1, "series": 1, "series_wk": 1}
+        if len(params) < needed[form] or (form != "tuple" and len(params) > needed[form]):
             raise ValueError(
                 f"form {form} needs {needed[form]} value(s) in --params, got {params}"
             )
@@ -316,13 +314,13 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         elif form == "pair":
             const = singular.pair_constant(params[0], args.p)
         elif form == "conjD":
-            const = singular.conjecture_d_constant(*params[:3], args.p)
+            const = singular.conjecture_d_constant(*params, args.p)
         elif form == "tuple":
             const = singular.tuple_constant(params, args.p)
         elif form == "series":
             const = singular.series_constant(params[0], args.p)
         else:  # series_wk: --p doubles as the q-sum truncation
-            tables = build_sieve(args.p)
+            tables = build_sieve(max(args.p, 1))
             const = singular.series_wk(tables, params[0], args.p)
         row = [const.form, const.value, const.truncation_prime, const.tail_estimate]
         return _finish(
@@ -334,7 +332,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "abel":
         zs = _floats(args.zs)
-        max_q = max(rf_series.required_Q(z, args.eps) for z in zs)
+        max_q = max((rf_series.required_Q(z, args.eps) for z in zs), default=1)
         bound = max(args.x, max_q)
         tables = build_sieve(bound)
         trace = rf_series.abel_ladder(tables, args.x, tuple(zs), args.eps)
@@ -351,7 +349,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
         )
 
     if cmd == "props":
-        tables = build_sieve(args.qmax)
+        tables = build_sieve(max(args.qmax, 1))
         report = ramanujan.check_property_catalog(tables, args.qmax, args.nmax)
         rows = [list(r) for r in report.rows()]
         failures = sum(1 for c in report.checks if not c.passed)

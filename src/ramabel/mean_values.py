@@ -4,8 +4,9 @@ Every report carries a ten-checkpoint convergence trace, and periodic
 summands additionally carry the exact one-period average computed in
 integer/rational arithmetic, which is the finite-N-free value of the
 corresponding limit.  All float reductions run over fixed-size contiguous
-blocks combined in ascending order.  The weighted prime correlations read
-only the prime powers of their range, from ``sieve.lambda_support``.
+blocks combined in ascending order.  The weighted prime correlations take
+N and no tables: each sieves the primes up to its largest index n and reads
+only the prime powers up to it, from ``sieve.lambda_support``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import singular
 from .ramanujan import cq_int
-from .sieve import LambdaTables, SieveTables, lambda_support
+from .sieve import SieveTables, lambda_support, primes_up_to
 
 _BLOCK = 1 << 20
 
@@ -217,34 +218,24 @@ def _linear_pairs(n: np.ndarray, a: int, b: int, l: int, N: int) -> tuple[np.nda
     return i[hit], j
 
 
-def _linear_pair_trace(
-    tables: LambdaTables | SieveTables, weight: str, a: int, b: int, l: int, N: int
-) -> list[tuple[int, float]]:
+def _linear_pair_trace(weight: str, a: int, b: int, l: int, N: int) -> list[tuple[int, float]]:
     """Trace of w(n) w((b n + l)/a) over n = 1..N, with 0 where a does not
     divide b n + l or either point is not a prime power.  For gcd(a, b) = 1
     the other n are one class n0 mod a, along which (b n + l)/a steps by b.
+    The support reaches the largest index, max(N, (b N + l) // a).
     """
     ns = _checkpoint_ns(N)
-    top = max(N, (b * N + l) // a)
-    if top > tables.bound:
-        raise ValueError(
-            f"index {top} = max(N, ({b}*{N} + {l})//{a}) beyond table bound {tables.bound}"
-        )
     if weight not in ("lambda", "lambda1"):
         raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
-    n, lam, lam1 = lambda_support(tables.primes, top)
+    top = max(N, (b * N + l) // a)
+    n, lam, lam1 = lambda_support(primes_up_to(top), top)
     w = lam if weight == "lambda" else lam1
     i, j = _linear_pairs(n, a, b, l, N)
     return _array_trace(n[i], w[i] * w[j], ns)
 
 
-def pair_autocorrelation(
-    tables: LambdaTables | SieveTables,
-    h2: int,
-    N: int,
-    P: int = 10**6,
-    weight: str = "lambda1",
-) -> MeanValueReport:
+def pair_autocorrelation(h2: int, N: int, P: int = 10**6,
+                         weight: str = "lambda1") -> MeanValueReport:
     """Shifted autocorrelation mean at an even gap against the pair constant.
 
     Odd gaps are not an error; they route to the zero-limit variant.
@@ -252,34 +243,22 @@ def pair_autocorrelation(
     if h2 < 1:
         raise ValueError(f"gap must be >= 1, got {h2}")
     if h2 % 2 == 1:
-        return odd_gap_mean(tables, h2, N, weight=weight)
-    trace = _linear_pair_trace(tables, weight, 1, 1, h2, N)
+        return odd_gap_mean(h2, N, weight=weight)
+    trace = _linear_pair_trace(weight, 1, 1, h2, N)
     predicted = singular.pair_constant(h2, P).value
     return _report(f"pair_autocorrelation(h={h2},w={weight})", N, trace, predicted)
 
 
-def odd_gap_mean(
-    tables: LambdaTables | SieveTables,
-    h: int,
-    N: int,
-    weight: str = "lambda1",
-) -> MeanValueReport:
+def odd_gap_mean(h: int, N: int, weight: str = "lambda1") -> MeanValueReport:
     """Autocorrelation mean at an odd gap; the limit is zero."""
     if h < 1 or h % 2 == 0:
         raise ValueError(f"gap must be a positive odd integer, got {h}")
-    trace = _linear_pair_trace(tables, weight, 1, 1, h, N)
+    trace = _linear_pair_trace(weight, 1, 1, h, N)
     return _report(f"odd_gap_mean(h={h},w={weight})", N, trace, 0.0)
 
 
-def conjecture_d_mean(
-    tables: LambdaTables | SieveTables,
-    a: int,
-    b: int,
-    l: int,
-    N: int,
-    P: int = 10**6,
-    weight: str = "lambda1",
-) -> MeanValueReport:
+def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = 10**6,
+                      weight: str = "lambda1") -> MeanValueReport:
     """Mean over n <= N, restricted to a | (b n + l), of the product of
     weights at n and (b n + l)/a.
 
@@ -288,7 +267,7 @@ def conjecture_d_mean(
     (1/a) sum_k e^{2 pi i k (b n + l)/a}, 1 when a | b n + l and else 0.
     """
     singular.validate_linear_pair(a, b, l)
-    trace = _linear_pair_trace(tables, weight, a, b, l, N)
+    trace = _linear_pair_trace(weight, a, b, l, N)
     predicted = singular.conjecture_d_constant(a, b, l, P).value
     return _report(f"conjecture_d_mean(a={a},b={b},l={l},w={weight})", N, trace, predicted)
 
@@ -302,28 +281,21 @@ class TupleMeanReport:
     lambda1_weighted: MeanValueReport
 
 
-def tuple_mean(
-    tables: LambdaTables | SieveTables,
-    offsets: Sequence[int],
-    N: int,
-    P: int = 10**6,
-) -> TupleMeanReport:
+def tuple_mean(offsets: Sequence[int], N: int, P: int = 10**6) -> TupleMeanReport:
     """Mean of the product of von Mangoldt weights over the offset tuple.
 
     The raw and phi(n)/n-weighted products are both reported; the raw one
     dominates the weighted one term by term, which makes the lower-bound
     chain checkable.  ``offsets`` must pass ``singular.validate_tuple``.
+    The support reaches the largest index, N + the largest offset.
     """
     offsets = singular.validate_tuple(offsets)
     ns = _checkpoint_ns(N)
-    if N + offsets[-1] > tables.bound:
-        raise ValueError(
-            f"N + max offset = {N + offsets[-1]} beyond table bound {tables.bound}"
-        )
+    top = N + offsets[-1]
+    n, lam, lam1 = lambda_support(primes_up_to(top), top)
     predicted = singular.tuple_constant(offsets, P).value
     # The n <= N with every n + offset in the support, as indices into it
     # per offset; the products multiply in offset order.
-    n, lam, lam1 = lambda_support(tables.primes, N + offsets[-1])
     idx = [np.arange(np.searchsorted(n, N, "right"))]
     for off in offsets[1:]:
         hit, j = _lookup(n, n[idx[0]] + off)
@@ -346,12 +318,10 @@ def tuple_mean(
     )
 
 
-def pnt_mean(tables: LambdaTables | SieveTables, N: int) -> MeanValueReport:
+def pnt_mean(N: int) -> MeanValueReport:
     """Mean of the weighted von Mangoldt function; the limit is 1."""
     ns = _checkpoint_ns(N)
-    if N > tables.bound:
-        raise ValueError(f"N={N} beyond table bound {tables.bound}")
-    n, _, lam1 = lambda_support(tables.primes, N)
+    n, _, lam1 = lambda_support(primes_up_to(N), N)
     return _report("pnt_mean", N, _array_trace(n, lam1, ns), 1.0)
 
 

@@ -140,6 +140,8 @@ def check_property_catalog(
     an array, if any.  The cosine sums are computed once per modulus on
     each set of points and shared by the checks that read them.
     """
+    if q_max < 1 or n_max < 0:
+        raise ValueError(f"need q_max >= 1 and n_max >= 0, got q_max={q_max}, n_max={n_max}")
     qs = range(1, q_max + 1)
     qs0 = range(0, q_max + 1)
     ns = np.arange(-n_max, n_max + 1, dtype=np.int64)

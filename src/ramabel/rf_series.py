@@ -124,6 +124,8 @@ def abel_ladder(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not z_list:
+        raise ValueError(f"z ladder must hold at least one z, got {z_list}")
     if any(b <= a for a, b in zip(z_list, z_list[1:])):
         raise ValueError(f"z ladder must be strictly increasing, got {z_list}")
     ladder = []

@@ -17,11 +17,9 @@ them into ``SieveTables``, three dense arrays of 9 bytes an entry.
 ``save_tables`` writes their dump to a file segment by segment and never
 holds them: it keeps mu and phi up to N/2 and one segment, 2.5 bytes an
 entry and about 8 MiB.  ``table_checksum`` and ``load_tables`` read a dump in
-one chunked pass that checks it as it goes.  ``LambdaTables`` hold only the
-primes, from ``primes_up_to`` on every build, and ``SieveTables`` take theirs
-from it on first use; the correlation means reduce ``lambda_support`` of
-either kind.  Tables are immutable.  Only ``SieveTables`` have a dump format,
-and every dump ends in a crc32 of the bytes before it.
+one chunked pass that checks it as it goes.  Tables are immutable, and every
+dump ends in a crc32 of the bytes before it.  The correlation means need no
+table: they reduce ``lambda_support`` of ``primes_up_to`` their largest index.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -49,15 +46,6 @@ PRIME_SEGMENT_ODDS = 1 << 20
 # _table_segments holds at once, its temporaries included.
 _CHUNK = 1 << 20
 _SEGMENT_BYTES = 32 * DEFAULT_SEGMENT_SIZE
-
-
-@dataclass(frozen=True)
-class LambdaTables:
-    """The primes <= bound, ascending and read-only: all that the
-    correlation means read, through ``lambda_support``."""
-
-    bound: int
-    primes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,30 +73,13 @@ class SieveTables:
     )
     BYTES_PER_ENTRY: ClassVar[int] = 11  # build's peak RSS rise: 10.9 at 4*10^6, 9.8 at 10^7
 
-    @cached_property
-    def primes(self) -> np.ndarray:
-        """The primes <= bound, ascending and read-only, from ``primes_up_to``
-        as for ``LambdaTables``.  Made on first use."""
-        primes = primes_up_to(self.bound)
-        primes.flags.writeable = False
-        return primes
 
+def build_sieve(N: int) -> SieveTables:
+    """Build the full tables for 1..N.
 
-def build_sieve(N: int, lambda_only: bool = False) -> LambdaTables | SieveTables:
-    """Build the tables for 1..N: ``SieveTables``, or ``LambdaTables`` from
-    ``primes_up_to`` alone when ``lambda_only``.
-
-    Raises ValueError for N < 1, ResourceLimitError when the tables exceed
-    physical memory (``SieveTables`` by their measured footprint, ``LambdaTables``
-    by ``primes_up_to``), then ValueError for ``SieveTables`` past 2^31 - 1.
+    Raises ValueError for N < 1, ResourceLimitError when their measured
+    footprint exceeds physical memory, then ValueError past 2^31 - 1.
     """
-    if lambda_only:
-        if N < 1:
-            raise ValueError(f"sieve bound must be >= 1, got {N}")
-        primes = primes_up_to(N)
-        primes.flags.writeable = False
-        return LambdaTables(bound=N, primes=primes)
-
     _check_bound(N, SieveTables.BYTES_PER_ENTRY * (N + 1))
     # Slot 0 keeps the zeros: every table is 0 at n = 0.
     arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in SieveTables.FIELDS}

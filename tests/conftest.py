@@ -18,8 +18,7 @@ def tables():
 
 @pytest.fixture(scope="session")
 def tables_big():
-    # Large enough for N = 10^6 means, tuple offsets, and the linear pair
-    # (1, 2, 1) which reaches 2N + 1.
+    # The largest full build that the sieve tests compare against.
     return build_sieve(2_000_020)
 
 

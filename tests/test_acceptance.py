@@ -13,7 +13,6 @@ import pytest
 
 from ramabel import (
     SeriesParams,
-    build_sieve,
     check_property_catalog,
     conjecture_d_mean,
     cq_int,
@@ -107,8 +106,7 @@ def test_criterion_05_tail_bound(capsys, tables):
 
 def test_criterion_06_pnt_mean(capsys):
     start = time.monotonic()
-    tables = build_sieve(10**7)
-    rep = pnt_mean(tables, 10**7)
+    rep = pnt_mean(10**7)
     elapsed = time.monotonic() - start
     gap = abs(rep.empirical - 1.0)
     ok = gap <= 0.01 and elapsed < 30.0
@@ -117,8 +115,8 @@ def test_criterion_06_pnt_mean(capsys):
     assert elapsed < 30.0
 
 
-def test_criterion_07_pair_correlation(capsys, tables_big):
-    reports = {h: pair_autocorrelation(tables_big, h, 10**6) for h in (2, 6)}
+def test_criterion_07_pair_correlation(capsys):
+    reports = {h: pair_autocorrelation(h, 10**6) for h in (2, 6)}
     rel_ok = all(rep.rel_gap <= 0.10 for rep in reports.values())
     # Convergence check.  The paper promises a limit, not a monotone fall of
     # |mean(N) - C_h|, and the signed gap at h=2 changes sign near N=10^4, so
@@ -131,7 +129,7 @@ def test_criterion_07_pair_correlation(capsys, tables_big):
     details = []
     trace_ok = True
     for h, rep in reports.items():
-        env = {N: envelope(pair_autocorrelation(tables_big, h, N)) for N in (10**4, 10**5)}
+        env = {N: envelope(pair_autocorrelation(h, N)) for N in (10**4, 10**5)}
         env[10**6] = envelope(rep)
         trace_ok = trace_ok and env[10**6] < env[10**5] < env[10**4]
         details.append(
@@ -144,19 +142,19 @@ def test_criterion_07_pair_correlation(capsys, tables_big):
     assert trace_ok, "; ".join(details)
 
 
-def test_criterion_08_odd_gaps(capsys, tables_big):
-    vals = {h: odd_gap_mean(tables_big, h, 10**6).empirical for h in (1, 3)}
+def test_criterion_08_odd_gaps(capsys):
+    vals = {h: odd_gap_mean(h, 10**6).empirical for h in (1, 3)}
     ok = all(abs(v) <= 0.01 for v in vals.values())
     announce(capsys, 8, ok, ", ".join(f"h={h}: {v:.2e}" for h, v in vals.items()))
     assert ok
 
 
-def test_criterion_09_conjecture_d(capsys, tables_big):
-    sg = conjecture_d_mean(tables_big, 1, 2, 1, 10**6)
+def test_criterion_09_conjecture_d(capsys):
+    sg = conjecture_d_mean(1, 2, 1, 10**6)
     twin_target = 2 * twin_constant(10**6).value
     sg_rel = abs(sg.empirical - twin_target) / twin_target
-    twin_as_d = conjecture_d_mean(tables_big, 1, 1, 2, 10**6)
-    gap2 = pair_autocorrelation(tables_big, 2, 10**6)
+    twin_as_d = conjecture_d_mean(1, 1, 2, 10**6)
+    gap2 = pair_autocorrelation(2, 10**6)
     identical = (
         twin_as_d.empirical == gap2.empirical
         and [v for _, v in twin_as_d.trace] == [v for _, v in gap2.trace]

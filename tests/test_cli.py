@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from ramabel import SieveTables, load_tables, save_tables
+from ramabel import SieveTables, cli, load_tables, save_tables
 from ramabel.cli import main
 from ramabel.sieve import build_sieve, primes_up_to, table_checksum
 
@@ -198,6 +198,33 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: P must be >= 2, got {p}\n"
         assert not (tmp_path / "singular.csv").exists()
 
+    # Each bad value is named in the one error line, not a numpy or
+    # builtin message, or the sieve bound derived from it; the fixed-arity
+    # singular forms refuse values they would ignore.
+    @pytest.mark.parametrize("argv, error", [
+        (("props", "--qmax", "5", "--nmax", "-3"),
+         "need q_max >= 1 and n_max >= 0, got q_max=5, n_max=-3"),
+        (("props", "--qmax", "0"), "need q_max >= 1 and n_max >= 0, got q_max=0, n_max=200"),
+        (("singular", "--form", "series_wk", "--params", "6", "--p", "0"),
+         "need h >= 1 and Q >= 1, got h=6, Q=0"),
+        (("abel", "--x", "3", "--zs", ","), "z ladder must hold at least one z, got ()"),
+        (("singular", "--form", "C2", "--params", "5"),
+         "form C2 needs 0 value(s) in --params, got [5]"),
+        (("singular", "--form", "pair", "--params", "2,4"),
+         "form pair needs 1 value(s) in --params, got [2, 4]"),
+        (("singular", "--form", "conjD", "--params", "1,2,1,4"),
+         "form conjD needs 3 value(s) in --params, got [1, 2, 1, 4]"),
+        (("singular", "--form", "series", "--params", "6,1"),
+         "form series needs 1 value(s) in --params, got [6, 1]"),
+        (("singular", "--form", "series_wk", "--params", "6,1"),
+         "form series_wk needs 1 value(s) in --params, got [6, 1]"),
+    ], ids=["props-nmax", "props-qmax", "series_wk-p", "abel-zs", "C2-extra", "pair-extra",
+            "conjD-extra", "series-extra", "series_wk-extra"])
+    def test_bad_value_named(self, tmp_path, capsys, argv, error):
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
     def test_conjd_zero_a_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "conjd", "--a", "0", "--b", "1", "--l", "1",
                    "--n", "10") == 2
@@ -255,6 +282,12 @@ class TestSubcommandCoverage:
         assert capsys.readouterr().out == (
             "conjecture_d_mean(a=10000000000000061,b=2,l=1,w=lambda1): "
             "empirical=0 predicted=1.32032372118e-16\n")
+
+    def test_singular_tuple_of_one_offset(self, tmp_path):
+        # (0,) is a valid tuple, as for `tuple --offsets 0`: its constant is 1.
+        assert run(tmp_path, "singular", "--form", "tuple", "--params", "0") == 0
+        assert (tmp_path / "singular.csv").read_text().splitlines()[1] == (
+            '"tuple(0,)",1,1000000,0')
 
     def test_tuple(self, tmp_path):
         assert run(tmp_path, "tuple", "--offsets", "0,2,6", "--n", "20000") == 0
@@ -407,3 +440,24 @@ class TestTableCache:
             assert run(tmp_path, *argv) == 0
             assert not cache.exists() or not any(cache.iterdir())
         assert read_manifest(tmp_path, argv[0])["output_sha256"]
+
+
+# The correlation means take N and sieve their own primes: with build_sieve
+# refused, each command gives the CSV bytes it gives unpatched.
+@pytest.mark.parametrize("argv", [
+    ("pnt", "--n", "3000"),
+    ("autocorr", "--gap", "2", "--n", "3000", "--p", "1000"),
+    ("autocorr", "--gap", "3", "--n", "3000", "--weights", "lambda"),
+    ("conjd", "--a", "3", "--b", "2", "--l", "1", "--n", "3000", "--p", "1000"),
+    ("tuple", "--offsets", "0,2,6", "--n", "3000", "--p", "1000"),
+], ids=["pnt", "autocorr-even", "autocorr-odd", "conjd", "tuple"])
+def test_correlation_commands_build_no_table(tmp_path, monkeypatch, argv):
+    assert run(tmp_path / "plain", *argv) == 0
+    want = (tmp_path / "plain" / f"{argv[0]}.csv").read_bytes()
+
+    def refuse(N):
+        raise AssertionError(f"build_sieve({N}) called")
+
+    monkeypatch.setattr(cli, "build_sieve", refuse)
+    assert run(tmp_path / "patched", *argv) == 0
+    assert (tmp_path / "patched" / f"{argv[0]}.csv").read_bytes() == want

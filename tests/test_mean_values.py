@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
-    build_sieve,
     conjecture_d_mean,
     cq_int,
     cq_mean,
@@ -93,26 +92,24 @@ class TestArrayTrace:
 
 
 class TestSparseMatchesDense:
-    """Each correlation mean over the support of Lambda of ``LambdaTables``,
-    as the CLI builds them, against the dense products of the full tables."""
+    """Each correlation mean, over the support of Lambda up to its largest
+    index, against the dense products of the full tables."""
 
     @pytest.mark.parametrize("N", [1, 2, 3, 10, 1000, 99_999])
     def test_means(self, tables, dense_lambda, N):
         ns = _checkpoint_ns(N)
         lam, lam1 = dense = dense_lambda(tables)
-        pnt = pnt_mean(build_sieve(N, lambda_only=True), N)
+        pnt = pnt_mean(N)
         assert pnt.trace == _dense_array_trace(lam1[1 : N + 1], ns)
         for a, b, l in [(1, 1, 1), (1, 1, 2), (1, 1, 30), (1, 2, 1), (3, 2, 1), (2, 5, 3)]:
-            lt = build_sieve(max(N, (b * N + l) // a), lambda_only=True)
             for weight in ("lambda", "lambda1"):
                 if a == b == 1:
-                    rep = pair_autocorrelation(lt, l, N, P=10**3, weight=weight)
+                    rep = pair_autocorrelation(l, N, P=10**3, weight=weight)
                 else:
-                    rep = conjecture_d_mean(lt, a, b, l, N, P=10**3, weight=weight)
+                    rep = conjecture_d_mean(a, b, l, N, P=10**3, weight=weight)
                 assert rep.trace == _direct_conjd_trace(dense, a, b, l, N, weight)
         for offsets in [(0, 2), (0, 2, 6), (0, 4, 6, 10)]:
-            rep = tuple_mean(build_sieve(N + offsets[-1], lambda_only=True),
-                             offsets, N, P=10**3)
+            rep = tuple_mean(offsets, N, P=10**3)
             for got, w in ((rep.lambda_weighted, lam), (rep.lambda1_weighted, lam1)):
                 vals = w[1 : N + 1].copy()
                 for off in offsets[1:]:
@@ -245,22 +242,23 @@ class TestPairAutocorrelation:
             lambda1_at(tables_small, n) * lambda1_at(tables_small, n + h)
             for n in range(1, N + 1)
         ) / N
-        rep = pair_autocorrelation(tables_small, h, N)
+        rep = pair_autocorrelation(h, N)
         assert rep.empirical == pytest.approx(want, rel=1e-15)
         assert rep.predicted == pytest.approx(1.3203236, abs=1e-4)
 
-    def test_odd_gap_routes_to_zero_limit(self, tables_small):
-        rep = pair_autocorrelation(tables_small, 3, 100)
+    def test_odd_gap_routes_to_zero_limit(self):
+        rep = pair_autocorrelation(3, 100)
         assert rep.predicted == 0.0
         assert "odd_gap" in rep.label
 
-    def test_invalid_gap(self, tables_small):
+    def test_invalid_gap(self):
         with pytest.raises(ValueError):
-            pair_autocorrelation(tables_small, 0, 100)
+            pair_autocorrelation(0, 100)
 
-    def test_beyond_bound(self, tables_small):
-        with pytest.raises(ValueError):
-            pair_autocorrelation(tables_small, 2, tables_small.bound)
+    def test_beyond_bound(self, tables, dense_lambda):
+        # The support reaches N + 2, past N = 10^4.
+        rep = pair_autocorrelation(2, 10**4, P=10**3)
+        assert rep.trace == _direct_conjd_trace(dense_lambda(tables), 1, 1, 2, 10**4, "lambda1")
 
 
 class TestOddGapMean:
@@ -270,56 +268,57 @@ class TestOddGapMean:
             lambda1_at(tables_small, n) * lambda1_at(tables_small, n + h)
             for n in range(1, N + 1)
         ) / N
-        rep = odd_gap_mean(tables_small, h, N)
+        rep = odd_gap_mean(h, N)
         assert rep.empirical == pytest.approx(want, rel=1e-15)
 
-    def test_rejects_even_gap(self, tables_small):
+    def test_rejects_even_gap(self):
         with pytest.raises(ValueError):
-            odd_gap_mean(tables_small, 2, 100)
+            odd_gap_mean(2, 100)
 
 
 class TestWeightNames:
     @pytest.mark.parametrize(
         "mean",
         [
-            lambda t: pair_autocorrelation(t, 2, 100, weight="lamda"),
-            lambda t: odd_gap_mean(t, 3, 100, weight="lamda"),
-            lambda t: conjecture_d_mean(t, 1, 1, 2, 100, weight="lamda"),
+            lambda: pair_autocorrelation(2, 100, weight="lamda"),
+            lambda: odd_gap_mean(3, 100, weight="lamda"),
+            lambda: conjecture_d_mean(1, 1, 2, 100, weight="lamda"),
         ],
         ids=["pair_autocorrelation", "odd_gap_mean", "conjecture_d_mean"],
     )
-    def test_unknown_weight_rejected(self, tables_small, mean):
+    def test_unknown_weight_rejected(self, mean):
         with pytest.raises(ValueError, match="lamda"):
-            mean(tables_small)
+            mean()
 
 
 class TestConjectureDMean:
-    def test_twin_case_bit_identical_to_gap_two(self, tables_big):
-        a = conjecture_d_mean(tables_big, 1, 1, 2, 10**6)
-        b = pair_autocorrelation(tables_big, 2, 10**6)
+    def test_twin_case_bit_identical_to_gap_two(self):
+        a = conjecture_d_mean(1, 1, 2, 10**6)
+        b = pair_autocorrelation(2, 10**6)
         assert a.empirical == b.empirical
         assert [v for _, v in a.trace] == [v for _, v in b.trace]
 
-    def test_validates_hypotheses(self, tables_small):
+    def test_validates_hypotheses(self):
         with pytest.raises(ValueError):
-            conjecture_d_mean(tables_small, 2, 4, 2, 100)
+            conjecture_d_mean(2, 4, 2, 100)
 
-    def test_bound_check(self, tables_small):
-        with pytest.raises(ValueError):
-            conjecture_d_mean(tables_small, 1, 2, 1, tables_small.bound)
+    # The support reaches the largest index: (2 N + 1)/a, or N itself when
+    # a > b, where n runs past 10^4 before (2 n + 1)/a does.
+    def test_bound_check(self, tables, dense_lambda):
+        rep = conjecture_d_mean(1, 2, 1, 10**4, P=10**3)
+        assert rep.trace == _direct_conjd_trace(dense_lambda(tables), 1, 2, 1, 10**4, "lambda1")
 
     @pytest.mark.parametrize("a", [3, 5])
-    def test_bound_check_a_above_b(self, tables_small, a):
-        # n runs past the table before (2 n + 1)/a does.
-        bound = tables_small.bound
-        with pytest.raises(ValueError, match=f"index {bound + 1} .* table bound {bound}"):
-            conjecture_d_mean(tables_small, a, 2, 1, bound + 1)
+    def test_bound_check_a_above_b(self, tables, dense_lambda, a):
+        N = 10**4 + 1
+        rep = conjecture_d_mean(a, 2, 1, N, P=10**3)
+        assert rep.trace == _direct_conjd_trace(dense_lambda(tables), a, 2, 1, N, "lambda1")
 
     def test_modulus_beyond_int64(self, tables_small, dense_lambda):
         # a = 3^40 > 2^63 divides 4 n + l only for n = 2 mod a, and
         # (4 * 2 + l)/a = 7: one summand, w(2) w(7), from n = 2 on.
         a = 3**40
-        rep = conjecture_d_mean(tables_small, a, 4, 7 * a - 8, 10, P=10**3)
+        rep = conjecture_d_mean(a, 4, 7 * a - 8, 10, P=10**3)
         w = dense_lambda(tables_small)[1]
         assert rep.trace == [(k, 0.0 if k < 2 else w[2] * w[7] / k) for k in range(1, 11)]
 
@@ -336,11 +335,11 @@ class TestConjectureDMean:
     def test_matches_direct_modular_filter(self, tables_small, dense_lambda, abl, weight,
                                            data):
         a, b, l = abl
-        # Largest N whose indices n and (b N + l) // a stay within the table.
+        # Largest N whose indices n and (b N + l) // a stay in the dense reference.
         n_max = min(tables_small.bound, (a * (tables_small.bound + 1) - 1 - l) // b)
         # N in 1..a often falls below the first qualifying n, so no n counts.
         N = data.draw(st.one_of(st.integers(1, a), st.integers(1, n_max)), label="N")
-        rep = conjecture_d_mean(tables_small, a, b, l, N, P=10**3, weight=weight)
+        rep = conjecture_d_mean(a, b, l, N, P=10**3, weight=weight)
         assert rep.trace == _direct_conjd_trace(dense_lambda(tables_small), a, b, l, N, weight)
 
     def test_root_of_unity_indicator_identity(self):
@@ -358,42 +357,42 @@ class TestConjectureDMean:
 
 
 class TestTupleMean:
-    def test_spec_validation(self, tables_small):
-        rep = tuple_mean(tables_small, np.array([0, 2, 6]), 100, P=10**3)
+    def test_spec_validation(self):
+        rep = tuple_mean(np.array([0, 2, 6]), 100, P=10**3)
         assert rep.offsets == (0, 2, 6) and all(type(o) is int for o in rep.offsets)
         assert rep.lambda_weighted.label == "tuple_mean(offsets=(0, 2, 6),w=lambda)"
         for offsets, error in [((), "start with 0"), ((2, 4), "start with 0"),
                                ((0, 4, 2), "strictly increasing")]:
             with pytest.raises(ValueError, match=error):
-                tuple_mean(tables_small, offsets, 100)
+                tuple_mean(offsets, 100)
 
-    def test_single_gap_agrees_with_pair_autocorrelation(self, tables_small):
-        rep = tuple_mean(tables_small, (0, 2), 5000)
-        pair = pair_autocorrelation(tables_small, 2, 5000)
+    def test_single_gap_agrees_with_pair_autocorrelation(self):
+        rep = tuple_mean((0, 2), 5000)
+        pair = pair_autocorrelation(2, 5000)
         assert rep.lambda1_weighted.empirical == pair.empirical
 
-    def test_raw_weights_dominate(self, tables_small):
-        rep = tuple_mean(tables_small, (0, 2, 6), 5000)
+    def test_raw_weights_dominate(self):
+        rep = tuple_mean((0, 2, 6), 5000)
         assert rep.lambda_weighted.empirical >= rep.lambda1_weighted.empirical
 
-    def test_inadmissible_rejected(self, tables_small):
+    def test_inadmissible_rejected(self):
         with pytest.raises(ValueError, match="prime 3 covers every residue"):
-            tuple_mean(tables_small, (0, 2, 4), 100)
+            tuple_mean((0, 2, 4), 100)
 
 
 class TestPntMean:
-    def test_hand_value_at_ten(self, tables_small):
+    def test_hand_value_at_ten(self):
         want = (
             1.5 * math.log(2) + (4 / 3) * math.log(3) + 0.8 * math.log(5)
             + (6 / 7) * math.log(7)
         ) / 10
-        rep = pnt_mean(tables_small, 10)
+        rep = pnt_mean(10)
         assert rep.empirical == pytest.approx(want, rel=1e-14)
         assert rep.predicted == 1.0
 
-    def test_converges(self, tables_big):
-        gap4 = abs(pnt_mean(tables_big, 10**4).empirical - 1.0)
-        gap6 = abs(pnt_mean(tables_big, 10**6).empirical - 1.0)
+    def test_converges(self):
+        gap4 = abs(pnt_mean(10**4).empirical - 1.0)
+        gap6 = abs(pnt_mean(10**6).empirical - 1.0)
         assert gap6 < gap4
 
 

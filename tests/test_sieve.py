@@ -1,6 +1,5 @@
 """Sieve table construction, the support of Lambda, and binary round-trips."""
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -17,12 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramabel import (
-    LambdaTables,
     ResourceLimitError,
     SieveTables,
     build_sieve,
     lambda1_at,
     load_tables,
+    pnt_mean,
     save_tables,
 )
 from ramabel.errors import DamagedDumpError
@@ -251,21 +250,6 @@ class TestBuildSieve:
             assert [a.dtype for a in arrays] == [np.int32, np.int8, np.int32]
             assert not any(a.flags.writeable for a in arrays)
 
-    @pytest.mark.parametrize("N", [10_000, 2_000_020])
-    def test_primes_match_primes_up_to(self, request, N):
-        # A copy has its primes still unmade.  Comparing spf with an arange
-        # in spf's dtype peaks near 5 bytes an entry; an int64 one near 9.
-        t = dataclasses.replace(full_tables(request, N))
-        tracemalloc.start()
-        try:
-            primes = t.primes
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 7 * (N + 1)
-        assert primes.dtype == np.int64 and not primes.flags.writeable
-        assert np.array_equal(primes, primes_up_to(N))
-
 
 class TestSegmentKernel:
     @given(sieve_windows())
@@ -368,33 +352,26 @@ class TestLambdaKernel:
         assert p.tolist() == [2, 2, 3, 2, 5, 3, 2, 7, 2, 3]
 
 
-def assert_lambda_identical(tables, dense):
-    """The support of Lambda from ``tables``' primes, scattered into zeros,
-    is ``dense``, the reference (lam, lam1) from a full build's spf, byte
-    for byte."""
-    assert tables.bound + 1 == dense[0].size
-    n, lam_n, lam1_n = lambda_support(tables.primes, tables.bound)
-    lam = np.zeros(tables.bound + 1)
-    lam1 = np.zeros(tables.bound + 1)
-    lam[n] = lam_n
-    lam1[n] = lam1_n
-    assert lam.tobytes() == dense[0].tobytes()
-    assert lam1.tobytes() == dense[1].tobytes()
+class TestLambdaSupport:
+    """The support of Lambda from the primes up to N, as the correlation
+    means take it, against a full build's spf."""
 
-
-class TestLambdaTables:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 10, 100, 10_000, 300_000, 2_000_020])
     def test_byte_identical_to_full_build(self, request, dense_lambda, N):
+        # Scattered into zeros, the support is the dense reference (lam,
+        # lam1), byte for byte.
         dense = dense_lambda(full_tables(request, N))
-        t = build_sieve(N, lambda_only=True)
-        assert type(t) is LambdaTables
-        assert_lambda_identical(t, dense)
-        with pytest.raises(ValueError):
-            t.primes[:] = 0
+        n, lam_n, lam1_n = lambda_support(primes_up_to(N), N)
+        lam = np.zeros(N + 1)
+        lam1 = np.zeros(N + 1)
+        lam[n] = lam_n
+        lam1[n] = lam1_n
+        assert lam.tobytes() == dense[0].tobytes()
+        assert lam1.tobytes() == dense[1].tobytes()
 
     def test_memory_budget(self):
         with pytest.raises(ResourceLimitError, match=str(10**15)):
-            build_sieve(10**15, lambda_only=True)
+            pnt_mean(10**15)
 
 
 class TestLambda1At:
