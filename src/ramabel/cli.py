@@ -37,7 +37,7 @@ from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_che
 CACHE_ENV = "RAMABEL_CACHE_DIR"
 REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
 # The correlation commands: each mean takes N from --n, builds no table and
-# sieves the primes up to the largest n its support reaches.
+# streams windows of primes over the ranges it reads.
 LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 
 
@@ -333,14 +333,12 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
     if cmd == "abel":
         zs = _floats(args.zs)
         max_q = max((rf_series.required_Q(z, args.eps) for z in zs), default=1)
+        # The series reads the tables up to Q; the target at x needs none.
         bound = max(args.x, max_q)
-        tables = build_sieve(bound)
+        tables = build_sieve(max_q)
         trace = rf_series.abel_ladder(tables, args.x, tuple(zs), args.eps)
-        rows = [
-            [trace.x, z, q, v, trace.target,
-             None if trace.target is None else abs(v - trace.target)]
-            for z, q, v in trace.ladder
-        ]
+        rows = [[trace.x, z, q, v, trace.target, abs(v - trace.target)]
+                for z, q, v in trace.ladder]
         return _finish(
             args, out, start, bound,
             ["x", "z", "Q", "value", "target", "gap"], rows,

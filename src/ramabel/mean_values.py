@@ -5,8 +5,10 @@ summands additionally carry the exact one-period average computed in
 integer/rational arithmetic, which is the finite-N-free value of the
 corresponding limit.  All float reductions run over fixed-size contiguous
 blocks combined in ascending order.  The weighted prime correlations take
-N and no tables: each sieves the primes up to its largest index n and reads
-only the prime powers up to it, from ``sieve.lambda_support``.
+N and no tables, and stream: each block of n reads Lambda from the windows
+of ``sieve.lambda_windows`` over the ranges its factors read, n + gap,
+n + offset or (b n + l)/a, so a mean holds one block and a few windows of
+primes whatever N is.
 """
 
 from __future__ import annotations
@@ -14,15 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import singular
+from .errors import ResourceLimitError
 from .ramanujan import cq_int
-from .sieve import SieveTables, lambda_support, primes_up_to
+from .sieve import MAX_PRIMES, SieveTables, lambda_windows, pi_bound
 
 _BLOCK = 1 << 20
+# Each weight's column in ``_Weights``.
+_COLUMNS = {"lambda": 0, "lambda1": 1}
 
 
 @dataclass
@@ -84,32 +89,27 @@ def _report(
     )
 
 
-def _array_trace(n: np.ndarray, vals: np.ndarray, ns: list[int]) -> list[tuple[int, float]]:
-    """Checkpoint means at ns = _checkpoint_ns(N) of the summands for n = 1..N,
-    given as vals[i] at the ascending positions n[i] and zero elsewhere;
-    callers take ns first, so a bad N fails before anything is built.
+def _array_trace(ns: list[int], blocks: Callable[[int, int], Iterator[np.ndarray]],
+                 ) -> list[list[tuple[int, float]]]:
+    """Checkpoint means at ns = _checkpoint_ns(N) of one or more summands for
+    n = 1..N, one trace per summand; callers take ns first, so a bad N fails
+    before anything is built.  ``blocks(lo, hi)`` yields each summand's
+    dense values at n = lo + 1..hi, in the same order for every block, as
+    an array that may be reused once the next is asked for.
 
-    Blocks of _BLOCK positions restart at each checkpoint and their sums are
-    combined in ascending order, so every checkpoint mean is a fixed
-    function of the summands.  Each block's summands are scattered into one
-    reused zeroed buffer of the block's length, and np.sum of that buffer is
-    the sum of the dense block: the same values at the same places.
+    Blocks of _BLOCK positions restart at each checkpoint, are asked for in
+    ascending order, and their np.sum are combined in ascending order, so
+    every checkpoint mean is a fixed function of the summands.
     """
-    buf = np.zeros(min(_BLOCK, ns[-1]), dtype=np.float64)
-    trace = []
-    sums: list[float] = []
+    sums: list[list[float]] = []
+    means = []
     prev = 0
     for n_i in ns:
         for lo in range(prev, n_i, _BLOCK):
-            hi = min(lo + _BLOCK, n_i)
-            i, j = np.searchsorted(n, (lo + 1, hi + 1))
-            at = n[i:j] - (lo + 1)
-            buf[at] = vals[i:j]
-            sums.append(float(np.sum(buf[: hi - lo])))
-            buf[at] = 0.0
+            sums.append([float(np.sum(v)) for v in blocks(lo, min(lo + _BLOCK, n_i))])
         prev = n_i
-        trace.append((n_i, math.fsum(sums) / n_i))
-    return trace
+        means.append([math.fsum(col) / n_i for col in zip(*sums)])
+    return [list(zip(ns, col)) for col in zip(*means)]
 
 
 def _periodic_trace(period_vals: Sequence[int], N: int) -> list[tuple[int, float]]:
@@ -195,43 +195,124 @@ def polynomial_cq_mean(
     )
 
 
-def _lookup(n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, j): which entries of m are in the ascending array n, and for
-    each m[hit] its index j in n."""
-    j = np.minimum(np.searchsorted(n, m), n.size - 1)
-    hit = n[j] == m
-    return hit, j[hit]
+class _Weights:
+    """Lambda (column 0) and Lambda_1 (column 1) at n in [lo, hi], read from
+    the windows of ``sieve.lambda_windows`` in order.
+
+    Each read starts ``spread`` below the n one stride past the end of the
+    read before it, and ends past that end.  So a window is held after a
+    read only while the next read reaches it, and each window is sieved
+    once; with ``spread`` under a window's length, at most two are held.
+    """
+
+    def __init__(self, lo: int, hi: int, spread: int):
+        self._windows = lambda_windows(lo, hi)
+        self._held: list[tuple] = []
+        self._spread = spread
+
+    def read(self, start: int, stride: int, count: int,
+             cols: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(t, [w(start + stride t) for each column in cols]) at the t < count
+        where w is not 0, ascending."""
+        end = start + stride * (count - 1)
+        at, vals = [], []
+        held, self._held = self._held, []
+        while True:
+            window = held.pop(0) if held else next(self._windows)
+            n = window[1]
+            i, j = np.searchsorted(n, (start, end + 1))
+            pos, on = n[i:j] - start, np.s_[:]
+            if stride > 1:
+                pos, rem = np.divmod(pos, stride)
+                on = np.flatnonzero(rem == 0)
+                pos = pos[on]
+            at.append(pos)
+            vals.append([np.array(window[2 + col][i:j][on]) for col in cols])
+            if window[0] >= end + stride - self._spread:
+                self._held.append(window)
+            if window[0] >= end:
+                break
+            window = n = None  # a passed window is freed before the next is sieved
+        return np.concatenate(at), [np.concatenate(v) for v in zip(*vals)]
 
 
-def _linear_pairs(n: np.ndarray, a: int, b: int, l: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j): the indices into the ascending support n of every n[i] <= N with
-    a | b n[i] + l and (b n[i] + l)/a in n, and of that partner n[j].  The
-    support must reach max(N, (b N + l) // a)."""
-    n0 = (-l * pow(b, -1, a)) % a or a  # a | b n + l exactly for n = n0 mod a
-    if n0 > N:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    m0 = (b * n0 + l) // a
-    if n0 + a > N:  # n0 is alone in its class, so a and b may overflow int64
-        a, b = N, 0
-    i = np.flatnonzero((n[: np.searchsorted(n, N, "right")] - n0) % a == 0)
-    hit, j = _lookup(n, m0 + b * ((n[i] - n0) // a))
-    return i[hit], j
+def _linear_traces(ns: list[int], cols: Sequence[int], a: int, n0: int,
+                   factors: Sequence[tuple[int, int]]) -> list[list[tuple[int, float]]]:
+    """Traces, one per column of ``_Weights`` in ``cols``, of the summand
+    prod_k w(s_k + d_k t) at n = n0 + a t, t >= 0, and 0 at the other n, for
+    the factors (s_k, d_k) multiplied in order.
+
+    A factor of stride 1 that starts within _BLOCK of the first of a run of
+    such factors is read with that run, one range a block; any other
+    factor, a stride d > 1 or a range further on, is a run of its own, so
+    the sieving follows the ranges read.  Each block's products are built
+    sparse, at the t where every factor so far is not 0, and written into
+    one reused buffer, all zero between blocks, at the block's n in the
+    class: the values the whole support gave, at the same places.
+
+    Raises ResourceLimitError, before sieving, when pi_bound of the ends of
+    the ranges adds up to more primes than an Euler product may take: so
+    every n read is below about 1.9 * 10^10, and the base primes <= sqrt(n)
+    of every window stay few.
+    """
+    N = ns[-1]
+    count = (N - n0) // a + 1 if n0 <= N else 0
+    runs: list[list[int]] = []  # [first s, last s, stride] of each run of factors
+    run_of = []
+    for s, d in factors:
+        if d == 1 and runs and runs[-1][2] == 1 and s - runs[-1][0] <= _BLOCK:
+            runs[-1][1] = s
+        else:
+            runs.append([s, s, d])
+        run_of.append(len(runs) - 1)
+    ranges = [(first, last + d * (count - 1)) for first, last, d in runs]
+    primes = sum(pi_bound(max(hi, 2)) for _, hi in ranges)
+    if count and primes > MAX_PRIMES:
+        raise ResourceLimitError(f"the mean at N={N} sieves up to {primes} primes, "
+                                 f"over the limit of {MAX_PRIMES}")
+    weights = [_Weights(lo, hi, last - first) for (lo, hi), (first, last, _) in zip(ranges, runs)]
+    buf = np.zeros(min(_BLOCK, N), dtype=np.float64)
+
+    def blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
+        t0 = max(0, -(-(lo + 1 - n0) // a))
+        c = max(0, (hi - n0) // a + 1 - t0)
+        at, vals = np.empty(0, dtype=np.int64), [np.empty(0)] * len(cols)
+        if c:
+            reads = [w.read(first + d * t0, d, c + last - first, cols)
+                     for w, (first, last, d) in zip(weights, runs)]
+            for k, (s, _) in enumerate(factors):
+                t, ws = reads[run_of[k]]
+                first, last, _ = runs[run_of[k]]
+                if last > first:  # the factor's c entries of its run's range
+                    i, j = np.searchsorted(t, (s - first, s - first + c))
+                    t, ws = t[i:j] - (s - first), [w[i:j] for w in ws]
+                if k:
+                    keep = np.flatnonzero(np.isin(t, at, kind="table"))
+                    t, j = t[keep], np.searchsorted(at, t[keep])
+                    ws = [v[j] * w[keep] for v, w in zip(vals, ws)]
+                at, vals = t, ws
+        view = buf[n0 + a * t0 - lo - 1 :: a][:c]
+        for v in vals:
+            view[at] = v
+            yield buf[: hi - lo]
+        view[at] = 0.0
+
+    return _array_trace(ns, blocks)
 
 
 def _linear_pair_trace(weight: str, a: int, b: int, l: int, N: int) -> list[tuple[int, float]]:
     """Trace of w(n) w((b n + l)/a) over n = 1..N, with 0 where a does not
     divide b n + l or either point is not a prime power.  For gcd(a, b) = 1
     the other n are one class n0 mod a, along which (b n + l)/a steps by b.
-    The support reaches the largest index, max(N, (b N + l) // a).
     """
     ns = _checkpoint_ns(N)
-    if weight not in ("lambda", "lambda1"):
+    if weight not in _COLUMNS:
         raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
-    top = max(N, (b * N + l) // a)
-    n, lam, lam1 = lambda_support(primes_up_to(top), top)
-    w = lam if weight == "lambda" else lam1
-    i, j = _linear_pairs(n, a, b, l, N)
-    return _array_trace(n[i], w[i] * w[j], ns)
+    n0 = (-l * pow(b, -1, a)) % a or a  # a | b n + l exactly for n = n0 mod a
+    m0 = (b * n0 + l) // a
+    if n0 + a > N:  # n0 is alone in its class, so a and b may overflow int64
+        a, b = N, 1
+    return _linear_traces(ns, [_COLUMNS[weight]], a, n0, [(n0, a), (m0, b)])[0]
 
 
 def pair_autocorrelation(h2: int, N: int, P: int = 10**6,
@@ -291,38 +372,21 @@ def tuple_mean(offsets: Sequence[int], N: int, P: int = 10**6) -> TupleMeanRepor
     """
     offsets = singular.validate_tuple(offsets)
     ns = _checkpoint_ns(N)
-    top = N + offsets[-1]
-    n, lam, lam1 = lambda_support(primes_up_to(top), top)
+    traces = _linear_traces(ns, list(_COLUMNS.values()), 1, 1,
+                            [(1 + off, 1) for off in offsets])
     predicted = singular.tuple_constant(offsets, P).value
-    # The n <= N with every n + offset in the support, as indices into it
-    # per offset; the products multiply in offset order.
-    idx = [np.arange(np.searchsorted(n, N, "right"))]
-    for off in offsets[1:]:
-        hit, j = _lookup(n, n[idx[0]] + off)
-        idx = [k[hit] for k in idx] + [j]
-    reports = {}
-    for weight, w in (("lambda", lam), ("lambda1", lam1)):
-        vals = w[idx[0]]
-        for k in idx[1:]:
-            vals *= w[k]
-        reports[weight] = _report(
-            f"tuple_mean(offsets={offsets},w={weight})",
-            N,
-            _array_trace(n[idx[0]], vals, ns),
-            predicted,
-        )
-    return TupleMeanReport(
-        offsets=offsets,
-        lambda_weighted=reports["lambda"],
-        lambda1_weighted=reports["lambda1"],
-    )
+    reports = [
+        _report(f"tuple_mean(offsets={offsets},w={weight})", N, trace, predicted)
+        for weight, trace in zip(_COLUMNS, traces)
+    ]
+    return TupleMeanReport(offsets=offsets, lambda_weighted=reports[0],
+                           lambda1_weighted=reports[1])
 
 
 def pnt_mean(N: int) -> MeanValueReport:
     """Mean of the weighted von Mangoldt function; the limit is 1."""
     ns = _checkpoint_ns(N)
-    n, _, lam1 = lambda_support(primes_up_to(N), N)
-    return _report("pnt_mean", N, _array_trace(n, lam1, ns), 1.0)
+    return _report("pnt_mean", N, _linear_traces(ns, [1], 1, 1, [(1, 1)])[0], 1.0)
 
 
 def goldbach_correlation(tables: SieveTables, N: int, q1: int, q2: int) -> int:

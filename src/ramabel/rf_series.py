@@ -104,7 +104,7 @@ class AbelTrace:
 
     x: float
     ladder: list[tuple[float, int, float]]
-    target: float | None
+    target: float
 
 
 DEFAULT_Z_LADDER = (0.9, 0.99, 0.999)
@@ -120,7 +120,9 @@ def abel_ladder(
     """Evaluate the series at each z with Q chosen from the tail bound.
 
     The ladder is a diagnostic: the z -> 1- limit equals the weighted
-    von Mangoldt value at n, but no convergence rate is asserted.
+    von Mangoldt value at n, the target, but no convergence rate is
+    asserted.  The tables need reach only the largest Q: past their bound
+    the target comes from the primes <= sqrt(n), by ``lambda1_at``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -132,7 +134,7 @@ def abel_ladder(
     for z in z_list:
         params = SeriesParams.for_accuracy(z, epsilon)
         ladder.append((z, params.Q, lambda1_series(tables, params, float(n))))
-    target = lambda1_at(tables, n) if n <= tables.bound else None
+    target = lambda1_at(tables if n <= tables.bound else None, n)
     return AbelTrace(x=float(n), ladder=ladder, target=target)
 
 

@@ -4,11 +4,13 @@ One boolean segment sieve over the odd numbers, ``_prime_segment``, finds
 every prime, for ``primes_up_to`` and so for the spf kernel's base primes.
 ``primes_up_to(n, lo)`` gives the primes of a window [lo, n], so that the
 Euler products stream over windows and never hold every prime <= P.
-One producer, ``lambda_support``, turns the primes up to N into the support
-of the von Mangoldt function: the prime powers n <= N with Lambda(n) and its
-phi(n)/n-weighted variant.  It is the only representation of Lambda: no table
-holds Lambda densely.  The spf kernel gives the smallest prime factor; Moebius
-mu and Euler phi then follow from spf by the recurrence over n = spf(n) * m.
+One producer, ``lambda_support``, turns the primes of a window [lo, N] into
+the support of the von Mangoldt function there: the prime powers with
+Lambda(n) and its phi(n)/n-weighted variant.  It is the only representation
+of Lambda: no table holds Lambda densely.  ``lambda_windows`` gives that
+support window by window over a range, one window built at a time.  The
+spf kernel gives the smallest prime factor; Moebius mu and Euler phi then
+follow from spf by the recurrence over n = spf(n) * m.
 
 ``_table_segments`` gives the full tables one segment at a time: int32 spf
 from the base primes <= sqrt(N), then int8 mu and int32 phi by the recurrence,
@@ -19,7 +21,7 @@ holds them: it keeps mu and phi up to N/2 and one segment, 2.5 bytes an
 entry and about 8 MiB.  ``table_checksum`` and ``load_tables`` read a dump in
 one chunked pass that checks it as it goes.  Tables are immutable, and every
 dump ends in a crc32 of the bytes before it.  The correlation means need no
-table: they reduce ``lambda_support`` of ``primes_up_to`` their largest index.
+table: they stream ``lambda_windows`` over the ranges they read.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .errors import DamagedDumpError, ResourceLimitError
 DEFAULT_SEGMENT_SIZE = 1 << 18
 # Odd n per segment of primes_up_to, measured fastest of 2^18 to 2^21.
 PRIME_SEGMENT_ODDS = 1 << 20
+# The most primes one Euler product or correlation mean sieves: by
+# pi_bound, every prime up to about 1.9 * 10^10.
+MAX_PRIMES = 10**9
 # Bytes a dump is read in at a time, and the most one segment of
 # _table_segments holds at once, its temporaries included.
 _CHUNK = 1 << 20
@@ -109,23 +114,44 @@ def _check_memory(need: int, what: str) -> None:
                                  f"memory budget of {budget} bytes")
 
 
-def lambda_support(primes: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, lam, lam1): every power n <= N of the given primes ascending, with
-    the von Mangoldt function lam(n) = log p and lam1(n) = phi(n)/n * lam(n).
-    ``primes`` is ascending and holds every prime <= N for the whole support
-    (larger ones are ignored).
+def lambda_support(primes: np.ndarray, N: int, lo: int = 1,
+                   powers: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, lam, lam1): every prime power n in [lo, N] ascending, with the von
+    Mangoldt function lam(n) = log p and lam1(n) = phi(n)/n * lam(n).
+    ``primes`` is ascending and holds every prime in [lo, N] (others are
+    ignored).  The powers p^k, k >= 2, are ``powers``, the (p^k, p) of
+    ``_prime_powers`` for every prime <= sqrt(N) (others are ignored), or by
+    default those of ``primes``, which then holds every prime <= sqrt(N) too.
 
     This is the only code that computes Lambda.  lam1 is ((n - n // p) / n)
     * log p at every n = p^k; at n = p that is ((p - 1) / p) * log p, the
-    same float, since p - 1 is exact in float64.
+    same float, since p - 1 is exact in float64.  Each value depends only
+    on n, so a window [lo, N] gives the entries of [1, N] that lie in it.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    primes = primes[: np.searchsorted(primes, N, "right")]
-    pk, p_of = _prime_powers(primes[: np.searchsorted(primes, math.isqrt(N), "right")], N)
+    primes = primes[np.searchsorted(primes, lo) : np.searchsorted(primes, N, "right")]
+    if powers is None:
+        powers = _prime_powers(primes[: np.searchsorted(primes, math.isqrt(N), "right")], N)
+    i, j = np.searchsorted(powers[0], (lo, N + 1))
+    pk, p_of = powers[0][i:j], powers[1][i:j]
     at = np.searchsorted(primes, pk)
     n, p = np.insert(primes, at, pk), np.insert(primes, at, p_of)
     lam = np.log(p.astype(np.float64))
     return n, lam, ((n - n // p) / n) * lam
+
+
+def lambda_windows(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(end, n, lam, lam1) for each window [start, end] of 2 * PRIME_SEGMENT_ODDS
+    integers, start = lo, lo + 2 * PRIME_SEGMENT_ODDS, ..., up to hi, in order:
+    the ``lambda_support`` of the window, from its primes, one
+    ``_prime_segment``, and the prime powers of the primes <= sqrt(hi), which
+    are found once.  One window is built at a time, whatever hi is."""
+    base = primes_up_to(math.isqrt(hi))
+    powers = _prime_powers(base, hi)
+    for start in range(lo, hi + 1, 2 * PRIME_SEGMENT_ODDS):
+        end = min(start + 2 * PRIME_SEGMENT_ODDS - 1, hi)
+        yield end, *lambda_support(_prime_segment(start, end, base), end, start, powers)
 
 
 def _prime_powers(base: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,15 +254,30 @@ def _table_segments(N: int, mu: np.ndarray,
         yield lo, spf, seg_mu, seg_phi
 
 
-def lambda1_at(tables: SieveTables, n: int) -> float:
+def lambda1_at(tables: SieveTables | None, n: int) -> float:
     """phi(n)/n * log p at prime powers n = p^k, zero elsewhere: the
-    ``lambda_support`` of the one prime spf(n) up to n, whose last entry is
-    n exactly when n is a power of spf(n)."""
-    if not 1 <= n <= tables.bound:
-        raise ValueError(f"n={n} outside table bound 1..{tables.bound}")
+    ``lambda_support`` of the one prime p = spf(n) up to n, whose last entry
+    is n exactly when n is a power of p.  spf(n) is read from ``tables``,
+    for 1 <= n <= their bound, or with no tables found among the primes
+    <= sqrt(n), one window at a time: the first that divides n, else n
+    itself, for 1 <= n < 2^63."""
+    if tables is not None:
+        if not 1 <= n <= tables.bound:
+            raise ValueError(f"n={n} outside table bound 1..{tables.bound}")
+        p = int(tables.spf[n])
+    else:
+        if not 1 <= n <= np.iinfo(np.int64).max:
+            raise ValueError(f"n={n} outside 1..2^63 - 1")
+        p, root = n, math.isqrt(n)
+        for lo in range(1, root + 1, 2 * PRIME_SEGMENT_ODDS):
+            divisors = primes_up_to(min(lo + 2 * PRIME_SEGMENT_ODDS - 1, root), lo)
+            divisors = divisors[n % divisors == 0]
+            if divisors.size:
+                p = int(divisors[0])
+                break
     if n == 1:
         return 0.0
-    pk, _, lam1 = lambda_support(tables.spf[n : n + 1], n)
+    pk, _, lam1 = lambda_support(np.array([p]), n)
     return float(lam1[-1]) if pk[-1] == n else 0.0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .ramanujan import cq_int
-from .sieve import PRIME_SEGMENT_ODDS, SieveTables, pi_bound, primes_up_to
+from .sieve import MAX_PRIMES, PRIME_SEGMENT_ODDS, SieveTables, pi_bound, primes_up_to
 
 TWIN_CONSTANT_REFERENCE = 0.6601618158
 
@@ -32,8 +32,6 @@ class SingularConstant:
     extra: dict = field(default_factory=dict)
 
 
-# The most factors a product takes: by pi_bound, P up to about 1.9 * 10^10.
-_MAX_FACTORS = 10**9
 # Log terms handed to fsum as one list of Python floats.
 _FSUM_CHUNK = 4096
 
@@ -48,12 +46,12 @@ def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> flo
     not on the windows.  A factor of exactly 0 has log -inf: the windows
     stop at the first that holds one, whose fsum is -inf and whose exp is
     0.0.  Raises ResourceLimitError, before sieving, when pi_bound(P)
-    exceeds _MAX_FACTORS.
+    exceeds MAX_PRIMES.
     """
     factors = pi_bound(P)
-    if factors > _MAX_FACTORS:
+    if factors > MAX_PRIMES:
         raise ResourceLimitError(f"an Euler product over the primes up to {P} takes up "
-                                 f"to {factors} factors, over the limit of {_MAX_FACTORS}")
+                                 f"to {factors} factors, over the limit of {MAX_PRIMES}")
     span = 2 * PRIME_SEGMENT_ODDS
 
     def terms() -> Iterator[list[float]]:

@@ -1,6 +1,8 @@
 """CLI subcommands, exercised in-process through main(argv)."""
 
+import hashlib
 import json
+import math
 import os
 import time
 import zlib
@@ -62,6 +64,19 @@ class TestBasics:
         lines = (tmp_path / "abel.csv").read_text().splitlines()
         assert lines[0] == "x,z,Q,value,target,gap"
         assert len(lines) == 3
+
+    def test_abel_builds_tables_up_to_q_only(self, tmp_path, monkeypatch):
+        # The series reads the tables up to Q = 196; the target at the
+        # prime x = 2^31 - 1 comes from the primes up to sqrt(x).
+        built = []
+        monkeypatch.setattr(cli, "build_sieve", lambda N: built.append(N) or build_sieve(N))
+        x = 2**31 - 1
+        assert run(tmp_path, "abel", "--x", str(x), "--zs", "0.9") == 0
+        assert built == [196]
+        row = (tmp_path / "abel.csv").read_text().splitlines()[1].split(",")
+        assert row[:3] == [str(x), "0.9", "196"]
+        assert row[4] == f"{((x - 1) / x) * math.log(x):.12g}"
+        assert read_manifest(tmp_path, "abel")["sieve_bound"] == x
 
     def test_goldbach(self, tmp_path, capsys):
         assert run(tmp_path, "goldbach", "--n", "3", "--q1", "2", "--q2", "2") == 0
@@ -461,3 +476,41 @@ def test_correlation_commands_build_no_table(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "build_sieve", refuse)
     assert run(tmp_path / "patched", *argv) == 0
     assert (tmp_path / "patched" / f"{argv[0]}.csv").read_bytes() == want
+
+
+# CSV SHA-256 and manifest sieve_bound of correlation argvs, recorded on the
+# means that held the whole support of Lambda: the streamed means must give
+# the same bytes.  N = 2^20 + 1 and 3 * 2^20 - 1 put a block edge next to N;
+# a gap and a tuple offset of 2-3 * 10^6 read a range beyond the block.
+@pytest.mark.parametrize("argv, sha256, bound", [
+    ("pnt --n 1048577",
+     "1d52fcb7f6d604ae7a2e06a76f12fd1418ea2bb8fd4501cbf2e7c80efcbd1c70", 1048577),
+    ("pnt --n 3145727",
+     "1e5439d593307ef7966c641f80c027d95678ff7d2117305d992597fa71e1bae3", 3145727),
+    ("autocorr --gap 2 --n 1048577",
+     "ee95de1183ce8e18cf10c96f4d6043a69f44a2e211e6fd1fe7107101a44fafe7", 1048579),
+    ("autocorr --gap 7 --n 3145727",
+     "01eb33355f371a6cc7842a7ed45d1edaea1ccfad63757f67687a6c21a6335842", 3145734),
+    ("autocorr --gap 6 --n 500000 --weights lambda",
+     "1ff60848b24fb3f9c4dc0f70c76ce00ccea09d42c86249ab308b13d069494e92", 500006),
+    ("autocorr --gap 3000000 --n 200000",
+     "7cd232272915ec2af1e7484f4545615f97721add7d28b2a3e8410733836116a5", 3200000),
+    ("conjd --a 1 --b 2 --l 1 --n 1000000",
+     "81833f4191959782be46664c640e31d227cf3f3051a36b082844d3feeca80b7b", 2000002),
+    ("conjd --a 5 --b 2 --l 1 --n 1048577",
+     "8af34c93ac55609b67428fc06cceef889efb0cf91953136b42e33bba820d1cba", 1048578),
+    ("conjd --a 3 --b 10 --l 7 --n 2000000",
+     "f8897c4a06f264f364246328f36baa37502036fa11edb2fdac3a31ba0e4df76c", 6666670),
+    ("tuple --offsets 0,2,6 --n 3145727",
+     "9499ff91d0600a41ea0ff8dd072117b0faad468ce2c5f0459e8f0a1d2b89c4b6", 3145733),
+    ("tuple --offsets 0,2,2000006 --n 300000 --p 3000000",
+     "da1b38e0b8086d7dca3e0fae156ad353d4fb56cc86c4c117bb5b3507fc2303ad", 2300006),
+], ids=["pnt-edge", "pnt-3edge", "autocorr-even", "autocorr-odd", "autocorr-lambda",
+        "autocorr-far", "conjd-a-below-b", "conjd-a-above-b", "conjd-stride", "tuple",
+        "tuple-far"])
+def test_correlation_csv_bytes_pinned(tmp_path, argv, sha256, bound):
+    assert run(tmp_path, *argv.split()) == 0
+    command = argv.split()[0]
+    data = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha256
+    assert read_manifest(tmp_path, command)["sieve_bound"] == bound

@@ -2,6 +2,8 @@
 exact period averages, weighted prime correlations, Goldbach sums."""
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +24,9 @@ from ramabel import (
     polynomial_cq_mean,
     tuple_mean,
 )
-from ramabel.mean_values import _BLOCK, _array_trace, _checkpoint_ns, _linear_pairs
-from ramabel.sieve import lambda_support, primes_up_to
+from ramabel import mean_values, sieve
+from ramabel.errors import ResourceLimitError
+from ramabel.mean_values import _BLOCK, _Weights, _array_trace, _checkpoint_ns
 from ramabel.singular import validate_linear_pair
 
 
@@ -35,22 +38,22 @@ def _valid_linear_pair(abl) -> bool:
     return True
 
 
-def _dense_array_trace(vals, ns):
+def _dense_array_trace(vals, ns, block=_BLOCK):
     """Reference for ``_array_trace``: checkpoint means of the dense summands
-    vals[n - 1], n = 1..N, each block of _BLOCK entries summed by np.sum."""
+    vals[n - 1], n = 1..N, each block of ``block`` entries summed by np.sum."""
     assert len(vals) == ns[-1]
     trace = []
     sums = []
     prev = 0
     for n_i in ns:
         seg = vals[prev:n_i]
-        sums.extend(float(np.sum(seg[s : s + _BLOCK])) for s in range(0, len(seg), _BLOCK))
+        sums.extend(float(np.sum(seg[s : s + block])) for s in range(0, len(seg), block))
         prev = n_i
         trace.append((n_i, math.fsum(sums) / n_i))
     return trace
 
 
-def _direct_conjd_trace(dense, a, b, l, N, weight):
+def _direct_conjd_trace(dense, a, b, l, N, weight, block=_BLOCK):
     """Reference: the direct modular filter over n = 1..N of the dense
     (lam, lam1)."""
     w = dense[0] if weight == "lambda" else dense[1]
@@ -59,7 +62,7 @@ def _direct_conjd_trace(dense, a, b, l, N, weight):
     hit = t % a == 0
     vals = np.zeros(N, dtype=np.float64)
     vals[hit] = w[ns[hit]] * w[t[hit] // a]
-    return _dense_array_trace(vals, _checkpoint_ns(N))
+    return _dense_array_trace(vals, _checkpoint_ns(N), block)
 
 
 class TestArrayTrace:
@@ -88,7 +91,16 @@ class TestArrayTrace:
         dense = np.zeros(N)
         dense[n - 1] = vals
         ns = _checkpoint_ns(N)
-        assert _array_trace(n, vals, ns) == _dense_array_trace(dense, ns)
+        # Two summands, each yielded in one reused buffer.
+        buf = np.empty(min(_BLOCK, N))
+
+        def blocks(lo, hi):
+            for v in (dense, dense[::-1]):
+                buf[: hi - lo] = v[lo:hi]
+                yield buf[: hi - lo]
+
+        assert _array_trace(ns, blocks) == [
+            _dense_array_trace(dense, ns), _dense_array_trace(dense[::-1], ns)]
 
 
 class TestSparseMatchesDense:
@@ -117,17 +129,122 @@ class TestSparseMatchesDense:
                 assert got.trace == _dense_array_trace(vals, ns)
 
 
+def _streamed_means(N, dense, gaps, linear, tuples, block=_BLOCK):
+    """(streamed, reference) trace pairs of every correlation mean at N:
+    pnt, the gaps and the conjd triples in both weights, and the tuples in
+    both, against the dense products of ``dense`` = (lam, lam1)."""
+    ns = _checkpoint_ns(N)
+    pairs = [(pnt_mean(N).trace, _dense_array_trace(dense[1][1 : N + 1], ns, block))]
+    for a, b, l in [(1, 1, h) for h in gaps] + linear:
+        for weight in ("lambda", "lambda1"):
+            if a == b == 1:
+                rep = pair_autocorrelation(l, N, P=10**3, weight=weight)
+            else:
+                rep = conjecture_d_mean(a, b, l, N, P=10**3, weight=weight)
+            pairs.append((rep.trace, _direct_conjd_trace(dense, a, b, l, N, weight, block)))
+    for offsets in tuples:
+        rep = tuple_mean(offsets, N, P=max(10**3, offsets[-1]))
+        for got, w in ((rep.lambda_weighted, dense[0]), (rep.lambda1_weighted, dense[1])):
+            vals = w[1 : N + 1].copy()
+            for off in offsets[1:]:
+                vals *= w[1 + off : N + 1 + off]
+            pairs.append((got.trace, _dense_array_trace(vals, ns, block)))
+    return pairs
+
+
+class TestStreamedMeans:
+    """The means stream over windows of primes, one block at a time: each
+    trace is the dense reference's, == , at N on both sides of a block or
+    checkpoint edge and with partners whose ranges cross block and window
+    edges."""
+
+    # N = 2^20 - 1, 2^20, 2^20 + 1: the block of 2^20 entries against the
+    # checkpoints at N/10; a gap of 900,001 and the conjd partners of
+    # (5, 2, 1) and (3, 4, 1) read ranges that cross block edges.
+    @pytest.mark.parametrize("N", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_block_edges(self, tables_big, dense_lambda, N):
+        dense = dense_lambda(tables_big)
+        for got, want in _streamed_means(N, dense, [2, 900_001], [(5, 2, 1), (3, 4, 1)],
+                                         [(0, 2, 6)]):
+            assert got == want
+
+    # Blocks of 1000 entries and windows of 2048 integers, so that N up to
+    # 3 * 10^4 crosses many of both edges.  Gaps and offsets of up to 1000
+    # share their run's windows; 1001 and 1500 read their own.  The conjd
+    # triples step their n (a > 1) or their partners (b > 1) across them.
+    @pytest.mark.parametrize("N", [1, 2, 999, 1000, 1001, 2047, 2048, 2049, 10_000, 29_999])
+    def test_small_blocks_and_windows(self, monkeypatch, tables, dense_lambda, N):
+        monkeypatch.setattr(mean_values, "_BLOCK", 1000)
+        monkeypatch.setattr(sieve, "PRIME_SEGMENT_ODDS", 1 << 10)
+        dense = dense_lambda(tables)
+        pairs = _streamed_means(
+            N, dense, [1, 2, 30, 1000, 1001, 1500],
+            [(1, 2, 1), (3, 4, 1), (2, 5, 3), (7, 30, 1), (5, 2, 1)],
+            [(0, 2, 6), (0, 4, 6, 10), (0, 2, 1500), (0, 998, 1002, 2000)], block=1000)
+        for got, want in pairs:
+            assert got == want
+
+    @pytest.mark.parametrize("mean", [pnt_mean, lambda N: pair_autocorrelation(2, N, P=10**3)],
+                             ids=["pnt_mean", "pair_autocorrelation"])
+    def test_memory_does_not_grow_with_N(self, mean):
+        # Past one window, a mean holds one block buffer and at most two
+        # windows, whatever N is; the whole support grew 4-fold here.
+        def peak(N):
+            tracemalloc.start()
+            try:
+                mean(N)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * 10**6) <= peak(2 * 10**6) + 2**20
+
+    @pytest.mark.parametrize("mean", [
+        pnt_mean,
+        lambda N: pair_autocorrelation(2, N),
+        lambda N: conjecture_d_mean(1, 2, 1, N // 2),
+        lambda N: tuple_mean((0, 2, 6), N),
+    ], ids=["pnt_mean", "pair_autocorrelation", "conjecture_d_mean", "tuple_mean"])
+    def test_refused_before_sieving(self, monkeypatch, mean):
+        # pi_bound of 10^15 is over the limit of the Euler products, 10^9
+        # primes; that of 10^10 is not, and there the windows are asked for.
+        def windows(lo, hi):
+            raise LookupError(f"windows [{lo}, {hi}]")
+
+        monkeypatch.setattr(mean_values, "lambda_windows", windows)
+        with pytest.raises(ResourceLimitError,
+                           match="N=(1|5)0000000000000+ .* limit of 1000000000"):
+            mean(10**15)
+        with pytest.raises(LookupError, match="windows"):
+            mean(10**10)
+
+    def test_far_gap_sieves_its_ranges_only(self):
+        # The two ranges read, [1, 1000] and [10^9 + 1, 10^9 + 1000], not
+        # the 10^9 integers between them; a far range counts as the primes
+        # up to its end, so N = 10 at a gap of 10^15 is refused.
+        start = time.perf_counter()
+        rep = odd_gap_mean(10**9 + 1, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert rep.trace[-1][0] == 1000
+        with pytest.raises(ResourceLimitError, match="N=10 "):
+            odd_gap_mean(10**15 + 1, 10)
+
+
 class TestTwinPairs:
     # pi_2(x), the pairs (p, p + 2) of primes with p <= x (Brent, Math.
-    # Comp. 29, 1975); the counts with p + 2 <= x are the same at these x.
+    # Comp. 29, 1975), counted on the windows that the means read: n > 1 is
+    # a prime exactly when Lambda(n) = log n.
     @pytest.mark.parametrize("N, count", [(10**6, 8_169), (10**7, 58_980)])
     def test_literature_counts(self, N, count):
-        primes = primes_up_to(N + 2)
-        n, _, _ = lambda_support(primes, N + 2)
-        i, j = _linear_pairs(n, 1, 1, 2, N)
-        assert np.all(n[j] == n[i] + 2)
-        prime = np.isin(n, primes)
-        assert np.count_nonzero(prime[i] & prime[j]) == count
+        weights = _Weights(1, N + 2, 2)
+        twins = 0
+        for lo in range(0, N, _BLOCK):
+            L = min(_BLOCK, N - lo)
+            t, (lam,) = weights.read(lo + 1, 1, L + 2, [0])
+            n = (lo + 1 + t).astype(np.float64)
+            p = t[(lam == np.log(n)) & (n > 1)]
+            twins += np.count_nonzero(np.isin(p[p < L] + 2, p))
+        assert twins == count
 
 
 class TestCqMean:

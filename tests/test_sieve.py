@@ -397,6 +397,21 @@ class TestLambda1At:
             want = ((p - 1) / p) * math.log(p)
             assert lambda1_at(tables_small, n) == pytest.approx(want, rel=1e-15)
 
+    def test_without_tables(self, tables_small):
+        # spf from the primes <= sqrt(n): the same float as the tables give,
+        # and past any table, for n up to 2^63 - 1.
+        for n in [*range(1, 3000), 9409, 9973, 9999, 10_000]:
+            assert lambda1_at(None, n) == lambda1_at(tables_small, n), n
+        p = 2**31 - 1  # a prime
+        assert lambda1_at(None, p) == ((p - 1) / p) * math.log(p)
+        assert lambda1_at(None, 2**31) == 0.5 * math.log(2)
+        assert lambda1_at(None, 2 * p) == 0.0
+        assert lambda1_at(None, 3**39) == (2 / 3) * math.log(3)
+        assert lambda1_at(None, 2**63 - 1) == 0.0  # 7^2 * 73 * ...
+        for n in (0, 2**63):
+            with pytest.raises(ValueError, match=str(n)):
+                lambda1_at(None, n)
+
 
 def dump_bytes(t):
     """The RMBL dump of format 3 of tables ``t``, built in memory: header,
