@@ -12,7 +12,7 @@ starts no worker threads, and results do not depend on the flag.
 with no cache, a cold cache or a warm one, and never holds the tables: it
 streams the dump to the cache file, or with no cache to a temporary file in
 --out that it removes, and it checksums a cached dump in one checked pass.
-At 10^7 a process peaks at about 66 MB cold and 35 MB warm.
+At 10^7 a process peaks at about 49 MB cold or with no cache and 35 MB warm.
 
 Exit codes: 0 success, 1 check failure (props), 2 usage, argument or
 resource error (memory budget, I/O, an array allocation that failed).

@@ -12,16 +12,18 @@ support window by window over a range, one window built at a time.  The
 spf kernel gives the smallest prime factor; Moebius mu and Euler phi then
 follow from spf by the recurrence over n = spf(n) * m.
 
-``_table_segments`` gives the full tables one segment at a time: int32 spf
-from the base primes <= sqrt(N), then int8 mu and int32 phi by the recurrence,
-which reads mu(m) and phi(m) only for m <= n/2.  ``build_sieve`` collects
-them into ``SieveTables``, three dense arrays of 9 bytes an entry.
-``save_tables`` writes their dump to a file segment by segment and never
-holds them: it keeps mu and phi up to N/2 and one segment, 2.5 bytes an
-entry and about 8 MiB.  ``table_checksum`` and ``load_tables`` read a dump in
-one chunked pass that checks it as it goes.  Tables are immutable, and every
-dump ends in a crc32 of the bytes before it.  The correlation means need no
-table: they stream ``lambda_windows`` over the ranges they read.
+``_table_segments`` gives the full tables one segment of 2^17 entries at a
+time: int32 spf from the base primes <= sqrt(N), then int8 mu and int32 phi
+by the recurrence, from mu(m) and phi(m) that it holds only at odd m <= N/2,
+1.25 bytes an entry of N.  ``build_sieve`` copies the segments into
+``SieveTables``, three dense arrays of 9 bytes an entry.  ``save_tables``
+writes their dump to a file segment by segment and never holds them, nor
+anything of its own: its footprint is the generator's, 1.25 bytes an entry
+and one segment of at most 4 MiB.  ``table_checksum`` and ``load_tables``
+read a dump in one chunked pass that checks it as it goes.  Tables are
+immutable, and every dump ends in a crc32 of the bytes before it.  The
+correlation means need no table: they stream ``lambda_windows`` over the
+ranges they read.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import DamagedDumpError, ResourceLimitError
 
 # Entries per segment of _table_segments, for build_sieve and save_tables.
-DEFAULT_SEGMENT_SIZE = 1 << 18
+DEFAULT_SEGMENT_SIZE = 1 << 17
 # Odd n per segment of primes_up_to, measured fastest of 2^18 to 2^21.
 PRIME_SEGMENT_ODDS = 1 << 20
 # The most primes one Euler product or correlation mean sieves: by
@@ -76,7 +78,7 @@ class SieveTables:
     FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
         ("spf", "<i4"), ("mu", "<i1"), ("phi", "<i4"),
     )
-    BYTES_PER_ENTRY: ClassVar[int] = 11  # build's peak RSS rise: 10.9 at 4*10^6, 9.8 at 10^7
+    BYTES_PER_ENTRY: ClassVar[int] = 12  # build's peak RSS rise: 11.2 at 4*10^6, 10.6 at 10^7
 
 
 def build_sieve(N: int) -> SieveTables:
@@ -88,8 +90,9 @@ def build_sieve(N: int) -> SieveTables:
     _check_bound(N, SieveTables.BYTES_PER_ENTRY * (N + 1))
     # Slot 0 keeps the zeros: every table is 0 at n = 0.
     arrays = {name: np.zeros(N + 1, dtype=dt) for name, dt in SieveTables.FIELDS}
-    for lo, spf, _, _ in _table_segments(N, arrays["mu"], arrays["phi"]):
-        arrays["spf"][lo : lo + spf.size] = spf
+    for lo, *segment in _table_segments(N):
+        for arr, seg in zip(arrays.values(), segment):
+            arr[lo : lo + seg.size] = seg
     for arr in arrays.values():
         arr.flags.writeable = False
     return SieveTables(bound=N, **arrays)
@@ -208,50 +211,59 @@ def _spf_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return spf
 
 
-def _table_segments(N: int, mu: np.ndarray,
-                    phi: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def _table_segments(N: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """(lo, spf, mu, phi) for n in [lo, lo + DEFAULT_SEGMENT_SIZE) up to N,
     lo = 1, 1 + DEFAULT_SEGMENT_SIZE, ...: spf from ``_spf_segment`` as int32,
-    mu as int8 and phi as int32.  spf is new; mu and phi are views of the
-    arrays passed in, or of two buffers reused by the segments past them,
-    good until the next segment.
+    mu as int8 and phi as int32.  spf is new; mu and phi are views of two
+    buffers reused by every segment, good until the next.
 
     mu and phi follow from the recurrence over n = p * m, p = spf(n) (Gries &
     Misra, CACM 21, 1978): mu(n) = 0 and phi(n) = p * phi(m) when p divides m,
-    else mu(n) = -mu(m) and phi(n) = (p - 1) * phi(m).  It reads mu(m) and
-    phi(m) for m <= n/2 from the arrays ``mu`` and ``phi``, at least N // 2 + 1
-    long, and writes mu(n) and phi(n) into them for every n they hold.  So
-    they need hold no more than N // 2 + 1 entries; the first segment goes
-    in chunks [a, 2a), whose m < a are filled before they are read.
+    else mu(n) = -mu(m) and phi(n) = (p - 1) * phi(m).  The generator holds
+    mu(m) and phi(m) only at odd m <= N/2, at index m // 2: N // 4 + 1
+    entries, 1.25 bytes an entry of N.  An odd n >= 3 has p >= 3 and an odd
+    m <= n/3, so the first segment goes over its odd n in chunks [a, 3a),
+    whose m < a are held before they are read; every lo is odd, 1 plus a
+    multiple of the even segment size.  An even n = 2^k * r, r odd, has
+    r <= N/2, held by the time the segment's odd n are done: mu(n) = -mu(r)
+    for k = 1, else 0, and phi(n) = 2^(k - 1) * phi(r), one strided slice
+    per k.
     """
     base = primes_up_to(math.isqrt(N))
-    size, spare = min(DEFAULT_SEGMENT_SIZE, N), None
+    size = min(DEFAULT_SEGMENT_SIZE, N)
+    held_mu, held_phi = np.zeros(N // 4 + 1, dtype=np.int8), np.zeros(N // 4 + 1, dtype=np.int32)
+    held_mu[0] = held_phi[0] = 1  # m = 1
+    buf_mu, buf_phi = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int32)
     for lo in range(1, N + 1, size):
         hi = min(lo + size, N + 1)
         spf = _spf_segment(lo, hi - 1, base)
-        if hi <= mu.size:
-            seg_mu, seg_phi = mu[lo:hi], phi[lo:hi]
-        else:
-            spare = spare or (np.empty(size, dtype=np.int8), np.empty(size, dtype=np.int32))
-            seg_mu, seg_phi = spare[0][: hi - lo], spare[1][: hi - lo]
+        mu, phi = buf_mu[: hi - lo], buf_phi[: hi - lo]
         a = lo
         if lo == 1:
-            seg_mu[0] = seg_phi[0] = 1
-            mu[1:2] = phi[1:2] = 1  # an empty slice when N = 1
-            a = 2
+            mu[0] = phi[0] = 1
+            a = 3
         while a < hi:
-            b = min(2 * a, hi)
-            p = spf[a - lo : b - lo]
-            m = np.arange(a, b, dtype=np.int32) // p
+            b = min(3 * a, hi)  # hi, past the first segment
+            p = spf[a - lo : b - lo : 2]
+            m = np.arange(a, b, 2, dtype=np.int32) // p
             once = m % p != 0  # p divides n exactly once
-            m = m.astype(np.intp)
-            np.negative(mu[m] * once, out=seg_mu[a - lo : b - lo])
-            np.multiply(phi[m], p - once, out=seg_phi[a - lo : b - lo])
-            if hi > mu.size and a < mu.size:
-                held = min(b, mu.size)
-                mu[a:held], phi[a:held] = seg_mu[a - lo : held - lo], seg_phi[a - lo : held - lo]
+            m = (m >> 1).astype(np.intp)
+            np.negative(held_mu[m] * once, out=mu[a - lo : b - lo : 2])
+            np.multiply(held_phi[m], p - once, out=phi[a - lo : b - lo : 2])
+            c = max(a, min(b, N // 2 + 1))  # the odd n in [a, c) are held
+            held_mu[a // 2 : c // 2] = mu[a - lo : c - lo : 2]
+            held_phi[a // 2 : c // 2] = phi[a - lo : c - lo : 2]
             a = b
-        yield lo, spf, seg_mu, seg_phi
+        for k in range(1, hi.bit_length()):
+            step = 2 << k
+            n = lo + ((1 << k) - lo) % step  # the first n = 2^k * odd >= lo
+            r = slice((n >> k) // 2, (n >> k) // 2 + len(range(n, hi, step)))
+            if k == 1:
+                np.negative(held_mu[r], out=mu[n - lo :: step])
+            else:
+                mu[n - lo :: step] = 0
+            np.left_shift(held_phi[r], k - 1, out=phi[n - lo :: step])
+        yield lo, spf, mu, phi
 
 
 def lambda1_at(tables: SieveTables | None, n: int) -> float:
@@ -327,18 +339,18 @@ def save_tables(bound: int, path: str) -> str:
     spf, mu and phi regions of a temporary file beside ``path``; the file is
     then read back in chunks for the crc32 and the SHA-256, and renamed onto
     ``path`` only when complete, so a failed save never leaves a file or
-    changes the one at ``path``.  It holds mu and phi for n <= bound // 2,
-    5 bytes an entry, and one segment.  Raises as ``build_sieve`` does, for
+    changes the one at ``path``.  It allocates no array of its own: what it
+    holds is the generator's mu and phi at the bound // 4 + 1 odd m <= bound
+    / 2, 5 bytes each, and one segment.  Raises as ``build_sieve`` does, for
     that footprint, before anything is written.
     """
-    _check_bound(bound, 5 * (bound // 2 + 1) + _SEGMENT_BYTES)
-    mu, phi = np.zeros(bound // 2 + 1, dtype=np.int8), np.zeros(bound // 2 + 1, dtype=np.int32)
+    _check_bound(bound, 5 * (bound // 4 + 1) + _SEGMENT_BYTES)
     *starts, end = itertools.accumulate([16] + _field_sizes(bound))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w+b") as f:  # slot 0 of each array is never written: it reads 0
             f.write(SieveTables.MAGIC + struct.pack("<IQ", SieveTables.VERSION, bound))
-            for lo, *arrays in _table_segments(bound, mu, phi):
+            for lo, *arrays in _table_segments(bound):
                 for start, (_, dt), arr in zip(starts, SieveTables.FIELDS, arrays):
                     f.seek(start + lo * arr.itemsize)
                     f.write(arr.astype(dt, copy=False))

@@ -26,6 +26,7 @@ from ramabel import (
 )
 from ramabel.errors import DamagedDumpError
 from ramabel.sieve import (
+    _SEGMENT_BYTES,
     DEFAULT_SEGMENT_SIZE,
     PRIME_SEGMENT_ODDS,
     _prime_powers,
@@ -203,14 +204,21 @@ class TestBuildSieve:
 
     # SHA-256 of the RMBL dump of format 3: header, spf, mu, phi and crc32,
     # as save_tables returns it and table_checksum reads it back from the
-    # file.  Any changed byte of any table fails.
+    # file.  Any changed byte of any table fails.  The values are literals,
+    # not outputs of the generator under test, so a drift in it fails here;
+    # 2^17 + 1 and 2^18 + 1 end one entry into the second and third segment.
     DIGESTS = {
         1: "e2b37c04f530bce2e438ec72696189862debb590815bbb6c87b88858cbca82a4",
         2: "38564ea035c3a3b64d375a1717b4bc24b6823888a50df8586c98ea54105005e0",
+        3: "be63be59e66f728f72d27d0b95f1f84159db911cf3476a690ed76f813edae37a",
         10: "48574363537c9139482a979980e59a4b7f81e92c3739524a90b8df5ffd081318",
         10_000: "29f0a89842c2a054da8581fc4feaaeb47f24bfde78ea90ef2562944bb696c428",
+        131_073: "2e2920dd625796d8f15eb2c86373a7c4839b53550d7423f2cc6a11c67106ec64",
+        262_145: "e345c4b2cdc53d05a69001319eb73b00722452f7d2a9997207db94cfc611257b",
         300_000: "960c301e8228ed55a39d0fcaddc04b14272c1ba87737e253a3d17808ec2b4329",
+        10**6: "69072ac2be2d97a93decf3e0c5924db2a844943a455ed1a3d27a7a40762b52f1",
         2_000_020: "3918eed310312880e5a395feac38b3635726cd83b582c5ac01ff05737954b294",
+        10**7: "1e51dbe90f883cd5ee3e8581af09b76d495b6cd2061dec3876ec8bd33637ca40",
     }
 
     @pytest.mark.parametrize("N", sorted(DIGESTS))
@@ -283,16 +291,25 @@ class TestMuPhiRecurrence:
     @settings(max_examples=25, deadline=None)
     def test_matches_trial_division(self, data):
         # Bounds up to about 600,000 span several segments and several
-        # recurrence chunks; n is drawn anywhere, or next to a chunk start
-        # (a power of two or a multiple of the segment size).
+        # recurrence chunks; n is drawn anywhere, or next to: a power of two;
+        # a power of three, where an odd chunk of the first segment starts;
+        # N // 2 and N // 4, where the held odd m and their indices end; a
+        # multiple of the segment size; or n = 2^k * r with r odd next to
+        # N / 2^k, the largest held r an even n of each k reads.
         N = data.draw(st.integers(1, 600_000))
         t = build_sieve(N)
         starts = [2**k for k in range(1, N.bit_length())]
+        starts += [3**k for k in range(1, 13) if 3**k <= N] + [N // 2, N // 4]
         starts += list(range(DEFAULT_SEGMENT_SIZE, N + 1, DEFAULT_SEGMENT_SIZE))
         near = st.sampled_from(starts).flatmap(
-            lambda s: st.integers(max(1, s - 3), min(N, s + 3))
-        ) if starts else st.just(1)
-        for n in data.draw(st.lists(st.one_of(st.integers(1, N), near), max_size=40)):
+            lambda s: st.integers(max(1, s - 3), min(N, s + 3)))
+
+        def near_top(k):  # 2^k <= N, so the largest odd r <= N / 2^k is >= 1
+            top = (N >> k) - 1 + (N >> k) % 2
+            return st.integers(0, 3).map(lambda j: max(1, top - 2 * j) << k)
+
+        evens = st.integers(1, N.bit_length() - 1).flatmap(near_top) if N > 1 else st.just(1)
+        for n in data.draw(st.lists(st.one_of(st.integers(1, N), near, evens), max_size=40)):
             f = factorize(n)
             assert t.mu[n] == (0 if any(k > 1 for k in f.values()) else (-1) ** len(f))
             assert t.phi[n] == math.prod(p ** (k - 1) * (p - 1) for p, k in f.items())
@@ -304,7 +321,7 @@ class TestLambdaKernel:
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_trial_division(self, data):
-        # N anywhere up to 600,000, or next to a segment edge k * 2^18 or a
+        # N anywhere up to 600,000, or next to a segment edge k * 2^17 or a
         # square p^2.  Every n in a window around each edge and square below
         # N, and n drawn anywhere, is checked by trial division: in the
         # support exactly when a prime power, with its Lambda and Lambda_1.
@@ -448,10 +465,10 @@ class TestDumpRestore:
         with pytest.raises(ValueError, match="holds bound 10000, wanted 9999"):
             table_checksum(str(path), 9999)
 
-    # One segment or less, the last N of one segment, one entry into the
-    # second, and a few into the fourth; at 2^17 the first segment ends
-    # with a one-entry recurrence chunk.
-    @pytest.mark.parametrize("N", [1, 2, 100, 2**17, 2**18 - 1, 2**18, 2**18 + 1,
+    # One segment or less (2^17 is exactly one), one entry into the second,
+    # the second one short of its end and at it, one entry into the third,
+    # and a few into the seventh.
+    @pytest.mark.parametrize("N", [1, 2, 100, 2**17, 2**17 + 1, 2**18 - 1, 2**18, 2**18 + 1,
                                    3 * 2**18 + 5])
     def test_streamed_dump_is_the_built_tables(self, tmp_path, N):
         path = tmp_path / "tables.bin"
@@ -461,9 +478,9 @@ class TestDumpRestore:
         assert digest == hashlib.sha256(data).hexdigest()
 
     def test_streamed_dump_memory(self, tmp_path):
-        # save_tables holds mu and phi up to N/2 (2.5 bytes an entry of N)
-        # and one segment, table_checksum one chunk; the full tables would
-        # take 9 bytes an entry.
+        # save_tables holds mu and phi at the N // 4 + 1 odd m <= N/2 (1.25
+        # bytes an entry of N) and one segment, table_checksum one chunk; the
+        # full tables would take 9 bytes an entry.
         N, path = 2 * 10**6, str(tmp_path / "tables.bin")
         tracemalloc.start()
         try:
@@ -474,14 +491,30 @@ class TestDumpRestore:
             check_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert save_peak < 3 * N + 8 * 2**20
+        assert save_peak < 5 * (N // 4 + 1) + _SEGMENT_BYTES
         assert check_peak < 8 * 2**20
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_save_peak_within_checked_footprint(self, tmp_path):
+        # The peak RSS rise of a save in a fresh process is within the
+        # footprint its memory check counts, as test_bytes_per_entry_covers_build
+        # checks for a build.
+        N = 4 * 10**6
+        code = ("import re, sys; from ramabel import save_tables; "
+                "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
+                "open('/proc/self/status').read())[1]); "
+                f"h0 = hwm(); save_tables({N}, sys.argv[1]); print(hwm() - h0)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ramabel.__file__))}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tables.bin")], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert int(out) * 1024 <= 5 * (N // 4 + 1) + _SEGMENT_BYTES
+
     def test_save_memory_budget(self, tmp_path, monkeypatch):
-        # The check counts what a save holds, mu and phi up to N/2 and one
-        # segment of 8 MiB, and refuses one byte over before any file is made.
+        # The check counts what a save holds, mu and phi at the N // 4 + 1
+        # odd m <= N/2 and one segment of 4 MiB, and refuses one byte over
+        # before any file is made.
         N, path = 10**6, str(tmp_path / "tables.bin")
-        need = 5 * (N // 2 + 1) + 8 * 2**20
+        need = 5 * (N // 4 + 1) + 4 * 2**20
         for budget in (need - 1, need):
             monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get)
             if budget < need:
@@ -639,7 +672,7 @@ class TestHelpers:
     def test_primes_up_to_matches_spf(self):
         # The spf kernel is another algorithm: n >= 2 is prime iff spf[n] == n.
         # Bounds at and next to each edge k * 2 * PRIME_SEGMENT_ODDS of the
-        # prime segments and k * 2^18 of the spf segments, and p^2 and
+        # prime segments and k * 2^17 of the spf segments, and p^2 and
         # p^2 +- 1 for the base primes whose squares lie nearest each edge.
         span = 2 * PRIME_SEGMENT_ODDS
         edges = [k * DEFAULT_SEGMENT_SIZE for k in range(1, 8)] + [span, 2 * span]
