@@ -7,7 +7,6 @@ from .errors import InternalConsistencyError, ResourceLimitError
 from .sieve import (
     SieveTables,
     build_sieve,
-    lambda1_at,
     load_tables,
     save_tables,
 )
@@ -23,6 +22,7 @@ from .rf_series import (
     abel_ladder,
     circle_lattice_rf,
     divisor_rf,
+    lambda1_at,
     lambda1_series,
     required_Q,
     sigma_rf,

@@ -291,7 +291,7 @@ def _dispatch(args: argparse.Namespace, out: Path, start: float) -> int:
 
     if cmd == "goldbach":
         bound = max(args.q1, args.q2)
-        tables = build_sieve(bound)
+        tables = build_sieve(max(bound, 1))
         value = mean_values.goldbach_correlation(tables, args.n, args.q1, args.q2)
         return _finish(
             args, out, start, bound,

@@ -3,9 +3,9 @@
 Centrepiece is the power series sum_q mu(q)/phi(q) * c_q(x) * z^q for
 0 < z < 1, whose tail after Q terms is bounded by z^Q * z/(1-z).  The limit
 z -> 1- recovers phi(n)/n * Lambda(n) point-wise; at finite z the ladder is
-reported as a diagnostic only.  Also here: the classical expansions of the
-divisor-sum functions and the circle lattice count, used as convergence
-diagnostics.
+reported as a diagnostic only, beside its target from ``lambda1_at``, which
+factors n.  Also here: the classical expansions of the divisor-sum
+functions and the circle lattice count, used as convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ResourceLimitError
 from .mean_values import _checkpoint_ns
 from .ramanujan import cq_int, cq_real
-from .sieve import SieveTables, lambda1_at
+from .sieve import SieveTables, lambda_support
+from .singular import _prime_factors
 
 _MAX_Q = 10**9
 
@@ -81,21 +82,35 @@ class SeriesParams:
 def lambda1_series(tables: SieveTables, params: SeriesParams, x: float) -> float:
     """Partial sum over q <= Q of mu(q)/phi(q) * c_q(x) * z^q.
 
-    Within params.tail of the full series.  Integer x takes the exact
-    integer path for c_q; otherwise the cosine definition is used.
+    Within params.tail of the full series.  An int or numpy integer x, or
+    an integer-valued float, takes the exact integer path for c_q, an int
+    with no float round trip; otherwise the cosine definition is used.
     Terms are accumulated in ascending q with exact (fsum) compensation.
     """
     z, Q = params.z, params.Q
     if Q > tables.bound:
         raise ValueError(f"Q={Q} beyond table bound {tables.bound}")
     qs = np.arange(1, Q + 1, dtype=np.int64)
-    if float(x).is_integer():
+    if isinstance(x, (int, np.integer)) or float(x).is_integer():
         c = cq_int(tables, qs, int(x)).astype(np.float64)
     else:
         c = np.array([cq_real(int(q), float(x)) for q in qs])
     coef = tables.mu[1 : Q + 1].astype(np.float64) / tables.phi[1 : Q + 1]
     terms = coef * c * z ** qs.astype(np.float64)
     return math.fsum(terms.tolist())
+
+
+def lambda1_at(n: int) -> float:
+    """phi(n)/n * log p at prime powers n = p^k, zero elsewhere, for
+    1 <= n < 2^63: the ``lambda_support`` of the one prime p up to n, the
+    smallest prime factor of n from ``_prime_factors``, whose last entry is
+    n exactly when n is a power of p."""
+    if not 1 <= n <= np.iinfo(np.int64).max:
+        raise ValueError(f"n={n} outside 1..2^63 - 1")
+    if n == 1:
+        return 0.0
+    pk, _, lam1 = lambda_support(np.array([_prime_factors(n)[0][0]]), n)
+    return float(lam1[-1]) if pk[-1] == n else 0.0
 
 
 @dataclass
@@ -121,8 +136,10 @@ def abel_ladder(
 
     The ladder is a diagnostic: the z -> 1- limit equals the weighted
     von Mangoldt value at n, the target, but no convergence rate is
-    asserted.  The tables need reach only the largest Q: past their bound
-    the target comes from the primes <= sqrt(n), by ``lambda1_at``.
+    asserted.  The tables need reach only the largest Q: the target comes
+    from factoring n, by ``lambda1_at``, and is taken before the ladder, so
+    an n past 2^63 - 1 is refused before any series is summed.  The series
+    takes the int n, exact at every n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -130,11 +147,11 @@ def abel_ladder(
         raise ValueError(f"z ladder must hold at least one z, got {z_list}")
     if any(b <= a for a, b in zip(z_list, z_list[1:])):
         raise ValueError(f"z ladder must be strictly increasing, got {z_list}")
+    target = lambda1_at(n)
     ladder = []
     for z in z_list:
         params = SeriesParams.for_accuracy(z, epsilon)
-        ladder.append((z, params.Q, lambda1_series(tables, params, float(n))))
-    target = lambda1_at(tables if n <= tables.bound else None, n)
+        ladder.append((z, params.Q, lambda1_series(tables, params, n)))
     return AbelTrace(x=float(n), ladder=ladder, target=target)
 
 

@@ -8,7 +8,9 @@ One producer, ``lambda_support``, turns the primes of a window [lo, N] into
 the support of the von Mangoldt function there: the prime powers with
 Lambda(n) and its phi(n)/n-weighted variant.  It is the only representation
 of Lambda: no table holds Lambda densely.  ``lambda_windows`` gives that
-support window by window over a range, one window built at a time.  The
+support window by window over a range, one window built at a time, and
+``rf_series.lambda1_at`` reads it at one n from n's smallest prime factor,
+found by factoring, not by a sieve.  The
 spf kernel gives the smallest prime factor; Moebius mu and Euler phi then
 follow from spf by the recurrence over n = spf(n) * m.
 
@@ -64,7 +66,7 @@ class SieveTables:
     phi[n]  Euler totient, int32; readers widen it before integer products
 
     Lambda is not a table: ``lambda_support`` gives it on the prime powers,
-    and ``lambda1_at`` at one n.
+    and ``rf_series.lambda1_at`` at one n, for any n < 2^63.
     """
 
     bound: int
@@ -264,33 +266,6 @@ def _table_segments(N: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.nd
                 mu[n - lo :: step] = 0
             np.left_shift(held_phi[r], k - 1, out=phi[n - lo :: step])
         yield lo, spf, mu, phi
-
-
-def lambda1_at(tables: SieveTables | None, n: int) -> float:
-    """phi(n)/n * log p at prime powers n = p^k, zero elsewhere: the
-    ``lambda_support`` of the one prime p = spf(n) up to n, whose last entry
-    is n exactly when n is a power of p.  spf(n) is read from ``tables``,
-    for 1 <= n <= their bound, or with no tables found among the primes
-    <= sqrt(n), one window at a time: the first that divides n, else n
-    itself, for 1 <= n < 2^63."""
-    if tables is not None:
-        if not 1 <= n <= tables.bound:
-            raise ValueError(f"n={n} outside table bound 1..{tables.bound}")
-        p = int(tables.spf[n])
-    else:
-        if not 1 <= n <= np.iinfo(np.int64).max:
-            raise ValueError(f"n={n} outside 1..2^63 - 1")
-        p, root = n, math.isqrt(n)
-        for lo in range(1, root + 1, 2 * PRIME_SEGMENT_ODDS):
-            divisors = primes_up_to(min(lo + 2 * PRIME_SEGMENT_ODDS - 1, root), lo)
-            divisors = divisors[n % divisors == 0]
-            if divisors.size:
-                p = int(divisors[0])
-                break
-    if n == 1:
-        return 0.0
-    pk, _, lam1 = lambda_support(np.array([p]), n)
-    return float(lam1[-1]) if pk[-1] == n else 0.0
 
 
 def pi_bound(n: int) -> int:

@@ -4,8 +4,11 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -67,7 +70,7 @@ class TestBasics:
 
     def test_abel_builds_tables_up_to_q_only(self, tmp_path, monkeypatch):
         # The series reads the tables up to Q = 196; the target at the
-        # prime x = 2^31 - 1 comes from the primes up to sqrt(x).
+        # prime x = 2^31 - 1 comes from factoring x, with no table.
         built = []
         monkeypatch.setattr(cli, "build_sieve", lambda N: built.append(N) or build_sieve(N))
         x = 2**31 - 1
@@ -233,8 +236,15 @@ class TestErrors:
          "form series needs 1 value(s) in --params, got [6, 1]"),
         (("singular", "--form", "series_wk", "--params", "6,1"),
          "form series_wk needs 1 value(s) in --params, got [6, 1]"),
+        (("abel", "--x", str(2**63), "--zs", "0.9"), f"n={2**63} outside 1..2^63 - 1"),
+        (("abel", "--x", str(10**400), "--zs", "0.9"), f"n={10**400} outside 1..2^63 - 1"),
+        (("goldbach", "--n", "3", "--q1", "0", "--q2", "0"),
+         "need N, q1, q2 >= 1, got N=3, q1=0, q2=0"),
+        (("goldbach", "--n", "3", "--q1", "-2", "--q2", "-3"),
+         "need N, q1, q2 >= 1, got N=3, q1=-2, q2=-3"),
     ], ids=["props-nmax", "props-qmax", "series_wk-p", "abel-zs", "C2-extra", "pair-extra",
-            "conjD-extra", "series-extra", "series_wk-extra"])
+            "conjD-extra", "series-extra", "series_wk-extra", "abel-x-2^63", "abel-x-huge",
+            "goldbach-q0", "goldbach-qneg"])
     def test_bad_value_named(self, tmp_path, capsys, argv, error):
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
@@ -514,3 +524,16 @@ def test_correlation_csv_bytes_pinned(tmp_path, argv, sha256, bound):
     data = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha256
     assert read_manifest(tmp_path, command)["sieve_bound"] == bound
+
+
+def test_readme_examples_parse():
+    # Each `ramabel` line of the README's sh blocks, without `ramabel` and
+    # the trailing comment, is parsed, never run: an option renamed or
+    # dropped shows here.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = [shlex.split(line.split("#")[0])[1:]
+                for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                for line in block.splitlines() if line.startswith("ramabel ")]
+    assert len(examples) >= 10
+    for argv in examples:
+        assert cli.build_parser().parse_args(argv).command == argv[0], argv

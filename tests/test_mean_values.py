@@ -356,7 +356,7 @@ class TestPairAutocorrelation:
         # N = 10, gap 2: nonzero products at (2,4),(3,5),(5,7),(7,9),(9,11)
         N, h = 10, 2
         want = sum(
-            lambda1_at(tables_small, n) * lambda1_at(tables_small, n + h)
+            lambda1_at(n) * lambda1_at(n + h)
             for n in range(1, N + 1)
         ) / N
         rep = pair_autocorrelation(h, N)
@@ -382,7 +382,7 @@ class TestOddGapMean:
     def test_small_enumeration(self, tables_small):
         N, h = 10, 1
         want = sum(
-            lambda1_at(tables_small, n) * lambda1_at(tables_small, n + h)
+            lambda1_at(n) * lambda1_at(n + h)
             for n in range(1, N + 1)
         ) / N
         rep = odd_gap_mean(h, N)

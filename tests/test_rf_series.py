@@ -3,6 +3,7 @@ Ramanujan-Fourier expansions (sigma, divisor, circle)."""
 
 import math
 
+import numpy as np
 import pytest
 
 from ramabel import (
@@ -10,6 +11,7 @@ from ramabel import (
     SeriesParams,
     abel_ladder,
     circle_lattice_rf,
+    cq_int,
     divisor_rf,
     lambda1_series,
     required_Q,
@@ -97,6 +99,29 @@ class TestLambda1Series:
         trace = abel_ladder(tables, 6)
         assert trace.target == 0.0
         assert abs(trace.ladder[-1][2]) < abs(trace.ladder[0][2])
+
+    def test_abel_ladder_exact_past_2_53(self, tables):
+        # 2^53 + 1 is no float: the series is summed at the int itself, the
+        # n of its target, and not at the float 2^53, where c_3 differs.
+        n = 2**53 + 1
+        trace = abel_ladder(tables, n, (0.9, 0.99))
+        for z, Q, value in trace.ladder:
+            zq = z ** np.arange(1.0, Q + 1)  # numpy's array power, as the series takes it
+            assert value == math.fsum(int(tables.mu[q]) / int(tables.phi[q])
+                                      * cq_int(tables, q, n) * zq[q - 1] for q in range(1, Q + 1))
+        assert cq_int(tables, 3, n) != cq_int(tables, 3, n - 1)
+        below = abel_ladder(tables, n - 1, (0.9, 0.99))
+        assert [v for *_, v in trace.ladder] != [v for *_, v in below.ladder]
+        assert trace.x == float(n) and trace.target == 0.0
+
+    def test_integer_x_takes_exact_path(self, tables):
+        params = SeriesParams(0.9, 196)
+        n = 2**53 + 1
+        by_int = lambda1_series(tables, params, n)
+        assert lambda1_series(tables, params, np.int64(n)) == by_int
+        assert by_int != lambda1_series(tables, params, float(n))
+        assert lambda1_series(tables, params, 10**400) == lambda1_series(
+            tables, params, 10**400 % math.lcm(*range(1, 197)))
 
 
 class TestSigmaExpansion:

@@ -118,9 +118,8 @@ class TestBuildSieve:
         assert lam[10] == 0.0
 
     def test_lambda1_at_nine(self):
-        t = build_sieve(10)
-        assert lambda1_at(t, 9) == (6.0 / 9.0) * np.log(np.float64(3))
-        assert lambda1_at(t, 9) == pytest.approx(0.7324082, abs=5e-8)
+        assert lambda1_at(9) == (6.0 / 9.0) * np.log(np.float64(3))
+        assert lambda1_at(9) == pytest.approx(0.7324082, abs=5e-8)
 
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
@@ -356,7 +355,7 @@ class TestLambdaKernel:
         (primes_up_to(10_000).tolist(), 10**8),
     ])
     def test_int32_primes_widen(self, primes, N):
-        # An int32 spf slice, as lambda1_at passes, gives the int64 result.
+        # An int32 array of primes, as a slice of spf, gives the int64 result.
         got = lambda_support(np.array(primes, dtype=np.int32), N)
         want = lambda_support(np.array(primes, dtype=np.int64), N)
         assert got[0].dtype == np.int64
@@ -392,42 +391,53 @@ class TestLambdaSupport:
 
 
 class TestLambda1At:
-    def test_examples(self, tables_small):
-        assert lambda1_at(tables_small, 1) == 0.0
-        assert lambda1_at(tables_small, 2) == pytest.approx(0.5 * math.log(2))
-        assert lambda1_at(tables_small, 6) == 0.0
+    def test_examples(self):
+        assert lambda1_at(1) == 0.0
+        assert lambda1_at(2) == pytest.approx(0.5 * math.log(2))
+        assert lambda1_at(6) == 0.0
 
-    def test_out_of_range(self, tables_small):
-        with pytest.raises(ValueError):
-            lambda1_at(tables_small, 0)
-        with pytest.raises(ValueError):
-            lambda1_at(tables_small, tables_small.bound + 1)
+    def test_out_of_range(self):
+        for n in (0, -1, 2**63, 10**400):
+            with pytest.raises(ValueError, match=f"n={n} outside 1..2\\^63 - 1"):
+                lambda1_at(n)
 
     def test_matches_dense_reference(self, tables_small, dense_lambda):
         lam1 = dense_lambda(tables_small)[1]
         for n in range(1, tables_small.bound + 1):
-            assert lambda1_at(tables_small, n) == lam1[n], n
+            assert lambda1_at(n) == lam1[n], n
 
-    def test_prime_power_formula(self, tables_small):
+    def test_prime_power_formula(self):
         for p, k in [(2, 5), (3, 3), (7, 2), (101, 1)]:
             n = p**k
             want = ((p - 1) / p) * math.log(p)
-            assert lambda1_at(tables_small, n) == pytest.approx(want, rel=1e-15)
+            assert lambda1_at(n) == pytest.approx(want, rel=1e-15)
 
-    def test_without_tables(self, tables_small):
-        # spf from the primes <= sqrt(n): the same float as the tables give,
-        # and past any table, for n up to 2^63 - 1.
-        for n in [*range(1, 3000), 9409, 9973, 9999, 10_000]:
-            assert lambda1_at(None, n) == lambda1_at(tables_small, n), n
+    def test_without_tables(self):
+        # No table and no sieve bound the n: up to 2^63 - 1, each value is
+        # the lambda_support float at the smallest prime factor.
         p = 2**31 - 1  # a prime
-        assert lambda1_at(None, p) == ((p - 1) / p) * math.log(p)
-        assert lambda1_at(None, 2**31) == 0.5 * math.log(2)
-        assert lambda1_at(None, 2 * p) == 0.0
-        assert lambda1_at(None, 3**39) == (2 / 3) * math.log(3)
-        assert lambda1_at(None, 2**63 - 1) == 0.0  # 7^2 * 73 * ...
+        assert lambda1_at(p) == ((p - 1) / p) * math.log(p)
+        assert lambda1_at(2**31) == 0.5 * math.log(2)
+        assert lambda1_at(2 * p) == 0.0
+        assert lambda1_at(3**39) == (2 / 3) * math.log(3)
+        assert lambda1_at(2**63 - 1) == 0.0  # 7^2 * 73 * ...
         for n in (0, 2**63):
             with pytest.raises(ValueError, match=str(n)):
-                lambda1_at(None, n)
+                lambda1_at(n)
+
+    def test_factors_without_sieving(self, monkeypatch):
+        # The prime 2^63 - 25 and the semiprime 3037000453 * 3037000493 have
+        # no prime factor below 3 * 10^9, past any window of primes: the
+        # factor comes from factoring n, and no prime is sieved.
+        def refuse(*args):
+            raise AssertionError("lambda1_at sieved primes")
+
+        monkeypatch.setattr(ramabel.sieve, "_prime_segment", refuse)
+        p = 2**63 - 25
+        assert lambda1_at(p) == np.float64(p - 1) / np.float64(p) * np.log(np.float64(p))
+        assert lambda1_at(3037000453 * 3037000493) == 0.0
+        assert lambda1_at(3037000453**2) == pytest.approx(
+            (3037000452 / 3037000453) * math.log(3037000453), rel=1e-15)
 
 
 def dump_bytes(t):
