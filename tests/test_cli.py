@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ramabel import SieveTables, cli, load_tables, save_tables
+from ramabel import SieveTables, cli, load_tables, rf_series, save_tables
 from ramabel.cli import main
 from ramabel.sieve import build_sieve, primes_up_to, table_checksum
 
@@ -249,6 +249,57 @@ class TestErrors:
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    # Options are spelled in full, and the comma lists are parsed by the
+    # parser: both are argparse usage errors, exit 2 before anything runs.
+    @pytest.mark.parametrize("argv, error", [
+        (("abel", "--x", "2", "--z", "0.9"), "ramabel: error: unrecognized arguments: --z 0.9"),
+        (("sieve", "--n", "1000", "--cach", "t.bin"),
+         "ramabel: error: unrecognized arguments: --cach t.bin"),
+        (("tuple", "--offsets", "0,a", "--n", "0"),
+         "ramabel tuple: error: argument --offsets: invalid _ints value: '0,a'"),
+        (("abel", "--x", "2", "--zs", "0.9,x"),
+         "ramabel abel: error: argument --zs: invalid _floats value: '0.9,x'"),
+        (("singular", "--form", "pair", "--params", "6,b"),
+         "ramabel singular: error: argument --params: invalid _ints value: '6,b'"),
+        (("polymean", "--q", "3", "--poly", "1,x", "--n", "10"),
+         "ramabel polymean: error: argument --poly: invalid _ints value: '1,x'"),
+    ], ids=["abel-abbrev", "sieve-abbrev", "tuple-offsets", "abel-zs-list", "singular-params",
+            "polymean-poly"])
+    def test_argparse_usage_error(self, tmp_path, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"\n{error}\n")
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    def test_abel_ladder_over_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        # Q = 345,387,746 terms at z = 1 - 10^-7 would take about 28 GB:
+        # refused against an 8 GiB budget before any table is built.
+        def refuse(N):
+            raise AssertionError(f"build_sieve({N}) called")
+
+        monkeypatch.setattr(cli, "build_sieve", refuse)
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)
+        assert run(tmp_path, "abel", "--x", "5", "--zs", "0.9,0.9999999") == 2
+        need = rf_series.LADDER_BYTES_PER_TERM * 345_387_746
+        assert capsys.readouterr().err == (
+            f"error: an abel ladder to Q=345387746 needs about {need} bytes, "
+            f"over the memory budget of {2**33} bytes\n")
+        assert not (tmp_path / "abel.csv").exists()
+
+    def test_abel_ladder_memory_budget(self, tmp_path, capsys, monkeypatch):
+        # The check counts LADDER_BYTES_PER_TERM for each of the Q = 2,291
+        # terms at z = 0.99 and refuses one byte over.
+        need = rf_series.LADDER_BYTES_PER_TERM * 2291
+        for budget in (need - 1, need):
+            monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get)
+            code = run(tmp_path, "abel", "--x", "5", "--zs", "0.99")
+            assert code == (2 if budget < need else 0)
+            assert (tmp_path / "abel.csv").exists() == (budget == need)
+        assert capsys.readouterr().err == (
+            f"error: an abel ladder to Q=2291 needs about {need} bytes, "
+            f"over the memory budget of {need - 1} bytes\n")
 
     def test_conjd_zero_a_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "conjd", "--a", "0", "--b", "1", "--l", "1",
@@ -524,6 +575,71 @@ def test_correlation_csv_bytes_pinned(tmp_path, argv, sha256, bound):
     data = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha256
     assert read_manifest(tmp_path, command)["sieve_bound"] == bound
+
+
+# Manifest params, sieve_bound and CSV SHA-256 of one argv per command and
+# per singular form, recorded before the parser declared the manifest's
+# params: the report path must keep them, key order included.  {tmp} is the
+# test's directory; sieve runs with no cache directory.
+@pytest.mark.parametrize("argv, params, bound, sha256", [
+    ("sieve --n 1000", {"n": 1000, "cache": None}, 1000,
+     "e7be522c1ef215b0bf791db32e7b78d64d66f2fd180175c9638836375cb7eb8b"),
+    ("sieve --n 1000 --cache {tmp}/t.bin", {"n": 1000, "cache": "{tmp}/t.bin"}, 1000,
+     "e7be522c1ef215b0bf791db32e7b78d64d66f2fd180175c9638836375cb7eb8b"),
+    ("csum --q 6 --n 3", {"q": 6, "n": 3}, 6,
+     "9ddbe73abdaa461b84610a61c23dfe1a055d3849aa3a582b7e4372f88d359d03"),
+    ("autocorr --gap 2 --n 20000", {"gap": 2, "n": 20000, "weights": "lambda1", "p": 10**6},
+     20002, "1aabfaf32f8563969309ff1504bbf52bd95a8ad4963e41896ef1bebf5b1ba6e5"),
+    ("autocorr --gap 3 --n 20000 --weights lambda --p 1000",
+     {"gap": 3, "n": 20000, "weights": "lambda", "p": 1000}, 20003,
+     "8199ec02b57ad80d4006e144ea4a42a2b980a35f6dc173813acbf66882fdafe9"),
+    ("conjd --a 1 --b 2 --l 1 --n 20000", {"a": 1, "b": 2, "l": 1, "n": 20000, "p": 10**6},
+     40002, "a2be2d58b2a7690dc1be00819e9e4f3a691d42b6293b3df34370915f1c27ae07"),
+    ("tuple --offsets 0,2,6 --n 20000 --p 10000", {"offsets": [0, 2, 6], "n": 20000, "p": 10000},
+     20006, "fe1e995ab394daa0e12352e27ac7b80efbbf0e2ed7cedb8fccba250f0b1d608e"),
+    ("pnt --n 10000", {"n": 10000}, 10000,
+     "96be89923fa4fa16480b6519569a831f3d838c2ace9898bc1f2972fe2571c26a"),
+    ("polymean --q 5 --poly 1 --n 1000", {"q": 5, "poly": [1], "n": 1000}, 5,
+     "c6cc13bdf0efe6557eaa6c24b82f04b2e22f910f50880ea61b0338a22ce074e1"),
+    ("polymean --q 7 --poly=-3,2,3 --n 1000", {"q": 7, "poly": [-3, 2, 3], "n": 1000}, 7,
+     "26aa96a17374a66fac567a0ac46347991fd8e9f2d2445d8b5d19edc60e51c75f"),
+    ("goldbach --n 50 --q1 12 --q2 30", {"n": 50, "q1": 12, "q2": 30}, 30,
+     "b2311828c864444befa715d0670657859f73cbdc8cf417c81794d10c069e4c87"),
+    ("singular --form C2 --p 10000", {"form": "C2", "params": [], "p": 10000}, None,
+     "4b26f968e68da256eb922bc4e4782005a9496ed7dd3e1397792f51aacf48745c"),
+    ("singular --form pair --params 6 --p 10000", {"form": "pair", "params": [6], "p": 10000},
+     None, "53d23b4d874c37745158764755a4823c9361fbb237e4df643142d1d5b2f53050"),
+    ("singular --form conjD --params 1,2,1 --p 10000",
+     {"form": "conjD", "params": [1, 2, 1], "p": 10000}, None,
+     "13f931d35d67f3e6c59e5b1a467cd05f338fe17c42abd5c791ba8b3efb9dbc4b"),
+    ("singular --form tuple --params 0,2,6 --p 10000",
+     {"form": "tuple", "params": [0, 2, 6], "p": 10000}, None,
+     "db9fa889009b64b59fd06edcad750618f72656745b3a7e838ef0d7244f5d888e"),
+    ("singular --form series --params 6 --p 10000",
+     {"form": "series", "params": [6], "p": 10000}, None,
+     "483f9dd61562886e9dea02b93c5a0e05e6f23be2937be6e8d1ec0155054ce674"),
+    ("singular --form series_wk --params 6 --p 2000",
+     {"form": "series_wk", "params": [6], "p": 2000}, None,
+     "eb97a6fdc83e2c509eb5f9cee6cf103fa10082ca9a5399a5615a2d8f694e1163"),
+    ("abel --x 6", {"x": 6, "zs": [0.9, 0.99, 0.999], "eps": 1e-08}, 25315,
+     "48e394478e00e264128e9d5284e1dc5644c557dab4cd9eb9e17c156a2ba5ebe0"),
+    ("abel --x 6 --zs 0.9,0.99 --eps 1e-6", {"x": 6, "zs": [0.9, 0.99], "eps": 1e-06}, 1832,
+     "869f4a11a588cd6c96710a40b6e98ec31e90cae6a0a8989585a78d507c5a6119"),
+    ("props --qmax 10 --nmax 20", {"qmax": 10, "nmax": 20}, 10,
+     "70676261ab3d80bb123357e6b76513964212234fe5d41c83afa719c5f3b15330"),
+], ids=["sieve", "sieve-cache", "csum", "autocorr", "autocorr-lambda", "conjd", "tuple", "pnt",
+        "polymean", "polymean-eq", "goldbach", "C2", "pair", "conjD", "tuple-form", "series",
+        "series_wk", "abel", "abel-zs", "props"])
+def test_manifest_params_pinned(tmp_path, monkeypatch, argv, params, bound, sha256):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert main(["--out", str(tmp_path), *argv.format(tmp=tmp_path).split()]) == 0
+    command = argv.split()[0]
+    man = read_manifest(tmp_path, command)
+    want = json.loads(json.dumps(params).replace("{tmp}", str(tmp_path)))
+    assert list(man["params"].items()) == list(want.items())
+    assert man["sieve_bound"] == bound
+    data = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha256 == man["output_sha256"]
 
 
 def test_readme_examples_parse():

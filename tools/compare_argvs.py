@@ -1,0 +1,98 @@
+"""Compare two source trees of ramabel on a file of argvs.
+
+    python3 tools/compare_argvs.py TREE_A TREE_B ARGV_FILE
+
+Each line of ARGV_FILE is one argv, shell-quoted, with or without a leading
+``ramabel``; blank lines and ``#`` comments are skipped.  Every argv runs
+once per tree as a fresh ``python -m ramabel.cli`` process, with ``src`` of
+that tree on PYTHONPATH and RAMABEL_CACHE_DIR unset, in a fresh temporary
+directory D: ``--out D/out`` is put in front of the argv, and ``{tmp}`` in
+the argv stands for D, so ``--cache-dir {tmp}/cache`` gives each run a cold
+cache of its own.  Which tree runs first alternates from one argv to the next.
+
+The two runs must give the same exit code, stdout, stderr, the same bytes in
+every file left under D, and the same manifest but for ``duration_s``; D is
+written as ``{tmp}`` before anything is compared.  Prints one line per argv
+and exits 1 if any argv differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def read_argvs(path: Path) -> list[list[str]]:
+    argvs = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["ramabel"]:
+            argv = argv[1:]
+        if argv:
+            argvs.append(argv)
+    return argvs
+
+
+def run(tree: Path, argv: list[str]) -> tuple[dict, float]:
+    """What one fresh process of ``tree`` leaves for ``argv``, with its
+    temporary directory written as {tmp}; and its wall time."""
+    env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
+    env["PYTHONPATH"] = str(tree / "src")
+    with tempfile.TemporaryDirectory(prefix="compare_argvs_") as tmp:
+        full = ["--out", f"{tmp}/out"] + [a.replace("{tmp}", tmp) for a in argv]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ramabel.cli", *full],
+                              env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        result = {"exit": proc.returncode,
+                  "stdout": proc.stdout.replace(tmp, "{tmp}"),
+                  "stderr": proc.stderr.replace(tmp, "{tmp}")}
+        for path in sorted(Path(tmp).rglob("*")):
+            if not path.is_file():
+                continue
+            name = str(path.relative_to(tmp))
+            if name.endswith("_manifest.json"):
+                manifest = json.loads(path.read_text(encoding="utf-8").replace(tmp, "{tmp}"))
+                manifest.pop("duration_s", None)
+                result[name] = manifest
+            else:
+                result[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return result, wall
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("tree_a", type=Path)
+    ap.add_argument("tree_b", type=Path)
+    ap.add_argument("argv_file", type=Path)
+    args = ap.parse_args(argv)
+    trees = (args.tree_a.resolve(), args.tree_b.resolve())
+    walls = [0.0, 0.0]
+    differ = 0
+    argvs = read_argvs(args.argv_file)
+    for i, cmd in enumerate(argvs):
+        results = [None, None]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            results[side], wall = run(trees[side], cmd)
+            walls[side] += wall
+        a, b = results
+        fields = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+        differ += bool(fields)
+        status = "DIFF " + ", ".join(fields) if fields else f"same (exit {a['exit']})"
+        print(f"{status}: {shlex.join(cmd)}")
+        for k in fields:
+            print(f"  A {k}: {a.get(k)!r}\n  B {k}: {b.get(k)!r}")
+    print(f"{len(argvs)} argvs, {differ} differ; wall A {walls[0]:.2f} s, B {walls[1]:.2f} s")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
