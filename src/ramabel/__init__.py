@@ -20,8 +20,6 @@ from .rf_series import (
     AbelTrace,
     SeriesParams,
     abel_ladder,
-    circle_lattice_rf,
-    divisor_rf,
     lambda1_at,
     lambda1_series,
     required_Q,
@@ -30,7 +28,6 @@ from .rf_series import (
 )
 from .mean_values import (
     MeanValueReport,
-    cq_mean,
     cq_orthogonality,
     conjecture_d_mean,
     goldbach_correlation,

@@ -34,7 +34,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from . import __version__, mean_values, ramanujan, rf_series, sieve, singular
+from . import __version__, mean_values, ramanujan, rf_series, singular
 from .errors import DamagedDumpError, ResourceLimitError
 # load_tables is not called here: it keeps its name in cli for perfbench/tracer.py.
 from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_checksum
@@ -85,9 +85,10 @@ def _write_manifest(path: Path, argv: list[str], args: argparse.Namespace,
 def _get_checksum(bound: int, cache_dir: str | None, path: str | None, scratch: Path) -> str:
     """The SHA-256 of the dump of the full tables for 1..bound, for ``sieve``,
     through one table cache file if there is one.  No other command reads or
-    writes a cache file: the other full-table commands call ``build_sieve``
-    (at their bounds a build costs about a load, and no damaged file reaches
-    a result), and the correlation commands sieve their primes on every run.
+    writes a cache file: ``csum``, ``polymean``, ``goldbach`` and ``props``
+    call ``build_sieve`` (at their bounds a build costs about a load, and no
+    damaged file reaches a result), ``abel`` and ``series_wk`` stream the
+    table segments, and the correlation commands sieve their own primes.
 
     The file is ``path`` if given, else ``<cache_dir>/tables_N{bound}_v3.bin``:
     the suffix is the dump format version, so older formats are never opened.
@@ -116,12 +117,15 @@ def _get_checksum(bound: int, cache_dir: str | None, path: str | None, scratch: 
         os.remove(tmp)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+def _comma_list(kind: type, what: str, text: str) -> list:
+    try:
+        return [kind(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError:  # a plain usage error, not argparse's "invalid <type name> value"
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
 
 
-def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+_ints = functools.partial(_comma_list, int, "integers")
+_floats = functools.partial(_comma_list, float, "numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,21 +294,17 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
         elif form == "series":
             const = singular.series_constant(params[0], args.p)
         else:  # series_wk: --p doubles as the q-sum truncation
-            const = singular.series_wk(build_sieve(max(args.p, 1)), params[0], args.p)
+            const = singular.series_wk(params[0], args.p)
         return (None, ["form", "value", "truncation", "tail_estimate"],
                 [[const.form, const.value, const.truncation_prime, const.tail_estimate]],
                 f"{const.form} = {const.value:.12g} (tail <= {const.tail_estimate:.3g})")
 
     if cmd == "abel":
-        max_q = max((rf_series.required_Q(z, args.eps) for z in args.zs), default=1)
-        # Refused before any table is built if the ladder would not fit; the
-        # series reads the tables up to Q, and the target at x needs none.
-        need = rf_series.LADDER_BYTES_PER_TERM * max_q
-        sieve._check_memory(need, f"an abel ladder to Q={max_q}")
-        trace = rf_series.abel_ladder(build_sieve(max_q), args.x, tuple(args.zs), args.eps)
+        trace = rf_series.abel_ladder(args.x, tuple(args.zs), args.eps)
         rows = [[trace.x, z, q, v, trace.target, abs(v - trace.target)]
                 for z, q, v in trace.ladder]
-        return (max(args.x, max_q), ["x", "z", "Q", "value", "target", "gap"], rows,
+        return (max(args.x, *(q for _, q, _ in trace.ladder)),
+                ["x", "z", "Q", "value", "target", "gap"], rows,
                 f"abel ladder at n={args.x}: target={trace.target}")
 
     # props

@@ -130,19 +130,6 @@ def _periodic_trace(period_vals: Sequence[int], N: int) -> list[tuple[int, float
     return [(n_i, total(n_i) / n_i) for n_i in _checkpoint_ns(N)]
 
 
-def cq_mean(tables: SieveTables, q: int, N: int) -> MeanValueReport:
-    """Mean of c_q(n) over n <= N; the limit is 1 for q = 1, else 0.
-
-    exact_mean is the one-period average, which equals the limit exactly.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    period = cq_int(tables, q, np.arange(1, q + 1)).tolist()
-    exact = Fraction(sum(period), q)
-    predicted = 1.0 if q == 1 else 0.0
-    return _report(f"cq_mean(q={q})", N, _periodic_trace(period, N), predicted, exact)
-
-
 def cq_orthogonality(
     tables: SieveTables, r: int, s: int, m: int, N: int
 ) -> MeanValueReport:

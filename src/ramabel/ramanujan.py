@@ -2,7 +2,8 @@
 
 The production integer path is Hoelder's closed form
     c_q(n) = mu(q/g) * phi(q) / phi(q/g),  g = gcd(q, |n|),
-which is exact and O(1) given the sieve tables.  The defining exponential
+which is exact and O(1) given the sieve tables; ``squarefree_cq`` gives its
+squarefree form over the table segments.  The defining exponential
 sum is kept as an independent oracle, and the full catalog of identities
 the sums satisfy is executable via ``check_property_catalog``.
 """
@@ -11,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
+from . import sieve
 from .errors import InternalConsistencyError
 from .sieve import SieveTables, sigma_table
 
@@ -47,6 +50,27 @@ def cq_int(tables: SieveTables, q: int | np.ndarray, n: int | np.ndarray):
     qg = q // np.gcd(q, np.asarray(n, dtype=np.int64))
     c = tables.mu[qg].astype(np.int64) * tables.phi[q] // tables.phi[qg]
     return c if c.ndim else int(c)  # NumPy integer scalars, as Python ints
+
+
+def squarefree_cq(Q: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(q, mu, phi, c) for the squarefree q <= Q, ascending, one segment of
+    ``sieve._table_segments(Q)`` at a time, as int64, int8, int32 and int64:
+    c = c_q(n), exact for an int n of any size.  For squarefree q, Hoelder's
+    form is mu(q) * prod over p | gcd(q, n) of (1 - p) (Montgomery & Vaughan,
+    4.1), so c starts from mu(q) and takes one strided multiply by 1 - p for
+    each prime p of n met so far: each segment's primes, where spf(q) = q,
+    are tested against n, which is never factored.  c_q(0) = phi(q).
+    """
+    found: list[int] = []  # the primes of n met so far
+    for lo, spf, mu, phi in sieve._table_segments(Q):
+        c = (mu if n else phi).astype(np.int64)
+        if n:
+            ps = np.flatnonzero(spf == np.arange(lo, lo + spf.size)) + lo
+            found += ps[n % (ps if -(2**63) <= n < 2**63 else ps.astype(object)) == 0].tolist()
+        for p in found:
+            c[-lo % p :: p] *= 1 - p
+        at = np.flatnonzero(mu)
+        yield at + lo, mu[at], phi[at], c[at]
 
 
 def cq_real(q: int, x: float | np.ndarray) -> float | np.ndarray:

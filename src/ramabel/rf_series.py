@@ -4,27 +4,24 @@ Centrepiece is the power series sum_q mu(q)/phi(q) * c_q(x) * z^q for
 0 < z < 1, whose tail after Q terms is bounded by z^Q * z/(1-z).  The limit
 z -> 1- recovers phi(n)/n * Lambda(n) point-wise; at finite z the ladder is
 reported as a diagnostic only, beside its target from ``lambda1_at``, which
-factors n.  Also here: the classical expansions of the divisor-sum
-functions and the circle lattice count, used as convergence diagnostics.
+factors n.  The series sums over ``ramanujan.squarefree_cq``, with no table.
+Also here: the truncated expansion of the sum-of-divisors function.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .mean_values import _checkpoint_ns
-from .ramanujan import cq_int, cq_real
+from .ramanujan import cq_int, cq_real, squarefree_cq
 from .sieve import SieveTables, lambda_support
 from .singular import _prime_factors
 
 _MAX_Q = 10**9
-# A fresh abel process's peak RSS rise per term of its largest Q: the tables,
-# the series arrays and the list that fsum reads (81.1 from Q = 1.2e6 to 3.9e6).
-LADDER_BYTES_PER_TERM = 82
 
 
 def tail_bound(z: float, Q: int) -> float:
@@ -82,25 +79,26 @@ class SeriesParams:
         return tail_bound(self.z, self.Q)
 
 
-def lambda1_series(tables: SieveTables, params: SeriesParams, x: float) -> float:
+def lambda1_series(params: SeriesParams, x: float) -> float:
     """Partial sum over q <= Q of mu(q)/phi(q) * c_q(x) * z^q.
 
     Within params.tail of the full series.  An int or numpy integer x, or
-    an integer-valued float, takes the exact integer path for c_q, an int
-    with no float round trip; otherwise the cosine definition is used.
-    Terms are accumulated in ascending q with exact (fsum) compensation.
+    an integer-valued float, takes the exact integer c_q of
+    ``squarefree_cq`` at the int itself, of any size; otherwise the cosine
+    definition is used.  Only the squarefree q have a term, summed in
+    ascending q with exact (fsum) compensation, one table segment at a time.
     """
     z, Q = params.z, params.Q
-    if Q > tables.bound:
-        raise ValueError(f"Q={Q} beyond table bound {tables.bound}")
-    qs = np.arange(1, Q + 1, dtype=np.int64)
-    if isinstance(x, (int, np.integer)) or float(x).is_integer():
-        c = cq_int(tables, qs, int(x)).astype(np.float64)
-    else:
-        c = np.array([cq_real(int(q), float(x)) for q in qs])
-    coef = tables.mu[1 : Q + 1].astype(np.float64) / tables.phi[1 : Q + 1]
-    terms = coef * c * z ** qs.astype(np.float64)
-    return math.fsum(terms.tolist())
+    exact = isinstance(x, (int, np.integer)) or float(x).is_integer()
+
+    def terms():
+        # Off the integers, c_q(1) = mu(q) is drawn and the cosine sums read.
+        for q, mu, phi, c in squarefree_cq(Q, int(x) if exact else 1):
+            if not exact:
+                c = np.array([cq_real(k, float(x)) for k in q.tolist()])
+            yield (mu.astype(np.float64) / phi * c * z ** q.astype(np.float64)).tolist()
+
+    return math.fsum(itertools.chain.from_iterable(terms()))
 
 
 def lambda1_at(n: int) -> float:
@@ -129,20 +127,16 @@ DEFAULT_Z_LADDER = (0.9, 0.99, 0.999)
 DEFAULT_LADDER_EPSILON = 1e-8
 
 
-def abel_ladder(
-    tables: SieveTables,
-    n: int,
-    z_list: tuple[float, ...] = DEFAULT_Z_LADDER,
-    epsilon: float = DEFAULT_LADDER_EPSILON,
-) -> AbelTrace:
+def abel_ladder(n: int, z_list: tuple[float, ...] = DEFAULT_Z_LADDER,
+                epsilon: float = DEFAULT_LADDER_EPSILON) -> AbelTrace:
     """Evaluate the series at each z with Q chosen from the tail bound.
 
     The ladder is a diagnostic: the z -> 1- limit equals the weighted
     von Mangoldt value at n, the target, but no convergence rate is
-    asserted.  The tables need reach only the largest Q: the target comes
-    from factoring n, by ``lambda1_at``, and is taken before the ladder, so
-    an n past 2^63 - 1 is refused before any series is summed.  The series
-    takes the int n, exact at every n.
+    asserted.  No table is built: the target comes from factoring n, by
+    ``lambda1_at``, and is taken before the ladder, so an n past 2^63 - 1
+    is refused before any series is summed.  The series takes the int n,
+    exact at every n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -154,17 +148,8 @@ def abel_ladder(
     ladder = []
     for z in z_list:
         params = SeriesParams.for_accuracy(z, epsilon)
-        ladder.append((z, params.Q, lambda1_series(tables, params, n)))
+        ladder.append((z, params.Q, lambda1_series(params, n)))
     return AbelTrace(x=float(n), ladder=ladder, target=target)
-
-
-@dataclass
-class ExpansionTrace:
-    """Truncated expansion value with partial-sum checkpoints."""
-
-    value: float
-    target: float | None
-    trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 def sigma_rf(tables: SieveTables, n: int, Q: int) -> float:
@@ -177,56 +162,6 @@ def sigma_rf(tables: SieveTables, n: int, Q: int) -> float:
     qs = np.arange(1, Q + 1, dtype=np.int64)
     c = cq_int(tables, qs, n).astype(np.float64)
     return (math.pi**2 * n / 6.0) * math.fsum((c / qs.astype(np.float64) ** 2).tolist())
-
-
-def divisor_rf(tables: SieveTables, n: int, Q: int) -> ExpansionTrace:
-    """Truncated divisor-count expansion -sum (log q / q) c_q(n).
-
-    Diagnostic only; the series converges too slowly (conditionally) for
-    tolerance assertions.  Target is the true divisor count.
-    """
-    if n < 1 or Q < 1:
-        raise ValueError(f"need n >= 1 and Q >= 1, got n={n}, Q={Q}")
-    qs = np.arange(1, Q + 1, dtype=np.int64)
-    c = cq_int(tables, qs, n).astype(np.float64)
-    terms = -(np.log(qs.astype(np.float64)) / qs) * c
-    partial = np.cumsum(terms)
-    trace = [(int(k), float(partial[k - 1])) for k in _checkpoint_ns(Q)]
-    return ExpansionTrace(
-        value=math.fsum(terms.tolist()), target=float(divisor_count(n)), trace=trace
-    )
-
-
-def circle_lattice_rf(tables: SieveTables, a: int, Q: int) -> ExpansionTrace:
-    """Truncated lattice-point expansion pi * sum (-1)^(q-1)/(2q-1) c_{2q-1}(a).
-
-    Diagnostic trace against the brute-force count of integer points in
-    u^2 + v^2 <= a.
-    """
-    if a < 0 or Q < 1:
-        raise ValueError(f"need a >= 0 and Q >= 1, got a={a}, Q={Q}")
-    qs = np.arange(1, Q + 1, dtype=np.int64)
-    odd = 2 * qs - 1
-    c = cq_int(tables, odd, a).astype(np.float64)
-    signs = np.where(qs % 2 == 1, 1.0, -1.0)
-    terms = math.pi * signs / odd.astype(np.float64) * c
-    partial = np.cumsum(terms)
-    trace = [(int(k), float(partial[k - 1])) for k in _checkpoint_ns(Q)]
-    return ExpansionTrace(
-        value=math.fsum(terms.tolist()), target=float(lattice_count(a)), trace=trace
-    )
-
-
-def lattice_count(a: int) -> int:
-    """Number of integer points (u, v) with u^2 + v^2 <= a."""
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    r = math.isqrt(a)
-    return sum(2 * math.isqrt(a - u * u) + 1 for u in range(-r, r + 1))
-
-
-def divisor_count(n: int) -> int:
-    return sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
 def _check_z(z: float) -> None:

@@ -17,15 +17,16 @@ follow from spf by the recurrence over n = spf(n) * m.
 ``_table_segments`` gives the full tables one segment of 2^17 entries at a
 time: int32 spf from the base primes <= sqrt(N), then int8 mu and int32 phi
 by the recurrence, from mu(m) and phi(m) that it holds only at odd m <= N/2,
-1.25 bytes an entry of N.  ``build_sieve`` copies the segments into
-``SieveTables``, three dense arrays of 9 bytes an entry.  ``save_tables``
-writes their dump to a file segment by segment and never holds them, nor
-anything of its own: its footprint is the generator's, 1.25 bytes an entry
-and one segment of at most 4 MiB.  ``table_checksum`` and ``load_tables``
-read a dump in one chunked pass that checks it as it goes.  Tables are
-immutable, and every dump ends in a crc32 of the bytes before it.  The
-correlation means need no table: they stream ``lambda_windows`` over the
-ranges they read.
+1.25 bytes an entry of N, and it checks that footprint before it starts.
+``build_sieve`` copies the segments into ``SieveTables``, three dense
+arrays of 9 bytes an entry.  ``save_tables`` writes their dump to a file
+segment by segment, and the q-sums of ``ramanujan.squarefree_cq`` read
+them: neither holds the tables, nor anything of its own, so the footprint
+is the generator's, 1.25 bytes an entry and one segment of at most 4 MiB.
+``table_checksum`` and ``load_tables`` read a dump in one chunked pass
+that checks it as it goes.  Tables are immutable, and every dump ends in
+a crc32 of the bytes before it.  The correlation means need no table:
+they stream ``lambda_windows`` over the ranges they read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DamagedDumpError, ResourceLimitError
 
-# Entries per segment of _table_segments, for build_sieve and save_tables.
+# Entries per segment of _table_segments.
 DEFAULT_SEGMENT_SIZE = 1 << 17
 # Odd n per segment of primes_up_to, measured fastest of 2^18 to 2^21.
 PRIME_SEGMENT_ODDS = 1 << 20
@@ -217,7 +218,8 @@ def _table_segments(N: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.nd
     """(lo, spf, mu, phi) for n in [lo, lo + DEFAULT_SEGMENT_SIZE) up to N,
     lo = 1, 1 + DEFAULT_SEGMENT_SIZE, ...: spf from ``_spf_segment`` as int32,
     mu as int8 and phi as int32.  spf is new; mu and phi are views of two
-    buffers reused by every segment, good until the next.
+    buffers reused by every segment, good until the next.  Raises as
+    ``_check_bound`` does, for the footprint below, before the first.
 
     mu and phi follow from the recurrence over n = p * m, p = spf(n) (Gries &
     Misra, CACM 21, 1978): mu(n) = 0 and phi(n) = p * phi(m) when p divides m,
@@ -231,6 +233,7 @@ def _table_segments(N: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.nd
     for k = 1, else 0, and phi(n) = 2^(k - 1) * phi(r), one strided slice
     per k.
     """
+    _check_bound(N, 5 * (N // 4 + 1) + _SEGMENT_BYTES)
     base = primes_up_to(math.isqrt(N))
     size = min(DEFAULT_SEGMENT_SIZE, N)
     held_mu, held_phi = np.zeros(N // 4 + 1, dtype=np.int8), np.zeros(N // 4 + 1, dtype=np.int32)
@@ -316,10 +319,9 @@ def save_tables(bound: int, path: str) -> str:
     ``path`` only when complete, so a failed save never leaves a file or
     changes the one at ``path``.  It allocates no array of its own: what it
     holds is the generator's mu and phi at the bound // 4 + 1 odd m <= bound
-    / 2, 5 bytes each, and one segment.  Raises as ``build_sieve`` does, for
-    that footprint, before anything is written.
+    / 2, 5 bytes each, and one segment.  Raises as the generator does, for
+    that footprint, before any segment is written.
     """
-    _check_bound(bound, 5 * (bound // 4 + 1) + _SEGMENT_BYTES)
     *starts, end = itertools.accumulate([16] + _field_sizes(bound))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

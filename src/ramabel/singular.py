@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .ramanujan import cq_int
-from .sieve import MAX_PRIMES, PRIME_SEGMENT_ODDS, SieveTables, pi_bound, primes_up_to
+from .ramanujan import squarefree_cq
+from .sieve import MAX_PRIMES, PRIME_SEGMENT_ODDS, pi_bound, primes_up_to
 
 TWIN_CONSTANT_REFERENCE = 0.6601618158
 
@@ -344,22 +344,20 @@ def series_constant(h: int, P: int) -> SingularConstant:
     )
 
 
-def series_wk(tables: SieveTables, h: int, Q: int) -> SingularConstant:
+def series_wk(h: int, Q: int) -> SingularConstant:
     """Direct q-sum of the squared-coefficient series sum mu(q)^2/phi(q)^2 c_q(h).
 
-    Absolutely convergent, so the plain truncation is meaningful; the tail
-    estimate scales sigma(h), from the factorisation of h, by an empirical
-    bound on sum_{q>Q} 1/phi(q)^2.  It is an estimate, not a proven bound.
+    Absolutely convergent, so the plain truncation is meaningful; only the
+    squarefree q of ``squarefree_cq`` have a term.  The tail estimate scales
+    sigma(h), from factoring h of any size by ``_prime_factors`` (a cofactor
+    it cannot prove prime raises ResourceLimitError), by an empirical bound
+    on sum_{q>Q} 1/phi(q)^2.  It is an estimate, not a proven bound.
     """
     if h < 1 or Q < 1:
         raise ValueError(f"need h >= 1 and Q >= 1, got h={h}, Q={Q}")
-    if Q > tables.bound:
-        raise ValueError(f"Q={Q} beyond table bound {tables.bound}")
-    # Only the squarefree q have a term: mu(q)^2 is 1 there and 0 elsewhere.
-    q = np.flatnonzero(tables.mu[1 : Q + 1]) + 1
-    c = cq_int(tables, q, h).astype(np.float64)
-    value = math.fsum(1.0 / tables.phi[q].astype(np.float64) ** 2 * c)
     sigma_h = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in _prime_factors(h))
+    terms = (1.0 / phi.astype(np.float64) ** 2 * c for _, _, phi, c in squarefree_cq(Q, h))
+    value = math.fsum(itertools.chain.from_iterable(t.tolist() for t in terms))
     # sum_{q>Q} 1/phi(q)^2 ~ 2.2/Q; doubled for slack.
     tail = sigma_h * 4.4 / Q
     return SingularConstant(

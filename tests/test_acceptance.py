@@ -86,7 +86,7 @@ def test_criterion_04_exact_orthogonality(capsys, tables):
     assert bad == []
 
 
-def test_criterion_05_tail_bound(capsys, tables):
+def test_criterion_05_tail_bound(capsys):
     xs = [float(n) for n in range(1, 14)] + [
         0.5, 1.25, 2.75, 3.1, 4.9, 7.3, 9.8, 11.5, 16.2, 21.7, 33.3, 47.1,
     ]
@@ -95,9 +95,9 @@ def test_criterion_05_tail_bound(capsys, tables):
     for z in (0.5, 0.9, 0.99):
         ref_params = SeriesParams.for_accuracy(z, 1e-14)
         for x in xs:
-            ref = lambda1_series(tables, ref_params, x)
+            ref = lambda1_series(ref_params, x)
             for Q in (10, 50, 200):
-                got = lambda1_series(tables, SeriesParams(z, Q), x)
+                got = lambda1_series(SeriesParams(z, Q), x)
                 worst = max(worst, abs(got - ref) - (tail_bound(z, Q) + 1e-12))
     ok = worst <= 0.0
     announce(capsys, 5, ok, f"worst slack {worst:.3g}")
@@ -172,7 +172,7 @@ def test_criterion_10_series_vs_product(capsys, tables):
         worst = max(worst, diff)
     ok = worst <= 1e-6
     # finding, not assertion: the direct q-sum route at the table bound
-    wk = series_wk(tables, 2, tables.bound)
+    wk = series_wk(2, tables.bound)
     wk_diff = abs(wk.value - pair_constant(2, 10**6).value)
     announce(
         capsys, 10, ok,

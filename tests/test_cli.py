@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ramabel import SieveTables, cli, load_tables, rf_series, save_tables
+from ramabel import SieveTables, cli, load_tables, save_tables, sieve
 from ramabel.cli import main
 from ramabel.sieve import build_sieve, primes_up_to, table_checksum
 
@@ -68,14 +68,14 @@ class TestBasics:
         assert lines[0] == "x,z,Q,value,target,gap"
         assert len(lines) == 3
 
-    def test_abel_builds_tables_up_to_q_only(self, tmp_path, monkeypatch):
-        # The series reads the tables up to Q = 196; the target at the
-        # prime x = 2^31 - 1 comes from factoring x, with no table.
+    def test_abel_builds_no_table(self, tmp_path, monkeypatch):
+        # The series streams the table segments up to Q = 196; the target
+        # at the prime x = 2^31 - 1 comes from factoring x, with no table.
         built = []
         monkeypatch.setattr(cli, "build_sieve", lambda N: built.append(N) or build_sieve(N))
         x = 2**31 - 1
         assert run(tmp_path, "abel", "--x", str(x), "--zs", "0.9") == 0
-        assert built == [196]
+        assert built == []
         row = (tmp_path / "abel.csv").read_text().splitlines()[1].split(",")
         assert row[:3] == [str(x), "0.9", "196"]
         assert row[4] == f"{((x - 1) / x) * math.log(x):.12g}"
@@ -257,13 +257,13 @@ class TestErrors:
         (("sieve", "--n", "1000", "--cach", "t.bin"),
          "ramabel: error: unrecognized arguments: --cach t.bin"),
         (("tuple", "--offsets", "0,a", "--n", "0"),
-         "ramabel tuple: error: argument --offsets: invalid _ints value: '0,a'"),
+         "ramabel tuple: error: argument --offsets: expected comma-separated integers, got '0,a'"),
         (("abel", "--x", "2", "--zs", "0.9,x"),
-         "ramabel abel: error: argument --zs: invalid _floats value: '0.9,x'"),
+         "ramabel abel: error: argument --zs: expected comma-separated numbers, got '0.9,x'"),
         (("singular", "--form", "pair", "--params", "6,b"),
-         "ramabel singular: error: argument --params: invalid _ints value: '6,b'"),
+         "ramabel singular: error: argument --params: expected comma-separated integers, got '6,b'"),
         (("polymean", "--q", "3", "--poly", "1,x", "--n", "10"),
-         "ramabel polymean: error: argument --poly: invalid _ints value: '1,x'"),
+         "ramabel polymean: error: argument --poly: expected comma-separated integers, got '1,x'"),
     ], ids=["abel-abbrev", "sieve-abbrev", "tuple-offsets", "abel-zs-list", "singular-params",
             "polymean-poly"])
     def test_argparse_usage_error(self, tmp_path, capsys, argv, error):
@@ -274,32 +274,51 @@ class TestErrors:
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
     def test_abel_ladder_over_memory_exit_two(self, tmp_path, capsys, monkeypatch):
-        # Q = 345,387,746 terms at z = 1 - 10^-7 would take about 28 GB:
-        # refused against an 8 GiB budget before any table is built.
+        # Q = 345,387,746 at z = 1 - 10^-7: the segment generator's check
+        # counts 5 * (Q // 4 + 1) bytes and one segment, about 436 MB, and
+        # refuses it against a 256 MiB budget; no table is built.
         def refuse(N):
             raise AssertionError(f"build_sieve({N}) called")
 
         monkeypatch.setattr(cli, "build_sieve", refuse)
-        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**16}.get)
         assert run(tmp_path, "abel", "--x", "5", "--zs", "0.9,0.9999999") == 2
-        need = rf_series.LADDER_BYTES_PER_TERM * 345_387_746
+        need = 5 * (345_387_746 // 4 + 1) + sieve._SEGMENT_BYTES
         assert capsys.readouterr().err == (
-            f"error: an abel ladder to Q=345387746 needs about {need} bytes, "
-            f"over the memory budget of {2**33} bytes\n")
+            f"error: sieve bound 345387746 needs about {need} bytes, "
+            f"over the memory budget of {2**28} bytes\n")
         assert not (tmp_path / "abel.csv").exists()
 
     def test_abel_ladder_memory_budget(self, tmp_path, capsys, monkeypatch):
-        # The check counts LADDER_BYTES_PER_TERM for each of the Q = 2,291
-        # terms at z = 0.99 and refuses one byte over.
-        need = rf_series.LADDER_BYTES_PER_TERM * 2291
+        # The check counts the generator's mu and phi at the Q // 4 + 1 odd
+        # m <= Q/2, 5 bytes each, and one segment of 4 MiB, for the Q = 2,291
+        # terms at z = 0.99, and refuses one byte over.
+        need = 5 * (2291 // 4 + 1) + 4 * 2**20
         for budget in (need - 1, need):
             monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get)
             code = run(tmp_path, "abel", "--x", "5", "--zs", "0.99")
             assert code == (2 if budget < need else 0)
             assert (tmp_path / "abel.csv").exists() == (budget == need)
         assert capsys.readouterr().err == (
-            f"error: an abel ladder to Q=2291 needs about {need} bytes, "
+            f"error: sieve bound 2291 needs about {need} bytes, "
             f"over the memory budget of {need - 1} bytes\n")
+
+    # A ladder that fails its checks, or an x below 1, exits 2 before any
+    # table segment is drawn: none is built for the Q = 2,993,345 of
+    # z = 0.99999.
+    @pytest.mark.parametrize("argv, error", [
+        (("--x", "5", "--zs", "0.99999,0.9"),
+         "z ladder must be strictly increasing, got (0.99999, 0.9)"),
+        (("--x", "0", "--zs", "0.99999"), "n must be >= 1, got 0"),
+    ], ids=["decreasing", "x-zero"])
+    def test_abel_refused_before_any_segment(self, tmp_path, capsys, monkeypatch, argv, error):
+        def refuse(N):
+            raise AssertionError(f"_table_segments({N}) called")
+
+        monkeypatch.setattr(sieve, "_table_segments", refuse)
+        assert run(tmp_path, "abel", *argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "abel.csv").exists()
 
     def test_conjd_zero_a_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "conjd", "--a", "0", "--b", "1", "--l", "1",

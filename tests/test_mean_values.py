@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ramabel import (
     conjecture_d_mean,
     cq_int,
-    cq_mean,
     cq_orthogonality,
     goldbach_correlation,
     lambda1_at,
@@ -245,28 +244,6 @@ class TestTwinPairs:
             p = t[(lam == np.log(n)) & (n > 1)]
             twins += np.count_nonzero(np.isin(p[p < L] + 2, p))
         assert twins == count
-
-
-class TestCqMean:
-    def test_q_one(self, tables_small):
-        rep = cq_mean(tables_small, 1, 1000)
-        assert rep.empirical == 1.0
-        assert rep.exact_mean == Fraction(1)
-
-    def test_full_period_is_exact_zero(self, tables_small):
-        rep = cq_mean(tables_small, 6, 6)
-        assert rep.empirical == 0.0
-        assert rep.exact_mean == Fraction(0)
-
-    def test_partial_period_bound(self, tables_small):
-        for q in (2, 4, 9, 15):
-            rep = cq_mean(tables_small, q, 10**5)
-            assert abs(rep.empirical) <= tables_small.phi[q] * q / 10**5
-
-    def test_trace_ends_at_N(self, tables_small):
-        rep = cq_mean(tables_small, 4, 1000)
-        assert rep.trace[-1] == (1000, rep.empirical)
-        assert len(rep.trace) == 10
 
 
 class TestOrthogonality:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq_real
-from ramabel.ramanujan import DIRECT_MAX_Q, direct_oracle
-from ramabel.sieve import sigma_table
+from ramabel.ramanujan import DIRECT_MAX_Q, direct_oracle, squarefree_cq
+from ramabel.sieve import build_sieve, sigma_table
 
 
 class TestCqInt:
@@ -115,6 +115,25 @@ class TestCqInt:
         if math.gcd(r, s) == 1:
             got = cq_int(tables_small, r * s, n)
             assert got == cq_int(tables_small, r, n) * cq_int(tables_small, s, n)
+
+
+class TestSquarefreeCq:
+    # Q = 2^17 + 1 reaches past the first segment, [1, 2^17], into the second.
+    Q = 2**17 + 1
+
+    @pytest.fixture(scope="class")
+    def tables_q(self):
+        return build_sieve(self.Q)
+
+    @pytest.mark.parametrize("n", [0, 1, -1, 2, -2, 30, -30, 2**31 - 1, 2**53 + 1,
+                                   2**63 - 25, 2**63, 2**64 + 6, 3 * 2**70, 10**30 + 6])
+    def test_equals_cq_int_at_every_squarefree_q(self, tables_q, n):
+        segments = list(squarefree_cq(self.Q, n))
+        q, mu, phi, c = (np.concatenate(parts) for parts in zip(*segments))
+        assert len(segments) == 2 and q[-1] == self.Q  # 2^17 + 1 = 3 * 43691
+        assert np.array_equal(q, np.flatnonzero(tables_q.mu))
+        assert np.array_equal(mu, tables_q.mu[q]) and np.array_equal(phi, tables_q.phi[q])
+        assert np.array_equal(c, cq_int(tables_q, q, n))
 
 
 class TestDirectOracle:

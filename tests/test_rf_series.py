@@ -1,5 +1,5 @@
-"""Abel-regularized series for Lambda_1 and the classical
-Ramanujan-Fourier expansions (sigma, divisor, circle)."""
+"""Abel-regularized series for Lambda_1 and the truncated
+Ramanujan-Fourier expansion of sigma."""
 
 import math
 
@@ -10,15 +10,12 @@ from ramabel import (
     ResourceLimitError,
     SeriesParams,
     abel_ladder,
-    circle_lattice_rf,
     cq_int,
-    divisor_rf,
     lambda1_series,
     required_Q,
     sigma_rf,
     tail_bound,
 )
-from ramabel.rf_series import divisor_count, lattice_count
 
 
 class TestTailBound:
@@ -63,31 +60,31 @@ class TestSeriesParams:
 
 
 class TestLambda1Series:
-    def test_single_term_is_z(self, tables):
+    def test_single_term_is_z(self):
         # Q=1 keeps only q=1: mu(1)/phi(1) c_1(x) z = z at integer x
         for z in (0.25, 0.5, 0.9):
             for x in (1.0, 2.0, 7.0):
-                got = lambda1_series(tables, SeriesParams(z, 1), x)
+                got = lambda1_series(SeriesParams(z, 1), x)
                 assert got == pytest.approx(z, abs=1e-15)
 
-    def test_truncation_within_tail_bound(self, tables):
+    def test_truncation_within_tail_bound(self):
         z = 0.5
-        ref = lambda1_series(tables, SeriesParams.for_accuracy(z, 1e-14), 6.0)
+        ref = lambda1_series(SeriesParams.for_accuracy(z, 1e-14), 6.0)
         for Q in (5, 20, 60):
-            got = lambda1_series(tables, SeriesParams(z, Q), 6.0)
+            got = lambda1_series(SeriesParams(z, Q), 6.0)
             assert abs(got - ref) <= tail_bound(z, Q) + 1e-12
 
-    def test_integer_and_real_paths_agree(self, tables):
+    def test_integer_and_real_paths_agree(self):
         params = SeriesParams(0.7, 300)
         for n in (1, 2, 9, 30):
-            by_int = lambda1_series(tables, params, float(n))
+            by_int = lambda1_series(params, float(n))
             # nudge off the integer detection without moving the cosines:
             # evaluate the real path explicitly via a non-integral float type
-            by_real = lambda1_series(tables, params, n + 0.0 + 1e-13)
+            by_real = lambda1_series(params, n + 0.0 + 1e-13)
             assert by_real == pytest.approx(by_int, abs=1e-7)
 
-    def test_abel_values_decrease_toward_target(self, tables):
-        trace = abel_ladder(tables, 2)
+    def test_abel_values_decrease_toward_target(self):
+        trace = abel_ladder(2)
         zs = [z for z, _, _ in trace.ladder]
         vals = [v for _, _, v in trace.ladder]
         assert zs == [0.9, 0.99, 0.999]
@@ -95,8 +92,8 @@ class TestLambda1Series:
         assert gaps[0] > gaps[1] > gaps[2]
         assert trace.target == pytest.approx(0.5 * math.log(2))
 
-    def test_abel_ladder_nonprime_power_target_zero(self, tables):
-        trace = abel_ladder(tables, 6)
+    def test_abel_ladder_nonprime_power_target_zero(self):
+        trace = abel_ladder(6)
         assert trace.target == 0.0
         assert abs(trace.ladder[-1][2]) < abs(trace.ladder[0][2])
 
@@ -104,24 +101,24 @@ class TestLambda1Series:
         # 2^53 + 1 is no float: the series is summed at the int itself, the
         # n of its target, and not at the float 2^53, where c_3 differs.
         n = 2**53 + 1
-        trace = abel_ladder(tables, n, (0.9, 0.99))
+        trace = abel_ladder(n, (0.9, 0.99))
         for z, Q, value in trace.ladder:
             zq = z ** np.arange(1.0, Q + 1)  # numpy's array power, as the series takes it
             assert value == math.fsum(int(tables.mu[q]) / int(tables.phi[q])
                                       * cq_int(tables, q, n) * zq[q - 1] for q in range(1, Q + 1))
         assert cq_int(tables, 3, n) != cq_int(tables, 3, n - 1)
-        below = abel_ladder(tables, n - 1, (0.9, 0.99))
+        below = abel_ladder(n - 1, (0.9, 0.99))
         assert [v for *_, v in trace.ladder] != [v for *_, v in below.ladder]
         assert trace.x == float(n) and trace.target == 0.0
 
-    def test_integer_x_takes_exact_path(self, tables):
+    def test_integer_x_takes_exact_path(self):
         params = SeriesParams(0.9, 196)
         n = 2**53 + 1
-        by_int = lambda1_series(tables, params, n)
-        assert lambda1_series(tables, params, np.int64(n)) == by_int
-        assert by_int != lambda1_series(tables, params, float(n))
-        assert lambda1_series(tables, params, 10**400) == lambda1_series(
-            tables, params, 10**400 % math.lcm(*range(1, 197)))
+        by_int = lambda1_series(params, n)
+        assert lambda1_series(params, np.int64(n)) == by_int
+        assert by_int != lambda1_series(params, float(n))
+        assert lambda1_series(params, 10**400) == lambda1_series(
+            params, 10**400 % math.lcm(*range(1, 197)))
 
 
 class TestSigmaExpansion:
@@ -135,35 +132,3 @@ class TestSigmaExpansion:
         exact = sum(d for d in range(1, n + 1) if n % d == 0)
         got = sigma_rf(tables, n, 10_000)
         assert got == pytest.approx(exact, rel=5e-2)
-
-
-class TestDivisorExpansion:
-    def test_first_term(self, tables):
-        # -sum_q (log q / q) c_q(n): the q=1 term vanishes, q=2 gives
-        # -(log 2 / 2) c_2(1) = (log 2)/2 at n=1
-        tr = divisor_rf(tables, 1, 2)
-        assert tr.value == pytest.approx(math.log(2) / 2)
-
-    def test_divisor_count_helper(self):
-        assert [divisor_count(n) for n in (1, 2, 6, 12)] == [1, 2, 4, 6]
-
-    def test_trace_records_partial_sums(self, tables):
-        tr = divisor_rf(tables, 12, 50)
-        assert len(tr.trace) > 0
-        assert tr.trace[-1][0] == 50
-        assert tr.trace[-1][1] == pytest.approx(tr.value)
-
-
-class TestCircleExpansion:
-    def test_lattice_count_examples(self):
-        assert lattice_count(0) == 1
-        assert lattice_count(1) == 5
-        assert lattice_count(25) == 81
-
-    def test_first_term_is_pi(self, tables):
-        tr = circle_lattice_rf(tables, 1, 1)
-        assert tr.value == pytest.approx(math.pi)
-
-    def test_target_is_brute_force_count(self, tables):
-        tr = circle_lattice_rf(tables, 3, 200)
-        assert tr.target == lattice_count(3)

@@ -522,7 +522,7 @@ class TestDumpRestore:
     def test_save_memory_budget(self, tmp_path, monkeypatch):
         # The check counts what a save holds, mu and phi at the N // 4 + 1
         # odd m <= N/2 and one segment of 4 MiB, and refuses one byte over
-        # before any file is made.
+        # before any segment is built, leaving no file.
         N, path = 10**6, str(tmp_path / "tables.bin")
         need = 5 * (N // 4 + 1) + 4 * 2**20
         for budget in (need - 1, need):

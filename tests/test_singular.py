@@ -29,7 +29,7 @@ from ramabel.singular import (
     validate_linear_pair,
     validate_tuple,
 )
-from ramabel.sieve import PRIME_SEGMENT_ODDS, build_sieve, primes_up_to
+from ramabel.sieve import PRIME_SEGMENT_ODDS, primes_up_to
 
 
 class TestTwinConstant:
@@ -345,7 +345,7 @@ class TestSeriesConstant:
     def test_series_wk_route(self, tables):
         # the direct q-sum converges to the same constant, slowly
         for h in (2, 6):
-            got = series_wk(tables, h, tables.bound)
+            got = series_wk(h, tables.bound)
             want = pair_constant(h, 10**6).value
             assert got.value == pytest.approx(want, abs=5e-2)
             assert got.tail_estimate > 0
@@ -361,8 +361,8 @@ class TestSeriesConstant:
         (1, 99_991, -2.7192915449070753e-08),
         (6, 99_991, 2.6406472255535927),
     ])
-    def test_series_wk_pinned_values(self, tables, h, Q, value):
-        assert series_wk(tables, h, Q).value == value
+    def test_series_wk_pinned_values(self, h, Q, value):
+        assert series_wk(h, Q).value == value
 
     # h past int64 is reduced mod each q in Python ints: the sum is the fsum
     # of the scalar int path's terms.
@@ -371,35 +371,33 @@ class TestSeriesConstant:
         Q = tables_small.bound
         want = math.fsum(1.0 / float(tables_small.phi[q]) ** 2 * cq_int(tables_small, q, h)
                          for q in range(1, Q + 1) if tables_small.mu[q])
-        assert series_wk(tables_small, h, Q).value == want
+        assert series_wk(h, Q).value == want
 
     def test_series_wk_odd_gap_small(self, tables):
-        got = series_wk(tables, 3, tables.bound)
+        got = series_wk(3, tables.bound)
         assert abs(got.value) < 5e-2
 
     @given(st.integers(1, 2000))
     @settings(max_examples=200, deadline=None)
-    def test_series_wk_sigma_matches_divisor_sum(self, tables_small, h):
+    def test_series_wk_sigma_matches_divisor_sum(self, h):
         # The tail estimate is sigma(h) * 4.4 / Q, sigma(h) from the divisors.
         sigma = sum(d for d in range(1, h + 1) if h % d == 0)
-        assert series_wk(tables_small, h, 10).tail_estimate == sigma * 4.4 / 10
+        assert series_wk(h, 10).tail_estimate == sigma * 4.4 / 10
 
     def test_series_wk_large_gap_is_fast(self):
         # sigma(10^8) from the factorisation 2^8 5^8, not from 10^8 trial
         # divisors; the tail estimate is the one pinned before the change.
-        tables = build_sieve(1000)
         start = time.perf_counter()
-        got = series_wk(tables, 10**8, 1000)
+        got = series_wk(10**8, 1000)
         assert time.perf_counter() - start < 1.0
         assert got.tail_estimate == 1097851.0004
 
     def test_series_wk_large_prime_gap_is_fast(self):
         # h = 10^16 + 61 is prime, so sigma(h) = h + 1, from Miller-Rabin
         # rather than 10^8 trial divisors.
-        tables = build_sieve(1000)
         h = 10**16 + 61
         start = time.perf_counter()
-        got = series_wk(tables, h, 1000)
+        got = series_wk(h, 1000)
         assert time.perf_counter() - start < 1.0
         assert got.tail_estimate == (h + 1) * 4.4 / 1000
 
