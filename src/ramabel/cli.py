@@ -85,9 +85,9 @@ def _write_manifest(path: Path, argv: list[str], args: argparse.Namespace,
 def _get_checksum(bound: int, cache_dir: str | None, path: str | None, scratch: Path) -> str:
     """The SHA-256 of the dump of the full tables for 1..bound, for ``sieve``,
     through one table cache file if there is one.  No other command reads or
-    writes a cache file: ``csum``, ``polymean``, ``goldbach`` and ``props``
-    call ``build_sieve`` (at their bounds a build costs about a load, and no
-    damaged file reaches a result), ``abel`` and ``series_wk`` stream the
+    writes a cache file: ``props`` alone calls ``build_sieve`` (a build costs
+    about a load at its bounds, and no damaged file reaches a result), csum,
+    polymean and goldbach factor q, ``abel`` and ``series_wk`` stream the
     table segments, and the correlation commands sieve their own primes.
 
     The file is ``path`` if given, else ``<cache_dir>/tables_N{bound}_v3.bin``:
@@ -228,9 +228,8 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
                 f"sieve N={args.n} checksum={digest}")
 
     if cmd == "csum":
-        bound = max(abs(args.q), 1)
-        value = ramanujan.cq_int(build_sieve(bound), args.q, args.n)
-        return (bound, ["q", "n", "value"], [[args.q, args.n, value]],
+        value = ramanujan.cq_int(args.q, args.n)
+        return (max(abs(args.q), 1), ["q", "n", "value"], [[args.q, args.n, value]],
                 f"c_{args.q}({args.n}) = {value}")
 
     if cmd == "autocorr":
@@ -262,17 +261,15 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
                 f"pnt_mean: empirical={report.empirical:.12g} predicted=1")
 
     if cmd == "polymean":
-        tables = build_sieve(max(args.q, 1))
-        report = mean_values.polynomial_cq_mean(tables, args.q, args.poly, args.n)
+        report = mean_values.polynomial_cq_mean(args.q, args.poly, args.n)
         return (args.q, REPORT_HEADER, report.csv_rows(),
                 f"{report.label}: empirical={report.empirical:.12g} "
                 f"exact={report.exact_mean}")
 
     if cmd == "goldbach":
-        bound = max(args.q1, args.q2)
-        tables = build_sieve(max(bound, 1))
-        value = mean_values.goldbach_correlation(tables, args.n, args.q1, args.q2)
-        return (bound, ["N", "q1", "q2", "value"], [[args.n, args.q1, args.q2, value]],
+        value = mean_values.goldbach_correlation(args.n, args.q1, args.q2)
+        return (max(args.q1, args.q2), ["N", "q1", "q2", "value"],
+                [[args.n, args.q1, args.q2, value]],
                 f"goldbach_correlation(N={args.n}, q1={args.q1}, q2={args.q2}) = {value}")
 
     if cmd == "singular":

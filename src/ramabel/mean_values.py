@@ -23,9 +23,11 @@ import numpy as np
 from . import singular
 from .errors import ResourceLimitError
 from .ramanujan import cq_int
-from .sieve import MAX_PRIMES, SieveTables, lambda_windows, pi_bound
+from .sieve import MAX_PRIMES, _check_memory, lambda_windows, pi_bound
 
 _BLOCK = 1 << 20
+# polynomial_cq_mean's peak RSS rose by 49 bytes a residue at q = 10^6 and 4 * 10^6.
+_POLY_BYTES_PER_RESIDUE = 50
 # Each weight's column in ``_Weights``.
 _COLUMNS = {"lambda": 0, "lambda1": 1}
 
@@ -130,18 +132,16 @@ def _periodic_trace(period_vals: Sequence[int], N: int) -> list[tuple[int, float
     return [(n_i, total(n_i) / n_i) for n_i in _checkpoint_ns(N)]
 
 
-def cq_orthogonality(
-    tables: SieveTables, r: int, s: int, m: int, N: int
-) -> MeanValueReport:
+def cq_orthogonality(r: int, s: int, m: int, N: int) -> MeanValueReport:
     """Mean of c_r(n) c_s(n+m); the limit is c_r(m) when r = s, else 0."""
     if r < 1 or s < 1:
         raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
     L = math.lcm(r, s)
     n = np.arange(1, L + 1)
     # c_s has period s, so m % s keeps n + m in int64 for any integer m.
-    period = (cq_int(tables, r, n) * cq_int(tables, s, n + m % s)).tolist()
+    period = (cq_int(r, n) * cq_int(s, n + m % s)).tolist()
     exact = Fraction(sum(period), L)
-    predicted = float(cq_int(tables, r, m)) if r == s else 0.0
+    predicted = float(cq_int(r, m)) if r == s else 0.0
     return _report(
         f"cq_orthogonality(r={r},s={s},m={m})",
         N,
@@ -151,9 +151,7 @@ def cq_orthogonality(
     )
 
 
-def polynomial_cq_mean(
-    tables: SieveTables, q: int, poly: Sequence[int], N: int
-) -> MeanValueReport:
+def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
     """Mean of c_q(f(n)) for integer-coefficient f; poly lists coefficients
     from the constant term upward.
 
@@ -162,15 +160,16 @@ def polynomial_cq_mean(
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if q > tables.bound:
-        raise ValueError(f"q={q} beyond table bound {tables.bound}")
+    _check_memory(_POLY_BYTES_PER_RESIDUE * q, f"polymean at q={q}")
+    if q >= 2**31:  # Horner's rule below keeps each step under q^2 < 2^62
+        raise ValueError(f"q={q} is over the limit 2^31 - 1")
     coeffs = list(poly)
     # f(r) mod q for every residue r by Horner's rule; each step stays below q^2.
     r = np.arange(q, dtype=np.int64)
     f_mod = np.zeros(q, dtype=np.int64)
     for c in reversed(coeffs):
         f_mod = (f_mod * r + c % q) % q
-    by_residue = cq_int(tables, q, f_mod).tolist()
+    by_residue = cq_int(q, f_mod).tolist()
     period = by_residue[1:] + by_residue[:1]  # n = 1..q
     exact = Fraction(sum(by_residue), q)
     return _report(
@@ -376,11 +375,11 @@ def pnt_mean(N: int) -> MeanValueReport:
     return _report("pnt_mean", N, _linear_traces(ns, [1], 1, 1, [(1, 1)])[0], 1.0)
 
 
-def goldbach_correlation(tables: SieveTables, N: int, q1: int, q2: int) -> int:
+def goldbach_correlation(N: int, q1: int, q2: int) -> int:
     """Exact finite sum over n = 1..2N of c_{q1}(n) * c_{q2}(2N - n)."""
     if N < 1 or q1 < 1 or q2 < 1:
         raise ValueError(f"need N, q1, q2 >= 1, got N={N}, q1={q1}, q2={q2}")
     ns = np.arange(1, 2 * N + 1, dtype=np.int64)
-    c1 = cq_int(tables, q1, ns)
-    c2 = cq_int(tables, q2, 2 * N - ns)
+    c1 = cq_int(q1, ns)
+    c2 = cq_int(q2, 2 * N - ns)
     return int(np.sum(c1 * c2))

@@ -1,9 +1,9 @@
 """Ramanujan sums c_q(n) and their real-argument extension c_q(x).
 
-The production integer path is Hoelder's closed form
-    c_q(n) = mu(q/g) * phi(q) / phi(q/g),  g = gcd(q, |n|),
-which is exact and O(1) given the sieve tables; ``squarefree_cq`` gives its
-squarefree form over the table segments.  The defining exponential
+The integer path ``cq_int`` is Hoelder's closed form, taken one prime power
+of q at a time over the factors of q from ``sieve._prime_factors``, so it
+reads no table; ``squarefree_cq`` gives its squarefree form over the table
+segments, for the q-sums.  The defining exponential
 sum is kept as an independent oracle, and the full catalog of identities
 the sums satisfy is executable via ``check_property_catalog``.
 """
@@ -16,40 +16,33 @@ from typing import Iterator
 
 import numpy as np
 
-from . import sieve
 from .errors import InternalConsistencyError
-from .sieve import SieveTables, sigma_table
+from .sieve import SieveTables, _prime_factors, _table_segments, sigma_table
 
 # The largest q of the oracle, whose sum takes phi(q) terms per n.
 DIRECT_MAX_Q = 5000
 _RESIDUE_TOL = 1e-6
 
 
-def cq_int(tables: SieveTables, q: int | np.ndarray, n: int | np.ndarray):
-    """Exact c_q(n) by Hoelder's closed form, for integer q and n.
-
-    Integers give a Python int, for n of any size.  If q or n is an array,
-    the two broadcast together into an int64 array; an int n of any size
-    goes with an array q, reduced mod each q.  Either way q = 0 gives
-    1, as c_0 = c_1 = 1 in the real-argument convention, and c_{-q} = c_q.
+def cq_int(q: int, n: int | np.ndarray):
+    """Exact c_q(n), |q| < 2^63, from the factors of q: c_q is multiplicative
+    in q, and c_{p^e}(n) = p^e [p^e | n] - p^(e-1) [p^(e-1) | n] (Hoelder;
+    Montgomery & Vaughan 4.1).  An int n of any size gives a Python int, an
+    integer array n an int64 array of its shape.  c_0 = c_1 = 1, as in the
+    real-argument convention, and c_{-q} = c_q; |q| >= 2^63 is a ValueError.
     """
-    if isinstance(q, int) and isinstance(n, int):
-        q = abs(q) or 1
-        if q > tables.bound:
-            raise ValueError(f"q={q} beyond table bound {tables.bound}")
-        qg = q // math.gcd(q, n)
-        m = tables.mu.item(qg)
-        if m == 0:
-            return 0
-        return m * tables.phi.item(q) // tables.phi.item(qg)
-    q = np.maximum(np.abs(np.asarray(q, dtype=np.int64)), 1)
-    if q.size and int(q.max()) > tables.bound:
-        raise ValueError(f"q={int(q.max())} beyond table bound {tables.bound}")
-    if isinstance(n, int) and not -(2**63) <= n < 2**63:
-        n = n % q.astype(object)  # c_q(n) = c_q(n mod q), exact in Python ints
-    qg = q // np.gcd(q, np.asarray(n, dtype=np.int64))
-    c = tables.mu[qg].astype(np.int64) * tables.phi[q] // tables.phi[qg]
-    return c if c.ndim else int(c)  # NumPy integer scalars, as Python ints
+    q = abs(int(q)) or 1
+    if q >= 2**63:
+        raise ValueError(f"q={q} outside 1..2^63 - 1")
+    c = 1
+    if not isinstance(n, int):
+        n = np.asarray(n, dtype=np.int64)
+        c = np.ones_like(n)
+    for p, e in _prime_factors(q):
+        pe1 = p ** (e - 1)
+        r = n % (p * pe1)
+        c = c * ((r == 0) * (p * pe1) - (r % pe1 == 0) * pe1)
+    return c if np.ndim(c) else int(c)  # NumPy integer scalars, as Python ints
 
 
 def squarefree_cq(Q: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -62,7 +55,7 @@ def squarefree_cq(Q: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
     are tested against n, which is never factored.  c_q(0) = phi(q).
     """
     found: list[int] = []  # the primes of n met so far
-    for lo, spf, mu, phi in sieve._table_segments(Q):
+    for lo, spf, mu, phi in _table_segments(Q):
         c = (mu if n else phi).astype(np.int64)
         if n:
             ps = np.flatnonzero(spf == np.arange(lo, lo + spf.size)) + lo
@@ -159,6 +152,9 @@ def check_property_catalog(
     and the sigma bound for real arguments only at integer x, where sigma
     is defined.
 
+    ``tables`` gives mu, phi and spf from the sieve, apart from ``cq_int``'s
+    factoring, so the checks that read them hold one code against the other.
+
     Each check is a lazy generator of witnesses in a fixed order; the first
     is reported.  ``for v in a[bad][:1]`` takes the first failing point of
     an array, if any.  The cosine sums are computed once per modulus on
@@ -180,38 +176,35 @@ def check_property_catalog(
     real_at_ints = {q: cq_real(q, ints) for q in qs}
     real_at_xs = {q: cq_real(q, xs) for q in qs0}
 
-    def cq(q: int, arg: np.ndarray) -> np.ndarray:
-        return cq_int(tables, q, arg)
-
     # (name, witnesses, note)
     checks = [
         ("int a) c_1(n) = 1",
-         (f"n={n}" for n in ns.tolist() if cq_int(tables, 1, n) != 1), ""),
+         (f"n={n}" for n in ns.tolist() if cq_int(1, n) != 1), ""),
         ("int b) c_q(0) = phi(q)",
-         (f"q={q}" for q in qs if cq_int(tables, q, 0) != int(phi[q])), ""),
+         (f"q={q}" for q in qs if cq_int(q, 0) != int(phi[q])), ""),
         ("int c) c_q(1) = mu(q)",
-         (f"q={q}" for q in qs if cq_int(tables, q, 1) != int(mu[q])), ""),
+         (f"q={q}" for q in qs if cq_int(q, 1) != int(mu[q])), ""),
         ("int d) c_p(n) = phi(p) if p|n else -1 (prime q only)",
          (f"p={p}" for p in qs if p >= 2 and int(tables.spf[p]) == p
-          and not np.array_equal(cq(p, ns), np.where(ns % p == 0, int(phi[p]), -1))),
+          and not np.array_equal(cq_int(p, ns), np.where(ns % p == 0, int(phi[p]), -1))),
          "restricted to prime q; false at composite q (c_4(2) = -2)"),
         ("int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1",
          (f"r={r}, s={s}" for r, s in coprime
-          if not np.array_equal(cq(r * s, ns), cq(r, ns) * cq(s, ns))),
+          if not np.array_equal(cq_int(r * s, ns), cq_int(r, ns) * cq_int(s, ns))),
          "tested in the corrected c_r*c_s form; source prints c_s twice"),
         ("int f) |c_q(n)| <= phi(q)",
-         (f"q={q}" for q in qs if np.abs(cq(q, ns)).max() > int(phi[q])), ""),
+         (f"q={q}" for q in qs if np.abs(cq_int(q, ns)).max() > int(phi[q])), ""),
         ("int g) |c_q(n)| <= sigma(n), n >= 1",
-         (f"q={q}, n={n}" for q in qs for n in pos[np.abs(cq(q, pos)) > sig[pos]][:1]),
+         (f"q={q}, n={n}" for q in qs for n in pos[np.abs(cq_int(q, pos)) > sig[pos]][:1]),
          ""),
         ("int h) c_q(n) = c_q(-n)",
-         (f"q={q}" for q in qs if not np.array_equal(cq(q, ns), cq(q, -ns))), ""),
+         (f"q={q}" for q in qs if not np.array_equal(cq_int(q, ns), cq_int(q, -ns))), ""),
         ("int i) c_q(n) = c_{-q}(n)",
          (f"({q}, {n})" for q in qs for n in (0, 1, 2, n_max)
-          if cq_int(tables, q, n) != cq_int(tables, -q, n)), ""),
+          if cq_int(q, n) != cq_int(-q, n)), ""),
         ("real a) c_q(x) = c_q(n) at integer x",
          (f"q={q}, n={n}" for q in qs
-          for n in pos[np.abs(real_at_pos[q] - cq(q, pos)) > 1e-9][:1]), ""),
+          for n in pos[np.abs(real_at_pos[q] - cq_int(q, pos)) > 1e-9][:1]), ""),
         ("real b) c_q(0) = phi(q)",
          (f"q={q}" for q in qs0
           if abs(cq_real(q, 0.0) - (1.0 if q == 0 else float(phi[q]))) > 1e-9),

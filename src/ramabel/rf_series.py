@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .ramanujan import cq_int, cq_real, squarefree_cq
-from .sieve import SieveTables, lambda_support
-from .singular import _prime_factors
+from .ramanujan import cq_real, squarefree_cq
+from .sieve import _prime_factors, _table_segments, lambda_support
 
 _MAX_Q = 10**9
 
@@ -152,16 +151,21 @@ def abel_ladder(n: int, z_list: tuple[float, ...] = DEFAULT_Z_LADDER,
     return AbelTrace(x=float(n), ladder=ladder, target=target)
 
 
-def sigma_rf(tables: SieveTables, n: int, Q: int) -> float:
+def sigma_rf(n: int, Q: int) -> float:
     """Truncated sum-of-divisors expansion (pi^2 n / 6) * sum c_q(n)/q^2.
 
-    Tail after Q terms is bounded by (pi^2 n / 6) * sigma(n) / Q.
+    Tail after Q terms is bounded by (pi^2 n / 6) * sigma(n) / Q.  c_q(n) is
+    Kluyver's sum of d * mu(q/d) over the divisors d <= Q of n that divide q.
     """
     if n < 1 or Q < 1:
         raise ValueError(f"need n >= 1 and Q >= 1, got n={n}, Q={Q}")
-    qs = np.arange(1, Q + 1, dtype=np.int64)
-    c = cq_int(tables, qs, n).astype(np.float64)
-    return (math.pi**2 * n / 6.0) * math.fsum((c / qs.astype(np.float64) ** 2).tolist())
+    # mu(1..Q); each segment's is a view of a reused buffer, which astype copies.
+    mu = np.concatenate([[0]] + [mu.astype(np.int64) for _, _, mu, _ in _table_segments(Q)])
+    ds = np.arange(1, min(n, Q) + 1, dtype=np.int64)
+    c = np.zeros(Q + 1, dtype=np.int64)
+    for d in ds[n % (ds if n < 2**63 else ds.astype(object)) == 0].tolist():
+        c[d::d] += d * mu[1 : Q // d + 1]
+    return (math.pi**2 * n / 6.0) * math.fsum((c[1:] / np.arange(1.0, Q + 1) ** 2).tolist())
 
 
 def _check_z(z: float) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .ramanujan import squarefree_cq
-from .sieve import MAX_PRIMES, PRIME_SEGMENT_ODDS, pi_bound, primes_up_to
+from .sieve import MAX_PRIMES, PRIME_SEGMENT_ODDS, _prime_factors, pi_bound, primes_up_to
 
 TWIN_CONSTANT_REFERENCE = 0.6601618158
 
@@ -83,97 +83,6 @@ def twin_constant(P: int) -> SingularConstant:
 
     return SingularConstant(value=_euler_product(P, log_terms), truncation_prime=P,
                             tail_estimate=1.0 / (P - 1), form="C2")
-
-
-# Trial division removes the prime factors below _TRIAL.  Miller-Rabin to
-# the first 13 prime bases decides primality for n < _MR_LIMIT (Sorenson &
-# Webster, Math. Comp. 86, 2017).
-_TRIAL = 1 << 10
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each p^e exactly dividing |n| >= 1, p ascending.
-
-    Trial division takes the primes below 2^10; the cofactor is settled by
-    deterministic Miller-Rabin and a composite one split by Pollard-Brent
-    rho.  Run time is bounded for n < 2^64: a composite cofactor then has a
-    prime factor below 2^32, which rho finds in about 2^16 steps.  A cofactor
-    at or above _MR_LIMIT that passes Miller-Rabin cannot be proven prime
-    that way, and raises ResourceLimitError.
-    """
-    out, n, d = [], abs(n), 2
-    while d < _TRIAL and d * d <= n:
-        e = 0
-        while n % d == 0:
-            n, e = n // d, e + 1
-        if e:
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    big = _large_factors(n) if n > 1 else []
-    return out + [(p, big.count(p)) for p in sorted(set(big))]
-
-
-def _large_factors(n: int) -> list[int]:
-    """The prime factors of n > 1, with multiplicity, where n has none
-    below _TRIAL."""
-    if n < _TRIAL * _TRIAL or _is_prime(n):
-        return [n]
-    d = _rho_factor(n)
-    return _large_factors(d) + _large_factors(n // d)
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n is prime, for odd n > 41: strong probable prime to every
-    base of _MR_BASES.  Raises ResourceLimitError for a probable prime
-    n >= _MR_LIMIT, where the bases prove nothing."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_LIMIT:
-        raise ResourceLimitError(f"cannot prove the factor {n} prime: "
-                                 f"Miller-Rabin is proven only below {_MR_LIMIT}")
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    """A factor 1 < d < n of the odd composite n by Pollard-Brent rho
-    (Brent, BIT 20, 1980): the products of |x - y| over batches of 128 steps
-    of y -> y^2 + c share one gcd, retraced step by step when the batch
-    overshoots to n; a c whose retrace also reaches n gives way to c + 1."""
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            for k in range(0, r, 128):
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                if g != 1:
-                    break
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
 
 
 def pair_constant(h2: int, P: int) -> SingularConstant:

@@ -50,12 +50,12 @@ def test_criterion_01_twin_constant(capsys):
     assert elapsed < 5.0
 
 
-def test_criterion_02_oracle_equivalence(capsys, tables):
+def test_criterion_02_oracle_equivalence(capsys):
     start = time.monotonic()
     ns = np.arange(-500, 501)
     mismatches = sum(
         not np.array_equal(
-            cq_int(tables, q, ns), direct_oracle(q, ns)
+            cq_int(q, ns), direct_oracle(q, ns)
         )
         for q in range(1, 201)
     )
@@ -73,13 +73,13 @@ def test_criterion_03_property_suite(capsys, tables):
     assert failed == []
 
 
-def test_criterion_04_exact_orthogonality(capsys, tables):
+def test_criterion_04_exact_orthogonality(capsys):
     bad = []
     for r in range(1, 31):
         for s in range(1, 31):
             for m in range(-10, 11):
-                rep = cq_orthogonality(tables, r, s, m, 100)
-                want = cq_int(tables, r, m) if r == s else 0
+                rep = cq_orthogonality(r, s, m, 100)
+                want = cq_int(r, m) if r == s else 0
                 if rep.exact_mean != want:
                     bad.append((r, s, m))
     announce(capsys, 4, not bad, "r,s<=30, |m|<=10, exact arithmetic")
@@ -189,9 +189,9 @@ def test_criterion_11_polynomial_means(capsys, tables):
     bound_ok = True
     for q in range(1, 31):
         for poly in polys:
-            rep = polynomial_cq_mean(tables, q, poly, N)
+            rep = polynomial_cq_mean(q, poly, N)
             brute = sum(
-                cq_int(tables, q, sum(c * r**k for k, c in enumerate(poly)) % q)
+                cq_int(q, sum(c * r**k for k, c in enumerate(poly)) % q)
                 for r in range(q)
             )
             exact_ok = exact_ok and rep.exact_mean * q == brute
@@ -204,11 +204,11 @@ def test_criterion_11_polynomial_means(capsys, tables):
     assert bound_ok
 
 
-def test_criterion_12_sigma_expansion(capsys, tables):
+def test_criterion_12_sigma_expansion(capsys):
     worst = 0.0
     for n in range(1, 51):
         exact = sum(d for d in range(1, n + 1) if n % d == 0)
-        got = sigma_rf(tables, n, 10**5)
+        got = sigma_rf(n, 10**5)
         worst = max(worst, abs(got - exact) / exact)
     ok = worst <= 0.05
     announce(capsys, 12, ok, f"worst rel err {worst:.2e}")

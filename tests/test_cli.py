@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import zlib
 from pathlib import Path
@@ -84,6 +86,17 @@ class TestBasics:
     def test_goldbach(self, tmp_path, capsys):
         assert run(tmp_path, "goldbach", "--n", "3", "--q1", "2", "--q2", "2") == 0
         assert "6" in capsys.readouterr().out
+
+    # c_q from the factors of q: a q past any table, up to 2^63 - 1.
+    @pytest.mark.parametrize("q, n, line", [
+        ("3000000000", "6", "c_3000000000(6) = 0"),
+        ("9223372036854775783", "1", "c_9223372036854775783(1) = -1"),
+        ("-9223372036854775783", "0", "c_-9223372036854775783(0) = 9223372036854775782"),
+    ], ids=["3e9", "prime-below-2^63", "negative-q"])
+    def test_csum_past_table_limits(self, tmp_path, capsys, q, n, line):
+        assert run(tmp_path, "csum", "--q", q, "--n", n) == 0
+        assert capsys.readouterr().out == line + "\n"
+        assert read_manifest(tmp_path, "csum")["sieve_bound"] == abs(int(q))
 
 
 class TestErrors:
@@ -288,6 +301,45 @@ class TestErrors:
             f"error: sieve bound 345387746 needs about {need} bytes, "
             f"over the memory budget of {2**28} bytes\n")
         assert not (tmp_path / "abel.csv").exists()
+
+    def test_csum_q_from_2_63_exit_two(self, tmp_path, capsys):
+        assert run(tmp_path, "csum", "--q", str(2**63), "--n", "1") == 2
+        assert capsys.readouterr().err == f"error: q={2**63} outside 1..2^63 - 1\n"
+        assert not (tmp_path / "csum.csv").exists()
+
+    def test_polymean_memory_budget(self, tmp_path, capsys, monkeypatch):
+        # polymean holds one period of q residues, at 50 bytes a residue by
+        # its check, and refuses one byte over; nothing else is checked.
+        q, need = 997, 50 * 997
+        for budget in (need - 1, need):
+            monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get)
+            code = run(tmp_path, "polymean", "--q", str(q), "--poly", "1,0,1", "--n", "100")
+            assert code == (2 if budget < need else 0)
+            assert (tmp_path / "polymean.csv").exists() == (budget == need)
+        assert capsys.readouterr().err == (
+            f"error: polymean at q={q} needs about {need} bytes, "
+            f"over the memory budget of {need - 1} bytes\n")
+
+    def test_polymean_q_limit(self, tmp_path, capsys, monkeypatch):
+        # Past 2^31 - 1, Horner's rule would leave int64; refused before any
+        # allocation, on a machine with the memory to hold the period.
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**60}.get)
+        assert run(tmp_path, "polymean", "--q", str(2**31), "--poly", "1,0,1", "--n", "10") == 2
+        assert capsys.readouterr().err == f"error: q={2**31} is over the limit 2^31 - 1\n"
+
+    def test_rho_step_cap_exit_two(self, tmp_path):
+        # 10^400 mod lcm(1..196): its 65-digit cofactor is composite and has
+        # no factor that Pollard-Brent rho finds in its step cap.
+        h = 10**400 % math.lcm(*range(1, 197))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramabel.cli", "--out", str(tmp_path), "singular",
+             "--form", "series_wk", "--params", str(h), "--p", "1000"],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: rho found no factor of \d{65} "
+                            r"in 2097152 steps\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "singular.csv").exists()
 
     def test_abel_ladder_memory_budget(self, tmp_path, capsys, monkeypatch):
         # The check counts the generator's mu and phi at the Q // 4 + 1 odd
@@ -547,6 +599,25 @@ class TestTableCache:
     ("tuple", "--offsets", "0,2,6", "--n", "3000", "--p", "1000"),
 ], ids=["pnt", "autocorr-even", "autocorr-odd", "conjd", "tuple"])
 def test_correlation_commands_build_no_table(tmp_path, monkeypatch, argv):
+    assert run(tmp_path / "plain", *argv) == 0
+    want = (tmp_path / "plain" / f"{argv[0]}.csv").read_bytes()
+
+    def refuse(N):
+        raise AssertionError(f"build_sieve({N}) called")
+
+    monkeypatch.setattr(cli, "build_sieve", refuse)
+    assert run(tmp_path / "patched", *argv) == 0
+    assert (tmp_path / "patched" / f"{argv[0]}.csv").read_bytes() == want
+
+
+# c_q at one or two q comes from the factors of q: with build_sieve refused,
+# each command gives the CSV bytes it gives unpatched.
+@pytest.mark.parametrize("argv", [
+    ("csum", "--q", "1000", "--n", "12"),
+    ("polymean", "--q", "30", "--poly", "1,0,1", "--n", "1000"),
+    ("goldbach", "--n", "50", "--q1", "12", "--q2", "30"),
+], ids=["csum", "polymean", "goldbach"])
+def test_single_q_commands_build_no_table(tmp_path, monkeypatch, argv):
     assert run(tmp_path / "plain", *argv) == 0
     want = (tmp_path / "plain" / f"{argv[0]}.csv").read_bytes()
 

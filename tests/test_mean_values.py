@@ -247,14 +247,14 @@ class TestTwinPairs:
 
 
 class TestOrthogonality:
-    def test_diagonal_example(self, tables_small):
+    def test_diagonal_example(self):
         # r = s = 3, m = 1: limit is c_3(1) = -1
-        rep = cq_orthogonality(tables_small, 3, 3, 1, 300)
+        rep = cq_orthogonality(3, 3, 1, 300)
         assert rep.predicted == -1.0
         assert rep.exact_mean == Fraction(-1)
 
-    def test_off_diagonal_vanishes(self, tables_small):
-        rep = cq_orthogonality(tables_small, 4, 6, 2, 120)
+    def test_off_diagonal_vanishes(self):
+        rep = cq_orthogonality(4, 6, 2, 120)
         assert rep.predicted == 0.0
         assert rep.exact_mean == Fraction(0)
 
@@ -264,45 +264,44 @@ class TestOrthogonality:
         m=st.integers(min_value=-8, max_value=8),
     )
     @settings(max_examples=150, deadline=None)
-    def test_exact_mean_matches_closed_form(self, tables_small, r, s, m):
-        rep = cq_orthogonality(tables_small, r, s, m, 50)
-        want = cq_int(tables_small, r, m) if r == s else 0
+    def test_exact_mean_matches_closed_form(self, r, s, m):
+        rep = cq_orthogonality(r, s, m, 50)
+        want = cq_int(r, m) if r == s else 0
         assert rep.exact_mean == want
 
     # Every checkpoint mean is the direct sum over n <= n_i, for m of any size.
     @pytest.mark.parametrize("r, s, m", [(6, 6, 4), (4, 6, -7), (12, 30, 10**20 + 3)])
-    def test_trace_matches_direct_sum(self, tables_small, r, s, m):
-        rep = cq_orthogonality(tables_small, r, s, m, 97)
+    def test_trace_matches_direct_sum(self, r, s, m):
+        rep = cq_orthogonality(r, s, m, 97)
         for n_i, mean in rep.trace:
-            direct = sum(cq_int(tables_small, r, n) * cq_int(tables_small, s, n + m)
+            direct = sum(cq_int(r, n) * cq_int(s, n + m)
                          for n in range(1, n_i + 1))
             assert mean == direct / n_i
 
     def test_empirical_within_partial_period_bound(self, tables_small):
         N = 10**4
         for r, s, m in [(3, 3, 1), (4, 6, 2), (5, 7, 0), (12, 12, 5)]:
-            rep = cq_orthogonality(tables_small, r, s, m, N)
+            rep = cq_orthogonality(r, s, m, N)
             L = math.lcm(r, s)
             bound = tables_small.phi[r] * tables_small.phi[s] * L / N
             assert abs(rep.empirical - float(rep.exact_mean)) <= bound
 
 
 class TestPolynomialMean:
-    def test_table_example(self, tables_small):
+    def test_table_example(self):
         # q = 5, f(n) = n^2 + 1: residues of f mod 5 are 1,2,0,0,2 and
         # c_5 values are -1,-1,4,4,-1, so the period mean is 1
-        rep = polynomial_cq_mean(tables_small, 5, [1, 0, 1], 10**4)
+        rep = polynomial_cq_mean(5, [1, 0, 1], 10**4)
         assert rep.exact_mean == Fraction(1)
         assert rep.predicted == 1.0
 
-    def test_brute_force_cross_check(self, tables_small):
+    def test_brute_force_cross_check(self):
         for q in (2, 3, 7, 12, 30):
             for poly in ([1, 0, 1], [2, 0, 0, 1], [1, 3, 2]):
-                rep = polynomial_cq_mean(tables_small, q, poly, 100)
+                rep = polynomial_cq_mean(q, poly, 100)
                 want = Fraction(
                     sum(
                         cq_int(
-                            tables_small,
                             q,
                             sum(c * r**k for k, c in enumerate(poly)) % q,
                         )
@@ -313,16 +312,16 @@ class TestPolynomialMean:
                 assert rep.exact_mean == want
 
     @pytest.mark.parametrize("q, poly", [(7, [1, 0, 1]), (12, [-3, 2, 3]), (30, [5, 10**20])])
-    def test_trace_matches_direct_sum(self, tables_small, q, poly):
-        rep = polynomial_cq_mean(tables_small, q, poly, 97)
+    def test_trace_matches_direct_sum(self, q, poly):
+        rep = polynomial_cq_mean(q, poly, 97)
         for n_i, mean in rep.trace:
-            direct = sum(cq_int(tables_small, q, sum(c * n**k for k, c in enumerate(poly)))
+            direct = sum(cq_int(q, sum(c * n**k for k, c in enumerate(poly)))
                          for n in range(1, n_i + 1))
             assert mean == direct / n_i
 
     def test_partial_period_bound(self, tables_small):
         N = 10**5
-        rep = polynomial_cq_mean(tables_small, 4, [1, 0, 1], N)
+        rep = polynomial_cq_mean(4, [1, 0, 1], N)
         assert abs(rep.empirical - float(rep.exact_mean)) <= (
             tables_small.phi[4] * 4 / N
         )
@@ -491,20 +490,20 @@ class TestPntMean:
 
 
 class TestGoldbach:
-    def test_trivial_weights(self, tables_small):
-        assert goldbach_correlation(tables_small, 7, 1, 1) == 14
+    def test_trivial_weights(self):
+        assert goldbach_correlation(7, 1, 1) == 14
 
-    def test_alternating_weights(self, tables_small):
-        assert goldbach_correlation(tables_small, 3, 2, 2) == 6
+    def test_alternating_weights(self):
+        assert goldbach_correlation(3, 2, 2) == 6
 
-    def test_brute_force(self, tables_small):
+    def test_brute_force(self):
         N, q1, q2 = 3, 2, 3
         want = sum(
-            cq_int(tables_small, q1, n) * cq_int(tables_small, q2, 2 * N - n)
+            cq_int(q1, n) * cq_int(q2, 2 * N - n)
             for n in range(1, 2 * N + 1)
         )
-        assert goldbach_correlation(tables_small, N, q1, q2) == want
+        assert goldbach_correlation(N, q1, q2) == want
 
-    def test_invalid_args(self, tables_small):
+    def test_invalid_args(self):
         with pytest.raises(ValueError):
-            goldbach_correlation(tables_small, 0, 1, 1)
+            goldbach_correlation(0, 1, 1)

@@ -13,6 +13,22 @@ from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq
 from ramabel.ramanujan import DIRECT_MAX_Q, direct_oracle, squarefree_cq
 from ramabel.sieve import build_sieve, sigma_table
 
+# The n of every size that the table-free kernel is checked at.
+SIZES = [0, 1, -1, 2, -2, 30, -30, 2**31 - 1, 2**53 + 1,
+         2**63 - 25, 2**63, 2**64 + 6, 3 * 2**70, 10**30 + 6]
+
+
+def holder_reference(tables, q, n):
+    """c_q(n) by Hoelder's form mu(q/g) * phi(q) / phi(q/g), g = gcd(q, n),
+    read from sieve tables: q an int64 array of 1 <= q <= tables.bound, and n
+    an int of any size, reduced mod each q, or an int64 array that
+    broadcasts with q.  A second code of the kernel, for reference."""
+    q = np.asarray(q, dtype=np.int64)
+    if isinstance(n, int) and not -(2**63) <= n < 2**63:
+        n = n % q.astype(object)  # c_q(n) = c_q(n mod q), exact in Python ints
+    qg = q // np.gcd(q, np.asarray(n, dtype=np.int64))
+    return tables.mu[qg].astype(np.int64) * tables.phi[q] // tables.phi[qg]
+
 
 class TestCqInt:
     @pytest.mark.parametrize(
@@ -30,80 +46,111 @@ class TestCqInt:
             (12, 12, 4),
         ],
     )
-    def test_known_values(self, tables_small, q, n, want):
-        assert cq_int(tables_small, q, n) == want
+    def test_known_values(self, q, n, want):
+        assert cq_int(q, n) == want
 
-    def test_q_zero_convention(self, tables_small):
-        assert cq_int(tables_small, 0, 0) == 1
-        assert cq_int(tables_small, 0, 5) == 1
+    def test_q_zero_convention(self):
+        assert cq_int(0, 0) == 1
+        assert cq_int(0, 5) == 1
 
-    def test_negative_arguments(self, tables_small):
+    def test_negative_arguments(self):
         for q in range(1, 30):
             for n in range(-20, 20):
-                assert cq_int(tables_small, q, n) == cq_int(tables_small, q, -n)
-                assert cq_int(tables_small, -q, n) == cq_int(tables_small, q, n)
+                assert cq_int(q, n) == cq_int(q, -n)
+                assert cq_int(-q, n) == cq_int(q, n)
 
-    def test_out_of_range_q(self, tables_small):
-        with pytest.raises(ValueError):
-            cq_int(tables_small, tables_small.bound + 1, 1)
+    # q is taken up to 2^63 - 1 in absolute value, for an int n or an array.
+    def test_out_of_range_q(self):
+        for q in (2**63, -(2**63), 2**64 + 6, 10**30):
+            for n in (1, np.arange(3)):
+                with pytest.raises(ValueError, match=f"^q={abs(q)} outside 1..2\\^63 - 1$"):
+                    cq_int(q, n)
 
-    def test_matches_oracle_sample(self, tables_small):
+    def test_matches_oracle_sample(self):
         for q in (1, 2, 6, 30, 97, 128, 210):
             ns = np.arange(-2 * q, 2 * q + 1)
             assert np.array_equal(
-                cq_int(tables_small, q, ns), direct_oracle(q, ns)
+                cq_int(q, ns), direct_oracle(q, ns)
             )
 
-    def test_vector_over_q(self, tables_small):
-        qs = np.arange(1, 200)
-        got = cq_int(tables_small, qs, 12)
-        want = np.array([cq_int(tables_small, int(q), 12) for q in qs])
-        assert np.array_equal(got, want)
-
-    # The array forms against the scalar form, entry by entry with ==, over
-    # q = -30..200 (0 included) and n = -500..500.
-    @pytest.mark.parametrize("form", ["array q", "array n", "both arrays"])
-    def test_array_forms_match_scalar(self, tables_small, form):
+    # An array n against the scalar form, entry by entry with ==, over
+    # q = -30..200 (0 included) and n = -500..500; a 2-d n keeps its shape.
+    @pytest.mark.parametrize("form", ["array n", "2-d array n"])
+    def test_array_forms_match_scalar(self, form):
         qs, ns = np.arange(-30, 201), np.arange(-500, 501)
-        want = [[cq_int(tables_small, q, n) for n in ns.tolist()] for q in qs.tolist()]
+        want = [[cq_int(q, n) for n in ns.tolist()] for q in qs.tolist()]
         assert all(type(v) is int for v in want[0])
-        if form == "array q":
-            got = np.column_stack([cq_int(tables_small, qs, n) for n in ns.tolist()])
-        elif form == "array n":
-            got = np.array([cq_int(tables_small, q, ns) for q in qs.tolist()])
+        if form == "array n":
+            got = np.array([cq_int(q, ns) for q in qs.tolist()])
         else:
-            got = cq_int(tables_small, qs[:, None], ns)
+            got = np.array([cq_int(q, ns.reshape(7, 143)).ravel() for q in qs.tolist()])
         assert got.dtype == np.int64
         assert np.array_equal(got, np.array(want))
 
-    def test_numpy_integers_give_int(self, tables_small):
-        got = cq_int(tables_small, np.int64(6), np.int32(3))
+    def test_numpy_integers_give_int(self):
+        got = cq_int(np.int64(6), np.int32(3))
         assert type(got) is int and got == -2
-        with pytest.raises(ValueError):
-            cq_int(tables_small, np.array([5, tables_small.bound + 1]), 1)
+        with pytest.raises(ValueError, match="^q=9223372036854775808 outside"):
+            cq_int(np.uint64(2**63), 1)
 
-    def test_divisor_sum_identity(self, tables_small):
+    # The factoring kernel against the table reference at every q <= 10^4,
+    # at each n of SIZES and on an int64 array n.
+    def test_equals_table_reference_at_every_small_q(self, tables_small):
+        qs = np.arange(1, tables_small.bound + 1)
+        for n in SIZES:
+            got = [cq_int(q, n) for q in qs.tolist()]
+            assert all(type(v) is int for v in got)
+            assert np.array_equal(got, holder_reference(tables_small, qs, n)), n
+        ns = np.arange(-1000, 1001)
+        for q in qs.tolist():
+            assert np.array_equal(cq_int(q, ns), holder_reference(tables_small, q, ns)), q
+
+    # Past any table: q = 2^63 - 25 (prime), 2^62 and the product of the two
+    # primes either side of sqrt(2^63), against Hoelder's prime-power values.
+    @pytest.mark.parametrize("q, factors", [
+        (2**63 - 25, [(2**63 - 25, 1)]),
+        (2**62, [(2, 62)]),
+        (3037000453 * 3037000493, [(3037000453, 1), (3037000493, 1)]),
+    ], ids=["prime", "power-of-two", "two-primes"])
+    def test_closed_form_near_2_63(self, q, factors):
+        def closed(n):
+            c = 1
+            for p, e in factors:
+                c *= (p**e - p ** (e - 1) if n % p**e == 0
+                      else -p ** (e - 1) if n % p ** (e - 1) == 0 else 0)
+            return c
+
+        ns = [0, 1, -1, q, -q, 2 * q, q + 1, q // 2, q // 4, 3037000453, 2**61, 2**62,
+              10**30 * q, 10**30 * q + 2**61] + SIZES
+        for n in ns:
+            got = cq_int(q, n)
+            assert type(got) is int and got == closed(n), n
+        small = np.array([n for n in ns if -(2**63) <= n < 2**63], dtype=np.int64)
+        assert cq_int(q, small).tolist() == [closed(n) for n in small.tolist()]
+        assert cq_int(-q, 1) == closed(1)
+
+    def test_divisor_sum_identity(self):
         # sum over d | q of c_d(n) is q when q | n, else 0
         for q in range(1, 60):
             divs = [d for d in range(1, q + 1) if q % d == 0]
             for n in range(0, 60):
-                s = sum(cq_int(tables_small, d, n) for d in divs)
+                s = sum(cq_int(d, n) for d in divs)
                 assert s == (q if n % q == 0 else 0)
 
-    def test_sigma_bound(self, tables_small):
+    def test_sigma_bound(self):
         sig = sigma_table(200)
         for n in range(1, 201):
             for q in range(1, 100):
-                assert abs(cq_int(tables_small, q, n)) <= sig[n]
+                assert abs(cq_int(q, n)) <= sig[n]
 
     @given(
         q=st.integers(min_value=1, max_value=400),
         n=st.integers(min_value=-1000, max_value=1000),
     )
     @settings(max_examples=200, deadline=None)
-    def test_periodicity_and_oracle(self, tables_small, q, n):
-        assert cq_int(tables_small, q, n) == cq_int(tables_small, q, n + q)
-        assert cq_int(tables_small, q, n) == direct_oracle(q, n)
+    def test_periodicity_and_oracle(self, q, n):
+        assert cq_int(q, n) == cq_int(q, n + q)
+        assert cq_int(q, n) == direct_oracle(q, n)
 
     @given(
         r=st.integers(min_value=1, max_value=30),
@@ -111,10 +158,10 @@ class TestCqInt:
         n=st.integers(min_value=-50, max_value=50),
     )
     @settings(max_examples=200, deadline=None)
-    def test_multiplicativity(self, tables_small, r, s, n):
+    def test_multiplicativity(self, r, s, n):
         if math.gcd(r, s) == 1:
-            got = cq_int(tables_small, r * s, n)
-            assert got == cq_int(tables_small, r, n) * cq_int(tables_small, s, n)
+            got = cq_int(r * s, n)
+            assert got == cq_int(r, n) * cq_int(s, n)
 
 
 class TestSquarefreeCq:
@@ -125,15 +172,14 @@ class TestSquarefreeCq:
     def tables_q(self):
         return build_sieve(self.Q)
 
-    @pytest.mark.parametrize("n", [0, 1, -1, 2, -2, 30, -30, 2**31 - 1, 2**53 + 1,
-                                   2**63 - 25, 2**63, 2**64 + 6, 3 * 2**70, 10**30 + 6])
+    @pytest.mark.parametrize("n", SIZES)
     def test_equals_cq_int_at_every_squarefree_q(self, tables_q, n):
         segments = list(squarefree_cq(self.Q, n))
         q, mu, phi, c = (np.concatenate(parts) for parts in zip(*segments))
         assert len(segments) == 2 and q[-1] == self.Q  # 2^17 + 1 = 3 * 43691
         assert np.array_equal(q, np.flatnonzero(tables_q.mu))
         assert np.array_equal(mu, tables_q.mu[q]) and np.array_equal(phi, tables_q.phi[q])
-        assert np.array_equal(c, cq_int(tables_q, q, n))
+        assert np.array_equal(c, holder_reference(tables_q, q, n))
 
 
 class TestDirectOracle:
@@ -186,11 +232,11 @@ class TestCqReal:
         want = 2 * (math.cos(2 * math.pi * x / 5) + math.cos(4 * math.pi * x / 5))
         assert cq_real(5, x) == pytest.approx(want, abs=1e-12)
 
-    def test_agrees_with_integer_values(self, tables_small):
+    def test_agrees_with_integer_values(self):
         for q in range(1, 40):
             for n in range(-10, 11):
                 assert cq_real(q, float(n)) == pytest.approx(
-                    cq_int(tables_small, q, n), abs=1e-9
+                    cq_int(q, n), abs=1e-9
                 )
 
     def test_even_in_x(self):
@@ -229,17 +275,18 @@ class TestPropertyCatalog:
         assert report.all_passed
 
     def test_witnesses_of_a_damaged_table(self, tables_small):
-        # phi(7) = 5 in place of 6.  The witnesses are those the catalog
-        # found when it evaluated one (q, n) at a time: the array checks
-        # must stop at the same first counterexamples.
+        # phi(7) = 5 in place of 6.  cq_int reads no table, so the damage
+        # shows in each check that holds c_q against the table's phi, each
+        # at its first counterexample, and in no other.
         phi = tables_small.phi.copy()
         phi[7] = 5
         bad = dataclasses.replace(tables_small, phi=phi)
         rows = check_property_catalog(bad, q_max=30, n_max=100).rows()
         failed = {name: witness for name, status, witness, _ in rows if status == "FAIL"}
         assert failed == {
-            "int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1": "r=2, s=7",
-            "real a) c_q(x) = c_q(n) at integer x": "q=7, n=7",
+            "int b) c_q(0) = phi(q)": "q=7",
+            "int d) c_p(n) = phi(p) if p|n else -1 (prime q only)": "p=7",
+            "int f) |c_q(n)| <= phi(q)": "q=7",
             "real b) c_q(0) = phi(q)": "q=7",
         }
         good = check_property_catalog(tables_small, q_max=30, n_max=100).rows()
@@ -247,10 +294,10 @@ class TestPropertyCatalog:
         assert [r[3] for r in rows] == [r[3] for r in good]
         assert len(rows) == 16
 
-    def test_composite_modulus_breaks_naive_mu_formula(self, tables_small):
+    def test_composite_modulus_breaks_naive_mu_formula(self):
         # c_q(n) = mu(q/(q,n)) only when q is prime; q=4, n=2 is the
         # standard counterexample (value -2, but mu never leaves {-1,0,1}).
-        assert cq_int(tables_small, 4, 2) == -2
+        assert cq_int(4, 2) == -2
 
     def test_rows_are_renderable(self, tables_small):
         report = check_property_catalog(tables_small, q_max=10, n_max=30)

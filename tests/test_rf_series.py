@@ -105,8 +105,8 @@ class TestLambda1Series:
         for z, Q, value in trace.ladder:
             zq = z ** np.arange(1.0, Q + 1)  # numpy's array power, as the series takes it
             assert value == math.fsum(int(tables.mu[q]) / int(tables.phi[q])
-                                      * cq_int(tables, q, n) * zq[q - 1] for q in range(1, Q + 1))
-        assert cq_int(tables, 3, n) != cq_int(tables, 3, n - 1)
+                                      * cq_int(q, n) * zq[q - 1] for q in range(1, Q + 1))
+        assert cq_int(3, n) != cq_int(3, n - 1)
         below = abel_ladder(n - 1, (0.9, 0.99))
         assert [v for *_, v in trace.ladder] != [v for *_, v in below.ladder]
         assert trace.x == float(n) and trace.target == 0.0
@@ -122,13 +122,22 @@ class TestLambda1Series:
 
 
 class TestSigmaExpansion:
-    def test_n_one_is_zeta_two(self, tables):
+    def test_n_one_is_zeta_two(self):
         # sigma(1)=1 and the q=1 partial sum is pi^2/6 * 1 * 1/1
-        got = sigma_rf(tables, 1, 1)
+        got = sigma_rf(1, 1)
         assert got == pytest.approx(math.pi**2 / 6)
 
     @pytest.mark.parametrize("n", [1, 2, 12, 30, 50])
-    def test_close_to_exact(self, tables, n):
+    def test_close_to_exact(self, n):
         exact = sum(d for d in range(1, n + 1) if n % d == 0)
-        got = sigma_rf(tables, n, 10_000)
+        got = sigma_rf(n, 10_000)
         assert got == pytest.approx(exact, rel=5e-2)
+
+    def test_equals_fsum_of_cq_int(self):
+        # Kluyver's divisor scatter gives the integers of the factoring
+        # kernel, so the sum is the same fsum, bit for bit.  Q = 2^17 + 2
+        # reads mu from two table segments, the second of which overwrites
+        # mu(2) = -1 in the generator's buffer with mu(2^17 + 2) = 1.
+        for n, Q in [(n, 2000) for n in range(1, 61)] + [(30, 2**17 + 2)]:
+            want = math.fsum(float(cq_int(q, n)) / float(q) ** 2 for q in range(1, Q + 1))
+            assert sigma_rf(n, Q) == (math.pi**2 * n / 6.0) * want, n

@@ -19,17 +19,16 @@ from ramabel import (
     tuple_constant,
     twin_constant,
 )
-from ramabel import singular
+from ramabel import sieve, singular
 from ramabel.ramanujan import cq_int
 from ramabel.singular import (
     TWIN_CONSTANT_REFERENCE,
-    _prime_factors,
     _residue_counts,
     check_admissible,
     validate_linear_pair,
     validate_tuple,
 )
-from ramabel.sieve import PRIME_SEGMENT_ODDS, primes_up_to
+from ramabel.sieve import PRIME_SEGMENT_ODDS, _prime_factors, primes_up_to
 
 
 class TestTwinConstant:
@@ -146,12 +145,23 @@ class TestPrimeFactors:
         # bases 2, 3 and 5, so Miller-Rabin to those bases is proven only
         # below it; at and above the limit a cofactor that passes, composite
         # or prime, is refused.
-        monkeypatch.setattr(singular, "_MR_BASES", (2, 3, 5))
-        monkeypatch.setattr(singular, "_MR_LIMIT", 25326001)
+        monkeypatch.setattr(sieve, "_MR_BASES", (2, 3, 5))
+        monkeypatch.setattr(sieve, "_MR_LIMIT", 25326001)
         for n in (25326001, 25326023):
             with pytest.raises(ResourceLimitError, match=f"factor {n} prime: .* below 25326001$"):
                 _prime_factors(n)
         assert _prime_factors(25325981) == [(25325981, 1)]  # the prime below it
+
+    def test_rho_gives_up_past_its_step_cap(self, monkeypatch):
+        # 4294967279 * 4294967291 takes 131,070 steps, the rounds r = 1 to
+        # 2^15: refused, naming the cofactor, under a cap one step short of
+        # that, and split at it.
+        n = 4294967279 * 4294967291
+        monkeypatch.setattr(sieve, "_RHO_STEPS", 131069)
+        with pytest.raises(ResourceLimitError, match=f"no factor of {n} in 131069 steps$"):
+            _prime_factors(3 * n)
+        monkeypatch.setattr(sieve, "_RHO_STEPS", 131070)
+        assert _prime_factors(3 * n) == [(3, 1), (4294967279, 1), (4294967291, 1)]
 
 
 class TestLinearPairValidation:
@@ -369,7 +379,7 @@ class TestSeriesConstant:
     @pytest.mark.parametrize("h", [2**63, 2**64 + 6, 3 * 2**70])
     def test_series_wk_beyond_int64(self, tables_small, h):
         Q = tables_small.bound
-        want = math.fsum(1.0 / float(tables_small.phi[q]) ** 2 * cq_int(tables_small, q, h)
+        want = math.fsum(1.0 / float(tables_small.phi[q]) ** 2 * cq_int(q, h)
                          for q in range(1, Q + 1) if tables_small.mu[q])
         assert series_wk(h, Q).value == want
 

@@ -104,7 +104,8 @@ def test_tracer_records_one_primes_span_per_window(tmp_path):
 # is named by, and the span whose counts add up to its work.  The
 # tuple constant's primes include the two primes <= 3 of its admissibility
 # check; the series constant walks the primes twice.  The q-sums of
-# series_wk and abel stream the table segments and build no table.
+# series_wk and abel stream the table segments, and csum, polymean and
+# goldbach factor their q: only props builds a table.
 @pytest.mark.parametrize(
     "argv, named, counted, count",
     [
@@ -128,7 +129,7 @@ def test_tracer_records_one_primes_span_per_window(tmp_path):
          "mean_values.polynomial_cq_mean", "mean_values.polynomial_cq_mean", 5),
         (["goldbach", "--n", "3", "--q1", "2", "--q2", "2"],
          "mean_values.goldbach_correlation", "mean_values.goldbach_correlation", 6),
-        (["csum", "--q", "6", "--n", "3"], "sieve.build_sieve", "sieve.build_sieve", 7),
+        (["csum", "--q", "6", "--n", "3"], "cli.main", "sieve.build_sieve", 0),
     ],
     ids=["C2", "pair", "conjD", "tuple", "series", "series_wk", "abel", "props",
          "polymean", "goldbach", "csum"],
@@ -137,5 +138,5 @@ def test_tracer_records_constants_deck_spans(tmp_path, argv, named, counted, cou
     spans = trace_spans(tmp_path, *argv)
     assert [s["name"] for s in spans].count(named) == 1, spans
     assert sum(s["count"] for s in spans if s["name"] == counted) == count, spans
-    if named in ("singular.series_wk", "rf_series.abel_ladder"):
-        assert "sieve.build_sieve" not in {s["name"] for s in spans}, spans
+    builds = [s for s in spans if s["name"] == "sieve.build_sieve"]
+    assert len(builds) == (argv[0] == "props"), spans
