@@ -160,9 +160,9 @@ def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    _check_memory(_POLY_BYTES_PER_RESIDUE * q, f"polymean at q={q}")
     if q >= 2**31:  # Horner's rule below keeps each step under q^2 < 2^62
         raise ValueError(f"q={q} is over the limit 2^31 - 1")
+    _check_memory(_POLY_BYTES_PER_RESIDUE * q, f"polymean at q={q}")
     coeffs = list(poly)
     # f(r) mod q for every residue r by Horner's rule; each step stays below q^2.
     r = np.arange(q, dtype=np.int64)

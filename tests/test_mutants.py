@@ -1,5 +1,5 @@
 """tools/mutants.py, run on this tree with one mutant a test kills and one
-equivalent mutant that survives."""
+equivalent mutant that survives, each marked rightly and wrongly."""
 
 import json
 import subprocess
@@ -29,11 +29,18 @@ def test_killed_and_expected_survivor(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["killed: sign",
                                         "survived (expected): bound  [q is an int]",
-                                        "2 mutants, 1 killed, 0 survived unexpectedly"]
+                                        "2 mutants, 1 killed, 0 not as expected"]
 
 
 def test_unexpected_survivor_exit_one(tmp_path):
     proc = run_mutants(tmp_path, [EQUIVALENT])
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["SURVIVED: bound",
-                                        "1 mutants, 0 killed, 1 survived unexpectedly"]
+                                        "1 mutants, 0 killed, 1 not as expected"]
+
+
+def test_killed_marked_survives_exit_one(tmp_path):
+    proc = run_mutants(tmp_path, [{**SIGN, "expect": "survives", "why": "no longer true"}])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["KILLED (expected to survive): sign  [no longer true]",
+                                        "1 mutants, 1 killed, 1 not as expected"]

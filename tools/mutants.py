@@ -1,6 +1,6 @@
 """Run mutants of a source tree against the tests that should kill them.
 
-    python3 tools/mutants.py TREE MUTANTS_JSON [--timeout SECONDS]
+    python3 tools/mutants.py TREE MUTANTS_JSON
 
 MUTANTS_JSON holds a list of mutants, each an object with:
 
@@ -16,12 +16,14 @@ First the union of every mutant's tests runs on an unchanged copy of TREE,
 which must pass.  Then each mutant is applied to a fresh copy of TREE
 (without ``.git`` and caches) in a temporary directory, and its tests run
 there as ``python -m pytest -q -x`` with that copy's ``src`` on PYTHONPATH.
-A mutant is killed when pytest reports a failed test or runs past the
-timeout, and survives when every test passes.  Prints one line per mutant
-and a summary.  Exits 1 if a mutant survives that is not marked
-``"expect": "survives"``, and 2 if the file is malformed, an old text does
-not occur exactly once, the unchanged tree fails, or pytest ends in any
-other way (a node id not found, a collection error).
+A mutant is killed when pytest reports a failed test or runs past
+TIMEOUT seconds (a mutant may loop without end), and survives when every
+test passes.  Prints one line per mutant and a summary.  Exits 1 if a
+mutant's outcome is not the one expected: a survivor not marked
+``"expect": "survives"``, or a killed mutant that is so marked.  Exits 2 if
+the file is malformed, an old text does not occur exactly once, the
+unchanged tree fails, or pytest ends in any other way (a node id not
+found, a collection error).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from pathlib import Path
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench_work", ".bench_build")
 FIELDS = ("name", "path", "old", "new", "tests")
+TIMEOUT = 600.0
 
 
 class MutantError(Exception):
@@ -54,14 +57,14 @@ def read_mutants(path: Path) -> list[dict]:
     return mutants
 
 
-def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
+def run_tests(tree: Path, tests: list[str]) -> str:
     """'passed', 'failed' or 'timeout' for pytest on ``tests`` in ``tree``."""
     env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
     env["PYTHONPATH"] = str(tree / "src")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, text=True, timeout=timeout)
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     if proc.returncode not in (0, 1):
@@ -90,8 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", type=Path)
     ap.add_argument("mutants", type=Path)
-    ap.add_argument("--timeout", type=float, default=600.0,
-                    help="seconds before a mutant's test run counts as killed")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     killed = unexpected = 0
@@ -99,26 +100,28 @@ def main(argv: list[str] | None = None) -> int:
         mutants = read_mutants(args.mutants)
         with tempfile.TemporaryDirectory(prefix="mutants_") as scratch:
             tests = list(dict.fromkeys(t for m in mutants for t in m["tests"]))
-            if run_tests(copy_tree(tree, Path(scratch)), tests, args.timeout) != "passed":
+            if run_tests(copy_tree(tree, Path(scratch)), tests) != "passed":
                 raise MutantError("the unchanged tree fails the mutants' tests")
             for mutant in mutants:
                 copy = copy_tree(tree, Path(scratch))
                 apply(copy, mutant)
-                outcome = run_tests(copy, mutant["tests"], args.timeout)
+                outcome = run_tests(copy, mutant["tests"])
                 shutil.rmtree(copy.parent)
-                expected = mutant.get("expect") == "survives"
+                marked = mutant.get("expect") == "survives"
+                unexpected += marked != (outcome == "passed")
                 if outcome == "passed":
-                    unexpected += not expected
-                    label = "survived (expected)" if expected else "SURVIVED"
+                    label = "survived (expected)" if marked else "SURVIVED"
                 else:
                     killed += 1
                     label = "killed (timeout)" if outcome == "timeout" else "killed"
-                why = f"  [{mutant['why']}]" if expected and "why" in mutant else ""
+                    if marked:
+                        label = label.upper() + " (expected to survive)"
+                why = f"  [{mutant['why']}]" if marked and "why" in mutant else ""
                 print(f"{label}: {mutant['name']}{why}", flush=True)
     except (MutantError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{len(mutants)} mutants, {killed} killed, {unexpected} survived unexpectedly")
+    print(f"{len(mutants)} mutants, {killed} killed, {unexpected} not as expected")
     return 1 if unexpected else 0
 
 
