@@ -1,14 +1,14 @@
 """Empirical means and exact period averages for the sieve correlations.
 
 Every report carries a ten-checkpoint convergence trace, and periodic
-summands additionally carry the exact one-period average computed in
-integer/rational arithmetic, which is the finite-N-free value of the
-corresponding limit.  All float reductions run over fixed-size contiguous
-blocks combined in ascending order.  The weighted prime correlations take
-N and no tables, and stream: each block of n reads Lambda from the windows
-of ``sieve.lambda_windows`` over the ranges its factors read, n + gap,
-n + offset or (b n + l)/a, so a mean holds one block and a few windows of
-primes whatever N is.
+summands additionally carry the exact one-period average, the finite-N-free
+value of the corresponding limit: its sum is exact in int64
+(``_periodic_trace``), and only the average is a ``Fraction``.  All float
+reductions run over fixed-size contiguous blocks combined in ascending
+order.  The weighted prime correlations take N and no tables, and stream:
+each block of n reads Lambda from the windows of ``sieve.lambda_windows``
+over the ranges its factors read, n + gap, n + offset or (b n + l)/a, so a
+mean holds one block and a few windows of primes whatever N is.
 """
 
 from __future__ import annotations
@@ -114,41 +114,33 @@ def _array_trace(ns: list[int], blocks: Callable[[int, int], Iterator[np.ndarray
     return [list(zip(ns, col)) for col in zip(*means)]
 
 
-def _periodic_trace(period_vals: Sequence[int], N: int) -> list[tuple[int, float]]:
-    """Checkpoint means of a summand periodic in n with period len(period_vals).
-
-    period_vals[i] is the summand at n = i + 1.  All partial sums are exact
-    integers; only the final division is floating point.
+def _periodic_trace(period: np.ndarray, N: int) -> tuple[list[tuple[int, float]], Fraction]:
+    """Checkpoint means and exact mean of a summand periodic in n; the int64
+    period[i] is the summand at n = i + 1, of period L.  Its sums are exact:
+    any sum of its entries is below L^2 < 2^62.  In ``polynomial_cq_mean``,
+    L = q and |c_q| <= phi(q) < q.  In ``cq_orthogonality``, L = lcm(r, s),
+    and the sum of c_r(n)^2 over n <= L is L phi(r), since it is q phi(q)
+    over n <= q; so by Cauchy-Schwarz, and for each product,
+    |sum| <= L sqrt(phi(r) phi(s)) < L^2.
     """
-    L = len(period_vals)
-    period_sum = sum(period_vals)
-    prefix = [0]
-    for v in period_vals:
-        prefix.append(prefix[-1] + v)
-
-    def total(n: int) -> int:
-        return (n // L) * period_sum + prefix[n % L]
-
-    return [(n_i, total(n_i) / n_i) for n_i in _checkpoint_ns(N)]
+    L, total = period.size, int(period.sum())
+    trace = [(n, ((n // L) * total + int(period[: n % L].sum())) / n) for n in _checkpoint_ns(N)]
+    return trace, Fraction(total, L)
 
 
 def cq_orthogonality(r: int, s: int, m: int, N: int) -> MeanValueReport:
-    """Mean of c_r(n) c_s(n+m); the limit is c_r(m) when r = s, else 0."""
+    """Mean of c_r(n) c_s(n+m), of period L = lcm(r, s) < 2^31; the limit
+    is c_r(m) when r = s, else 0."""
     if r < 1 or s < 1:
         raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
     L = math.lcm(r, s)
-    n = np.arange(1, L + 1)
+    if L >= 2**31:  # _periodic_trace's int64 sums are exact below it
+        raise ValueError(f"L = lcm(r, s) = {L} is over the limit 2^31 - 1")
+    n = np.arange(1, L + 1, dtype=np.int64)
     # c_s has period s, so m % s keeps n + m in int64 for any integer m.
-    period = (cq_int(r, n) * cq_int(s, n + m % s)).tolist()
-    exact = Fraction(sum(period), L)
+    trace, exact = _periodic_trace(cq_int(r, n) * cq_int(s, n + m % s), N)
     predicted = float(cq_int(r, m)) if r == s else 0.0
-    return _report(
-        f"cq_orthogonality(r={r},s={s},m={m})",
-        N,
-        _periodic_trace(period, N),
-        predicted,
-        exact,
-    )
+    return _report(f"cq_orthogonality(r={r},s={s},m={m})", N, trace, predicted, exact)
 
 
 def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
@@ -164,21 +156,13 @@ def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
         raise ValueError(f"q={q} is over the limit 2^31 - 1")
     _check_memory(_POLY_BYTES_PER_RESIDUE * q, f"polymean at q={q}")
     coeffs = list(poly)
-    # f(r) mod q for every residue r by Horner's rule; each step stays below q^2.
-    r = np.arange(q, dtype=np.int64)
+    # f(n) mod q for n = 1..q, the period, by Horner's rule; each step stays below q^2.
+    n = np.arange(1, q + 1, dtype=np.int64)
     f_mod = np.zeros(q, dtype=np.int64)
     for c in reversed(coeffs):
-        f_mod = (f_mod * r + c % q) % q
-    by_residue = cq_int(q, f_mod).tolist()
-    period = by_residue[1:] + by_residue[:1]  # n = 1..q
-    exact = Fraction(sum(by_residue), q)
-    return _report(
-        f"polynomial_cq_mean(q={q},poly={coeffs})",
-        N,
-        _periodic_trace(period, N),
-        float(exact),
-        exact,
-    )
+        f_mod = (f_mod * n + c % q) % q
+    trace, exact = _periodic_trace(cq_int(q, f_mod), N)
+    return _report(f"polynomial_cq_mean(q={q},poly={coeffs})", N, trace, float(exact), exact)
 
 
 class _Weights:

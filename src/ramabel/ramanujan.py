@@ -157,8 +157,10 @@ def check_property_catalog(
 
     Each check is a lazy generator of witnesses in a fixed order; the first
     is reported.  ``for v in a[bad][:1]`` takes the first failing point of
-    an array, if any.  The cosine sums are computed once per modulus on
-    each set of points and shared by the checks that read them.
+    an array, if any.  Every sum over an array of points, c_q at |n| <= n_max
+    and the cosine sums, is computed once per q and shared by the checks that
+    read it: q_max (3 n_max + 12) values of 8 bytes, 1 MB at q_max = n_max =
+    200 and 24 MB at 1000.
     """
     if q_max < 1 or n_max < 0:
         raise ValueError(f"need q_max >= 1 and n_max >= 0, got q_max={q_max}, n_max={n_max}")
@@ -175,6 +177,7 @@ def check_property_catalog(
     real_at_pos = {q: cq_real(q, pos.astype(np.float64)) for q in qs}
     real_at_ints = {q: cq_real(q, ints) for q in qs}
     real_at_xs = {q: cq_real(q, xs) for q in qs0}
+    at_ns = {q: cq_int(q, ns) for q in qs}
 
     # (name, witnesses, note)
     checks = [
@@ -186,25 +189,25 @@ def check_property_catalog(
          (f"q={q}" for q in qs if cq_int(q, 1) != int(mu[q])), ""),
         ("int d) c_p(n) = phi(p) if p|n else -1 (prime q only)",
          (f"p={p}" for p in qs if p >= 2 and int(tables.spf[p]) == p
-          and not np.array_equal(cq_int(p, ns), np.where(ns % p == 0, int(phi[p]), -1))),
+          and not np.array_equal(at_ns[p], np.where(ns % p == 0, int(phi[p]), -1))),
          "restricted to prime q; false at composite q (c_4(2) = -2)"),
         ("int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1",
          (f"r={r}, s={s}" for r, s in coprime
-          if not np.array_equal(cq_int(r * s, ns), cq_int(r, ns) * cq_int(s, ns))),
+          if not np.array_equal(at_ns[r * s], at_ns[r] * at_ns[s])),
          "tested in the corrected c_r*c_s form; source prints c_s twice"),
         ("int f) |c_q(n)| <= phi(q)",
-         (f"q={q}" for q in qs if np.abs(cq_int(q, ns)).max() > int(phi[q])), ""),
+         (f"q={q}" for q in qs if np.abs(at_ns[q]).max() > int(phi[q])), ""),
         ("int g) |c_q(n)| <= sigma(n), n >= 1",
-         (f"q={q}, n={n}" for q in qs for n in pos[np.abs(cq_int(q, pos)) > sig[pos]][:1]),
+         (f"q={q}, n={n}" for q in qs for n in pos[np.abs(at_ns[q][n_max + 1 :]) > sig[pos]][:1]),
          ""),
         ("int h) c_q(n) = c_q(-n)",
-         (f"q={q}" for q in qs if not np.array_equal(cq_int(q, ns), cq_int(q, -ns))), ""),
+         (f"q={q}" for q in qs if not np.array_equal(at_ns[q], cq_int(q, -ns))), ""),
         ("int i) c_q(n) = c_{-q}(n)",
          (f"({q}, {n})" for q in qs for n in (0, 1, 2, n_max)
           if cq_int(q, n) != cq_int(-q, n)), ""),
         ("real a) c_q(x) = c_q(n) at integer x",
          (f"q={q}, n={n}" for q in qs
-          for n in pos[np.abs(real_at_pos[q] - cq_int(q, pos)) > 1e-9][:1]), ""),
+          for n in pos[np.abs(real_at_pos[q] - at_ns[q][n_max + 1 :]) > 1e-9][:1]), ""),
         ("real b) c_q(0) = phi(q)",
          (f"q={q}" for q in qs0
           if abs(cq_real(q, 0.0) - (1.0 if q == 0 else float(phi[q]))) > 1e-9),

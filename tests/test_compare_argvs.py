@@ -1,6 +1,7 @@
-"""tools/compare_argvs.py, run on this tree against itself and against a
-copy that differs in one manifest field."""
+"""tools/compare_argvs.py, run on this tree against itself, against a
+copy that differs in one manifest field, and with its time limit cut."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_argvs.py"
+SLOW = "singular --form C2 --p 100000000"  # sieves the primes below 10^8
 
 
 def compare(tree_a, tree_b, argv_file):
@@ -40,3 +42,37 @@ def test_changed_version_is_a_difference(tmp_path):
     proc = compare(ROOT, tree, argvs)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[0] == "DIFF out/csum_manifest.json: csum --q 6 --n 3"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("compare_argvs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_timeout_on_both_sides_is_the_same(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "TIMEOUT", 0.1)
+    argvs = tmp_path / "argvs.txt"
+    argvs.write_text(SLOW + "\n")
+    assert tool.main([str(ROOT), str(ROOT), str(argvs)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"same (exit timeout): {SLOW}"
+    assert lines[1].startswith("1 argvs, 0 differ;")
+
+
+def test_timeout_on_one_side_is_a_difference(tmp_path, monkeypatch, capsys):
+    # A tree whose package exits at import, well inside the limit that the
+    # slow argv overruns on this tree.
+    fast = tmp_path / "fast"
+    (fast / "src" / "ramabel").mkdir(parents=True)
+    (fast / "src" / "ramabel" / "__init__.py").write_text("raise SystemExit(0)\n")
+    tool = load_tool()
+    monkeypatch.setattr(tool, "TIMEOUT", 0.25)
+    argvs = tmp_path / "argvs.txt"
+    argvs.write_text(SLOW + "\n")
+    assert tool.main([str(ROOT), str(fast), str(argvs)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == f"DIFF exit, stderr, stdout: {SLOW}"
+    assert "  A exit: 'timeout'\n  B exit: 0\n" in out

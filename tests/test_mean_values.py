@@ -52,6 +52,17 @@ def _dense_array_trace(vals, ns, block=_BLOCK):
     return trace
 
 
+def _python_int_mean(period, N):
+    """Reference for the int64 period sums: the checkpoint trace and exact
+    mean of a period held as Python ints, summed through a prefix list."""
+    L = len(period)
+    prefix = [0]
+    for v in period:
+        prefix.append(prefix[-1] + v)
+    trace = [(n, ((n // L) * prefix[L] + prefix[n % L]) / n) for n in _checkpoint_ns(N)]
+    return trace, Fraction(prefix[L], L)
+
+
 def _direct_conjd_trace(dense, a, b, l, N, weight, block=_BLOCK):
     """Reference: the direct modular filter over n = 1..N of the dense
     (lam, lam1)."""
@@ -278,6 +289,28 @@ class TestOrthogonality:
                          for n in range(1, n_i + 1))
             assert mean == direct / n_i
 
+    # Long periods, whose sums reach about 10^12: a large prime, a power of
+    # two and L = 999 * 1001 = 999,999, against Python-int products and sums.
+    @pytest.mark.parametrize("r, s, m", [(999983, 999983, 0), (999983, 999983, 5),
+                                         (2**20, 2**20, 2**19), (999, 1001, 7)])
+    def test_long_period_equals_python_ints(self, r, s, m):
+        L = math.lcm(r, s)
+        n = np.arange(1, L + 1, dtype=np.int64)
+        period = [a * b for a, b in zip(cq_int(r, n).tolist(), cq_int(s, n + m).tolist())]
+        rep = cq_orthogonality(r, s, m, 3 * L + 12345)
+        assert (rep.trace, rep.exact_mean) == _python_int_mean(period, 3 * L + 12345)
+
+    # L = 65537 * 32768 and 2^31: refused, naming L, before any array is made.
+    @pytest.mark.parametrize("r, s", [(65537, 32768), (2**31, 1)])
+    def test_period_limit(self, monkeypatch, r, s):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange called before the period limit")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        L = r * s
+        with pytest.raises(ValueError, match=rf"^L = lcm\(r, s\) = {L} is over the limit 2\^31 - 1$"):
+            cq_orthogonality(r, s, 1, 10)
+
     def test_empirical_within_partial_period_bound(self, tables_small):
         N = 10**4
         for r, s, m in [(3, 3, 1), (4, 6, 2), (5, 7, 0), (12, 12, 5)]:
@@ -318,6 +351,21 @@ class TestPolynomialMean:
             direct = sum(cq_int(q, sum(c * n**k for k, c in enumerate(poly)))
                          for n in range(1, n_i + 1))
             assert mean == direct / n_i
+
+    # A large prime and a power of two, against c_q read at f(n) mod q with
+    # f evaluated in Python ints, and summed in Python ints.
+    @pytest.mark.parametrize("q, poly", [(999983, [0]), (999983, [3, -5, 7]),
+                                         (2**20, [0, 0, 1]), (2**20, [1, 10**20, 6])])
+    def test_long_period_equals_python_ints(self, q, poly):
+        by_residue = cq_int(q, np.arange(q, dtype=np.int64)).tolist()
+        period = []
+        for n in range(1, q + 1):
+            f = 0
+            for c in reversed(poly):
+                f = f * n + c
+            period.append(by_residue[f % q])
+        rep = polynomial_cq_mean(q, poly, 3 * q + 12345)
+        assert (rep.trace, rep.exact_mean) == _python_int_mean(period, 3 * q + 12345)
 
     def test_partial_period_bound(self, tables_small):
         N = 10**5

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq_real
+from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq_real, ramanujan
 from ramabel.ramanujan import DIRECT_MAX_Q, direct_oracle, squarefree_cq
 from ramabel.sieve import build_sieve, sigma_table
 
@@ -293,6 +293,28 @@ class TestPropertyCatalog:
         assert [r[0] for r in rows] == [r[0] for r in good]
         assert [r[3] for r in rows] == [r[3] for r in good]
         assert len(rows) == 16
+
+    def test_witnesses_of_a_damaged_cq_int(self, monkeypatch, tables_small):
+        # c_7(3) = -1 read as 100 in every array that cq_int returns.  Each
+        # check reading the shared arrays at (7, 3) names that point, at its
+        # first counterexample, and the scalar checks all pass.
+        exact = ramanujan.cq_int
+
+        def damaged(q, n):
+            c = exact(q, n)
+            return c if isinstance(n, int) or q != 7 else np.where(np.asarray(n) == 3, 100, c)
+
+        monkeypatch.setattr(ramanujan, "cq_int", damaged)
+        rows = check_property_catalog(tables_small, q_max=30, n_max=100).rows()
+        failed = {name: witness for name, status, witness, _ in rows if status == "FAIL"}
+        assert failed == {
+            "int d) c_p(n) = phi(p) if p|n else -1 (prime q only)": "p=7",
+            "int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1": "r=2, s=7",
+            "int f) |c_q(n)| <= phi(q)": "q=7",
+            "int g) |c_q(n)| <= sigma(n), n >= 1": "q=7, n=3",
+            "int h) c_q(n) = c_q(-n)": "q=7",
+            "real a) c_q(x) = c_q(n) at integer x": "q=7, n=3",
+        }
 
     def test_composite_modulus_breaks_naive_mu_formula(self):
         # c_q(n) = mu(q/(q,n)) only when q is prime; q=4, n=2 is the

@@ -12,8 +12,10 @@ cache of its own.  Which tree runs first alternates from one argv to the next.
 
 The two runs must give the same exit code, stdout, stderr, the same bytes in
 every file left under D, and the same manifest but for ``duration_s``; D is
-written as ``{tmp}`` before anything is compared.  Prints one line per argv
-and exits 1 if any argv differs.
+written as ``{tmp}`` before anything is compared.  A run still going after
+TIMEOUT seconds is killed and leaves only the exit ``"timeout"``, so two
+runs that time out are the same, and a timeout on one side only is a
+difference.  Prints one line per argv and exits 1 if any argv differs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import tempfile
 import time
 from pathlib import Path
 
+TIMEOUT = 600.0
+
 
 def read_argvs(path: Path) -> list[list[str]]:
     argvs = []
@@ -43,14 +47,17 @@ def read_argvs(path: Path) -> list[list[str]]:
 
 def run(tree: Path, argv: list[str]) -> tuple[dict, float]:
     """What one fresh process of ``tree`` leaves for ``argv``, with its
-    temporary directory written as {tmp}; and its wall time."""
+    temporary directory written as {tmp}, or its timeout; and its wall time."""
     env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
     env["PYTHONPATH"] = str(tree / "src")
     with tempfile.TemporaryDirectory(prefix="compare_argvs_") as tmp:
         full = ["--out", f"{tmp}/out"] + [a.replace("{tmp}", tmp) for a in argv]
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "ramabel.cli", *full],
-                              env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ramabel.cli", *full],
+                                  env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return {"exit": "timeout"}, time.perf_counter() - start
         wall = time.perf_counter() - start
         result = {"exit": proc.returncode,
                   "stdout": proc.stdout.replace(tmp, "{tmp}"),
