@@ -1,14 +1,14 @@
 """Empirical means and exact period averages for the sieve correlations.
 
 Every report carries a ten-checkpoint convergence trace, and periodic
-summands additionally carry the exact one-period average, the finite-N-free
-value of the corresponding limit: its sum is exact in int64
-(``_periodic_trace``), and only the average is a ``Fraction``.  All float
-reductions run over fixed-size contiguous blocks combined in ascending
-order.  The weighted prime correlations take N and no tables, and stream:
-each block of n reads Lambda from the windows of ``sieve.lambda_windows``
-over the ranges its factors read, n + gap, n + offset or (b n + l)/a, so a
-mean holds one block and a few windows of primes whatever N is.
+summands also carry the exact one-period average, the limit.  Their sums
+and the Goldbach sum are exact, in int64 over chunks of one period
+(``_period_sums``), whatever q, L or N.  All float reductions run over
+fixed-size contiguous blocks combined in ascending order.  The weighted
+prime correlations take N and no tables, and stream: each block of n reads
+Lambda from the windows of ``sieve.lambda_windows`` over the ranges its
+factors read, n + gap, n + offset or (b n + l)/a, so a mean holds one block
+and a few windows of primes whatever N is.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ import numpy as np
 from . import singular
 from .errors import ResourceLimitError
 from .ramanujan import cq_int
-from .sieve import MAX_PRIMES, _check_memory, lambda_windows, pi_bound
+from .sieve import MAX_PRIMES, lambda_windows, pi_bound
 
 _BLOCK = 1 << 20
-# polynomial_cq_mean's peak RSS rose by 49 bytes a residue at q = 10^6 and 4 * 10^6.
-_POLY_BYTES_PER_RESIDUE = 50
+# The n of one chunk of an exact period sum, and the summand it takes (``_period_sums``).
+_CHUNK = 1 << 18
+_Summand = Callable[[np.ndarray], np.ndarray]
 # Each weight's column in ``_Weights``.
 _COLUMNS = {"lambda": 0, "lambda1": 1}
 
@@ -114,18 +115,28 @@ def _array_trace(ns: list[int], blocks: Callable[[int, int], Iterator[np.ndarray
     return [list(zip(ns, col)) for col in zip(*means)]
 
 
-def _periodic_trace(period: np.ndarray, N: int) -> tuple[list[tuple[int, float]], Fraction]:
-    """Checkpoint means and exact mean of a summand periodic in n; the int64
-    period[i] is the summand at n = i + 1, of period L.  Its sums are exact:
-    any sum of its entries is below L^2 < 2^62.  In ``polynomial_cq_mean``,
-    L = q and |c_q| <= phi(q) < q.  In ``cq_orthogonality``, L = lcm(r, s),
-    and the sum of c_r(n)^2 over n <= L is L phi(r), since it is q phi(q)
-    over n <= q; so by Cauchy-Schwarz, and for each product,
-    |sum| <= L sqrt(phi(r) phi(s)) < L^2.
-    """
-    L, total = period.size, int(period.sum())
-    trace = [(n, ((n // L) * total + int(period[: n % L].sum())) / n) for n in _checkpoint_ns(N)]
-    return trace, Fraction(total, L)
+def _period_sums(L: int, ms: Sequence[int], summand: _Summand) -> list[int]:
+    """Exact sums over n = 1..m, as ints, one for each m in ms, 0 <= m <= L, of
+    a summand of period L < 2^31 that maps an int64 array of n to its int64
+    values; it is called on ascending chunks of _CHUNK n, for n <= max(ms) only.
+    Each int64 sum is over at most L consecutive n, so below L^2 < 2^62.  For
+    c_q(f(n)), L = q and |c_q| <= phi(q) < q.  For c_r(n) c_s(n'), n' = n + m or
+    2N - n and L = lcm(r, s): c_r(n)^2 sums to r phi(r) over any r consecutive
+    n, and L / r such runs cover at most L consecutive n, where it sums to at
+    most L phi(r); by Cauchy-Schwarz |sum| <= L sqrt(phi(r) phi(s)) < L^2."""
+    top, done, sums = max(ms), 0, {0: 0}
+    for lo in range(0, top, _CHUNK):
+        v = summand(np.arange(lo + 1, min(lo + _CHUNK, top) + 1, dtype=np.int64))
+        sums |= {m: done + int(v[: m - lo].sum()) for m in ms if lo < m <= lo + v.size}
+        done += int(v.sum())
+    return [sums[m] for m in ms]
+
+
+def _periodic_trace(L: int, N: int, summand: _Summand) -> tuple[list[tuple[int, float]], Fraction]:
+    """Checkpoint means and exact mean of a summand as ``_period_sums`` takes it."""
+    ns = _checkpoint_ns(N)
+    *parts, total = _period_sums(L, [n % L for n in ns] + [L], summand)
+    return [(n, ((n // L) * total + p) / n) for n, p in zip(ns, parts)], Fraction(total, L)
 
 
 def cq_orthogonality(r: int, s: int, m: int, N: int) -> MeanValueReport:
@@ -134,11 +145,10 @@ def cq_orthogonality(r: int, s: int, m: int, N: int) -> MeanValueReport:
     if r < 1 or s < 1:
         raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
     L = math.lcm(r, s)
-    if L >= 2**31:  # _periodic_trace's int64 sums are exact below it
+    if L >= 2**31:  # _period_sums' int64 sums are exact below it
         raise ValueError(f"L = lcm(r, s) = {L} is over the limit 2^31 - 1")
-    n = np.arange(1, L + 1, dtype=np.int64)
     # c_s has period s, so m % s keeps n + m in int64 for any integer m.
-    trace, exact = _periodic_trace(cq_int(r, n) * cq_int(s, n + m % s), N)
+    trace, exact = _periodic_trace(L, N, lambda n: cq_int(r, n) * cq_int(s, n + m % s))
     predicted = float(cq_int(r, m)) if r == s else 0.0
     return _report(f"cq_orthogonality(r={r},s={s},m={m})", N, trace, predicted, exact)
 
@@ -154,14 +164,13 @@ def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
         raise ValueError(f"q must be >= 1, got {q}")
     if q >= 2**31:  # Horner's rule below keeps each step under q^2 < 2^62
         raise ValueError(f"q={q} is over the limit 2^31 - 1")
-    _check_memory(_POLY_BYTES_PER_RESIDUE * q, f"polymean at q={q}")
     coeffs = list(poly)
-    # f(n) mod q for n = 1..q, the period, by Horner's rule; each step stays below q^2.
-    n = np.arange(1, q + 1, dtype=np.int64)
-    f_mod = np.zeros(q, dtype=np.int64)
-    for c in reversed(coeffs):
-        f_mod = (f_mod * n + c % q) % q
-    trace, exact = _periodic_trace(cq_int(q, f_mod), N)
+    def summand(n: np.ndarray) -> np.ndarray:  # c_q(f(n) mod q), each Horner step below q^2
+        f_mod = np.zeros_like(n)
+        for c in reversed(coeffs):
+            f_mod = (f_mod * n + c % q) % q
+        return cq_int(q, f_mod)
+    trace, exact = _periodic_trace(q, N, summand)
     return _report(f"polynomial_cq_mean(q={q},poly={coeffs})", N, trace, float(exact), exact)
 
 
@@ -360,10 +369,14 @@ def pnt_mean(N: int) -> MeanValueReport:
 
 
 def goldbach_correlation(N: int, q1: int, q2: int) -> int:
-    """Exact finite sum over n = 1..2N of c_{q1}(n) * c_{q2}(2N - n)."""
+    """Exact finite sum over n = 1..2N of c_{q1}(n) * c_{q2}(2N - n), N of any size:
+    (2N // L) times the sum over one period L = lcm(q1, q2) < 2^31, plus the sum to 2N % L."""
     if N < 1 or q1 < 1 or q2 < 1:
         raise ValueError(f"need N, q1, q2 >= 1, got N={N}, q1={q1}, q2={q2}")
-    ns = np.arange(1, 2 * N + 1, dtype=np.int64)
-    c1 = cq_int(q1, ns)
-    c2 = cq_int(q2, 2 * N - ns)
-    return int(np.sum(c1 * c2))
+    L = math.lcm(q1, q2)
+    if L >= 2**31:  # _period_sums' int64 sums are exact below it
+        raise ValueError(f"L = lcm(q1, q2) = {L} is over the limit 2^31 - 1")
+    whole, part = divmod(2 * N, L)
+    S, rest = _period_sums(L, [L if whole else 0, part],
+                           lambda n: cq_int(q1, n) * cq_int(q2, 2 * N % q2 - n))
+    return whole * S + rest

@@ -25,7 +25,7 @@ from ramabel import (
 )
 from ramabel import mean_values, sieve
 from ramabel.errors import ResourceLimitError
-from ramabel.mean_values import _BLOCK, _Weights, _array_trace, _checkpoint_ns
+from ramabel.mean_values import _BLOCK, _CHUNK, _Weights, _array_trace, _checkpoint_ns
 from ramabel.singular import validate_linear_pair
 
 
@@ -367,6 +367,21 @@ class TestPolynomialMean:
         rep = polynomial_cq_mean(q, poly, 3 * q + 12345)
         assert (rep.trace, rep.exact_mean) == _python_int_mean(period, 3 * q + 12345)
 
+    # Periods at the chunk edges of the exact sums, with checkpoints whose
+    # n % q falls on a chunk boundary, beside one, or on 0 (whole periods).
+    @pytest.mark.parametrize("q", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1],
+                             ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    def test_chunk_edges_equal_python_ints(self, q):
+        by_residue = cq_int(q, np.arange(q, dtype=np.int64)).tolist()
+        period = [by_residue[(3 - 5 * n + 7 * n * n) % q] for n in range(1, q + 1)]
+        rests = set()
+        for t in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, q, 10 * _CHUNK):
+            N = 2 * q + t
+            rep = polynomial_cq_mean(q, [3, -5, 7], N)
+            assert (rep.trace, rep.exact_mean) == _python_int_mean(period, N)
+            rests |= {n % q for n, _ in rep.trace}
+        assert {0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK} & set(range(q)) <= rests
+
     def test_partial_period_bound(self, tables_small):
         N = 10**5
         rep = polynomial_cq_mean(4, [1, 0, 1], N)
@@ -545,12 +560,45 @@ class TestGoldbach:
         assert goldbach_correlation(3, 2, 2) == 6
 
     def test_brute_force(self):
-        N, q1, q2 = 3, 2, 3
-        want = sum(
-            cq_int(q1, n) * cq_int(q2, 2 * N - n)
-            for n in range(1, 2 * N + 1)
-        )
-        assert goldbach_correlation(N, q1, q2) == want
+        # Every q1, q2 <= 12 at every N <= 50, against the direct sum, with
+        # c_q(k) for 0 <= k <= 100 from one table of Python ints.
+        c = {q: [cq_int(q, k) for k in range(101)] for q in range(1, 13)}
+        for q1 in range(1, 13):
+            for q2 in range(1, 13):
+                for N in range(1, 51):
+                    want = sum(c[q1][n] * c[q2][2 * N - n] for n in range(1, 2 * N + 1))
+                    assert goldbach_correlation(N, q1, q2) == want, (N, q1, q2)
+
+    # N past 2^40, against the sum over one period of L = lcm(q1, q2) and
+    # one partial period in Python ints, at c_{q2}(2N - n) itself.
+    @pytest.mark.parametrize("N, q1, q2", [
+        (2**41 + 3, 30, 12), (2**41 + 3, 97, 840), (10**12, 30, 12), (10**12, 7, 9),
+        (10**12, 64, 1000), (10**30 + 1, 1, 1), (10**30 + 1, 97, 12)])
+    def test_past_2_40_equals_python_int_period(self, N, q1, q2):
+        L = math.lcm(q1, q2)
+        whole, part = divmod(2 * N, L)
+        terms = [cq_int(q1, n) * cq_int(q2, 2 * N - n) for n in range(1, L + 1)]
+        assert goldbach_correlation(N, q1, q2) == whole * sum(terms) + sum(terms[:part])
+
+    # 2N below one period reads only n <= 2N: at the prime L = 2^31 - 1, the
+    # largest L let through, a whole period would take minutes.
+    def test_short_of_one_period(self):
+        q = 2**31 - 1
+        assert goldbach_correlation(3, q, 1) == sum(cq_int(q, n) for n in range(1, 7)) == -6
+
+    # L = lcm(q1, q2) >= 2^31 is refused, naming L, before any array is made:
+    # past it the int64 sums could wrap (at q2 = 2^63 - 25, to -50 where the
+    # sum is 18446744073709551566).
+    @pytest.mark.parametrize("N, q1, q2", [(3, 6, 2**63 - 25), (3, 2**31, 1), (10**6, 65537, 32768),
+                                           (3, 3 * 10**9, 2)])
+    def test_period_limit(self, monkeypatch, N, q1, q2):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange called before the period limit")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        L = math.lcm(q1, q2)
+        with pytest.raises(ValueError, match=rf"^L = lcm\(q1, q2\) = {L} is over the limit 2\^31 - 1$"):
+            goldbach_correlation(N, q1, q2)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

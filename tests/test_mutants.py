@@ -1,5 +1,6 @@
 """tools/mutants.py, run on this tree with one mutant a test kills and one
-equivalent mutant that survives, each marked rightly and wrongly."""
+equivalent mutant that survives, each marked rightly and wrongly; and
+tools/mutants.json, read against this tree without running a mutant."""
 
 import json
 import subprocess
@@ -44,3 +45,13 @@ def test_killed_marked_survives_exit_one(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["KILLED (expected to survive): sign  [no longer true]",
                                         "1 mutants, 1 killed, 1 not as expected"]
+
+
+def test_every_old_text_occurs_once():
+    # A mutant whose old text the code no longer holds, or holds twice, would
+    # stop the runner; this finds it without running a mutant.
+    mutants = json.loads((ROOT / "tools" / "mutants.json").read_text(encoding="utf-8"))
+    counts = {m["name"]: (ROOT / m["path"]).read_text(encoding="utf-8").count(m["old"])
+              for m in mutants}
+    assert len(counts) == len(mutants)
+    assert {name: n for name, n in counts.items() if n != 1} == {}
