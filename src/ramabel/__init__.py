@@ -18,7 +18,6 @@ from .ramanujan import (
 )
 from .rf_series import (
     AbelTrace,
-    SeriesParams,
     abel_ladder,
     lambda1_at,
     lambda1_series,

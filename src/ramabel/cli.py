@@ -48,6 +48,12 @@ LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 GLOBAL_OPTIONS = ("out", "cache_dir", "threads", "command")
 
 
+def _mean_rows(*reports: mean_values.MeanValueReport) -> list[list]:
+    """The REPORT_HEADER rows of each report in turn, one per checkpoint."""
+    return [[r.label, n, mean, r.predicted, abs(mean - r.predicted)]
+            for r in reports for n, mean in r.trace]
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
@@ -234,7 +240,7 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
 
     if cmd == "autocorr":
         report = mean_values.pair_autocorrelation(args.gap, args.n, P=args.p, weight=args.weights)
-        return (args.n + args.gap, REPORT_HEADER, report.csv_rows(),
+        return (args.n + args.gap, REPORT_HEADER, _mean_rows(report),
                 f"{report.label}: empirical={report.empirical:.12g} "
                 f"predicted={report.predicted:.12g}")
 
@@ -242,27 +248,25 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
         singular.validate_linear_pair(args.a, args.b, args.l)
         bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
         report = mean_values.conjecture_d_mean(args.a, args.b, args.l, args.n, P=args.p)
-        return (bound, REPORT_HEADER, report.csv_rows(),
+        return (bound, REPORT_HEADER, _mean_rows(report),
                 f"{report.label}: empirical={report.empirical:.12g} "
                 f"predicted={report.predicted:.12g}")
 
     if cmd == "tuple":
         offsets = singular.validate_tuple(args.offsets)
-        result = mean_values.tuple_mean(offsets, args.n, P=args.p)
-        rows = result.lambda_weighted.csv_rows() + result.lambda1_weighted.csv_rows()
-        return (args.n + offsets[-1], REPORT_HEADER, rows,
-                f"tuple {offsets}: lambda={result.lambda_weighted.empirical:.12g} "
-                f"lambda1={result.lambda1_weighted.empirical:.12g} "
-                f"predicted={result.lambda1_weighted.predicted:.12g}")
+        lam, lam1 = mean_values.tuple_mean(offsets, args.n, P=args.p)
+        return (args.n + offsets[-1], REPORT_HEADER, _mean_rows(lam, lam1),
+                f"tuple {offsets}: lambda={lam.empirical:.12g} "
+                f"lambda1={lam1.empirical:.12g} predicted={lam1.predicted:.12g}")
 
     if cmd == "pnt":
         report = mean_values.pnt_mean(args.n)
-        return (args.n, REPORT_HEADER, report.csv_rows(),
+        return (args.n, REPORT_HEADER, _mean_rows(report),
                 f"pnt_mean: empirical={report.empirical:.12g} predicted=1")
 
     if cmd == "polymean":
         report = mean_values.polynomial_cq_mean(args.q, args.poly, args.n)
-        return (args.q, REPORT_HEADER, report.csv_rows(),
+        return (args.q, REPORT_HEADER, _mean_rows(report),
                 f"{report.label}: empirical={report.empirical:.12g} "
                 f"exact={report.exact_mean}")
 

@@ -1,14 +1,17 @@
 """Empirical means and exact period averages for the sieve correlations.
 
-Every report carries a ten-checkpoint convergence trace, and periodic
-summands also carry the exact one-period average, the limit.  Their sums
-and the Goldbach sum are exact, in int64 over chunks of one period
+A ``MeanValueReport`` holds a label, a ten-checkpoint convergence trace and
+the predicted limit; ``cli`` writes its CSV rows.  Periodic summands also
+carry the exact one-period average, the limit.  Their sums and the
+Goldbach sum are exact, in int64 over chunks of one period
 (``_period_sums``), whatever q, L or N.  All float reductions run over
 fixed-size contiguous blocks combined in ascending order.  The weighted
 prime correlations take N and no tables, and stream: each block of n reads
 Lambda from the windows of ``sieve.lambda_windows`` over the ranges its
 factors read, n + gap, n + offset or (b n + l)/a, so a mean holds one block
-and a few windows of primes whatever N is.
+and a few windows of primes whatever N is.  They check N, then take their
+predicted constant, so a bad truncation prime P is refused before any
+window is sieved.
 """
 
 from __future__ import annotations
@@ -36,60 +39,20 @@ _COLUMNS = {"lambda": 0, "lambda1": 1}
 @dataclass
 class MeanValueReport:
     label: str
-    N: int
-    empirical: float
-    predicted: float | None
-    abs_gap: float | None
-    rel_gap: float | None
     trace: list[tuple[int, float]]
+    predicted: float
     exact_mean: Fraction | None = None
 
-    def csv_rows(self) -> list[list]:
-        rows = []
-        for n_i, mean_i in self.trace:
-            rows.append(
-                [
-                    self.label,
-                    n_i,
-                    mean_i,
-                    "" if self.predicted is None else self.predicted,
-                    "" if self.predicted is None else abs(mean_i - self.predicted),
-                ]
-            )
-        return rows
+    @property
+    def empirical(self) -> float:
+        """The mean at the last checkpoint, N."""
+        return self.trace[-1][1]
 
 
 def _checkpoint_ns(N: int) -> list[int]:
     if N < 1:
         raise ValueError(f"N must be >= 1, got N={N}")
     return sorted({max(1, (k * N) // 10) for k in range(1, 10)} | {N})
-
-
-def _report(
-    label: str,
-    N: int,
-    trace: list[tuple[int, float]],
-    predicted: float | None,
-    exact: Fraction | None = None,
-) -> MeanValueReport:
-    """The one place a trace becomes a report with its gap to ``predicted``."""
-    empirical = trace[-1][1]
-    abs_gap = None if predicted is None else abs(empirical - predicted)
-    rel_gap = (
-        abs_gap / abs(predicted)
-        if predicted is not None and predicted != 0.0
-        else None
-    )
-    return MeanValueReport(
-        label=label,
-        N=N,
-        empirical=empirical,
-        predicted=predicted,
-        abs_gap=abs_gap,
-        rel_gap=rel_gap,
-        trace=trace,
-        exact_mean=exact,
-    )
 
 
 def _array_trace(ns: list[int], blocks: Callable[[int, int], Iterator[np.ndarray]],
@@ -150,7 +113,7 @@ def cq_orthogonality(r: int, s: int, m: int, N: int) -> MeanValueReport:
     # c_s has period s, so m % s keeps n + m in int64 for any integer m.
     trace, exact = _periodic_trace(L, N, lambda n: cq_int(r, n) * cq_int(s, n + m % s))
     predicted = float(cq_int(r, m)) if r == s else 0.0
-    return _report(f"cq_orthogonality(r={r},s={s},m={m})", N, trace, predicted, exact)
+    return MeanValueReport(f"cq_orthogonality(r={r},s={s},m={m})", trace, predicted, exact)
 
 
 def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
@@ -171,7 +134,7 @@ def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
             f_mod = (f_mod * n + c % q) % q
         return cq_int(q, f_mod)
     trace, exact = _periodic_trace(q, N, summand)
-    return _report(f"polynomial_cq_mean(q={q},poly={coeffs})", N, trace, float(exact), exact)
+    return MeanValueReport(f"polynomial_cq_mean(q={q},poly={coeffs})", trace, float(exact), exact)
 
 
 class _Weights:
@@ -279,14 +242,16 @@ def _linear_traces(ns: list[int], cols: Sequence[int], a: int, n0: int,
     return _array_trace(ns, blocks)
 
 
-def _linear_pair_trace(weight: str, a: int, b: int, l: int, N: int) -> list[tuple[int, float]]:
-    """Trace of w(n) w((b n + l)/a) over n = 1..N, with 0 where a does not
-    divide b n + l or either point is not a prime power.  For gcd(a, b) = 1
-    the other n are one class n0 mod a, along which (b n + l)/a steps by b.
+def _linear_pair_trace(weight: str, a: int, b: int, l: int,
+                       ns: list[int]) -> list[tuple[int, float]]:
+    """Trace at ns = _checkpoint_ns(N) of w(n) w((b n + l)/a) over n = 1..N,
+    with 0 where a does not divide b n + l or either point is not a prime
+    power.  For gcd(a, b) = 1 the other n are one class n0 mod a, along
+    which (b n + l)/a steps by b.
     """
-    ns = _checkpoint_ns(N)
     if weight not in _COLUMNS:
         raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
+    N = ns[-1]
     n0 = (-l * pow(b, -1, a)) % a or a  # a | b n + l exactly for n = n0 mod a
     m0 = (b * n0 + l) // a
     if n0 + a > N:  # n0 is alone in its class, so a and b may overflow int64
@@ -304,17 +269,18 @@ def pair_autocorrelation(h2: int, N: int, P: int = 10**6,
         raise ValueError(f"gap must be >= 1, got {h2}")
     if h2 % 2 == 1:
         return odd_gap_mean(h2, N, weight=weight)
-    trace = _linear_pair_trace(weight, 1, 1, h2, N)
+    ns = _checkpoint_ns(N)
     predicted = singular.pair_constant(h2, P).value
-    return _report(f"pair_autocorrelation(h={h2},w={weight})", N, trace, predicted)
+    return MeanValueReport(f"pair_autocorrelation(h={h2},w={weight})",
+                           _linear_pair_trace(weight, 1, 1, h2, ns), predicted)
 
 
 def odd_gap_mean(h: int, N: int, weight: str = "lambda1") -> MeanValueReport:
     """Autocorrelation mean at an odd gap; the limit is zero."""
     if h < 1 or h % 2 == 0:
         raise ValueError(f"gap must be a positive odd integer, got {h}")
-    trace = _linear_pair_trace(weight, 1, 1, h, N)
-    return _report(f"odd_gap_mean(h={h},w={weight})", N, trace, 0.0)
+    return MeanValueReport(f"odd_gap_mean(h={h},w={weight})",
+                           _linear_pair_trace(weight, 1, 1, h, _checkpoint_ns(N)), 0.0)
 
 
 def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = 10**6,
@@ -327,45 +293,35 @@ def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = 10**6,
     (1/a) sum_k e^{2 pi i k (b n + l)/a}, 1 when a | b n + l and else 0.
     """
     singular.validate_linear_pair(a, b, l)
-    trace = _linear_pair_trace(weight, a, b, l, N)
+    ns = _checkpoint_ns(N)
     predicted = singular.conjecture_d_constant(a, b, l, P).value
-    return _report(f"conjecture_d_mean(a={a},b={b},l={l},w={weight})", N, trace, predicted)
+    return MeanValueReport(f"conjecture_d_mean(a={a},b={b},l={l},w={weight})",
+                           _linear_pair_trace(weight, a, b, l, ns), predicted)
 
 
-@dataclass
-class TupleMeanReport:
-    """Both weightings of the tuple correlation against one predicted constant."""
+def tuple_mean(offsets: Sequence[int], N: int,
+               P: int = 10**6) -> tuple[MeanValueReport, MeanValueReport]:
+    """Means of the product of von Mangoldt weights over the offset tuple,
+    (Lambda, Lambda_1), against one predicted constant.
 
-    offsets: tuple[int, ...]
-    lambda_weighted: MeanValueReport
-    lambda1_weighted: MeanValueReport
-
-
-def tuple_mean(offsets: Sequence[int], N: int, P: int = 10**6) -> TupleMeanReport:
-    """Mean of the product of von Mangoldt weights over the offset tuple.
-
-    The raw and phi(n)/n-weighted products are both reported; the raw one
-    dominates the weighted one term by term, which makes the lower-bound
-    chain checkable.  ``offsets`` must pass ``singular.validate_tuple``.
-    The support reaches the largest index, N + the largest offset.
+    The raw one dominates the phi(n)/n-weighted one term by term, which
+    makes the lower-bound chain checkable.  ``offsets`` must pass
+    ``singular.validate_tuple``.  The support reaches the largest index,
+    N + the largest offset.
     """
     offsets = singular.validate_tuple(offsets)
     ns = _checkpoint_ns(N)
+    predicted = singular.tuple_constant(offsets, P).value
     traces = _linear_traces(ns, list(_COLUMNS.values()), 1, 1,
                             [(1 + off, 1) for off in offsets])
-    predicted = singular.tuple_constant(offsets, P).value
-    reports = [
-        _report(f"tuple_mean(offsets={offsets},w={weight})", N, trace, predicted)
-        for weight, trace in zip(_COLUMNS, traces)
-    ]
-    return TupleMeanReport(offsets=offsets, lambda_weighted=reports[0],
-                           lambda1_weighted=reports[1])
+    return tuple(MeanValueReport(f"tuple_mean(offsets={offsets},w={weight})", trace, predicted)
+                 for weight, trace in zip(_COLUMNS, traces))
 
 
 def pnt_mean(N: int) -> MeanValueReport:
     """Mean of the weighted von Mangoldt function; the limit is 1."""
     ns = _checkpoint_ns(N)
-    return _report("pnt_mean", N, _linear_traces(ns, [1], 1, 1, [(1, 1)])[0], 1.0)
+    return MeanValueReport("pnt_mean", _linear_traces(ns, [1], 1, 1, [(1, 1)])[0], 1.0)
 
 
 def goldbach_correlation(N: int, q1: int, q2: int) -> int:

@@ -1,7 +1,9 @@
 """Abel-regularised Ramanujan expansions.
 
 Centrepiece is the power series sum_q mu(q)/phi(q) * c_q(x) * z^q for
-0 < z < 1, whose tail after Q terms is bounded by z^Q * z/(1-z).  The limit
+0 < z < 1, whose tail after Q terms is bounded by z^Q * z/(1-z).
+``lambda1_series(z, Q, x)`` sums its first Q terms, and ``required_Q``
+gives the least Q whose tail bound is below a tolerance.  The limit
 z -> 1- recovers phi(n)/n * Lambda(n) point-wise; at finite z the ladder is
 reported as a diagnostic only, beside its target from ``lambda1_at``, which
 factors n.  The series sums over ``ramanujan.squarefree_cq``, with no table.
@@ -25,69 +27,38 @@ _MAX_Q = 10**9
 
 def tail_bound(z: float, Q: int) -> float:
     """Upper bound on the series tail beyond Q terms: z^Q * z/(1-z)."""
-    _check_z(z)
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
+    _check_series(z, Q)
     return z**Q * (z / (1.0 - z))
 
 
 def required_Q(z: float, epsilon: float) -> int:
-    """Smallest Q with z^Q * z/(1-z) strictly below epsilon.
+    """Smallest Q with z^Q * z/(1-z) strictly below epsilon, at most _MAX_Q.
 
-    Independent of the evaluation point; depends only on (z, epsilon).
+    Independent of the evaluation point; depends only on (z, epsilon).  The
+    search starts 2 below the root of z^Q * z/(1-z) = epsilon in real Q.
     """
     _check_z(z)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    b = z / (1.0 - z)
-    if z * b < epsilon:
-        return 1
-    est = (math.log(epsilon) - math.log(b)) / math.log(z)
-    if est > _MAX_Q:
-        raise ResourceLimitError(
-            f"epsilon={epsilon} at z={z} needs more than {_MAX_Q} terms"
-        )
-    Q = max(1, int(est) - 2)
-    while tail_bound(z, Q) >= epsilon:
+    est = (math.log(epsilon) - math.log(z / (1.0 - z))) / math.log(z)
+    Q = 1 if est < 3 else int(est) - 2  # est is -inf at epsilon = inf
+    while Q <= _MAX_Q and tail_bound(z, Q) >= epsilon:
         Q += 1
-        if Q > _MAX_Q:
-            raise ResourceLimitError(
-                f"epsilon={epsilon} at z={z} needs more than {_MAX_Q} terms"
-            )
+    if Q > _MAX_Q:
+        raise ResourceLimitError(f"epsilon={epsilon} at z={z} needs more than {_MAX_Q} terms")
     return Q
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """Truncation parameters for one power-series evaluation."""
+def lambda1_series(z: float, Q: int, x: float) -> float:
+    """Partial sum over q <= Q of mu(q)/phi(q) * c_q(x) * z^q, 0 < z < 1.
 
-    z: float
-    Q: int
-
-    def __post_init__(self):
-        _check_z(self.z)
-        if self.Q < 1:
-            raise ValueError(f"Q must be >= 1, got {self.Q}")
-
-    @classmethod
-    def for_accuracy(cls, z: float, epsilon: float) -> "SeriesParams":
-        return cls(z=z, Q=required_Q(z, epsilon))
-
-    @property
-    def tail(self) -> float:
-        return tail_bound(self.z, self.Q)
-
-
-def lambda1_series(params: SeriesParams, x: float) -> float:
-    """Partial sum over q <= Q of mu(q)/phi(q) * c_q(x) * z^q.
-
-    Within params.tail of the full series.  An int or numpy integer x, or
-    an integer-valued float, takes the exact integer c_q of
+    Within tail_bound(z, Q) of the full series.  An int or numpy integer x,
+    or an integer-valued float, takes the exact integer c_q of
     ``squarefree_cq`` at the int itself, of any size; otherwise the cosine
     definition is used.  Only the squarefree q have a term, summed in
     ascending q with exact (fsum) compensation, one table segment at a time.
     """
-    z, Q = params.z, params.Q
+    _check_series(z, Q)
     exact = isinstance(x, (int, np.integer)) or float(x).is_integer()
 
     def terms():
@@ -146,8 +117,8 @@ def abel_ladder(n: int, z_list: tuple[float, ...] = DEFAULT_Z_LADDER,
     target = lambda1_at(n)
     ladder = []
     for z in z_list:
-        params = SeriesParams.for_accuracy(z, epsilon)
-        ladder.append((z, params.Q, lambda1_series(params, n)))
+        Q = required_Q(z, epsilon)
+        ladder.append((z, Q, lambda1_series(z, Q, n)))
     return AbelTrace(x=float(n), ladder=ladder, target=target)
 
 
@@ -171,3 +142,9 @@ def sigma_rf(n: int, Q: int) -> float:
 def _check_z(z: float) -> None:
     if not 0.0 < z < 1.0:
         raise ValueError(f"z must lie in the open interval (0, 1), got {z}")
+
+
+def _check_series(z: float, Q: int) -> None:
+    _check_z(z)
+    if Q < 1:
+        raise ValueError(f"Q must be >= 1, got {Q}")

@@ -131,8 +131,7 @@ class TestSparseMatchesDense:
                     rep = conjecture_d_mean(a, b, l, N, P=10**3, weight=weight)
                 assert rep.trace == _direct_conjd_trace(dense, a, b, l, N, weight)
         for offsets in [(0, 2), (0, 2, 6), (0, 4, 6, 10)]:
-            rep = tuple_mean(offsets, N, P=10**3)
-            for got, w in ((rep.lambda_weighted, lam), (rep.lambda1_weighted, lam1)):
+            for got, w in zip(tuple_mean(offsets, N, P=10**3), (lam, lam1)):
                 vals = w[1 : N + 1].copy()
                 for off in offsets[1:]:
                     vals *= w[1 + off : N + 1 + off]
@@ -153,8 +152,7 @@ def _streamed_means(N, dense, gaps, linear, tuples, block=_BLOCK):
                 rep = conjecture_d_mean(a, b, l, N, P=10**3, weight=weight)
             pairs.append((rep.trace, _direct_conjd_trace(dense, a, b, l, N, weight, block)))
     for offsets in tuples:
-        rep = tuple_mean(offsets, N, P=max(10**3, offsets[-1]))
-        for got, w in ((rep.lambda_weighted, dense[0]), (rep.lambda1_weighted, dense[1])):
+        for got, w in zip(tuple_mean(offsets, N, P=max(10**3, offsets[-1])), dense):
             vals = w[1 : N + 1].copy()
             for off in offsets[1:]:
                 vals *= w[1 + off : N + 1 + off]
@@ -447,6 +445,35 @@ class TestWeightNames:
             mean()
 
 
+class TestConstantBeforeTrace:
+    """A bad truncation prime P is refused before any window of primes is
+    asked for, and a bad N before a bad P."""
+
+    @pytest.fixture(autouse=True)
+    def no_windows(self, monkeypatch):
+        def lambda_windows(*args):
+            raise AssertionError("a window of primes was asked for")
+
+        monkeypatch.setattr(mean_values, "lambda_windows", lambda_windows)
+
+    @pytest.mark.parametrize("mean, P, error, match", [
+        (lambda N, P: pair_autocorrelation(2, N, P=P), 2, ValueError, r"^P must be >= 3, got 2$"),
+        (lambda N, P: conjecture_d_mean(1, 2, 1, N, P=P), 1, ValueError, r"^P must be >= 3, got 1$"),
+        (lambda N, P: tuple_mean((0, 2, 6), N, P=P), 5, ValueError, r"^P=5 too small; need P >= 6$"),
+        (lambda N, P: pair_autocorrelation(2, N, P=P), 10**16, ResourceLimitError,
+         r"^an Euler product over the primes up to 10000000000000000 takes"),
+        (lambda N, P: conjecture_d_mean(1, 2, 1, N, P=P), 10**16, ResourceLimitError,
+         r"^an Euler product over the primes up to 10000000000000000 takes"),
+        (lambda N, P: tuple_mean((0, 2, 6), N, P=P), 10**16, ResourceLimitError,
+         r"^an Euler product over the primes up to 10000000000000000 takes"),
+    ], ids=["autocorr-P2", "conjd-P1", "tuple-P5", "autocorr-P1e16", "conjd-P1e16", "tuple-P1e16"])
+    def test_bad_P_before_any_window(self, mean, P, error, match):
+        with pytest.raises(error, match=match):
+            mean(10**8, P)
+        with pytest.raises(ValueError, match=r"^N must be >= 1, got N=0$"):
+            mean(0, P)
+
+
 class TestConjectureDMean:
     def test_twin_case_bit_identical_to_gap_two(self):
         a = conjecture_d_mean(1, 1, 2, 10**6)
@@ -514,22 +541,24 @@ class TestConjectureDMean:
 
 class TestTupleMean:
     def test_spec_validation(self):
-        rep = tuple_mean(np.array([0, 2, 6]), 100, P=10**3)
-        assert rep.offsets == (0, 2, 6) and all(type(o) is int for o in rep.offsets)
-        assert rep.lambda_weighted.label == "tuple_mean(offsets=(0, 2, 6),w=lambda)"
+        # The offsets are normalised to a tuple of ints: numpy ints would
+        # print as np.int64(2) in the label.
+        lam, lam1 = tuple_mean(np.array([0, 2, 6]), 100, P=10**3)
+        assert lam.label == "tuple_mean(offsets=(0, 2, 6),w=lambda)"
+        assert lam1.label == "tuple_mean(offsets=(0, 2, 6),w=lambda1)"
         for offsets, error in [((), "start with 0"), ((2, 4), "start with 0"),
                                ((0, 4, 2), "strictly increasing")]:
             with pytest.raises(ValueError, match=error):
                 tuple_mean(offsets, 100)
 
     def test_single_gap_agrees_with_pair_autocorrelation(self):
-        rep = tuple_mean((0, 2), 5000)
+        _, lam1 = tuple_mean((0, 2), 5000)
         pair = pair_autocorrelation(2, 5000)
-        assert rep.lambda1_weighted.empirical == pair.empirical
+        assert lam1.empirical == pair.empirical
 
     def test_raw_weights_dominate(self):
-        rep = tuple_mean((0, 2, 6), 5000)
-        assert rep.lambda_weighted.empirical >= rep.lambda1_weighted.empirical
+        lam, lam1 = tuple_mean((0, 2, 6), 5000)
+        assert lam.empirical >= lam1.empirical
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError, match="prime 3 covers every residue"):

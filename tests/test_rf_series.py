@@ -8,7 +8,6 @@ import pytest
 
 from ramabel import (
     ResourceLimitError,
-    SeriesParams,
     abel_ladder,
     cq_int,
     lambda1_series,
@@ -45,42 +44,50 @@ class TestTailBound:
         with pytest.raises(ResourceLimitError):
             required_Q(0.9999999999, 1e-300)
 
+    @pytest.mark.parametrize("z, epsilon, Q", [
+        (0.5, 0.6, 1), (0.9, 8.2, 1), (0.9, 8.1, 2),    # z * z/(1-z) = 0.5 and 8.1
+        (0.5, 1.0, 1), (0.99, 1.0, 458), (0.999, 1e300, 1), (0.999, math.inf, 1),
+    ])
+    def test_required_Q_edges(self, z, epsilon, Q):
+        assert required_Q(z, epsilon) == Q
 
-class TestSeriesParams:
-    def test_for_accuracy(self):
-        p = SeriesParams.for_accuracy(0.5, 0.5)
-        assert p.Q == 2
-        assert p.tail == pytest.approx(tail_bound(0.5, 2))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesParams(1.5, 10)
-        with pytest.raises(ValueError):
-            SeriesParams(0.5, 0)
+    def test_required_Q_at_the_term_limit(self):
+        # Q = 10^9 terms is the most required_Q gives; one more is refused.
+        z = 1 - 1e-8
+        assert required_Q(z, tail_bound(z, 10**9 - 1)) == 10**9
+        with pytest.raises(ResourceLimitError, match="needs more than 1000000000 terms"):
+            required_Q(z, tail_bound(z, 10**9))
 
 
 class TestLambda1Series:
+    def test_invalid_args(self):
+        for z in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=rf"^z must lie in the open interval \(0, 1\), got {z}$"):
+                lambda1_series(z, 10, 3)
+        for Q in (0, -1):
+            with pytest.raises(ValueError, match=f"^Q must be >= 1, got {Q}$"):
+                lambda1_series(0.5, Q, 3)
+
     def test_single_term_is_z(self):
         # Q=1 keeps only q=1: mu(1)/phi(1) c_1(x) z = z at integer x
         for z in (0.25, 0.5, 0.9):
             for x in (1.0, 2.0, 7.0):
-                got = lambda1_series(SeriesParams(z, 1), x)
+                got = lambda1_series(z, 1, x)
                 assert got == pytest.approx(z, abs=1e-15)
 
     def test_truncation_within_tail_bound(self):
         z = 0.5
-        ref = lambda1_series(SeriesParams.for_accuracy(z, 1e-14), 6.0)
+        ref = lambda1_series(z, required_Q(z, 1e-14), 6.0)
         for Q in (5, 20, 60):
-            got = lambda1_series(SeriesParams(z, Q), 6.0)
+            got = lambda1_series(z, Q, 6.0)
             assert abs(got - ref) <= tail_bound(z, Q) + 1e-12
 
     def test_integer_and_real_paths_agree(self):
-        params = SeriesParams(0.7, 300)
         for n in (1, 2, 9, 30):
-            by_int = lambda1_series(params, float(n))
+            by_int = lambda1_series(0.7, 300, float(n))
             # nudge off the integer detection without moving the cosines:
             # evaluate the real path explicitly via a non-integral float type
-            by_real = lambda1_series(params, n + 0.0 + 1e-13)
+            by_real = lambda1_series(0.7, 300, n + 0.0 + 1e-13)
             assert by_real == pytest.approx(by_int, abs=1e-7)
 
     def test_abel_values_decrease_toward_target(self):
@@ -112,13 +119,13 @@ class TestLambda1Series:
         assert trace.x == float(n) and trace.target == 0.0
 
     def test_integer_x_takes_exact_path(self):
-        params = SeriesParams(0.9, 196)
+        z, Q = 0.9, 196
         n = 2**53 + 1
-        by_int = lambda1_series(params, n)
-        assert lambda1_series(params, np.int64(n)) == by_int
-        assert by_int != lambda1_series(params, float(n))
-        assert lambda1_series(params, 10**400) == lambda1_series(
-            params, 10**400 % math.lcm(*range(1, 197)))
+        by_int = lambda1_series(z, Q, n)
+        assert lambda1_series(z, Q, np.int64(n)) == by_int
+        assert by_int != lambda1_series(z, Q, float(n))
+        assert lambda1_series(z, Q, 10**400) == lambda1_series(
+            z, Q, 10**400 % math.lcm(*range(1, 197)))
 
 
 class TestSigmaExpansion:
