@@ -46,6 +46,16 @@ REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
 LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 # The namespace entries every command has, left out of a manifest's params.
 GLOBAL_OPTIONS = ("out", "cache_dir", "threads", "command")
+# form -> (values in --params, constant at (params, --p)); series_wk's --p is its
+# q-sum truncation.  Each kernel is looked up in singular when it is called.
+SINGULAR_FORMS = {
+    "C2": (0, lambda params, P: singular.twin_constant(P)),
+    "pair": (1, lambda params, P: singular.pair_constant(params[0], P)),
+    "conjD": (3, lambda params, P: singular.conjecture_d_constant(*params, P)),
+    "tuple": (1, lambda params, P: singular.tuple_constant(params, P)),
+    "series": (1, lambda params, P: singular.series_constant(params[0], P)),
+    "series_wk": (1, lambda params, P: singular.series_wk(params[0], P)),
+}
 
 
 def _mean_rows(*reports: mean_values.MeanValueReport) -> list[list]:
@@ -186,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q2", type=int, required=True)
 
     p = command("singular", help="Hardy-Littlewood constants")
-    p.add_argument("--form", required=True,
-                   choices=("C2", "pair", "conjD", "tuple", "series", "series_wk"))
+    p.add_argument("--form", required=True, choices=SINGULAR_FORMS)
     p.add_argument("--params", type=_ints, default="", help="comma integers for the chosen form")
     p.add_argument("--p", type=int, default=10**6, help="truncation bound")
 
@@ -245,16 +254,16 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
                 f"predicted={report.predicted:.12g}")
 
     if cmd == "conjd":
-        singular.validate_linear_pair(args.a, args.b, args.l)
-        bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
+        # The kernel checks (a, b, l) first, so a = 0 never reaches the bound.
         report = mean_values.conjecture_d_mean(args.a, args.b, args.l, args.n, P=args.p)
+        bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
         return (bound, REPORT_HEADER, _mean_rows(report),
                 f"{report.label}: empirical={report.empirical:.12g} "
                 f"predicted={report.predicted:.12g}")
 
     if cmd == "tuple":
-        offsets = singular.validate_tuple(args.offsets)
-        lam, lam1 = mean_values.tuple_mean(offsets, args.n, P=args.p)
+        lam, lam1 = mean_values.tuple_mean(args.offsets, args.n, P=args.p)
+        offsets = tuple(args.offsets)
         return (args.n + offsets[-1], REPORT_HEADER, _mean_rows(lam, lam1),
                 f"tuple {offsets}: lambda={lam.empirical:.12g} "
                 f"lambda1={lam1.empirical:.12g} predicted={lam1.predicted:.12g}")
@@ -278,31 +287,18 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
 
     if cmd == "singular":
         params, form = args.params, args.form
-        # A tuple takes one value or more; the other forms exactly this many.
-        needed = {"C2": 0, "pair": 1, "conjD": 3, "tuple": 1, "series": 1, "series_wk": 1}
-        if len(params) < needed[form] or (form != "tuple" and len(params) > needed[form]):
-            raise ValueError(
-                f"form {form} needs {needed[form]} value(s) in --params, got {params}"
-            )
-        if form == "C2":
-            const = singular.twin_constant(args.p)
-        elif form == "pair":
-            const = singular.pair_constant(params[0], args.p)
-        elif form == "conjD":
-            const = singular.conjecture_d_constant(*params, args.p)
-        elif form == "tuple":
-            const = singular.tuple_constant(params, args.p)
-        elif form == "series":
-            const = singular.series_constant(params[0], args.p)
-        else:  # series_wk: --p doubles as the q-sum truncation
-            const = singular.series_wk(params[0], args.p)
+        arity, constant = SINGULAR_FORMS[form]
+        # A tuple takes this many values or more; the other forms exactly this many.
+        if len(params) < arity or (form != "tuple" and len(params) > arity):
+            raise ValueError(f"form {form} needs {arity} value(s) in --params, got {params}")
+        const = constant(params, args.p)
         return (None, ["form", "value", "truncation", "tail_estimate"],
-                [[const.form, const.value, const.truncation_prime, const.tail_estimate]],
+                [[const.form, const.value, args.p, const.tail_estimate]],
                 f"{const.form} = {const.value:.12g} (tail <= {const.tail_estimate:.3g})")
 
     if cmd == "abel":
         trace = rf_series.abel_ladder(args.x, tuple(args.zs), args.eps)
-        rows = [[trace.x, z, q, v, trace.target, abs(v - trace.target)]
+        rows = [[float(args.x), z, q, v, trace.target, abs(v - trace.target)]
                 for z, q, v in trace.ladder]
         return (max(args.x, *(q for _, q, _ in trace.ladder)),
                 ["x", "z", "Q", "value", "target", "gap"], rows,
@@ -314,7 +310,7 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
     )
     failures = sum(1 for c in report.checks if not c.passed)
     return (args.qmax, ["property", "status", "witness", "note"],
-            [list(r) for r in report.rows()],
+            [[c.name, "pass" if c.passed else "FAIL", c.witness, c.note] for c in report.checks],
             f"property catalog q<={args.qmax}, n<={args.nmax}: "
             f"{len(report.checks) - failures}/{len(report.checks)} passed",
             0 if failures == 0 else 1)

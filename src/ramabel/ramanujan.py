@@ -11,7 +11,7 @@ the sums satisfy is executable via ``check_property_catalog``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -115,25 +115,13 @@ def direct_oracle(q: int, n: int | np.ndarray) -> int | np.ndarray:
 class PropertyCheck:
     name: str
     passed: bool
-    witness: str = ""
-    note: str = ""
+    witness: str
+    note: str
 
 
 @dataclass
 class PropertyReport:
-    q_max: int
-    n_max: int
-    checks: list[PropertyCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def rows(self) -> list[tuple[str, str, str, str]]:
-        return [
-            (c.name, "pass" if c.passed else "FAIL", c.witness, c.note)
-            for c in self.checks
-        ]
+    checks: list[PropertyCheck]
 
 
 # Sample points for the real-argument checks; deterministic on purpose.
@@ -155,12 +143,13 @@ def check_property_catalog(
     ``tables`` gives mu, phi and spf from the sieve, apart from ``cq_int``'s
     factoring, so the checks that read them hold one code against the other.
 
-    Each check is a lazy generator of witnesses in a fixed order; the first
-    is reported.  ``for v in a[bad][:1]`` takes the first failing point of
-    an array, if any.  Every sum over an array of points, c_q at |n| <= n_max
-    and the cosine sums, is computed once per q and shared by the checks that
-    read it: q_max (3 n_max + 12) values of 8 bytes, 1 MB at q_max = n_max =
-    200 and 24 MB at 1000.
+    Each check is a lazy generator of witnesses in a fixed order; the report
+    holds one PropertyCheck per identity, in catalog order, with the first
+    witness against it, or "" when it held.  ``for v in a[bad][:1]`` takes the
+    first failing point of an array, if any.  Every sum over an array of
+    points, c_q at |n| <= n_max and the cosine sums, is computed once per q
+    and shared by the checks that read it: q_max (3 n_max + 12) values of 8
+    bytes, 1 MB at q_max = n_max = 200 and 24 MB at 1000.
     """
     if q_max < 1 or n_max < 0:
         raise ValueError(f"need q_max >= 1 and n_max >= 0, got q_max={q_max}, n_max={n_max}")
@@ -238,8 +227,6 @@ def check_property_catalog(
           if abs(v - other) > 1e-12),
          ""),
     ]
-    report = PropertyReport(q_max=q_max, n_max=n_max)
-    for name, witnesses, note in checks:
-        found = next(witnesses, None)
-        report.checks.append(PropertyCheck(name, found is None, found or "", note))
-    return report
+    return PropertyReport([PropertyCheck(name, (found := next(witnesses, None)) is None,
+                                         found or "", note)
+                           for name, witnesses, note in checks])

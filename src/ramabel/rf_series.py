@@ -38,7 +38,7 @@ def required_Q(z: float, epsilon: float) -> int:
     search starts 2 below the root of z^Q * z/(1-z) = epsilon in real Q.
     """
     _check_z(z)
-    if epsilon <= 0:
+    if not epsilon > 0:  # nan too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     est = (math.log(epsilon) - math.log(z / (1.0 - z))) / math.log(z)
     Q = 1 if est < 3 else int(est) - 2  # est is -inf at epsilon = inf
@@ -88,7 +88,6 @@ def lambda1_at(n: int) -> float:
 class AbelTrace:
     """Ladder of power-series values at z values increasing toward 1."""
 
-    x: float
     ladder: list[tuple[float, int, float]]
     target: float
 
@@ -119,7 +118,7 @@ def abel_ladder(n: int, z_list: tuple[float, ...] = DEFAULT_Z_LADDER,
     for z in z_list:
         Q = required_Q(z, epsilon)
         ladder.append((z, Q, lambda1_series(z, Q, n)))
-    return AbelTrace(x=float(n), ladder=ladder, target=target)
+    return AbelTrace(ladder=ladder, target=target)
 
 
 def sigma_rf(n: int, Q: int) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -26,10 +26,9 @@ TWIN_CONSTANT_REFERENCE = 0.6601618158
 @dataclass(frozen=True)
 class SingularConstant:
     value: float
-    truncation_prime: int
     tail_estimate: float
     form: str
-    extra: dict = field(default_factory=dict)
+    naive_product: float | None = None
 
 
 # Log terms handed to fsum as one list of Python floats.
@@ -81,8 +80,8 @@ def twin_constant(P: int) -> SingularConstant:
         p = ps[np.searchsorted(ps, 3) :].astype(np.float64)  # drop p = 2
         return np.log1p(-1.0 / (p - 1.0) ** 2)
 
-    return SingularConstant(value=_euler_product(P, log_terms), truncation_prime=P,
-                            tail_estimate=1.0 / (P - 1), form="C2")
+    return SingularConstant(value=_euler_product(P, log_terms), tail_estimate=1.0 / (P - 1),
+                            form="C2")
 
 
 def pair_constant(h2: int, P: int) -> SingularConstant:
@@ -124,7 +123,6 @@ def conjecture_d_constant(a: int, b: int, l: int, P: int) -> SingularConstant:
         value *= (p - 1.0) / (p - 2.0)
     return SingularConstant(
         value=value,
-        truncation_prime=P,
         tail_estimate=c2.tail_estimate,
         form=f"conjD({a},{b},{l})",
     )
@@ -183,7 +181,7 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     m = len(offsets) - 1
     if m == 0:
         return SingularConstant(
-            value=1.0, truncation_prime=P, tail_estimate=0.0, form="tuple(0,)"
+            value=1.0, tail_estimate=0.0, form="tuple(0,)"
         )
     small_cut = max(offsets[-1], m + 1)
     if P < small_cut:
@@ -201,7 +199,6 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     value = _euler_product(P, log_terms)
     return SingularConstant(
         value=value,
-        truncation_prime=P,
         tail_estimate=2.0 * m * (m + 1) / (P - 1),
         form=f"tuple{offsets}",
     )
@@ -216,8 +213,8 @@ def series_constant(h: int, P: int) -> SingularConstant:
     which equals the pair constant at even h and vanishes at odd h.  The
     literal prime-by-prime product of the raw coefficients,
     prod_p (1 + mu(p) c_p(h) / phi(p)), does not converge to the series'
-    value (its p = 2 factor vanishes at even h); it is reported in
-    ``extra["naive_product"]`` as a finding.  h may exceed int64.
+    value (its p = 2 factor vanishes at even h); it is kept in
+    ``naive_product`` as a finding.  h may exceed int64.
     ``tail_estimate`` = 2/(P-1) estimates the log of the omitted diagonal
     factors; it is not a proven bound.
     """
@@ -246,10 +243,9 @@ def series_constant(h: int, P: int) -> SingularConstant:
         naive = _euler_product(P, raw)
     return SingularConstant(
         value=value,
-        truncation_prime=P,
         tail_estimate=2.0 / (P - 1),
         form=f"series({h})",
-        extra={"naive_product": naive},
+        naive_product=naive,
     )
 
 
@@ -271,7 +267,6 @@ def series_wk(h: int, Q: int) -> SingularConstant:
     tail = sigma_h * 4.4 / Q
     return SingularConstant(
         value=value,
-        truncation_prime=Q,
         tail_estimate=tail,
         form=f"series_wk({h})",
     )

@@ -83,6 +83,12 @@ class TestBasics:
         assert row[4] == f"{((x - 1) / x) * math.log(x):.12g}"
         assert read_manifest(tmp_path, "abel")["sieve_bound"] == x
 
+    def test_abel_x_column_is_a_float(self, tmp_path):
+        # x is written as the float it was, 12 digits, at every size.
+        assert run(tmp_path, "abel", "--x", "9007199254740993", "--zs", "0.9") == 0
+        assert (tmp_path / "abel.csv").read_text().splitlines()[1] == (
+            "9.00719925474e+15,0.9,196,0.813449423763,0,0.813449423763")
+
     def test_goldbach(self, tmp_path, capsys):
         assert run(tmp_path, "goldbach", "--n", "3", "--q1", "2", "--q2", "2") == 0
         assert "6" in capsys.readouterr().out
@@ -267,6 +273,7 @@ class TestErrors:
          "form series_wk needs 1 value(s) in --params, got [6, 1]"),
         (("abel", "--x", str(2**63), "--zs", "0.9"), f"n={2**63} outside 1..2^63 - 1"),
         (("abel", "--x", str(10**400), "--zs", "0.9"), f"n={10**400} outside 1..2^63 - 1"),
+        (("abel", "--x", "5", "--eps", "nan"), "epsilon must be positive, got nan"),
         (("goldbach", "--n", "3", "--q1", "0", "--q2", "0"),
          "need N, q1, q2 >= 1, got N=3, q1=0, q2=0"),
         (("goldbach", "--n", "3", "--q1", "-2", "--q2", "-3"),
@@ -277,7 +284,8 @@ class TestErrors:
          "L = lcm(q1, q2) = 3000000000 is over the limit 2^31 - 1"),
     ], ids=["props-nmax", "props-qmax", "series_wk-p", "abel-zs", "C2-extra", "pair-extra",
             "conjD-extra", "series-extra", "series_wk-extra", "abel-x-2^63", "abel-x-huge",
-            "goldbach-q0", "goldbach-qneg", "goldbach-L-overflow", "goldbach-L-3e9"])
+            "abel-eps-nan", "goldbach-q0", "goldbach-qneg", "goldbach-L-overflow",
+            "goldbach-L-3e9"])
     def test_bad_value_named(self, tmp_path, capsys, argv, error):
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
@@ -764,3 +772,22 @@ def test_readme_examples_parse():
     assert len(examples) >= 10
     for argv in examples:
         assert cli.build_parser().parse_args(argv).command == argv[0], argv
+
+
+def test_argv_file_parses():
+    # Each argv of tools/argvs.txt, the file a parent-against-change run of
+    # tools/compare_argvs.py reads, is parsed, never run; a line whose
+    # comment says "usage error" must be refused by the parser.
+    text = (Path(__file__).parents[1] / "tools" / "argvs.txt").read_text(encoding="utf-8")
+    parsed = 0
+    for line in text.splitlines():
+        argv = shlex.split(line.removeprefix("ramabel "), comments=True)
+        if not argv:
+            continue
+        if "# usage error" in line:
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+        else:
+            assert cli.build_parser().parse_args(argv).command == argv[0], argv
+            parsed += 1
+    assert parsed >= 41  # the README examples and the 31 pinned argvs at least

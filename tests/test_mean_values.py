@@ -237,6 +237,22 @@ class TestStreamedMeans:
         with pytest.raises(ResourceLimitError, match="N=10 "):
             odd_gap_mean(10**15 + 1, 10)
 
+    @pytest.mark.parametrize("gap, ranges", [
+        (1000, [(1, 6000)]), (1002, [(1, 5000), (1003, 6002)])])
+    def test_factors_share_windows_up_to_a_block(self, monkeypatch, gap, ranges):
+        # A partner up to _BLOCK past n is read with n, over one range of
+        # windows; one further on is read over a range of its own.
+        asked = []
+
+        def windows(lo, hi):
+            asked.append((lo, hi))
+            return sieve.lambda_windows(lo, hi)
+
+        monkeypatch.setattr(mean_values, "_BLOCK", 1000)
+        monkeypatch.setattr(mean_values, "lambda_windows", windows)
+        pair_autocorrelation(gap, 5000, P=10**3)
+        assert asked == ranges
+
 
 class TestTwinPairs:
     # pi_2(x), the pairs (p, p + 2) of primes with p <= x (Brent, Math.

@@ -1,6 +1,7 @@
 """Ramanujan sums: closed form vs. exponential-sum oracle, and the
 property catalog."""
 
+import csv
 import dataclasses
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramabel import InternalConsistencyError, check_property_catalog, cq_int, cq_real, ramanujan
+from ramabel import (InternalConsistencyError, check_property_catalog, cli, cq_int, cq_real,
+                     ramanujan)
 from ramabel.ramanujan import DIRECT_MAX_Q, direct_oracle, squarefree_cq
 from ramabel.sieve import build_sieve, sigma_table
 
@@ -272,7 +274,6 @@ class TestPropertyCatalog:
         report = check_property_catalog(tables_small, q_max=30, n_max=100)
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == []
-        assert report.all_passed
 
     def test_witnesses_of_a_damaged_table(self, tables_small):
         # phi(7) = 5 in place of 6.  cq_int reads no table, so the damage
@@ -281,18 +282,18 @@ class TestPropertyCatalog:
         phi = tables_small.phi.copy()
         phi[7] = 5
         bad = dataclasses.replace(tables_small, phi=phi)
-        rows = check_property_catalog(bad, q_max=30, n_max=100).rows()
-        failed = {name: witness for name, status, witness, _ in rows if status == "FAIL"}
+        checks = check_property_catalog(bad, q_max=30, n_max=100).checks
+        failed = {c.name: c.witness for c in checks if not c.passed}
         assert failed == {
             "int b) c_q(0) = phi(q)": "q=7",
             "int d) c_p(n) = phi(p) if p|n else -1 (prime q only)": "p=7",
             "int f) |c_q(n)| <= phi(q)": "q=7",
             "real b) c_q(0) = phi(q)": "q=7",
         }
-        good = check_property_catalog(tables_small, q_max=30, n_max=100).rows()
-        assert [r[0] for r in rows] == [r[0] for r in good]
-        assert [r[3] for r in rows] == [r[3] for r in good]
-        assert len(rows) == 16
+        good = check_property_catalog(tables_small, q_max=30, n_max=100).checks
+        assert [c.name for c in checks] == [c.name for c in good]
+        assert [c.note for c in checks] == [c.note for c in good]
+        assert len(checks) == 16
 
     def test_witnesses_of_a_damaged_cq_int(self, monkeypatch, tables_small):
         # c_7(3) = -1 read as 100 in every array that cq_int returns.  Each
@@ -305,8 +306,8 @@ class TestPropertyCatalog:
             return c if isinstance(n, int) or q != 7 else np.where(np.asarray(n) == 3, 100, c)
 
         monkeypatch.setattr(ramanujan, "cq_int", damaged)
-        rows = check_property_catalog(tables_small, q_max=30, n_max=100).rows()
-        failed = {name: witness for name, status, witness, _ in rows if status == "FAIL"}
+        checks = check_property_catalog(tables_small, q_max=30, n_max=100).checks
+        failed = {c.name: c.witness for c in checks if not c.passed}
         assert failed == {
             "int d) c_p(n) = phi(p) if p|n else -1 (prime q only)": "p=7",
             "int e) c_rs(n) = c_r(n) c_s(n), (r,s)=1": "r=2, s=7",
@@ -321,8 +322,11 @@ class TestPropertyCatalog:
         # standard counterexample (value -2, but mu never leaves {-1,0,1}).
         assert cq_int(4, 2) == -2
 
-    def test_rows_are_renderable(self, tables_small):
-        report = check_property_catalog(tables_small, q_max=10, n_max=30)
-        rows = report.rows()
-        assert all(len(r) == 4 for r in rows)
-        assert any("pass" in r[1] for r in rows)
+    def test_rows_are_renderable(self, tmp_path):
+        # `props` writes one CSV row per check: name, status, witness, note.
+        assert cli.main(["--out", str(tmp_path), "props", "--qmax", "10", "--nmax", "30"]) == 0
+        with open(tmp_path / "props.csv", newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["property", "status", "witness", "note"]
+        assert len(rows) == 16 and all(len(r) == 4 for r in rows)
+        assert {r[1] for r in rows} == {"pass"}
