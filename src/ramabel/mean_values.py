@@ -8,10 +8,10 @@ Goldbach sum are exact, in int64 over chunks of one period
 fixed-size contiguous blocks combined in ascending order.  The weighted
 prime correlations take N and no tables, and stream: each block of n reads
 Lambda from the windows of ``sieve.lambda_windows`` over the ranges its
-factors read, n + gap, n + offset or (b n + l)/a, so a mean holds one block
-and a few windows of primes whatever N is.  They check N, then take their
-predicted constant, so a bad truncation prime P is refused before any
-window is sieved.
+factors read, n + gap, n + offset or (b n + l)/a, and is summed from its
+nonzeros (``_block_sum``), so a mean holds a few windows of primes whatever
+N is.  They check N, then take their predicted constant, so a bad
+truncation prime P is refused before any window is sieved.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .ramanujan import cq_int
 from .sieve import MAX_PRIMES, lambda_windows, pi_bound
 
 _BLOCK = 1 << 20
+# The entries of the largest node of ``_block_sum``'s tree that np.sum adds.
+_LEAF = 1 << 16
 # The n of one chunk of an exact period sum, and the summand it takes (``_period_sums``).
 _CHUNK = 1 << 18
 _Summand = Callable[[np.ndarray], np.ndarray]
@@ -55,24 +57,47 @@ def _checkpoint_ns(N: int) -> list[int]:
     return sorted({max(1, (k * N) // 10) for k in range(1, 10)} | {N})
 
 
-def _array_trace(ns: list[int], blocks: Callable[[int, int], Iterator[np.ndarray]],
+def _block_sum(pos: np.ndarray, vals: np.ndarray, n: int, leaf: np.ndarray) -> float:
+    """np.sum of the n entries of an array that is ``vals`` at the ascending
+    positions ``pos`` and 0 elsewhere, as the same float, by numpy's fixed
+    pairwise tree (Higham, SIAM J. Sci. Comput. 14, 1993): a node of n > 128
+    entries adds its first n // 2 - (n // 2) % 8 to the rest.  A node with
+    no nonzero is 0.0; one of at most _LEAF entries is np.sum of ``leaf``,
+    all zero but for the node's entries while it is summed."""
+    if not pos.size:
+        return 0.0
+    if n <= _LEAF:
+        leaf[pos] = vals
+        total = float(np.sum(leaf[:n]))
+        leaf[pos] = 0.0
+        return total
+    n2 = n // 2 - (n // 2) % 8
+    k = np.searchsorted(pos, n2)
+    return (_block_sum(pos[:k], vals[:k], n2, leaf)
+            + _block_sum(pos[k:] - n2, vals[k:], n - n2, leaf))
+
+
+def _array_trace(ns: list[int],
+                 blocks: Callable[[int, int], Iterator[tuple[np.ndarray, np.ndarray]]],
                  ) -> list[list[tuple[int, float]]]:
     """Checkpoint means at ns = _checkpoint_ns(N) of one or more summands for
     n = 1..N, one trace per summand; callers take ns first, so a bad N fails
     before anything is built.  ``blocks(lo, hi)`` yields each summand's
-    dense values at n = lo + 1..hi, in the same order for every block, as
-    an array that may be reused once the next is asked for.
+    nonzeros at n = lo + 1..hi, in the same order for every block, as
+    (pos, vals): their ascending positions n - lo - 1 and their values.
 
     Blocks of _BLOCK positions restart at each checkpoint, are asked for in
-    ascending order, and their np.sum are combined in ascending order, so
-    every checkpoint mean is a fixed function of the summands.
+    ascending order, and their ``_block_sum`` are combined in ascending
+    order, so every checkpoint mean is a fixed function of the summands.
     """
+    leaf = np.zeros(min(_LEAF, ns[-1]))
     sums: list[list[float]] = []
     means = []
     prev = 0
     for n_i in ns:
         for lo in range(prev, n_i, _BLOCK):
-            sums.append([float(np.sum(v)) for v in blocks(lo, min(lo + _BLOCK, n_i))])
+            hi = min(lo + _BLOCK, n_i)
+            sums.append([_block_sum(pos, v, hi - lo, leaf) for pos, v in blocks(lo, hi)])
         prev = n_i
         means.append([math.fsum(col) / n_i for col in zip(*sums)])
     return [list(zip(ns, col)) for col in zip(*means)]
@@ -188,9 +213,9 @@ def _linear_traces(ns: list[int], cols: Sequence[int], a: int, n0: int,
     such factors is read with that run, one range a block; any other
     factor, a stride d > 1 or a range further on, is a run of its own, so
     the sieving follows the ranges read.  Each block's products are built
-    sparse, at the t where every factor so far is not 0, and written into
-    one reused buffer, all zero between blocks, at the block's n in the
-    class: the values the whole support gave, at the same places.
+    sparse, at the t where every factor so far is not 0, and yielded at the
+    block's positions of n = n0 + a t: the nonzeros the whole support gave,
+    at the same places.
 
     Raises ResourceLimitError, before sieving, when pi_bound of the ends of
     the ranges adds up to more primes than an Euler product may take: so
@@ -213,9 +238,8 @@ def _linear_traces(ns: list[int], cols: Sequence[int], a: int, n0: int,
         raise ResourceLimitError(f"the mean at N={N} sieves up to {primes} primes, "
                                  f"over the limit of {MAX_PRIMES}")
     weights = [_Weights(lo, hi, last - first) for (lo, hi), (first, last, _) in zip(ranges, runs)]
-    buf = np.zeros(min(_BLOCK, N), dtype=np.float64)
 
-    def blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
+    def blocks(lo: int, hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         t0 = max(0, -(-(lo + 1 - n0) // a))
         c = max(0, (hi - n0) // a + 1 - t0)
         at, vals = np.empty(0, dtype=np.int64), [np.empty(0)] * len(cols)
@@ -233,11 +257,9 @@ def _linear_traces(ns: list[int], cols: Sequence[int], a: int, n0: int,
                     t, j = t[keep], np.searchsorted(at, t[keep])
                     ws = [v[j] * w[keep] for v, w in zip(vals, ws)]
                 at, vals = t, ws
-        view = buf[n0 + a * t0 - lo - 1 :: a][:c]
+        pos = (n0 + a * t0 - lo - 1) + a * at
         for v in vals:
-            view[at] = v
-            yield buf[: hi - lo]
-        view[at] = 0.0
+            yield pos, v
 
     return _array_trace(ns, blocks)
 

@@ -278,20 +278,23 @@ def pi_bound(n: int) -> int:
 
 
 def primes_up_to(n: int, lo: int = 1) -> np.ndarray:
-    """The primes in [lo, n], ascending int64: ``_prime_segment`` over the
-    segments of [max(lo, 1), n], each written into one array whose filled
-    prefix is returned; the rest is never written.  The array has
-    min(pi_bound(n), (n - lo) // 2 + 2) entries, the second a count of
-    the odd numbers in [lo, n] and 2, so a window of one segment costs one
-    segment's memory whatever n is.  lo = 1 gives every prime <= n.  Raises
-    ResourceLimitError, before sieving, when that array exceeds the
-    machine's physical memory."""
+    """The primes in [lo, n], ascending int64: ``_prime_segment`` of
+    [max(lo, 1), n] when that is one segment, so a window of one segment
+    costs one segment's memory whatever n is.  Longer ranges are sieved
+    segment by segment into one array whose filled prefix is returned; the
+    rest is never written.  The array has min(pi_bound(n), (n - lo) // 2 + 2)
+    entries, the second a count of the odd numbers in [lo, n] and 2.
+    lo = 1 gives every prime <= n.  Raises ResourceLimitError, before
+    sieving, when that array would exceed the machine's physical memory."""
     lo = max(lo, 1)
     if n < max(lo, 2):
         return np.empty(0, dtype=np.int64)
     size = min(pi_bound(n), (n - lo) // 2 + 2)
     _check_memory(8 * size, f"sieving the primes up to {n}")
-    base, out, count = primes_up_to(math.isqrt(n)), np.empty(size, dtype=np.int64), 0
+    base = primes_up_to(math.isqrt(n))
+    if n - lo < 2 * PRIME_SEGMENT_ODDS:
+        return _prime_segment(lo, n, base)
+    out, count = np.empty(size, dtype=np.int64), 0
     for start in range(lo, n + 1, 2 * PRIME_SEGMENT_ODDS):
         primes = _prime_segment(start, min(start + 2 * PRIME_SEGMENT_ODDS - 1, n), base)
         out[count : count + primes.size] = primes

@@ -28,7 +28,6 @@ class SingularConstant:
     value: float
     tail_estimate: float
     form: str
-    naive_product: float | None = None
 
 
 # Log terms handed to fsum as one list of Python floats.
@@ -204,49 +203,50 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     )
 
 
+def _series_coefficients(h: int, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_p(h), p - 1) as float64 for the primes ``ps``: c_p(h) = p - 1 where
+    p divides h, else -1.  h beyond int64 is reduced mod each p in Python ints."""
+    rem = h % ps if h < 2**63 else h % ps.astype(object)
+    p1 = ps.astype(np.float64) - 1.0
+    return np.where(rem == 0, p1, -1.0), p1
+
+
 def series_constant(h: int, P: int) -> SingularConstant:
     """Value of the mu(q)/phi(q)-weighted Ramanujan series at gap h.
 
     The q-ordered series is only conditionally convergent, so the value is
     computed through the absolutely convergent diagonal rearrangement
         prod_p (1 + c_p(h) / (p-1)^2),
-    which equals the pair constant at even h and vanishes at odd h.  The
-    literal prime-by-prime product of the raw coefficients,
-    prod_p (1 + mu(p) c_p(h) / phi(p)), does not converge to the series'
-    value (its p = 2 factor vanishes at even h); it is kept in
-    ``naive_product`` as a finding.  h may exceed int64.
-    ``tail_estimate`` = 2/(P-1) estimates the log of the omitted diagonal
-    factors; it is not a proven bound.
+    which equals the pair constant at even h and vanishes at odd h.  h may
+    exceed int64.  ``tail_estimate`` = 2/(P-1) estimates the log of the
+    omitted diagonal factors; it is not a proven bound.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if P < 2:
         raise ValueError(f"P must be >= 2, got {P}")
 
-    def coefficients(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (c_p(h), p - 1) as float64: c_p(h) = p - 1 where p divides h, else
-        # -1; Python ints beyond int64.
-        rem = h % ps if h < 2**63 else h % ps.astype(object)
-        p1 = ps.astype(np.float64) - 1.0
-        return np.where(rem == 0, p1, -1.0), p1
-
     def diagonal(ps: np.ndarray) -> np.ndarray:
-        cp, p1 = coefficients(ps)
+        cp, p1 = _series_coefficients(h, ps)
         return np.log(1.0 + cp / p1**2)
-
-    def raw(ps: np.ndarray) -> np.ndarray:
-        cp, p1 = coefficients(ps)
-        return np.log(1.0 - cp / p1)  # mu(p) = -1
 
     with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
         value = _euler_product(P, diagonal)
-        naive = _euler_product(P, raw)
-    return SingularConstant(
-        value=value,
-        tail_estimate=2.0 / (P - 1),
-        form=f"series({h})",
-        naive_product=naive,
-    )
+    return SingularConstant(value=value, tail_estimate=2.0 / (P - 1), form=f"series({h})")
+
+
+def series_naive_product(h: int, P: int) -> float:
+    """The literal prime-by-prime product of the raw coefficients of
+    ``series_constant``'s series, prod_p (1 + mu(p) c_p(h) / phi(p)) over
+    p <= P, for h >= 1 and P >= 2, kept as a finding: it does not converge to
+    the series' value, and its p = 2 factor vanishes at even h."""
+
+    def raw(ps: np.ndarray) -> np.ndarray:
+        cp, p1 = _series_coefficients(h, ps)
+        return np.log(1.0 - cp / p1)  # mu(p) = -1
+
+    with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
+        return _euler_product(P, raw)
 
 
 def series_wk(h: int, Q: int) -> SingularConstant:

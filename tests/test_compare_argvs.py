@@ -1,7 +1,9 @@
 """tools/compare_argvs.py, run on this tree against itself, against a
-copy that differs in one manifest field, and with its time limit cut."""
+copy that differs in one manifest field, against a copy that differs only
+in its peak RSS, and with its time limit cut."""
 
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_argvs.py"
 SLOW = "singular --form C2 --p 100000000"  # sieves the primes below 10^8
+PEAKS = r" \[peak A (\d+\.\d) MB, B (\d+\.\d) MB\]"
+# The summary line: counts, walls, and the largest peak rise and its argv.
+SUMMARY = r"(\d+) argvs, (\d+) differ; wall A \S+ s, B \S+ s; largest peak rise B - A ([+-]\d+\.\d) MB: "
+
+
+def line(status, argv):
+    """The pattern of one argv's line: its status, both peaks and the argv."""
+    return re.escape(status) + PEAKS + re.escape(": " + argv)
 
 
 def compare(tree_a, tree_b, argv_file):
@@ -26,10 +36,12 @@ def test_same_tree_gives_no_difference(tmp_path):
     proc = compare(ROOT, ROOT, argvs)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:3] == ["same (exit 0): csum --q 6 --n 3",
-                         "same (exit 0): --cache-dir '{tmp}/cache' sieve --n 1000",
-                         "same (exit 2): abel --x 2 --z 0.9"]
-    assert lines[3].startswith("3 argvs, 0 differ;")
+    assert len(lines) == 4
+    for got, want in zip(lines, [line("same (exit 0)", "csum --q 6 --n 3"),
+                                 line("same (exit 0)", "--cache-dir '{tmp}/cache' sieve --n 1000"),
+                                 line("same (exit 2)", "abel --x 2 --z 0.9")]):
+        assert re.fullmatch(want, got)
+    assert re.match(SUMMARY, lines[3]).groups()[:2] == ("3", "0")
 
 
 def test_changed_version_is_a_difference(tmp_path):
@@ -41,7 +53,41 @@ def test_changed_version_is_a_difference(tmp_path):
     argvs.write_text("csum --q 6 --n 3\n")
     proc = compare(ROOT, tree, argvs)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[0] == "DIFF out/csum_manifest.json: csum --q 6 --n 3"
+    assert re.fullmatch(line("DIFF out/csum_manifest.json", "csum --q 6 --n 3"),
+                        proc.stdout.splitlines()[0])
+
+
+def test_peak_rss_is_reported_not_a_difference(tmp_path):
+    # A copy whose package holds 64 MiB more at import, written page by
+    # page, and gives the same outputs: both argvs are the same, each line
+    # shows B's peak at least 50 MB above A's, and the summary names one.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    init = tree / "src" / "ramabel" / "__init__.py"
+    init.write_text(init.read_text() + "_BALLAST = b'x' * (64 << 20)\n")
+    argvs = tmp_path / "argvs.txt"
+    argvs.write_text("csum --q 6 --n 3\nabel --x 2 --z 0.9\n")
+    proc = compare(ROOT, tree, argvs)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for got in lines[:2]:
+        a, b = map(float, re.search(PEAKS, got).groups())
+        assert got.startswith("same (exit ") and b - a >= 50, got
+    counts = re.match(SUMMARY, lines[2])
+    assert counts.groups()[:2] == ("2", "0") and float(counts[3]) >= 50
+    assert lines[2].endswith((": csum --q 6 --n 3", ": abel --x 2 --z 0.9"))
+
+
+def test_a_large_file_does_not_raise_later_peaks(tmp_path):
+    # A child's ru_maxrss takes in the tool's RSS when the child starts.
+    # The 45 MB table dump of the first argv is hashed in chunks, so the
+    # next argv's peaks stay below that size.
+    argvs = tmp_path / "argvs.txt"
+    argvs.write_text("--cache-dir {tmp}/cache sieve --n 5000000\ncsum --q 6 --n 3\n")
+    proc = compare(ROOT, ROOT, argvs)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    peaks = re.search(PEAKS, proc.stdout.splitlines()[1]).groups()
+    assert max(map(float, peaks)) < 45, proc.stdout
 
 
 def load_tool():
@@ -58,8 +104,8 @@ def test_timeout_on_both_sides_is_the_same(tmp_path, monkeypatch, capsys):
     argvs.write_text(SLOW + "\n")
     assert tool.main([str(ROOT), str(ROOT), str(argvs)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"same (exit timeout): {SLOW}"
-    assert lines[1].startswith("1 argvs, 0 differ;")
+    assert re.fullmatch(line("same (exit timeout)", SLOW), lines[0])
+    assert re.match(SUMMARY, lines[1]).groups()[:2] == ("1", "0")
 
 
 def test_timeout_on_one_side_is_a_difference(tmp_path, monkeypatch, capsys):
@@ -74,5 +120,5 @@ def test_timeout_on_one_side_is_a_difference(tmp_path, monkeypatch, capsys):
     argvs.write_text(SLOW + "\n")
     assert tool.main([str(ROOT), str(fast), str(argvs)]) == 1
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == f"DIFF exit, stderr, stdout: {SLOW}"
+    assert re.fullmatch(line("DIFF exit, stderr, stdout", SLOW), out.splitlines()[0])
     assert "  A exit: 'timeout'\n  B exit: 0\n" in out

@@ -25,7 +25,8 @@ from ramabel import (
 )
 from ramabel import mean_values, sieve
 from ramabel.errors import ResourceLimitError
-from ramabel.mean_values import _BLOCK, _CHUNK, _Weights, _array_trace, _checkpoint_ns
+from ramabel.mean_values import (
+    _BLOCK, _CHUNK, _LEAF, _Weights, _array_trace, _block_sum, _checkpoint_ns)
 from ramabel.singular import validate_linear_pair
 
 
@@ -101,16 +102,41 @@ class TestArrayTrace:
         dense = np.zeros(N)
         dense[n - 1] = vals
         ns = _checkpoint_ns(N)
-        # Two summands, each yielded in one reused buffer.
-        buf = np.empty(min(_BLOCK, N))
 
-        def blocks(lo, hi):
-            for v in (dense, dense[::-1]):
-                buf[: hi - lo] = v[lo:hi]
-                yield buf[: hi - lo]
+        def blocks(lo, hi):  # two summands, each as its block's nonzeros
+            for v in (dense[lo:hi], dense[::-1][lo:hi]):
+                pos = np.flatnonzero(v)
+                yield pos, v[pos]
 
         assert _array_trace(ns, blocks) == [
             _dense_array_trace(dense, ns), _dense_array_trace(dense[::-1], ns)]
+
+
+class TestBlockSum:
+    # np.sum adds below 8 entries left to right, up to 128 in eight lanes,
+    # and splits a longer array in two.  Lengths at each of those edges, at
+    # the leaf and its neighbours, at 2^20 and its neighbours, and the 1000
+    # of the small blocks below; at a leaf of 128 every longer node splits.
+    LENGTHS = [1, 2, 5, 7, 8, 128, 129, 1000, _LEAF - 1, _LEAF, _LEAF + 1,
+               _BLOCK - 1, _BLOCK, _BLOCK + 1]
+
+    @pytest.mark.parametrize("leaf", [128, _LEAF])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_equals_np_sum_of_the_dense_block(self, monkeypatch, leaf, n):
+        monkeypatch.setattr(mean_values, "_LEAF", leaf)
+        rng = np.random.default_rng(n)
+        buf = np.zeros(min(leaf, n))
+        # Empty, one nonzero at the first or the last slot, sparse, dense.
+        supports = [np.empty(0, dtype=np.int64), np.array([0]), np.array([n - 1]),
+                    *[np.unique(rng.integers(0, n, size=round(d * n) + 1)) for d in (0.01, 0.3)],
+                    np.arange(n)]
+        for pos in supports:
+            # Magnitudes over twelve decades, so a change of order shows.
+            vals = rng.random(pos.size) * 10.0 ** rng.integers(-6, 7, pos.size)
+            dense = np.zeros(n)
+            dense[pos] = vals
+            assert _block_sum(pos, vals, n, buf) == np.sum(dense)
+            assert not buf.any()
 
 
 class TestSparseMatchesDense:
@@ -206,6 +232,20 @@ class TestStreamedMeans:
                 tracemalloc.stop()
 
         assert peak(8 * 10**6) <= peak(2 * 10**6) + 2**20
+
+    @pytest.mark.parametrize("mean", [pnt_mean, lambda N: tuple_mean((0, 2, 6), N, P=10**3)],
+                             ids=["pnt_mean", "tuple_mean"])
+    def test_no_dense_block_buffer(self, mean):
+        # A block is summed from its nonzeros: the peak was 7.8 MiB.  A
+        # dense float64 buffer of one block, 8 MiB more, made it 15.3 MiB.
+        mean(1000)
+        tracemalloc.start()
+        try:
+            mean(4 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
 
     @pytest.mark.parametrize("mean", [
         pnt_mean,

@@ -679,6 +679,20 @@ class TestHelpers:
         assert got.dtype == np.int64
         assert got.tolist() == full[full >= lo].tolist()
 
+    def test_primes_up_to_one_segment_or_two(self):
+        # n - lo = 2^21 - 2 and 2^21 - 1 are one segment, returned as
+        # ``_prime_segment`` sieves it; 2^21 is two.  lo = 1 and 2 hold the
+        # prime 2, lo = 3 and 1000 do not.
+        span = 2 * PRIME_SEGMENT_ODDS
+        t = build_sieve(span + 1000)
+        n_all = np.arange(t.bound + 1)
+        prime = np.flatnonzero((t.spf == n_all) & (n_all >= 2))
+        for lo in (1, 2, 3, 1000):
+            for n in (lo + span - 2, lo + span - 1, lo + span):
+                got = primes_up_to(n, lo)
+                assert got.dtype == np.int64
+                assert got.tolist() == prime[(prime >= lo) & (prime <= n)].tolist(), (n, lo)
+
     def test_primes_up_to_matches_spf(self):
         # The spf kernel is another algorithm: n >= 2 is prime iff spf[n] == n.
         # Bounds at and next to each edge k * 2 * PRIME_SEGMENT_ODDS of the

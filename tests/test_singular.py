@@ -25,6 +25,7 @@ from ramabel.singular import (
     TWIN_CONSTANT_REFERENCE,
     _residue_counts,
     check_admissible,
+    series_naive_product,
     validate_linear_pair,
     validate_tuple,
 )
@@ -343,14 +344,12 @@ class TestSeriesConstant:
         (10**20 + 7, 10**3, 0.0, 0.0),
     ])
     def test_pinned_values(self, h, P, value, naive):
-        got = series_constant(h, P)
-        assert (got.value, got.naive_product) == (value, naive)
+        assert (series_constant(h, P).value, series_naive_product(h, P)) == (value, naive)
 
     def test_naive_rearrangement_is_degenerate(self):
         # the term-by-term product (1 + mu(p) c_p(h) / phi(p)) collapses
         # to zero at even h because the p=2 factor is 1 + (-1)(-1)/1 ... = 0
-        got = series_constant(2, 10**4)
-        assert got.naive_product == 0.0
+        assert series_naive_product(2, 10**4) == 0.0
 
     def test_series_wk_route(self, tables):
         # the direct q-sum converges to the same constant, slowly
@@ -475,8 +474,9 @@ class TestWindowedProducts:
 
     @pytest.mark.parametrize("P", sorted(SERIES_PINS))
     def test_series_pinned_values(self, P):
-        got = [series_constant(h, P) for h in (1, 2, 30, H0, 2 * H0)]
-        assert [(c.value, c.naive_product) for c in got] == self.SERIES_PINS[P]
+        got = [(series_constant(h, P).value, series_naive_product(h, P))
+               for h in (1, 2, 30, H0, 2 * H0)]
+        assert got == self.SERIES_PINS[P]
 
     def test_one_window_of_memory(self):
         # One window: its 8 MiB output array, the 1 MiB mask and its terms.
@@ -500,8 +500,9 @@ class TestWindowedProducts:
         def values():
             consts = [twin_constant(P), pair_constant(30, P),
                       tuple_constant((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 2310), P)]
-            consts += [series_constant(h, P) for h in (1, 2, 30, 1499, 2 * 1499)]
-            return [(c.value, c.naive_product) for c in consts]
+            return [c.value for c in consts] + [
+                (series_constant(h, P).value, series_naive_product(h, P))
+                for h in (1, 2, 30, 1499, 2 * 1499)]
 
         want = values()
         monkeypatch.setattr(singular, "PRIME_SEGMENT_ODDS", odds)
@@ -517,8 +518,8 @@ class TestWindowedProducts:
             return primes_up_to(n, lo)
 
         monkeypatch.setattr(singular, "primes_up_to", recorded)
-        got = series_constant(1, 2 * WINDOW + 1)
-        assert (got.value, got.naive_product) == (0.0, 27.16087131842328)
+        got = (series_constant(1, 2 * WINDOW + 1).value, series_naive_product(1, 2 * WINDOW + 1))
+        assert got == (0.0, 27.16087131842328)
         assert starts == [1, 1, WINDOW + 1, 2 * WINDOW + 1]
 
     @pytest.mark.parametrize("product", [

@@ -103,9 +103,8 @@ def test_tracer_records_one_primes_span_per_window(tmp_path):
 # Each command kind of the `constants` workload at smoke size: the span it
 # is named by, and the span whose counts add up to its work.  The
 # tuple constant's primes include the two primes <= 3 of its admissibility
-# check; the series constant walks the primes twice.  The q-sums of
-# series_wk and abel stream the table segments, and csum, polymean and
-# goldbach factor their q: only props builds a table.
+# check.  The q-sums of series_wk and abel stream the table segments, and
+# csum, polymean and goldbach factor their q: only props builds a table.
 @pytest.mark.parametrize(
     "argv, named, counted, count",
     [
@@ -118,7 +117,7 @@ def test_tracer_records_one_primes_span_per_window(tmp_path):
         (["singular", "--form", "tuple", "--params", "0,2,6", "--p", "1000"],
          "singular.tuple_constant", "sieve.primes_up_to", 170),
         (["singular", "--form", "series", "--params", "6", "--p", "1000"],
-         "singular.series_constant", "sieve.primes_up_to", 336),
+         "singular.series_constant", "sieve.primes_up_to", 168),
         (["singular", "--form", "series_wk", "--params", "6", "--p", "1000"],
          "singular.series_wk", "sieve.build_sieve", 0),
         (["abel", "--x", "6"], "rf_series.abel_ladder", "rf_series.abel_ladder",

@@ -15,7 +15,12 @@ every file left under D, and the same manifest but for ``duration_s``; D is
 written as ``{tmp}`` before anything is compared.  A run still going after
 TIMEOUT seconds is killed and leaves only the exit ``"timeout"``, so two
 runs that time out are the same, and a timeout on one side only is a
-difference.  Prints one line per argv and exits 1 if any argv differs.
+difference.  Prints one line per argv, with the peak RSS of each run (the
+child's ``ru_maxrss`` from ``os.wait4``), and exits 1 if any argv differs.
+Peak RSS is reported, never counted as a difference; the summary line names
+the argv whose peak rose most from A to B.  A child's ``ru_maxrss`` takes in
+the RSS of this process when the child starts, so the files are hashed in
+chunks and never held whole.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -45,23 +51,45 @@ def read_argvs(path: Path) -> list[list[str]]:
     return argvs
 
 
-def run(tree: Path, argv: list[str]) -> tuple[dict, float]:
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def run(tree: Path, argv: list[str]) -> tuple[dict, float, float]:
     """What one fresh process of ``tree`` leaves for ``argv``, with its
-    temporary directory written as {tmp}, or its timeout; and its wall time."""
+    temporary directory written as {tmp}, or its timeout; its wall time;
+    and its peak RSS in MB."""
     env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
     env["PYTHONPATH"] = str(tree / "src")
-    with tempfile.TemporaryDirectory(prefix="compare_argvs_") as tmp:
+    with (tempfile.TemporaryDirectory(prefix="compare_argvs_") as tmp,
+          tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err):
         full = ["--out", f"{tmp}/out"] + [a.replace("{tmp}", tmp) for a in argv]
         start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "ramabel.cli", *full],
+                                env=env, stdout=out, stderr=err)
+        killed = threading.Event()
+        timer = threading.Timer(TIMEOUT, lambda: (killed.set(), proc.kill()))
+        timer.start()
         try:
-            proc = subprocess.run([sys.executable, "-m", "ramabel.cli", *full],
-                                  env=env, capture_output=True, text=True, timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
-            return {"exit": "timeout"}, time.perf_counter() - start
-        wall = time.perf_counter() - start
-        result = {"exit": proc.returncode,
-                  "stdout": proc.stdout.replace(tmp, "{tmp}"),
-                  "stderr": proc.stderr.replace(tmp, "{tmp}")}
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        finally:
+            timer.cancel()
+        wall, peak = time.perf_counter() - start, usage.ru_maxrss / 1024
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if killed.is_set():
+            return {"exit": "timeout"}, wall, peak
+        result = {"exit": proc.returncode}
+        for name, f in (("stdout", out), ("stderr", err)):
+            f.seek(0)
+            result[name] = f.read().decode(errors="replace").replace(tmp, "{tmp}")
         for path in sorted(Path(tmp).rglob("*")):
             if not path.is_file():
                 continue
@@ -71,8 +99,8 @@ def run(tree: Path, argv: list[str]) -> tuple[dict, float]:
                 manifest.pop("duration_s", None)
                 result[name] = manifest
             else:
-                result[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return result, wall
+                result[name] = sha256(path)
+    return result, wall, peak
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,20 +112,26 @@ def main(argv: list[str] | None = None) -> int:
     trees = (args.tree_a.resolve(), args.tree_b.resolve())
     walls = [0.0, 0.0]
     differ = 0
+    rise = None  # the largest (peak B - peak A, argv)
     argvs = read_argvs(args.argv_file)
     for i, cmd in enumerate(argvs):
-        results = [None, None]
+        results, peaks = [None, None], [0.0, 0.0]
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            results[side], wall = run(trees[side], cmd)
+            results[side], wall, peaks[side] = run(trees[side], cmd)
             walls[side] += wall
         a, b = results
         fields = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
         differ += bool(fields)
         status = "DIFF " + ", ".join(fields) if fields else f"same (exit {a['exit']})"
-        print(f"{status}: {shlex.join(cmd)}")
+        print(f"{status} [peak A {peaks[0]:.1f} MB, B {peaks[1]:.1f} MB]: {shlex.join(cmd)}")
         for k in fields:
             print(f"  A {k}: {a.get(k)!r}\n  B {k}: {b.get(k)!r}")
-    print(f"{len(argvs)} argvs, {differ} differ; wall A {walls[0]:.2f} s, B {walls[1]:.2f} s")
+        if rise is None or peaks[1] - peaks[0] > rise[0]:
+            rise = (peaks[1] - peaks[0], cmd)
+    summary = f"{len(argvs)} argvs, {differ} differ; wall A {walls[0]:.2f} s, B {walls[1]:.2f} s"
+    if rise:
+        summary += f"; largest peak rise B - A {rise[0]:+.1f} MB: {shlex.join(rise[1])}"
+    print(summary)
     return 1 if differ else 0
 
 
