@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +26,9 @@ from . import singular
 from .errors import ResourceLimitError
 from .ramanujan import cq_int
 from .sieve import MAX_PRIMES, lambda_windows, pi_bound
+
+if TYPE_CHECKING:  # fractions, and decimal with it, load only in _periodic_trace
+    from fractions import Fraction
 
 _BLOCK = 1 << 20
 # The entries of the largest node of ``_block_sum``'s tree that np.sum adds.
@@ -122,6 +124,7 @@ def _period_sums(L: int, ms: Sequence[int], summand: _Summand) -> list[int]:
 
 def _periodic_trace(L: int, N: int, summand: _Summand) -> tuple[list[tuple[int, float]], Fraction]:
     """Checkpoint means and exact mean of a summand as ``_period_sums`` takes it."""
+    from fractions import Fraction
     ns = _checkpoint_ns(N)
     *parts, total = _period_sums(L, [n % L for n in ns] + [L], summand)
     return [(n, ((n // L) * total + p) / n) for n, p in zip(ns, parts)], Fraction(total, L)

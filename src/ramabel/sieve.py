@@ -32,7 +32,6 @@ they stream ``lambda_windows`` over the ranges they read.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import math
 import os
@@ -334,6 +333,7 @@ def save_tables(bound: int, path: str) -> str:
                 for start, (_, dt), arr in zip(starts, SieveTables.FIELDS, arrays):
                     f.seek(start + lo * arr.itemsize)
                     f.write(arr.astype(dt, copy=False))
+            import hashlib  # only now, so OpenSSL never loads beside the generator's mu and phi
             f.seek(0)
             crc, digest = 0, hashlib.sha256()
             for chunk in _read_chunks(f, end):
@@ -423,6 +423,7 @@ def table_checksum(path: str, bound: int) -> str:
     """SHA-256 of the dump at ``path``, hashed in the one checked pass of
     ``_dump_chunks``.  Raises what that raises, then ValueError when the
     dump holds another bound than ``bound``."""
+    import hashlib  # here, not at start-up: OpenSSL adds 3.6 MB to a process
     chunks = _dump_chunks(path)
     header = next(chunks)
     digest = hashlib.sha256(header)

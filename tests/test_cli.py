@@ -791,3 +791,17 @@ def test_argv_file_parses():
             assert cli.build_parser().parse_args(argv).command == argv[0], argv
             parsed += 1
     assert parsed >= 41  # the README examples and the 31 pinned argvs at least
+
+
+@pytest.mark.parametrize("module", ["ramabel", "ramabel.cli"])
+def test_import_loads_no_late_module(module):
+    # hashlib (with OpenSSL's libcrypto), json and fractions (with decimal)
+    # are imported where a digest, the manifest or an exact period mean is
+    # made, after the kernel; at start-up they would add about 4 MB to the
+    # peak RSS of every command.
+    late = {"hashlib", "_hashlib", "json", "fractions", "decimal"}
+    code = f"import sys, {module}; print(*sorted({late!r} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "\n", f"import {module} loads {out.strip()}"

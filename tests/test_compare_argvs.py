@@ -1,6 +1,6 @@
 """tools/compare_argvs.py, run on this tree against itself, against a
-copy that differs in one manifest field, against a copy that differs only
-in its peak RSS, and with its time limit cut."""
+copy that differs in one manifest field, on two copies that differ only
+in their peak RSS, and with its time limit cut."""
 
 import importlib.util
 import re
@@ -13,8 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_argvs.py"
 SLOW = "singular --form C2 --p 100000000"  # sieves the primes below 10^8
 PEAKS = r" \[peak A (\d+\.\d) MB, B (\d+\.\d) MB\]"
-# The summary line: counts, walls, and the largest peak rise and its argv.
-SUMMARY = r"(\d+) argvs, (\d+) differ; wall A \S+ s, B \S+ s; largest peak rise B - A ([+-]\d+\.\d) MB: "
+# The summary line: counts, walls, the largest peak rise and its argv, and
+# the largest peak fall and its argv.
+SUMMARY = (r"(\d+) argvs, (\d+) differ; wall A \S+ s, B \S+ s; "
+           r"largest peak rise B - A ([+-]\d+\.\d) MB: (.+); "
+           r"largest peak fall A - B ([+-]\d+\.\d) MB: (.+)")
 
 
 def line(status, argv):
@@ -57,25 +60,33 @@ def test_changed_version_is_a_difference(tmp_path):
                         proc.stdout.splitlines()[0])
 
 
-def test_peak_rss_is_reported_not_a_difference(tmp_path):
-    # A copy whose package holds 64 MiB more at import, written page by
-    # page, and gives the same outputs: both argvs are the same, each line
-    # shows B's peak at least 50 MB above A's, and the summary names one.
-    tree = tmp_path / "tree"
+def ballasted(tmp_path, name, command):
+    """A copy of this tree whose package holds 64 MiB more at import,
+    written page by page, in a process for ``command`` alone."""
+    tree = tmp_path / name
     shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     init = tree / "src" / "ramabel" / "__init__.py"
-    init.write_text(init.read_text() + "_BALLAST = b'x' * (64 << 20)\n")
+    init.write_text(init.read_text() + f"import sys\n_BALLAST = b'x' * (64 << 20) "
+                                       f"if {command!r} in sys.argv else b''\n")
+    return tree
+
+
+def test_peak_rss_is_reported_not_a_difference(tmp_path):
+    # Two copies that give the same outputs: A holds the ballast for abel,
+    # B for csum.  Both argvs are the same, each line shows a peak at least
+    # 50 MB above the other side's, and the summary names csum's rise and
+    # abel's fall.
     argvs = tmp_path / "argvs.txt"
     argvs.write_text("csum --q 6 --n 3\nabel --x 2 --z 0.9\n")
-    proc = compare(ROOT, tree, argvs)
+    proc = compare(ballasted(tmp_path, "a", "abel"), ballasted(tmp_path, "b", "csum"), argvs)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    for got in lines[:2]:
+    for got, sign in zip(lines[:2], (1, -1)):
         a, b = map(float, re.search(PEAKS, got).groups())
-        assert got.startswith("same (exit ") and b - a >= 50, got
-    counts = re.match(SUMMARY, lines[2])
-    assert counts.groups()[:2] == ("2", "0") and float(counts[3]) >= 50
-    assert lines[2].endswith((": csum --q 6 --n 3", ": abel --x 2 --z 0.9"))
+        assert got.startswith("same (exit ") and sign * (b - a) >= 50, got
+    n, differ, rise, rise_argv, fall, fall_argv = re.fullmatch(SUMMARY, lines[2]).groups()
+    assert (n, differ) == ("2", "0") and float(rise) >= 50 and float(fall) >= 50
+    assert (rise_argv, fall_argv) == ("csum --q 6 --n 3", "abel --x 2 --z 0.9")
 
 
 def test_a_large_file_does_not_raise_later_peaks(tmp_path):

@@ -18,9 +18,9 @@ runs that time out are the same, and a timeout on one side only is a
 difference.  Prints one line per argv, with the peak RSS of each run (the
 child's ``ru_maxrss`` from ``os.wait4``), and exits 1 if any argv differs.
 Peak RSS is reported, never counted as a difference; the summary line names
-the argv whose peak rose most from A to B.  A child's ``ru_maxrss`` takes in
-the RSS of this process when the child starts, so the files are hashed in
-chunks and never held whole.
+the argv whose peak rose most from A to B and the argv whose peak fell
+most.  A child's ``ru_maxrss`` takes in the RSS of this process when the
+child starts, so the files are hashed in chunks and never held whole.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = (args.tree_a.resolve(), args.tree_b.resolve())
     walls = [0.0, 0.0]
     differ = 0
-    rise = None  # the largest (peak B - peak A, argv)
+    rise = fall = None  # the largest (peak B - peak A, argv) and (peak A - peak B, argv)
     argvs = read_argvs(args.argv_file)
     for i, cmd in enumerate(argvs):
         results, peaks = [None, None], [0.0, 0.0]
@@ -128,9 +128,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  A {k}: {a.get(k)!r}\n  B {k}: {b.get(k)!r}")
         if rise is None or peaks[1] - peaks[0] > rise[0]:
             rise = (peaks[1] - peaks[0], cmd)
+        if fall is None or peaks[0] - peaks[1] > fall[0]:
+            fall = (peaks[0] - peaks[1], cmd)
     summary = f"{len(argvs)} argvs, {differ} differ; wall A {walls[0]:.2f} s, B {walls[1]:.2f} s"
     if rise:
-        summary += f"; largest peak rise B - A {rise[0]:+.1f} MB: {shlex.join(rise[1])}"
+        summary += (f"; largest peak rise B - A {rise[0]:+.1f} MB: {shlex.join(rise[1])}"
+                    f"; largest peak fall A - B {fall[0]:+.1f} MB: {shlex.join(fall[1])}")
     print(summary)
     return 1 if differ else 0
 
