@@ -12,7 +12,6 @@ Also here: the truncated expansion of the sum-of-divisors function.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .ramanujan import cq_real, squarefree_cq
 from .sieve import _prime_factors, _table_segments, lambda_support
+from .singular import _fsum_chunks
 
 _MAX_Q = 10**9
 
@@ -56,19 +56,18 @@ def lambda1_series(z: float, Q: int, x: float) -> float:
     or an integer-valued float, takes the exact integer c_q of
     ``squarefree_cq`` at the int itself, of any size; otherwise the cosine
     definition is used.  Only the squarefree q have a term, summed in
-    ascending q with exact (fsum) compensation, one table segment at a time.
+    ascending q with exact (fsum) compensation by ``_fsum_chunks``.
     """
     _check_series(z, Q)
     exact = isinstance(x, (int, np.integer)) or float(x).is_integer()
 
-    def terms():
+    def term(q, mu, phi, c):
         # Off the integers, c_q(1) = mu(q) is drawn and the cosine sums read.
-        for q, mu, phi, c in squarefree_cq(Q, int(x) if exact else 1):
-            if not exact:
-                c = np.array([cq_real(k, float(x)) for k in q.tolist()])
-            yield (mu.astype(np.float64) / phi * c * z ** q.astype(np.float64)).tolist()
+        if not exact:
+            c = np.array([cq_real(k, float(x)) for k in q.tolist()])
+        return mu.astype(np.float64) / phi * c * z ** q.astype(np.float64)
 
-    return math.fsum(itertools.chain.from_iterable(terms()))
+    return _fsum_chunks(squarefree_cq(Q, int(x) if exact else 1), term)
 
 
 def lambda1_at(n: int) -> float:
@@ -135,7 +134,8 @@ def sigma_rf(n: int, Q: int) -> float:
     c = np.zeros(Q + 1, dtype=np.int64)
     for d in ds[n % (ds if n < 2**63 else ds.astype(object)) == 0].tolist():
         c[d::d] += d * mu[1 : Q // d + 1]
-    return (math.pi**2 * n / 6.0) * math.fsum((c[1:] / np.arange(1.0, Q + 1) ** 2).tolist())
+    return (math.pi**2 * n / 6.0) * _fsum_chunks([(c[1:], np.arange(1.0, Q + 1))],
+                                                 lambda cq, q: cq / q**2)
 
 
 def _check_z(z: float) -> None:

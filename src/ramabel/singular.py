@@ -1,8 +1,8 @@
 """Hardy-Littlewood singular-series constants via truncated Euler products.
 
 Every product over the primes p <= P streams: ``_euler_product`` sieves the
-primes one window at a time, turns each window into its per-prime log terms
-and sums them all, so a product holds one window whatever P is.  Each
+primes one window at a time and sums the per-prime log terms of each run of
+_FSUM_CHUNK primes, so a product holds one window whatever P is.  Each
 docstring says whether ``tail_estimate`` is a proven bound, on the log or on
 the value, or an estimate.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,39 +30,47 @@ class SingularConstant:
     form: str
 
 
-# Log terms handed to fsum as one list of Python floats.
+# Terms reach fsum _FSUM_CHUNK at a time, as Python floats: fsum takes those
+# much faster than numpy scalars, and a chunk bounds the terms held.
 _FSUM_CHUNK = 4096
+
+
+def _fsum_chunks(parts: Iterable[tuple[np.ndarray, ...]], term: Callable[..., np.ndarray]) -> float:
+    """fsum of ``term`` over each _FSUM_CHUNK-entry slice of each part's
+    equal-length arrays, in order; a part is dropped before the next is
+    drawn.  fsum is correctly rounded, so the chunks do not change the
+    value.  A chunk with a -inf term ends the sum, whose fsum is -inf."""
+
+    def terms() -> Iterator[list[float]]:
+        for arrays in parts:
+            for at in range(0, len(arrays[0]), _FSUM_CHUNK):
+                t = term(*(a[at : at + _FSUM_CHUNK] for a in arrays))
+                yield t.tolist()
+                if np.isneginf(t).any():
+                    return
+            del arrays
+
+    return math.fsum(itertools.chain.from_iterable(terms()))
 
 
 def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> float:
     """exp of the fsum of the per-prime log terms over the primes p <= P, P >= 2.
 
     The primes come in windows of 2 * PRIME_SEGMENT_ODDS integers, from
-    ``primes_up_to(hi, lo)``, and ``log_terms`` maps a window's primes to
-    their float64 log terms; only one window is held at a time.  fsum is
-    correctly rounded, so the value depends only on the multiset of terms,
-    not on the windows.  A factor of exactly 0 has log -inf: the windows
-    stop at the first that holds one, whose fsum is -inf and whose exp is
-    0.0.  Raises ResourceLimitError, before sieving, when pi_bound(P)
-    exceeds MAX_PRIMES.
+    ``primes_up_to(hi, lo)``, and ``log_terms`` maps each run of
+    _FSUM_CHUNK primes of a window to their float64 log terms, by
+    ``_fsum_chunks``: one window and one run's terms are held at a time.
+    A factor of exactly 0 has log -inf: the sum stops at the first run that
+    holds one, whose fsum is -inf and whose exp is 0.0.  Raises
+    ResourceLimitError, before sieving, when pi_bound(P) exceeds MAX_PRIMES.
     """
     factors = pi_bound(P)
     if factors > MAX_PRIMES:
         raise ResourceLimitError(f"an Euler product over the primes up to {P} takes up "
                                  f"to {factors} factors, over the limit of {MAX_PRIMES}")
     span = 2 * PRIME_SEGMENT_ODDS
-
-    def terms() -> Iterator[list[float]]:
-        # fsum takes Python floats much faster than numpy scalars; chunks of
-        # _FSUM_CHUNK terms bound the list that holds them.
-        for lo in range(1, P + 1, span):
-            logs = log_terms(primes_up_to(min(lo + span - 1, P), lo))
-            for at in range(0, logs.size, _FSUM_CHUNK):
-                yield logs[at : at + _FSUM_CHUNK].tolist()
-            if np.isneginf(logs).any():
-                return
-
-    return math.exp(math.fsum(itertools.chain.from_iterable(terms())))
+    windows = ((primes_up_to(min(lo + span - 1, P), lo),) for lo in range(1, P + 1, span))
+    return math.exp(_fsum_chunks(windows, log_terms))
 
 
 def twin_constant(P: int) -> SingularConstant:
@@ -253,16 +261,17 @@ def series_wk(h: int, Q: int) -> SingularConstant:
     """Direct q-sum of the squared-coefficient series sum mu(q)^2/phi(q)^2 c_q(h).
 
     Absolutely convergent, so the plain truncation is meaningful; only the
-    squarefree q of ``squarefree_cq`` have a term.  The tail estimate scales
-    sigma(h), from factoring h of any size by ``_prime_factors`` (a cofactor
-    it cannot prove prime raises ResourceLimitError), by an empirical bound
-    on sum_{q>Q} 1/phi(q)^2.  It is an estimate, not a proven bound.
+    squarefree q of ``squarefree_cq`` have a term, fed to ``_fsum_chunks``.
+    The tail estimate scales sigma(h), from factoring h of any size by
+    ``_prime_factors`` (a cofactor it cannot prove prime raises
+    ResourceLimitError), by an empirical bound on sum_{q>Q} 1/phi(q)^2.  It
+    is an estimate, not a proven bound.
     """
     if h < 1 or Q < 1:
         raise ValueError(f"need h >= 1 and Q >= 1, got h={h}, Q={Q}")
     sigma_h = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in _prime_factors(h))
-    terms = (1.0 / phi.astype(np.float64) ** 2 * c for _, _, phi, c in squarefree_cq(Q, h))
-    value = math.fsum(itertools.chain.from_iterable(t.tolist() for t in terms))
+    value = _fsum_chunks(squarefree_cq(Q, h),
+                         lambda q, mu, phi, c: 1.0 / phi.astype(np.float64) ** 2 * c)
     # sum_{q>Q} 1/phi(q)^2 ~ 2.2/Q; doubled for slack.
     tail = sigma_h * 4.4 / Q
     return SingularConstant(

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from ramabel import (
     ResourceLimitError,
     conjecture_d_constant,
+    lambda1_series,
     pair_constant,
+    required_Q,
     series_constant,
     series_wk,
+    sigma_rf,
     tuple_constant,
     twin_constant,
 )
@@ -479,7 +482,8 @@ class TestWindowedProducts:
         assert got == self.SERIES_PINS[P]
 
     def test_one_window_of_memory(self):
-        # One window: its 8 MiB output array, the 1 MiB mask and its terms.
+        # One window: the 1 MiB mask of its odd numbers, its primes as
+        # sieved (about 1 MiB) and the terms of one run of its primes.
         # Over one array of the primes <= 2 * 10^7 the peak was 29.1 MiB.
         twin_constant(10**6)
         tracemalloc.start()
@@ -543,3 +547,50 @@ class TestWindowedProducts:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+class TestFsumChunks:
+    """Every Euler product and q-sum computes its terms, and hands them to
+    fsum, in chunks of _FSUM_CHUNK: fsum is correctly rounded whatever the
+    chunks are."""
+
+    # Chunks of 1, 2 and 7 put edges at every term, at p = 2 and p = 1499,
+    # whose zero factors stop the naive products, and at the small cut.
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
+    def test_chunk_size_does_not_change_values(self, monkeypatch, chunk):
+        P = 3_001
+
+        def values():
+            consts = [twin_constant(P), pair_constant(30, P),
+                      tuple_constant((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 2310), P)]
+            return [c.value for c in consts] + [
+                (series_constant(h, P).value, series_naive_product(h, P))
+                for h in (1, 2, 30, 1499, 2 * 1499)] + [
+                series_wk(h, 5_000).value for h in (1, 2, 30)] + [
+                lambda1_series(0.99, 3_000, x) for x in (7, 7.3)] + [
+                sigma_rf(n, 5_000) for n in (1, 12, 360)]
+
+        want = values()
+        monkeypatch.setattr(singular, "_FSUM_CHUNK", chunk)
+        assert values() == want
+
+    # Traced peaks before the terms were chunked, and after: a product held
+    # a window's log terms while it sieved the next, 5.47 and 3.38 MiB; a
+    # q-sum turned a segment into one list of Python floats, and held the
+    # segment while the next was built, 7.75 and 5.48 MiB, 11.59 and 8.72
+    # MiB.  Chunked terms with the last window or segment kept while the
+    # next is drawn gave 4.37, 6.94 and 10.17 MiB.
+    @pytest.mark.parametrize("call, bound", [
+        (lambda: twin_constant(5 * 10**6), 4 * 2**20),
+        (lambda: series_wk(20, 288_065), 6.5 * 2**20),
+        (lambda: lambda1_series(0.99999, required_Q(0.99999, 1e-8), 5), 9.5 * 2**20),
+    ], ids=["twin_constant", "series_wk", "lambda1_series"])
+    def test_traced_peak_within_budget(self, call, bound):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
