@@ -10,8 +10,9 @@ starts no worker threads, and results do not depend on the flag.
 
 ``sieve`` prints the SHA-256 of the full-table dump for its bound, the same
 with no cache, a cold cache or a warm one, and never holds the tables: it
-streams the dump to the cache file, or with no cache to a temporary file in
---out that it removes, and it checksums a cached dump in one checked pass.
+streams the dump to the cache file, or with no cache into a temporary
+directory in --out that it removes, and it checksums a cached dump in one
+checked pass.
 At 10^7 a process peaks at about 45 MB cold or with no cache and 34 MB warm.
 
 Options must be spelled in full: an abbreviated option, like a malformed
@@ -39,9 +40,6 @@ from .sieve import SieveTables, build_sieve, load_tables, save_tables, table_che
 
 CACHE_ENV = "RAMABEL_CACHE_DIR"
 REPORT_HEADER = ["label", "N", "mean", "predicted", "abs_gap"]
-# The correlation commands: each mean takes N from --n, builds no table and
-# streams windows of primes over the ranges it reads.
-LAMBDA_COMMANDS = ("pnt", "autocorr", "conjd", "tuple")
 # The namespace entries every command has, left out of a manifest's params.
 GLOBAL_OPTIONS = ("out", "cache_dir", "threads", "command")
 # form -> (values in --params, constant at (params, --p)); series_wk's --p is its
@@ -111,8 +109,8 @@ def _get_checksum(bound: int, cache_dir: str | None, path: str | None, scratch: 
     An existing file is checksummed in one checked pass and must hold
     ``bound``; a dump of the wrong length or failing its crc32 check is
     rebuilt and replaced with a warning.  A missing file is streamed to disk
-    by ``save_tables``.  With no file, the dump goes to a temporary file in
-    ``scratch`` that is removed before this returns.  The tables are never
+    by ``save_tables``.  With no file, the dump goes to a temporary directory
+    in ``scratch`` that is removed before this returns.  The tables are never
     held in memory, and the checksum is the same in every case.
     """
     if path is None and cache_dir:
@@ -125,12 +123,8 @@ def _get_checksum(bound: int, cache_dir: str | None, path: str | None, scratch: 
     if path:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         return save_tables(bound, path)
-    fd, tmp = tempfile.mkstemp(prefix=f"tables_N{bound}_", suffix=".tmp", dir=scratch)
-    os.close(fd)
-    try:
-        return save_tables(bound, tmp)
-    finally:
-        os.remove(tmp)
+    with tempfile.TemporaryDirectory(dir=scratch) as tmp:
+        return save_tables(bound, os.path.join(tmp, "tables.bin"))
 
 
 def _comma_list(kind: type, what: str, text: str) -> list:
@@ -232,11 +226,6 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace, out: Path) -> tuple:
     """One command's report: (sieve bound, CSV header, rows, summary[, exit code])."""
     cmd = args.command
-    if cmd in LAMBDA_COMMANDS and args.n < 1:
-        # Before anything else is checked, so that an argv with a bad N and
-        # another bad value names N.
-        raise ValueError(f"N must be >= 1, got N={args.n}")
-
     if cmd == "sieve":
         digest = _get_checksum(args.n, args.cache_dir, args.cache, out)
         return (args.n, ["bound", "checksum"], [[args.n, digest]],

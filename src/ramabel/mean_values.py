@@ -10,8 +10,9 @@ prime correlations take N and no tables, and stream: each block of n reads
 Lambda from the windows of ``sieve.lambda_windows`` over the ranges its
 factors read, n + gap, n + offset or (b n + l)/a, and is summed from its
 nonzeros (``_block_sum``), so a mean holds a few windows of primes whatever
-N is.  They check N, then take their predicted constant, so a bad
-truncation prime P is refused before any window is sieved.
+N is.  Each checks N before anything else (``_checkpoint_ns``), then takes
+its predicted constant, so a bad truncation prime P is refused before any
+window is sieved; an odd gap's limit is 0, so it reads no constant and no P.
 """
 
 from __future__ import annotations
@@ -106,28 +107,31 @@ def _array_trace(ns: list[int],
 
 
 def _period_sums(L: int, ms: Sequence[int], summand: _Summand) -> list[int]:
-    """Exact sums over n = 1..m, as ints, one for each m in ms, 0 <= m <= L, of
-    a summand of period L < 2^31 that maps an int64 array of n to its int64
-    values; it is called on ascending chunks of _CHUNK n, for n <= max(ms) only.
+    """Exact sums over n = 1..m, as ints, one for each m >= 0 in ms, of a
+    summand of period L < 2^31 that maps an int64 array of n to its int64
+    values: (m // L) S_L + S_{m mod L}, with S_k the sum over n = 1..k.  The
+    summand is called on ascending chunks of _CHUNK n, for n <= min(max(ms), L)
+    only, so the period is summed only when some m reaches it.
     Each int64 sum is over at most L consecutive n, so below L^2 < 2^62.  For
     c_q(f(n)), L = q and |c_q| <= phi(q) < q.  For c_r(n) c_s(n'), n' = n + m or
     2N - n and L = lcm(r, s): c_r(n)^2 sums to r phi(r) over any r consecutive
     n, and L / r such runs cover at most L consecutive n, where it sums to at
     most L phi(r); by Cauchy-Schwarz |sum| <= L sqrt(phi(r) phi(s)) < L^2."""
-    top, done, sums = max(ms), 0, {0: 0}
+    splits = [divmod(m, L) for m in ms]  # (whole periods, rest r)
+    top, done, sums = max(min(m, L) for m in ms), 0, {0: 0}
     for lo in range(0, top, _CHUNK):
         v = summand(np.arange(lo + 1, min(lo + _CHUNK, top) + 1, dtype=np.int64))
-        sums |= {m: done + int(v[: m - lo].sum()) for m in ms if lo < m <= lo + v.size}
+        sums |= {r: done + int(v[: r - lo].sum()) for _, r in splits if lo < r <= lo + v.size}
         done += int(v.sum())
-    return [sums[m] for m in ms]
+    return [k * done + sums[r] for k, r in splits]  # done is S_L when some k > 0
 
 
 def _periodic_trace(L: int, N: int, summand: _Summand) -> tuple[list[tuple[int, float]], Fraction]:
     """Checkpoint means and exact mean of a summand as ``_period_sums`` takes it."""
     from fractions import Fraction
     ns = _checkpoint_ns(N)
-    *parts, total = _period_sums(L, [n % L for n in ns] + [L], summand)
-    return [(n, ((n // L) * total + p) / n) for n, p in zip(ns, parts)], Fraction(total, L)
+    *sums, total = _period_sums(L, ns + [L], summand)
+    return [(n, s / n) for n, s in zip(ns, sums)], Fraction(total, L)
 
 
 def cq_orthogonality(r: int, s: int, m: int, N: int) -> MeanValueReport:
@@ -288,13 +292,14 @@ def pair_autocorrelation(h2: int, N: int, P: int = 10**6,
                          weight: str = "lambda1") -> MeanValueReport:
     """Shifted autocorrelation mean at an even gap against the pair constant.
 
-    Odd gaps are not an error; they route to the zero-limit variant.
+    Odd gaps are not an error; they route to the zero-limit variant, which
+    reads no constant, so P is then neither read nor checked.
     """
+    ns = _checkpoint_ns(N)
     if h2 < 1:
         raise ValueError(f"gap must be >= 1, got {h2}")
     if h2 % 2 == 1:
         return odd_gap_mean(h2, N, weight=weight)
-    ns = _checkpoint_ns(N)
     predicted = singular.pair_constant(h2, P).value
     return MeanValueReport(f"pair_autocorrelation(h={h2},w={weight})",
                            _linear_pair_trace(weight, 1, 1, h2, ns), predicted)
@@ -302,10 +307,11 @@ def pair_autocorrelation(h2: int, N: int, P: int = 10**6,
 
 def odd_gap_mean(h: int, N: int, weight: str = "lambda1") -> MeanValueReport:
     """Autocorrelation mean at an odd gap; the limit is zero."""
+    ns = _checkpoint_ns(N)
     if h < 1 or h % 2 == 0:
         raise ValueError(f"gap must be a positive odd integer, got {h}")
     return MeanValueReport(f"odd_gap_mean(h={h},w={weight})",
-                           _linear_pair_trace(weight, 1, 1, h, _checkpoint_ns(N)), 0.0)
+                           _linear_pair_trace(weight, 1, 1, h, ns), 0.0)
 
 
 def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = 10**6,
@@ -317,7 +323,6 @@ def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = 10**6,
     it is weighting n by the root-of-unity indicator average
     (1/a) sum_k e^{2 pi i k (b n + l)/a}, 1 when a | b n + l and else 0.
     """
-    singular.validate_linear_pair(a, b, l)
     ns = _checkpoint_ns(N)
     predicted = singular.conjecture_d_constant(a, b, l, P).value
     return MeanValueReport(f"conjecture_d_mean(a={a},b={b},l={l},w={weight})",
@@ -334,8 +339,8 @@ def tuple_mean(offsets: Sequence[int], N: int,
     ``singular.validate_tuple``.  The support reaches the largest index,
     N + the largest offset.
     """
-    offsets = singular.validate_tuple(offsets)
     ns = _checkpoint_ns(N)
+    offsets = singular.validate_tuple(offsets)
     predicted = singular.tuple_constant(offsets, P).value
     traces = _linear_traces(ns, list(_COLUMNS.values()), 1, 1,
                             [(1 + off, 1) for off in offsets])
@@ -350,14 +355,11 @@ def pnt_mean(N: int) -> MeanValueReport:
 
 
 def goldbach_correlation(N: int, q1: int, q2: int) -> int:
-    """Exact finite sum over n = 1..2N of c_{q1}(n) * c_{q2}(2N - n), N of any size:
-    (2N // L) times the sum over one period L = lcm(q1, q2) < 2^31, plus the sum to 2N % L."""
+    """Exact finite sum over n = 1..2N of c_{q1}(n) * c_{q2}(2N - n), N of any size,
+    through ``_period_sums`` with the period L = lcm(q1, q2) < 2^31."""
     if N < 1 or q1 < 1 or q2 < 1:
         raise ValueError(f"need N, q1, q2 >= 1, got N={N}, q1={q1}, q2={q2}")
     L = math.lcm(q1, q2)
     if L >= 2**31:  # _period_sums' int64 sums are exact below it
         raise ValueError(f"L = lcm(q1, q2) = {L} is over the limit 2^31 - 1")
-    whole, part = divmod(2 * N, L)
-    S, rest = _period_sums(L, [L if whole else 0, part],
-                           lambda n: cq_int(q1, n) * cq_int(q2, 2 * N % q2 - n))
-    return whole * S + rest
+    return _period_sums(L, [2 * N], lambda n: cq_int(q1, n) * cq_int(q2, 2 * N % q2 - n))[0]

@@ -186,13 +186,11 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
     """
     offsets = validate_tuple(offsets)
     m = len(offsets) - 1
-    if m == 0:
-        return SingularConstant(
-            value=1.0, tail_estimate=0.0, form="tuple(0,)"
-        )
     small_cut = max(offsets[-1], m + 1)
     if P < small_cut:
         raise ValueError(f"P={P} too small; need P >= {small_cut}")
+    if m == 0:
+        return SingularConstant(value=1.0, tail_estimate=0.0, form="tuple(0,)")
     offs = np.array(offsets)
 
     def log_terms(ps: np.ndarray) -> np.ndarray:

@@ -219,7 +219,7 @@ class TestErrors:
     # 3 * 10^9 is past the int32 limit, or past this machine's memory for
     # the mu and phi that a save holds: refused before any file is made,
     # with a cache directory and with none (where the dump would go to a
-    # temporary file in --out).
+    # temporary directory in --out).
     @pytest.mark.parametrize("cache", [True, False], ids=["cache-dir", "no-cache"])
     def test_sieve_past_int32_leaves_no_file(self, tmp_path, capsys, cache):
         out = tmp_path / "out"
@@ -282,10 +282,13 @@ class TestErrors:
          "L = lcm(q1, q2) = 55340232221128654698 is over the limit 2^31 - 1"),
         (("goldbach", "--n", "3", "--q1", "3000000000", "--q2", "2"),
          "L = lcm(q1, q2) = 3000000000 is over the limit 2^31 - 1"),
+        (("singular", "--form", "tuple", "--params", "0", "--p", "-5"),
+         "P=-5 too small; need P >= 1"),
+        (("tuple", "--offsets", "0", "--n", "100", "--p", "-3"), "P=-3 too small; need P >= 1"),
     ], ids=["props-nmax", "props-qmax", "series_wk-p", "abel-zs", "C2-extra", "pair-extra",
             "conjD-extra", "series-extra", "series_wk-extra", "abel-x-2^63", "abel-x-huge",
             "abel-eps-nan", "goldbach-q0", "goldbach-qneg", "goldbach-L-overflow",
-            "goldbach-L-3e9"])
+            "goldbach-L-3e9", "tuple-form-1-tuple-P", "tuple-1-tuple-P"])
     def test_bad_value_named(self, tmp_path, capsys, argv, error):
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
@@ -486,7 +489,7 @@ class TestTableCache:
         assert capsys.readouterr().out == fresh
         cached = str(tmp_path / "cache" / "tables_N1000_v3.bin")
         assert f"checksum={table_checksum(cached, 1000)}" in fresh
-        # With no cache the dump went to a temporary file in --out, now gone.
+        # With no cache the dump went to a temporary directory in --out, now gone.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "cache", "sieve.csv", "sieve_manifest.json"]
 

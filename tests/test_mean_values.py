@@ -374,6 +374,33 @@ class TestOrthogonality:
             assert abs(rep.empirical - float(rep.exact_mean)) <= bound
 
 
+class TestPeriodSums:
+    # Any m >= 0 is (m // L) whole periods and a rest: the summand is read
+    # at n <= L only, and never past the largest m.
+    @pytest.mark.parametrize("chunk", [3, 7, _CHUNK], ids=["chunk3", "chunk7", "default"])
+    def test_any_m_equals_python_ints(self, monkeypatch, chunk):
+        monkeypatch.setattr(mean_values, "_CHUNK", chunk)
+        L, read = 7, []
+
+        def summand(n):
+            assert n[-1] <= L, f"summand read at n = {n[-1]} > L"
+            read.extend(n.tolist())
+            return (5 * n * n + 3) % L - 3
+
+        period = [(5 * n * n + 3) % L - 3 for n in range(1, L + 1)]
+
+        def want(m):
+            return (m // L) * sum(period) + sum(period[: m % L])
+
+        assert [want(m) for m in range(4 * L)] == [
+            sum(period[(n - 1) % L] for n in range(1, m + 1)) for m in range(4 * L)]
+        for ms, top in (([0, L - 1, L, L + 1, 3 * L, 3 * L + 2, 10**20 + 3], L),
+                        ([L - 1, 2, 0], L - 1), ([0], 0)):
+            read.clear()
+            assert mean_values._period_sums(L, ms, summand) == [want(m) for m in ms]
+            assert read == list(range(1, top + 1))
+
+
 class TestPolynomialMean:
     def test_table_example(self):
         # q = 5, f(n) = n^2 + 1: residues of f mod 5 are 1,2,0,0,2 and
@@ -528,6 +555,16 @@ class TestConstantBeforeTrace:
             mean(10**8, P)
         with pytest.raises(ValueError, match=r"^N must be >= 1, got N=0$"):
             mean(0, P)
+
+    # Each kernel takes its checkpoints first, so N is named before a bad
+    # gap, (a, b, l) or offset tuple.
+    @pytest.mark.parametrize("mean", [
+        lambda: pair_autocorrelation(0, 0), lambda: odd_gap_mean(2, 0),
+        lambda: conjecture_d_mean(2, 2, 1, 0), lambda: tuple_mean((0, 2, 4), 0),
+    ], ids=["autocorr-gap0", "odd-gap-even", "conjd-not-coprime", "tuple-inadmissible"])
+    def test_bad_N_before_every_other_value(self, mean):
+        with pytest.raises(ValueError, match=r"^N must be >= 1, got N=0$"):
+            mean()
 
 
 class TestConjectureDMean:

@@ -300,6 +300,14 @@ class TestTupleConstant:
         with pytest.raises(ValueError):
             tuple_constant((0, 2, 4), 100)
 
+    # The 1-tuple's constant is 1 at every P >= 1, and its P is checked as
+    # every tuple's is: small_cut = max(0, 1) = 1.
+    @pytest.mark.parametrize("P", [0, -5])
+    def test_one_tuple_checks_P(self, P):
+        with pytest.raises(ValueError, match=rf"^P={P} too small; need P >= 1$"):
+            tuple_constant((0,), P)
+        assert tuple_constant((0,), 1).value == 1.0
+
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             tuple_constant((0, 6, 2), 100)

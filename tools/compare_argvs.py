@@ -21,6 +21,14 @@ Peak RSS is reported, never counted as a difference; the summary line names
 the argv whose peak rose most from A to B and the argv whose peak fell
 most.  A child's ``ru_maxrss`` takes in the RSS of this process when the
 child starts, so the files are hashed in chunks and never held whole.
+
+A peak can move by about 2 MB with no change to the code it runs.  The
+same files of one tree, run from two directories, peaked at 34.4 and 36.6 MB
+on ``tuple --offsets 0,2,2000006 --n 300000 --p 3000000`` (``ru_maxrss``,
+two runs each), while ``singular --form C2 --p 100000000`` and ``pnt --n
+10000000`` moved by 0.2 MB at most; later runs of the same pairs all read
+34.3-34.5 MB.  So compare two copies made the same way, at paths of equal
+length, and run an argv whose peak rises that far again before reading it.
 """
 
 from __future__ import annotations
