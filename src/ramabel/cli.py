@@ -139,6 +139,8 @@ _floats = functools.partial(_comma_list, float, "numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser.  Every default or choice a kernel also has is its module's:
+    --p from singular, --zs and --eps from rf_series, --weights from mean_values."""
     ap = argparse.ArgumentParser(prog="ramabel", description=__doc__, allow_abbrev=False)
     ap.add_argument("--out", default=".", help="output directory for CSV/manifest")
     ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
@@ -160,20 +162,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("autocorr", help="shifted autocorrelation mean at a gap")
     p.add_argument("--gap", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights", choices=("lambda", "lambda1"), default="lambda1")
-    p.add_argument("--p", type=int, default=10**6, help="constant truncation prime")
+    p.add_argument("--weights", choices=mean_values.WEIGHTS, default=mean_values.DEFAULT_WEIGHT)
+    p.add_argument("--p", type=int, default=singular.DEFAULT_TRUNCATION,
+                   help="constant truncation prime")
 
     p = command("conjd", help="divisibility-restricted pair mean")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=10**6)
+    p.add_argument("--p", type=int, default=singular.DEFAULT_TRUNCATION)
 
     p = command("tuple", help="offset-tuple correlation mean")
     p.add_argument("--offsets", type=_ints, required=True, help="comma list, e.g. 0,2,6")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=10**6)
+    p.add_argument("--p", type=int, default=singular.DEFAULT_TRUNCATION)
 
     p = command("pnt", help="mean of the weighted von Mangoldt function")
     p.add_argument("--n", type=int, required=True)
@@ -192,12 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("singular", help="Hardy-Littlewood constants")
     p.add_argument("--form", required=True, choices=SINGULAR_FORMS)
     p.add_argument("--params", type=_ints, default="", help="comma integers for the chosen form")
-    p.add_argument("--p", type=int, default=10**6, help="truncation bound")
+    p.add_argument("--p", type=int, default=singular.DEFAULT_TRUNCATION, help="truncation bound")
 
     p = command("abel", help="power-series ladder toward z = 1")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--zs", type=_floats, default="0.9,0.99,0.999")
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--zs", type=_floats, default=list(rf_series.DEFAULT_Z_LADDER))
+    p.add_argument("--eps", type=float, default=rf_series.DEFAULT_LADDER_EPSILON)
 
     p = command("props", help="run the Ramanujan-sum identity catalog")
     p.add_argument("--qmax", type=int, default=50)

@@ -37,8 +37,9 @@ _LEAF = 1 << 16
 # The n of one chunk of an exact period sum, and the summand it takes (``_period_sums``).
 _CHUNK = 1 << 18
 _Summand = Callable[[np.ndarray], np.ndarray]
-# Each weight's column in ``_Weights``.
-_COLUMNS = {"lambda": 0, "lambda1": 1}
+# Each weight's column in ``_Weights``, and the one the pair means take by default.
+WEIGHTS = {"lambda": 0, "lambda1": 1}
+DEFAULT_WEIGHT = "lambda1"
 
 
 @dataclass
@@ -278,18 +279,18 @@ def _linear_pair_trace(weight: str, a: int, b: int, l: int,
     power.  For gcd(a, b) = 1 the other n are one class n0 mod a, along
     which (b n + l)/a steps by b.
     """
-    if weight not in _COLUMNS:
-        raise ValueError(f"weight must be 'lambda' or 'lambda1', got {weight!r}")
+    if weight not in WEIGHTS:
+        raise ValueError(f"weight must be {' or '.join(map(repr, WEIGHTS))}, got {weight!r}")
     N = ns[-1]
     n0 = (-l * pow(b, -1, a)) % a or a  # a | b n + l exactly for n = n0 mod a
     m0 = (b * n0 + l) // a
     if n0 + a > N:  # n0 is alone in its class, so a and b may overflow int64
         a, b = N, 1
-    return _linear_traces(ns, [_COLUMNS[weight]], a, n0, [(n0, a), (m0, b)])[0]
+    return _linear_traces(ns, [WEIGHTS[weight]], a, n0, [(n0, a), (m0, b)])[0]
 
 
-def pair_autocorrelation(h2: int, N: int, P: int = 10**6,
-                         weight: str = "lambda1") -> MeanValueReport:
+def pair_autocorrelation(h2: int, N: int, P: int = singular.DEFAULT_TRUNCATION,
+                         weight: str = DEFAULT_WEIGHT) -> MeanValueReport:
     """Shifted autocorrelation mean at an even gap against the pair constant.
 
     Odd gaps are not an error; they route to the zero-limit variant, which
@@ -305,7 +306,7 @@ def pair_autocorrelation(h2: int, N: int, P: int = 10**6,
                            _linear_pair_trace(weight, 1, 1, h2, ns), predicted)
 
 
-def odd_gap_mean(h: int, N: int, weight: str = "lambda1") -> MeanValueReport:
+def odd_gap_mean(h: int, N: int, weight: str = DEFAULT_WEIGHT) -> MeanValueReport:
     """Autocorrelation mean at an odd gap; the limit is zero."""
     ns = _checkpoint_ns(N)
     if h < 1 or h % 2 == 0:
@@ -314,8 +315,8 @@ def odd_gap_mean(h: int, N: int, weight: str = "lambda1") -> MeanValueReport:
                            _linear_pair_trace(weight, 1, 1, h, ns), 0.0)
 
 
-def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = 10**6,
-                      weight: str = "lambda1") -> MeanValueReport:
+def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = singular.DEFAULT_TRUNCATION,
+                      weight: str = DEFAULT_WEIGHT) -> MeanValueReport:
     """Mean over n <= N, restricted to a | (b n + l), of the product of
     weights at n and (b n + l)/a.
 
@@ -330,7 +331,7 @@ def conjecture_d_mean(a: int, b: int, l: int, N: int, P: int = 10**6,
 
 
 def tuple_mean(offsets: Sequence[int], N: int,
-               P: int = 10**6) -> tuple[MeanValueReport, MeanValueReport]:
+               P: int = singular.DEFAULT_TRUNCATION) -> tuple[MeanValueReport, MeanValueReport]:
     """Means of the product of von Mangoldt weights over the offset tuple,
     (Lambda, Lambda_1), against one predicted constant.
 
@@ -342,10 +343,10 @@ def tuple_mean(offsets: Sequence[int], N: int,
     ns = _checkpoint_ns(N)
     offsets = singular.validate_tuple(offsets)
     predicted = singular.tuple_constant(offsets, P).value
-    traces = _linear_traces(ns, list(_COLUMNS.values()), 1, 1,
+    traces = _linear_traces(ns, list(WEIGHTS.values()), 1, 1,
                             [(1 + off, 1) for off in offsets])
     return tuple(MeanValueReport(f"tuple_mean(offsets={offsets},w={weight})", trace, predicted)
-                 for weight, trace in zip(_COLUMNS, traces))
+                 for weight, trace in zip(WEIGHTS, traces))
 
 
 def pnt_mean(N: int) -> MeanValueReport:

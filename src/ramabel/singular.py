@@ -4,7 +4,8 @@ Every product over the primes p <= P streams: ``_euler_product`` sieves the
 primes one window at a time and sums the per-prime log terms of each run of
 _FSUM_CHUNK primes, so a product holds one window whatever P is.  Each
 docstring says whether ``tail_estimate`` is a proven bound, on the log or on
-the value, or an estimate.
+the value, or an estimate.  DEFAULT_TRUNCATION is the P, or the Q of
+``series_wk``, that the CLI and the correlation means take by default.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import sieve
 from .errors import ResourceLimitError
 from .ramanujan import squarefree_cq
-from .sieve import MAX_PRIMES, PRIME_SEGMENT_ODDS, _prime_factors, pi_bound, primes_up_to
+from .sieve import MAX_PRIMES, _prime_factors, pi_bound, primes_up_to
 
-TWIN_CONSTANT_REFERENCE = 0.6601618158
+DEFAULT_TRUNCATION = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,21 +58,23 @@ def _fsum_chunks(parts: Iterable[tuple[np.ndarray, ...]], term: Callable[..., np
 def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> float:
     """exp of the fsum of the per-prime log terms over the primes p <= P, P >= 2.
 
-    The primes come in windows of 2 * PRIME_SEGMENT_ODDS integers, from
-    ``primes_up_to(hi, lo)``, and ``log_terms`` maps each run of
-    _FSUM_CHUNK primes of a window to their float64 log terms, by
-    ``_fsum_chunks``: one window and one run's terms are held at a time.
-    A factor of exactly 0 has log -inf: the sum stops at the first run that
-    holds one, whose fsum is -inf and whose exp is 0.0.  Raises
+    The primes come in windows of 2 * sieve.PRIME_SEGMENT_ODDS integers,
+    read when the product runs, from ``primes_up_to(hi, lo)``, and
+    ``log_terms`` maps each run of _FSUM_CHUNK primes of a window to their
+    float64 log terms, by ``_fsum_chunks``: one window and one run's terms
+    are held at a time.  A factor of exactly 0 has log -inf, with no
+    divide warning: the sum stops at the first run that holds one, whose
+    fsum is -inf and whose exp is 0.0.  Raises
     ResourceLimitError, before sieving, when pi_bound(P) exceeds MAX_PRIMES.
     """
     factors = pi_bound(P)
     if factors > MAX_PRIMES:
         raise ResourceLimitError(f"an Euler product over the primes up to {P} takes up "
                                  f"to {factors} factors, over the limit of {MAX_PRIMES}")
-    span = 2 * PRIME_SEGMENT_ODDS
+    span = 2 * sieve.PRIME_SEGMENT_ODDS
     windows = ((primes_up_to(min(lo + span - 1, P), lo),) for lo in range(1, P + 1, span))
-    return math.exp(_fsum_chunks(windows, log_terms))
+    with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
+        return math.exp(_fsum_chunks(windows, log_terms))
 
 
 def twin_constant(P: int) -> SingularConstant:
@@ -128,11 +132,7 @@ def conjecture_d_constant(a: int, b: int, l: int, P: int) -> SingularConstant:
     ps = sorted({p for n in (a, b, l) for p, _ in _prime_factors(n) if p > 2})
     for p in ps:
         value *= (p - 1.0) / (p - 2.0)
-    return SingularConstant(
-        value=value,
-        tail_estimate=c2.tail_estimate,
-        form=f"conjD({a},{b},{l})",
-    )
+    return SingularConstant(value=value, tail_estimate=c2.tail_estimate, form=f"conjD({a},{b},{l})")
 
 
 def _residue_counts(offsets: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -201,12 +201,8 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
         p = ps.astype(np.float64)
         return m * np.log(p / (p - 1.0)) + np.log((p - nu) / (p - 1.0))
 
-    value = _euler_product(P, log_terms)
-    return SingularConstant(
-        value=value,
-        tail_estimate=2.0 * m * (m + 1) / (P - 1),
-        form=f"tuple{offsets}",
-    )
+    return SingularConstant(value=_euler_product(P, log_terms),
+                            tail_estimate=2.0 * m * (m + 1) / (P - 1), form=f"tuple{offsets}")
 
 
 def _series_coefficients(h: int, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +232,8 @@ def series_constant(h: int, P: int) -> SingularConstant:
         cp, p1 = _series_coefficients(h, ps)
         return np.log(1.0 + cp / p1**2)
 
-    with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
-        value = _euler_product(P, diagonal)
-    return SingularConstant(value=value, tail_estimate=2.0 / (P - 1), form=f"series({h})")
+    return SingularConstant(value=_euler_product(P, diagonal), tail_estimate=2.0 / (P - 1),
+                            form=f"series({h})")
 
 
 def series_naive_product(h: int, P: int) -> float:
@@ -251,8 +246,7 @@ def series_naive_product(h: int, P: int) -> float:
         cp, p1 = _series_coefficients(h, ps)
         return np.log(1.0 - cp / p1)  # mu(p) = -1
 
-    with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
-        return _euler_product(P, raw)
+    return _euler_product(P, raw)
 
 
 def series_wk(h: int, Q: int) -> SingularConstant:
@@ -271,9 +265,4 @@ def series_wk(h: int, Q: int) -> SingularConstant:
     value = _fsum_chunks(squarefree_cq(Q, h),
                          lambda q, mu, phi, c: 1.0 / phi.astype(np.float64) ** 2 * c)
     # sum_{q>Q} 1/phi(q)^2 ~ 2.2/Q; doubled for slack.
-    tail = sigma_h * 4.4 / Q
-    return SingularConstant(
-        value=value,
-        tail_estimate=tail,
-        form=f"series_wk({h})",
-    )
+    return SingularConstant(value=value, tail_estimate=sigma_h * 4.4 / Q, form=f"series_wk({h})")

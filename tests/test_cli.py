@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ramabel import SieveTables, cli, load_tables, ramanujan, save_tables, sieve
+from ramabel import (SieveTables, cli, load_tables, mean_values, ramanujan, rf_series,
+                     save_tables, sieve, singular)
 from ramabel.cli import main
 from ramabel.sieve import build_sieve, primes_up_to, table_checksum
 
@@ -762,6 +763,26 @@ def test_manifest_params_pinned(tmp_path, monkeypatch, argv, params, bound, sha2
     assert man["sieve_bound"] == bound
     data = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha256 == man["output_sha256"]
+
+
+def test_defaults_are_the_kernel_constants(monkeypatch):
+    # Each default and choice the parser gives a kernel is read from the
+    # kernel's module when the parser is built, so new values there show.
+    monkeypatch.setattr(singular, "DEFAULT_TRUNCATION", 12_345)
+    monkeypatch.setattr(rf_series, "DEFAULT_Z_LADDER", (0.5, 0.75))
+    monkeypatch.setattr(rf_series, "DEFAULT_LADDER_EPSILON", 1e-3)
+    monkeypatch.setattr(mean_values, "WEIGHTS", {"w0": 0, "w1": 1})
+    monkeypatch.setattr(mean_values, "DEFAULT_WEIGHT", "w0")
+    parse = cli.build_parser().parse_args
+    for argv in ("autocorr --gap 2 --n 5", "conjd --a 1 --b 2 --l 1 --n 5",
+                 "tuple --offsets 0,2 --n 5", "singular --form C2"):
+        assert parse(argv.split()).p == 12_345, argv
+    abel = parse(["abel", "--x", "2"])
+    assert (tuple(abel.zs), abel.eps) == ((0.5, 0.75), 1e-3)
+    assert parse("autocorr --gap 2 --n 5".split()).weights == "w0"
+    assert parse("autocorr --gap 2 --n 5 --weights w1".split()).weights == "w1"
+    with pytest.raises(SystemExit):
+        parse("autocorr --gap 2 --n 5 --weights lambda".split())
 
 
 def test_readme_examples_parse():

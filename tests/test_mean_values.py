@@ -247,6 +247,20 @@ class TestStreamedMeans:
             tracemalloc.stop()
         assert peak < 9 * 2**20
 
+    # The largest peak of a streamed mean, with one bound for each N: 12.15
+    # and 16.07 MiB measured.
+    @pytest.mark.parametrize("N, bound", [(4 * 10**6, 13 * 2**20), (16 * 10**6, 17 * 2**20)],
+                             ids=["4e6", "1.6e7"])
+    def test_conjecture_d_mean_peak(self, N, bound):
+        conjecture_d_mean(1, 2, 1, 1000)
+        tracemalloc.start()
+        try:
+            conjecture_d_mean(1, 2, 1, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     @pytest.mark.parametrize("mean", [
         pnt_mean,
         lambda N: pair_autocorrelation(2, N),
@@ -365,6 +379,11 @@ class TestOrthogonality:
         with pytest.raises(ValueError, match=rf"^L = lcm\(r, s\) = {L} is over the limit 2\^31 - 1$"):
             cq_orthogonality(r, s, 1, 10)
 
+    @pytest.mark.parametrize("r, s", [(0, 3), (3, 0), (-2, 3)])
+    def test_r_and_s_at_least_one(self, r, s):
+        with pytest.raises(ValueError, match=rf"^need r, s >= 1, got r={r}, s={s}$"):
+            cq_orthogonality(r, s, 1, 10)
+
     def test_empirical_within_partial_period_bound(self, tables_small):
         N = 10**4
         for r, s, m in [(3, 3, 1), (4, 6, 2), (5, 7, 0), (12, 12, 5)]:
@@ -402,6 +421,11 @@ class TestPeriodSums:
 
 
 class TestPolynomialMean:
+    @pytest.mark.parametrize("q", [0, -5])
+    def test_q_at_least_one(self, q):
+        with pytest.raises(ValueError, match=rf"^q must be >= 1, got {q}$"):
+            polynomial_cq_mean(q, [1], 10)
+
     def test_table_example(self):
         # q = 5, f(n) = n^2 + 1: residues of f mod 5 are 1,2,0,0,2 and
         # c_5 values are -1,-1,4,4,-1, so the period mean is 1

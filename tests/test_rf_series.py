@@ -136,6 +136,11 @@ class TestSigmaExpansion:
         got = sigma_rf(1, 1)
         assert got == pytest.approx(math.pi**2 / 6)
 
+    @pytest.mark.parametrize("n, Q", [(0, 10), (5, 0), (-1, -1)])
+    def test_n_and_Q_at_least_one(self, n, Q):
+        with pytest.raises(ValueError, match=rf"^need n >= 1 and Q >= 1, got n={n}, Q={Q}$"):
+            sigma_rf(n, Q)
+
     @pytest.mark.parametrize("n", [1, 2, 12, 30, 50])
     def test_close_to_exact(self, n):
         exact = sum(d for d in range(1, n + 1) if n % d == 0)

@@ -4,6 +4,7 @@ constants, linear-pair (conjecture D) constant, and the series route."""
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from ramabel import (
 from ramabel import sieve, singular
 from ramabel.ramanujan import cq_int
 from ramabel.singular import (
-    TWIN_CONSTANT_REFERENCE,
     _residue_counts,
     check_admissible,
     series_naive_product,
@@ -42,7 +42,7 @@ class TestTwinConstant:
 
     def test_reference_value(self):
         got = twin_constant(10**6)
-        assert got.value == pytest.approx(TWIN_CONSTANT_REFERENCE, abs=1e-6)
+        assert got.value == pytest.approx(0.6601618158, abs=1e-6)  # C2 to ten digits
 
     def test_monotone_decreasing_in_P(self):
         vals = [twin_constant(P).value for P in (10**2, 10**3, 10**4, 10**5)]
@@ -326,6 +326,11 @@ class TestSeriesConstant:
         with pytest.raises(ValueError, match="P must be >= 2"):
             series_constant(2, P)
 
+    @pytest.mark.parametrize("h", [0, -6])
+    def test_invalid_gap(self, h):
+        with pytest.raises(ValueError, match=rf"^h must be >= 1, got {h}$"):
+            series_constant(h, 1000)
+
     def test_odd_gap_vanishes(self):
         for h in (1, 3, 9):
             assert series_constant(h, 10**4).value == 0.0
@@ -517,8 +522,29 @@ class TestWindowedProducts:
                 for h in (1, 2, 30, 1499, 2 * 1499)]
 
         want = values()
-        monkeypatch.setattr(singular, "PRIME_SEGMENT_ODDS", odds)
+        monkeypatch.setattr(sieve, "PRIME_SEGMENT_ODDS", odds)
         assert values() == want
+
+    def test_windows_follow_the_sieve_segment_size(self, monkeypatch):
+        # The window size is read from sieve when a product runs, so windows
+        # of 2^11 integers put four more edges below 10^4.
+        starts = []
+
+        def recorded(n, lo=1):
+            starts.append(lo)
+            return primes_up_to(n, lo)
+
+        monkeypatch.setattr(sieve, "PRIME_SEGMENT_ODDS", 1 << 10)
+        monkeypatch.setattr(singular, "primes_up_to", recorded)
+        twin_constant(10**4)
+        assert starts == [1, 2049, 4097, 6145, 8193]
+
+    def test_zero_factor_raises_no_warning(self):
+        # log 0 = -inf is the zero-factor rule of _euler_product, not a fault.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert series_constant(1, 5000).value == 0.0
+            assert series_naive_product(30, 5000) == 0.0
 
     def test_zero_factor_stops_the_windows(self, monkeypatch):
         # At h = 1 the diagonal factor at p = 2 is 0, so that product reads
