@@ -60,22 +60,13 @@ def _mean_rows(*reports: mean_values.MeanValueReport) -> list[list]:
             for r in reports for n, mean in r.trace]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return "" if v is None else str(v)
-
-
-def _field(v) -> str:
-    s = _fmt(v)
-    if "," in s or '"' in s:
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
-    text = "\n".join([",".join(header)] + [",".join(_field(v) for v in row) for row in rows])
-    data = (text + "\n").encode("utf-8")
+    import csv  # here, as hashlib is: a command loads it only to write its report
+    import io
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [header] + [[f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows])
+    data = text.getvalue().encode("utf-8")
     path.write_bytes(data)
     import hashlib  # here, not at start-up: OpenSSL adds 3.6 MB to a process
     return hashlib.sha256(data).hexdigest()

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .sieve import SieveTables, _prime_factors, _table_segments, sigma_table
+from .sieve import SieveTables, _prime_factors, _table_segments, residues, sigma_table
 
 # The largest q of the oracle, whose sum takes phi(q) terms per n.
 DIRECT_MAX_Q = 5000
@@ -59,7 +59,7 @@ def squarefree_cq(Q: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
         c = (mu if n else phi).astype(np.int64)
         if n:
             ps = np.flatnonzero(spf == np.arange(lo, lo + spf.size)) + lo
-            found += ps[n % (ps if -(2**63) <= n < 2**63 else ps.astype(object)) == 0].tolist()
+            found += ps[residues(n, ps) == 0].tolist()
         for p in found:
             c[-lo % p :: p] *= 1 - p
         at = np.flatnonzero(mu)

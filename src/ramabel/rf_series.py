@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .ramanujan import cq_real, squarefree_cq
-from .sieve import _prime_factors, _table_segments, lambda_support
+from .sieve import _prime_factors, _table_segments, lambda_support, residues
 from .singular import _fsum_chunks
 
 _MAX_Q = 10**9
@@ -132,7 +132,7 @@ def sigma_rf(n: int, Q: int) -> float:
     mu = np.concatenate([[0]] + [mu.astype(np.int64) for _, _, mu, _ in _table_segments(Q)])
     ds = np.arange(1, min(n, Q) + 1, dtype=np.int64)
     c = np.zeros(Q + 1, dtype=np.int64)
-    for d in ds[n % (ds if n < 2**63 else ds.astype(object)) == 0].tolist():
+    for d in ds[residues(n, ds) == 0].tolist():
         c[d::d] += d * mu[1 : Q // d + 1]
     return (math.pi**2 * n / 6.0) * _fsum_chunks([(c[1:], np.arange(1.0, Q + 1))],
                                                  lambda cq, q: cq / q**2)

@@ -46,7 +46,7 @@ from .errors import DamagedDumpError, ResourceLimitError
 
 # Entries per segment of _table_segments.
 DEFAULT_SEGMENT_SIZE = 1 << 17
-# Odd n per segment of primes_up_to, measured fastest of 2^18 to 2^21.
+# Odd n per window of window_bounds, measured fastest of 2^18 to 2^21.
 PRIME_SEGMENT_ODDS = 1 << 20
 # The most primes one Euler product or correlation mean sieves: by
 # pi_bound, every prime up to about 1.9 * 10^10.
@@ -146,16 +146,21 @@ def lambda_support(primes: np.ndarray, N: int, lo: int = 1,
     return n, lam, ((n - n // p) / n) * lam
 
 
+def window_bounds(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(start, end) of each window of 2 * PRIME_SEGMENT_ODDS integers from lo
+    to hi, in order, the last ending at hi; PRIME_SEGMENT_ODDS is read at each call."""
+    span = 2 * PRIME_SEGMENT_ODDS
+    return ((start, min(start + span - 1, hi)) for start in range(lo, hi + 1, span))
+
+
 def lambda_windows(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(end, n, lam, lam1) for each window [start, end] of 2 * PRIME_SEGMENT_ODDS
-    integers, start = lo, lo + 2 * PRIME_SEGMENT_ODDS, ..., up to hi, in order:
-    the ``lambda_support`` of the window, from its primes, one
-    ``_prime_segment``, and the prime powers of the primes <= sqrt(hi), which
-    are found once.  One window is built at a time, whatever hi is."""
+    """(end, n, lam, lam1) for each window [start, end] of ``window_bounds(lo, hi)``:
+    its ``lambda_support``, from its primes, one ``_prime_segment``, and the
+    prime powers of the primes <= sqrt(hi), found once.  One window is built
+    at a time, whatever hi is."""
     base = primes_up_to(math.isqrt(hi))
     powers = _prime_powers(base, hi)
-    for start in range(lo, hi + 1, 2 * PRIME_SEGMENT_ODDS):
-        end = min(start + 2 * PRIME_SEGMENT_ODDS - 1, hi)
+    for start, end in window_bounds(lo, hi):
         yield end, *lambda_support(_prime_segment(start, end, base), end, start, powers)
 
 
@@ -277,28 +282,34 @@ def pi_bound(n: int) -> int:
 
 
 def primes_up_to(n: int, lo: int = 1) -> np.ndarray:
-    """The primes in [lo, n], ascending int64: ``_prime_segment`` of
-    [max(lo, 1), n] when that is one segment, so a window of one segment
-    costs one segment's memory whatever n is.  Longer ranges are sieved
-    segment by segment into one array whose filled prefix is returned; the
-    rest is never written.  The array has min(pi_bound(n), (n - lo) // 2 + 2)
-    entries, the second a count of the odd numbers in [lo, n] and 2.
-    lo = 1 gives every prime <= n.  Raises ResourceLimitError, before
-    sieving, when that array would exceed the machine's physical memory."""
+    """The primes in [lo, n], ascending int64; lo = 1 gives every prime <= n.
+    One window of ``window_bounds`` is one ``_prime_segment``, so it costs
+    one segment's memory whatever n is; more are sieved into one array of
+    min(pi_bound(n), (n - lo) // 2 + 2) entries, the second a count of the
+    odd numbers in [lo, n] and 2, whose filled prefix is returned.  Raises
+    ResourceLimitError, before sieving, when that array would exceed the
+    machine's physical memory."""
     lo = max(lo, 1)
     if n < max(lo, 2):
         return np.empty(0, dtype=np.int64)
     size = min(pi_bound(n), (n - lo) // 2 + 2)
     _check_memory(8 * size, f"sieving the primes up to {n}")
     base = primes_up_to(math.isqrt(n))
-    if n - lo < 2 * PRIME_SEGMENT_ODDS:
+    windows = list(window_bounds(lo, n))
+    if len(windows) == 1:
         return _prime_segment(lo, n, base)
     out, count = np.empty(size, dtype=np.int64), 0
-    for start in range(lo, n + 1, 2 * PRIME_SEGMENT_ODDS):
-        primes = _prime_segment(start, min(start + 2 * PRIME_SEGMENT_ODDS - 1, n), base)
+    for start, end in windows:
+        primes = _prime_segment(start, end, base)
         out[count : count + primes.size] = primes
         count += primes.size
     return out[:count]
+
+
+def residues(n: int, m: np.ndarray) -> np.ndarray:
+    """n mod each entry of the int64 array ``m``, exact for an int n of any
+    size and sign: in Python ints, as an object array, past int64."""
+    return n % (m if -(2**63) <= n < 2**63 else m.astype(object))
 
 
 def sigma_table(n: int) -> np.ndarray:

@@ -17,10 +17,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import sieve
 from .errors import ResourceLimitError
 from .ramanujan import squarefree_cq
-from .sieve import MAX_PRIMES, _prime_factors, pi_bound, primes_up_to
+from .sieve import MAX_PRIMES, _prime_factors, pi_bound, primes_up_to, residues, window_bounds
 
 DEFAULT_TRUNCATION = 10**6
 
@@ -56,23 +55,23 @@ def _fsum_chunks(parts: Iterable[tuple[np.ndarray, ...]], term: Callable[..., np
 
 
 def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> float:
-    """exp of the fsum of the per-prime log terms over the primes p <= P, P >= 2.
+    """exp of the fsum of the per-prime log terms over the primes p <= P.
 
-    The primes come in windows of 2 * sieve.PRIME_SEGMENT_ODDS integers,
-    read when the product runs, from ``primes_up_to(hi, lo)``, and
-    ``log_terms`` maps each run of _FSUM_CHUNK primes of a window to their
-    float64 log terms, by ``_fsum_chunks``: one window and one run's terms
-    are held at a time.  A factor of exactly 0 has log -inf, with no
-    divide warning: the sum stops at the first run that holds one, whose
-    fsum is -inf and whose exp is 0.0.  Raises
-    ResourceLimitError, before sieving, when pi_bound(P) exceeds MAX_PRIMES.
+    Each window [start, end] of ``window_bounds(1, P)`` is sieved by one
+    ``primes_up_to(end, start)``; ``log_terms`` maps each run of _FSUM_CHUNK
+    of its primes to their float64 log terms, by ``_fsum_chunks``, so one
+    window and one run's terms are held at a time.  A factor of exactly 0
+    has log -inf, with no divide warning, and ends the sum at its run: fsum
+    -inf, exp 0.0.  Raises ValueError for P < 2, then ResourceLimitError,
+    before sieving, when pi_bound(P) exceeds MAX_PRIMES.
     """
+    if P < 2:
+        raise ValueError(f"P must be >= 2, got {P}")
     factors = pi_bound(P)
     if factors > MAX_PRIMES:
         raise ResourceLimitError(f"an Euler product over the primes up to {P} takes up "
                                  f"to {factors} factors, over the limit of {MAX_PRIMES}")
-    span = 2 * sieve.PRIME_SEGMENT_ODDS
-    windows = ((primes_up_to(min(lo + span - 1, P), lo),) for lo in range(1, P + 1, span))
+    windows = ((primes_up_to(end, start),) for start, end in window_bounds(1, P))
     with np.errstate(divide="ignore"):  # a zero factor: log 0 = -inf
         return math.exp(_fsum_chunks(windows, log_terms))
 
@@ -207,10 +206,9 @@ def tuple_constant(offsets: Sequence[int], P: int) -> SingularConstant:
 
 def _series_coefficients(h: int, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c_p(h), p - 1) as float64 for the primes ``ps``: c_p(h) = p - 1 where
-    p divides h, else -1.  h beyond int64 is reduced mod each p in Python ints."""
-    rem = h % ps if h < 2**63 else h % ps.astype(object)
+    p divides h, else -1, from the ``residues`` of h, an int of any size."""
     p1 = ps.astype(np.float64) - 1.0
-    return np.where(rem == 0, p1, -1.0), p1
+    return np.where(residues(h, ps) == 0, p1, -1.0), p1
 
 
 def series_constant(h: int, P: int) -> SingularConstant:
@@ -225,8 +223,6 @@ def series_constant(h: int, P: int) -> SingularConstant:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
 
     def diagonal(ps: np.ndarray) -> np.ndarray:
         cp, p1 = _series_coefficients(h, ps)
@@ -241,6 +237,8 @@ def series_naive_product(h: int, P: int) -> float:
     ``series_constant``'s series, prod_p (1 + mu(p) c_p(h) / phi(p)) over
     p <= P, for h >= 1 and P >= 2, kept as a finding: it does not converge to
     the series' value, and its p = 2 factor vanishes at even h."""
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
 
     def raw(ps: np.ndarray) -> np.ndarray:
         cp, p1 = _series_coefficients(h, ps)

@@ -12,6 +12,7 @@ import time
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ramabel import (SieveTables, cli, load_tables, mean_values, ramanujan, rf_series,
@@ -662,6 +663,18 @@ def test_single_q_commands_build_no_table(tmp_path, monkeypatch, argv):
     assert (tmp_path / "patched" / f"{argv[0]}.csv").read_bytes() == want
 
 
+def test_write_csv_quotes_and_formats(tmp_path):
+    # One csv.writer writes every report: a field with a comma or a quote is
+    # quoted, None is empty, and a float (np.float64 too) takes 12 digits.
+    rows = [["a,b", 'say "hi"', None, np.float64(2) / 3, np.int64(-7)],
+            ["x", 2.0, 10**20, 1e-30, ""]]
+    digest = cli._write_csv(tmp_path / "t.csv", ["label", "N", "mean", "predicted", "gap"], rows)
+    data = (tmp_path / "t.csv").read_bytes()
+    assert data == (b'label,N,mean,predicted,gap\n"a,b","say ""hi""",,0.666666666667,-7\n'
+                    b"x,2,100000000000000000000,1e-30,\n")
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
 # CSV SHA-256 and manifest sieve_bound of correlation argvs, recorded on the
 # means that held the whole support of Lambda: the streamed means must give
 # the same bytes.  N = 2^20 + 1 and 3 * 2^20 - 1 put a block edge next to N;
@@ -819,11 +832,11 @@ def test_argv_file_parses():
 
 @pytest.mark.parametrize("module", ["ramabel", "ramabel.cli"])
 def test_import_loads_no_late_module(module):
-    # hashlib (with OpenSSL's libcrypto), json and fractions (with decimal)
-    # are imported where a digest, the manifest or an exact period mean is
-    # made, after the kernel; at start-up they would add about 4 MB to the
+    # hashlib (with OpenSSL's libcrypto), csv, json and fractions (with
+    # decimal) are imported where a digest, the report, the manifest or an
+    # exact period mean is made, after the kernel; at start-up they would add about 4 MB to the
     # peak RSS of every command.
-    late = {"hashlib", "_hashlib", "json", "fractions", "decimal"}
+    late = {"hashlib", "_hashlib", "csv", "_csv", "json", "fractions", "decimal"}
     code = f"import sys, {module}; print(*sorted({late!r} & sys.modules.keys()))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -34,6 +34,7 @@ from ramabel.sieve import (
     _spf_segment,
     lambda_support,
     primes_up_to,
+    residues,
     sigma_table,
     table_checksum,
 )
@@ -508,16 +509,32 @@ class TestDumpRestore:
     def test_save_peak_within_checked_footprint(self, tmp_path):
         # The peak RSS rise of a save in a fresh process is within the
         # footprint its memory check counts, as test_bytes_per_entry_covers_build
-        # checks for a build.
+        # checks for a build.  The rise is read from after a save of three
+        # segments, so that it leaves out what a first save loads once,
+        # OpenSSL among it, and holds with a bytecode cache or without one.
         N = 4 * 10**6
         code = ("import re, sys; from ramabel import save_tables; "
                 "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
                 "open('/proc/self/status').read())[1]); "
+                "save_tables(2**18 + 1, sys.argv[1]); "
                 f"h0 = hwm(); save_tables({N}, sys.argv[1]); print(hwm() - h0)")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ramabel.__file__))}
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tables.bin")], env=env,
                              check=True, capture_output=True, text=True).stdout
         assert int(out) * 1024 <= 5 * (N // 4 + 1) + _SEGMENT_BYTES
+
+    def test_save_loads_openssl_after_the_segments(self, tmp_path):
+        # hashlib, with OpenSSL, loads once every segment is written, so it
+        # never sits beside the generator's mu and phi; a fresh process, since
+        # this one has loaded it.
+        code = ("import sys; from ramabel import sieve; segments = sieve._table_segments; "
+                "seen = []; sieve._table_segments = lambda N: "
+                "(seen.append('_hashlib' in sys.modules) or s for s in segments(N)); "
+                "sieve.save_tables(2**18 + 1, sys.argv[1]); print(seen, '_hashlib' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ramabel.__file__))}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tables.bin")], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out == "[False, False, False] True\n"
 
     def test_save_memory_budget(self, tmp_path, monkeypatch):
         # The check counts what a save holds, mu and phi at the N // 4 + 1
@@ -711,6 +728,12 @@ class TestHelpers:
         prime = (t.spf == n_all) & (n_all >= 2)
         for n in ns:
             assert primes_up_to(n).tolist() == np.flatnonzero(prime[: n + 1]).tolist(), n
+
+    # Each side of the int64 test, and far past it, against Python ints.
+    @pytest.mark.parametrize("n", [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**400, -(10**400)])
+    def test_residues_of_any_int(self, n):
+        m = np.array([1, 2, 3, 97, 2**31 - 1, 2**62 + 1, 2**63 - 1], dtype=np.int64)
+        assert [int(r) for r in residues(n, m)] == [n % k for k in m.tolist()]
 
     def test_sigma_table(self):
         sig = sigma_table(12)

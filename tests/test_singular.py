@@ -331,6 +331,18 @@ class TestSeriesConstant:
         with pytest.raises(ValueError, match=rf"^h must be >= 1, got {h}$"):
             series_constant(h, 1000)
 
+    # The naive product takes the same checks: P through _euler_product, h of
+    # its own, where a P < 2 once failed in pi_bound and an h < 1 gave 0.0.
+    @pytest.mark.parametrize("P", [1, 0])
+    def test_naive_product_invalid_truncation(self, P):
+        with pytest.raises(ValueError, match=rf"^P must be >= 2, got {P}$"):
+            series_naive_product(6, P)
+
+    @pytest.mark.parametrize("h", [0, -1, -(2**64)])
+    def test_naive_product_invalid_gap(self, h):
+        with pytest.raises(ValueError, match=rf"^h must be >= 1, got {h}$"):
+            series_naive_product(h, 1000)
+
     def test_odd_gap_vanishes(self):
         for h in (1, 3, 9):
             assert series_constant(h, 10**4).value == 0.0
@@ -538,6 +550,33 @@ class TestWindowedProducts:
         monkeypatch.setattr(singular, "primes_up_to", recorded)
         twin_constant(10**4)
         assert starts == [1, 2049, 4097, 6145, 8193]
+
+    def test_every_walk_takes_the_windows_of_window_bounds(self, monkeypatch):
+        # lambda_windows, primes_up_to and the Euler products all sieve the
+        # windows of sieve.window_bounds, at the size patched into sieve.
+        windows = [(1, 10), (11, 20), (21, 30), (31, 37)]
+        twin = twin_constant(37).value
+        segments, calls = [], []
+        prime_segment = sieve._prime_segment
+
+        def recorded_segment(lo, hi, base):
+            segments.append((lo, hi))
+            return prime_segment(lo, hi, base)
+
+        def recorded_primes(n, lo=1):
+            calls.append((lo, n))
+            return primes_up_to(n, lo)
+
+        monkeypatch.setattr(sieve, "PRIME_SEGMENT_ODDS", 5)
+        monkeypatch.setattr(sieve, "_prime_segment", recorded_segment)
+        monkeypatch.setattr(singular, "primes_up_to", recorded_primes)
+        assert list(sieve.window_bounds(1, 37)) == windows
+        assert [end for end, *_ in sieve.lambda_windows(1, 37)] == [end for _, end in windows]
+        assert segments[-4:] == windows
+        assert primes_up_to(37).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        assert segments[-4:] == windows
+        assert twin_constant(37).value == twin
+        assert calls == windows
 
     def test_zero_factor_raises_no_warning(self):
         # log 0 = -inf is the zero-factor rule of _euler_product, not a fault.
