@@ -74,8 +74,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
 
 def _write_manifest(path: Path, argv: list[str], args: argparse.Namespace,
                     bound: int | None, checksum: str, duration: float) -> None:
+    import shlex  # here, as json is: only the manifest quotes the argv
     manifest = {
-        "command_line": "ramabel " + " ".join(argv),
+        "command_line": "ramabel " + shlex.join(argv),
         "command": args.command,
         "version": __version__,
         "sieve_bound": bound,
@@ -203,9 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     try:
+        out.mkdir(parents=True, exist_ok=True)
         bound, header, rows, summary, *code = _run(args, out)
         checksum = _write_csv(out / f"{args.command}.csv", header, rows)
         _write_manifest(out / f"{args.command}_manifest.json", argv, args, bound,

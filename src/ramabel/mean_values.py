@@ -3,8 +3,8 @@
 A ``MeanValueReport`` holds a label, a ten-checkpoint convergence trace and
 the predicted limit; ``cli`` writes its CSV rows.  Periodic summands also
 carry the exact one-period average, the limit.  Their sums and the
-Goldbach sum are exact, in int64 over chunks of one period
-(``_period_sums``), whatever q, L or N.  All float reductions run over
+Goldbach sum are exact, in int64 over chunks of one period L < 2^31
+(``_period_sums``), whatever q or N.  All float reductions run over
 fixed-size contiguous blocks combined in ascending order.  The weighted
 prime correlations take N and no tables, and stream: each block of n reads
 Lambda from the windows of ``sieve.lambda_windows`` over the ranges its
@@ -114,10 +114,11 @@ def _period_sums(L: int, ms: Sequence[int], summand: _Summand) -> list[int]:
     summand is called on ascending chunks of _CHUNK n, for n <= min(max(ms), L)
     only, so the period is summed only when some m reaches it.
     Each int64 sum is over at most L consecutive n, so below L^2 < 2^62.  For
-    c_q(f(n)), L = q and |c_q| <= phi(q) < q.  For c_r(n) c_s(n'), n' = n + m or
-    2N - n and L = lcm(r, s): c_r(n)^2 sums to r phi(r) over any r consecutive
-    n, and L / r such runs cover at most L consecutive n, where it sums to at
-    most L phi(r); by Cauchy-Schwarz |sum| <= L sqrt(phi(r) phi(s)) < L^2."""
+    c_q(f(n)), L = q and |c_q| <= phi(q) < q.  For c_r(n) c_s(n + m), L = lcm(r, s):
+    c_r(n)^2 sums to r phi(r) over any r consecutive n, so to at most L phi(r) over
+    at most L of them; by Cauchy-Schwarz |sum| <= L sqrt(phi(r) phi(s)) < L^2."""
+    if L >= 2**31:
+        raise ValueError(f"period L = {L} is over the limit 2^31 - 1")
     splits = [divmod(m, L) for m in ms]  # (whole periods, rest r)
     top, done, sums = max(min(m, L) for m in ms), 0, {0: 0}
     for lo in range(0, top, _CHUNK):
@@ -141,8 +142,6 @@ def cq_orthogonality(r: int, s: int, m: int, N: int) -> MeanValueReport:
     if r < 1 or s < 1:
         raise ValueError(f"need r, s >= 1, got r={r}, s={s}")
     L = math.lcm(r, s)
-    if L >= 2**31:  # _period_sums' int64 sums are exact below it
-        raise ValueError(f"L = lcm(r, s) = {L} is over the limit 2^31 - 1")
     # c_s has period s, so m % s keeps n + m in int64 for any integer m.
     trace, exact = _periodic_trace(L, N, lambda n: cq_int(r, n) * cq_int(s, n + m % s))
     predicted = float(cq_int(r, m)) if r == s else 0.0
@@ -158,8 +157,6 @@ def polynomial_cq_mean(q: int, poly: Sequence[int], N: int) -> MeanValueReport:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if q >= 2**31:  # Horner's rule below keeps each step under q^2 < 2^62
-        raise ValueError(f"q={q} is over the limit 2^31 - 1")
     coeffs = list(poly)
     def summand(n: np.ndarray) -> np.ndarray:  # c_q(f(n) mod q), each Horner step below q^2
         f_mod = np.zeros_like(n)
@@ -356,11 +353,9 @@ def pnt_mean(N: int) -> MeanValueReport:
 
 
 def goldbach_correlation(N: int, q1: int, q2: int) -> int:
-    """Exact finite sum over n = 1..2N of c_{q1}(n) * c_{q2}(2N - n), N of any size,
-    through ``_period_sums`` with the period L = lcm(q1, q2) < 2^31."""
+    """Exact finite sum over n = 1..2N of c_{q1}(n) * c_{q2}(2N - n), N of any size:
+    c_q is even, so it is the orthogonality summand at m = -2N, of period lcm(q1, q2)."""
     if N < 1 or q1 < 1 or q2 < 1:
         raise ValueError(f"need N, q1, q2 >= 1, got N={N}, q1={q1}, q2={q2}")
-    L = math.lcm(q1, q2)
-    if L >= 2**31:  # _period_sums' int64 sums are exact below it
-        raise ValueError(f"L = lcm(q1, q2) = {L} is over the limit 2^31 - 1")
-    return _period_sums(L, [2 * N], lambda n: cq_int(q1, n) * cq_int(q2, 2 * N % q2 - n))[0]
+    return _period_sums(math.lcm(q1, q2), [2 * N],
+                        lambda n: cq_int(q1, n) * cq_int(q2, n - 2 * N % q2))[0]

@@ -4,7 +4,9 @@ Centrepiece is the power series sum_q mu(q)/phi(q) * c_q(x) * z^q for
 0 < z < 1, whose tail after Q terms is bounded by z^Q * z/(1-z).
 ``lambda1_series(z, Q, x)`` sums its first Q terms, and ``required_Q``
 gives the least Q whose tail bound is below a tolerance.  The limit
-z -> 1- recovers phi(n)/n * Lambda(n) point-wise; at finite z the ladder is
+z -> 1- recovers phi(n)/n * Lambda(n) point-wise for n >= 2, Hardy's
+identity.  At n = 1, c_q(1) = mu(q): the series is the sum of
+mu(q)^2/phi(q) * z^q, which grows like log 1/(1-z).  At finite z the ladder is
 reported as a diagnostic only, beside its target from ``lambda1_at``, which
 factors n.  The series sums over ``ramanujan.squarefree_cq``, with no table.
 Also here: the truncated expansion of the sum-of-divisors function.
@@ -99,9 +101,10 @@ def abel_ladder(n: int, z_list: tuple[float, ...] = DEFAULT_Z_LADDER,
                 epsilon: float = DEFAULT_LADDER_EPSILON) -> AbelTrace:
     """Evaluate the series at each z with Q chosen from the tail bound.
 
-    The ladder is a diagnostic: the z -> 1- limit equals the weighted
-    von Mangoldt value at n, the target, but no convergence rate is
-    asserted.  No table is built: the target comes from factoring n, by
+    The ladder is a diagnostic: for n >= 2 the z -> 1- limit equals the
+    weighted von Mangoldt value at n, the target, but no convergence rate is
+    asserted; at n = 1 the series is sum mu(q)^2/phi(q) z^q, which grows
+    like log 1/(1 - z).  No table is built: the target comes from factoring n, by
     ``lambda1_at``, and is taken before the ladder, so an n past 2^63 - 1
     is refused before any series is summed.  The series takes the int n,
     exact at every n.

@@ -281,9 +281,9 @@ class TestErrors:
         (("goldbach", "--n", "3", "--q1", "-2", "--q2", "-3"),
          "need N, q1, q2 >= 1, got N=3, q1=-2, q2=-3"),
         (("goldbach", "--n", "3", "--q1", "6", "--q2", "9223372036854775783"),
-         "L = lcm(q1, q2) = 55340232221128654698 is over the limit 2^31 - 1"),
+         "period L = 55340232221128654698 is over the limit 2^31 - 1"),
         (("goldbach", "--n", "3", "--q1", "3000000000", "--q2", "2"),
-         "L = lcm(q1, q2) = 3000000000 is over the limit 2^31 - 1"),
+         "period L = 3000000000 is over the limit 2^31 - 1"),
         (("singular", "--form", "tuple", "--params", "0", "--p", "-5"),
          "P=-5 too small; need P >= 1"),
         (("tuple", "--offsets", "0", "--n", "100", "--p", "-3"), "P=-3 too small; need P >= 1"),
@@ -359,7 +359,7 @@ class TestErrors:
         # Past 2^31 - 1, Horner's rule would leave int64; refused before any
         # allocation, whatever the machine's memory.
         assert run(tmp_path, "polymean", "--q", str(2**31), "--poly", "1,0,1", "--n", "10") == 2
-        assert capsys.readouterr().err == f"error: q={2**31} is over the limit 2^31 - 1\n"
+        assert capsys.readouterr().err == f"error: period L = {2**31} is over the limit 2^31 - 1\n"
 
     def test_rho_step_cap_exit_two(self, tmp_path):
         # 10^400 mod lcm(1..196): its 65-digit cofactor is composite and has
@@ -406,6 +406,17 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "abel.csv").exists()
 
+    # An --out that mkdir cannot make, a file or a path under one (as
+    # /dev/null/x), is an I/O error like any other: exit 2, one line.
+    @pytest.mark.parametrize("under", ["", "x"], ids=["a-file", "under-a-file"])
+    def test_unusable_out_exit_two(self, tmp_path, capsys, under):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main(["--out", str(afile / under), "csum", "--q", "6", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+        assert afile.read_text() == "kept\n"
+
     def test_conjd_zero_a_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "conjd", "--a", "0", "--b", "1", "--l", "1",
                    "--n", "10") == 2
@@ -428,10 +439,13 @@ class TestDeterminism:
         assert (tmp_path / "autocorr.csv").read_bytes() == one
 
     def test_manifest_records_command_line(self, tmp_path):
-        assert run(tmp_path, "pnt", "--n", "10000") == 0
-        man = read_manifest(tmp_path, "pnt")
+        # Each argument is shell-quoted, so a space or a quote splits back as it was.
+        out = tmp_path / "a b'c"
+        argv = ["--out", str(out), "pnt", "--n", "10000"]
+        assert main(argv) == 0
+        man = read_manifest(out, "pnt")
         assert man["command"] == "pnt"
-        assert "--n" in man["command_line"]
+        assert shlex.split(man["command_line"]) == ["ramabel", *argv]
         assert man["sieve_bound"] == 10000
 
 
@@ -825,7 +839,8 @@ def test_argv_file_parses():
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv)
         else:
-            assert cli.build_parser().parse_args(argv).command == argv[0], argv
+            head = 2 if argv[0] == "--out" else 0  # the command follows a global --out
+            assert cli.build_parser().parse_args(argv).command == argv[head], argv
             parsed += 1
     assert parsed >= 41  # the README examples and the 31 pinned argvs at least
 

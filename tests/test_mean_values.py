@@ -376,7 +376,7 @@ class TestOrthogonality:
 
         monkeypatch.setattr(np, "arange", no_arange)
         L = r * s
-        with pytest.raises(ValueError, match=rf"^L = lcm\(r, s\) = {L} is over the limit 2\^31 - 1$"):
+        with pytest.raises(ValueError, match=rf"^period L = {L} is over the limit 2\^31 - 1$"):
             cq_orthogonality(r, s, 1, 10)
 
     @pytest.mark.parametrize("r, s", [(0, 3), (3, 0), (-2, 3)])
@@ -418,6 +418,29 @@ class TestPeriodSums:
             read.clear()
             assert mean_values._period_sums(L, ms, summand) == [want(m) for m in ms]
             assert read == list(range(1, top + 1))
+
+    # _period_sums alone holds the limit: every kernel that sums a period
+    # refuses L = 2^31 before np.arange is called, and calls it at
+    # L = 2^31 - 1 (a prime), here stopped at that call.  Goldbach's 2N < L
+    # reads only n <= 2N.
+    @pytest.mark.parametrize("kernel", [
+        lambda L: cq_orthogonality(L, 1, 1, 10),
+        lambda L: polynomial_cq_mean(L, [1, 0, 1], 10),
+        lambda L: goldbach_correlation(3, L, 1),
+    ], ids=["orthogonality", "polymean", "goldbach"])
+    def test_one_limit_for_every_kernel(self, monkeypatch, kernel):
+        class Through(Exception):
+            pass
+
+        def arange(*args, **kwargs):
+            raise Through(args)
+
+        monkeypatch.setattr(np, "arange", arange)
+        with pytest.raises(ValueError, match=r"^period L = 2147483648 is over the limit 2\^31 - 1$"):
+            kernel(2**31)
+        with pytest.raises(Through) as through:
+            kernel(2**31 - 1)
+        assert through.value.args[0][0] == 1
 
 
 class TestPolynomialMean:
@@ -743,8 +766,23 @@ class TestGoldbach:
 
         monkeypatch.setattr(np, "arange", no_arange)
         L = math.lcm(q1, q2)
-        with pytest.raises(ValueError, match=rf"^L = lcm\(q1, q2\) = {L} is over the limit 2\^31 - 1$"):
+        with pytest.raises(ValueError, match=rf"^period L = {L} is over the limit 2\^31 - 1$"):
             goldbach_correlation(N, q1, q2)
+
+    # The traced peak is one chunk's temporaries, whatever L: 16.32 MiB
+    # measured at L = 999 * 1001 and 2048 * 2047 alike, where one period of
+    # int64 alone takes 7.6 and 32 MiB.  One bound for both.
+    @pytest.mark.parametrize("N, q1, q2", [(10**6, 999, 1001), (4 * 10**6, 2048, 2047)],
+                             ids=["L1e6", "L4e6"])
+    def test_peak(self, N, q1, q2):
+        goldbach_correlation(10, 30, 12)
+        tracemalloc.start()
+        try:
+            goldbach_correlation(N, q1, q2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2**20
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,16 @@ class TestLambda1Series:
         assert trace.target == 0.0
         assert abs(trace.ladder[-1][2]) < abs(trace.ladder[0][2])
 
+    def test_n_one_grows_like_log(self):
+        # Hardy's identity holds for n >= 2.  At n = 1, c_q(1) = mu(q), so the
+        # series is sum mu(q)^2/phi(q) z^q ~ log 1/(1 - z): each decade of
+        # 1 - z adds about ln 10, while the target stays 0.
+        trace = abel_ladder(1, (0.99, 0.999, 0.9999, 0.99999))
+        vals = [v for *_, v in trace.ladder]
+        steps = [b - a for a, b in zip(vals, vals[1:])]
+        assert steps == pytest.approx([math.log(10)] * 3, abs=0.05)
+        assert trace.target == 0.0
+
     def test_abel_ladder_exact_past_2_53(self, tables):
         # 2^53 + 1 is no float: the series is summed at the int itself, the
         # n of its target, and not at the float 2^53, where c_3 differs.
