@@ -284,9 +284,10 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
         trace = rf_series.abel_ladder(args.x, tuple(args.zs), args.eps)
         rows = [[float(args.x), z, q, v, trace.target, abs(v - trace.target)]
                 for z, q, v in trace.ladder]
+        grows = "; at n = 1 the series sum mu(q)^2/phi(q) z^q grows like log 1/(1 - z)"
         return (max(args.x, *(q for _, q, _ in trace.ladder)),
                 ["x", "z", "Q", "value", "target", "gap"], rows,
-                f"abel ladder at n={args.x}: target={trace.target}")
+                f"abel ladder at n={args.x}: target={trace.target}{grows if args.x == 1 else ''}")
 
     # props
     report = ramanujan.check_property_catalog(

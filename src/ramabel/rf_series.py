@@ -58,7 +58,7 @@ def lambda1_series(z: float, Q: int, x: float) -> float:
     or an integer-valued float, takes the exact integer c_q of
     ``squarefree_cq`` at the int itself, of any size; otherwise the cosine
     definition is used.  Only the squarefree q have a term, summed in
-    ascending q with exact (fsum) compensation by ``_fsum_chunks``.
+    ascending q, exactly and rounded once, by ``_fsum_chunks``.
     """
     _check_series(z, Q)
     exact = isinstance(x, (int, np.integer)) or float(x).is_integer()

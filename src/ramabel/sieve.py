@@ -187,7 +187,8 @@ def _prime_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     index i stands for odd + 2i, odd = lo | 1.  Each odd base prime marks its
     odd multiples from the first one >= max(p^2, lo), with stride p in index
     space, so the unmarked odd n >= 3 are the primes (Bays & Hudson, BIT 17,
-    1977); 2 is added where the segment holds it."""
+    1977); 2 is added where the segment holds it.  They are read out in place,
+    so no window-sized temporary is left for glibc to trim and fault in again."""
     odd = lo | 1
     composite = np.zeros((hi - odd) // 2 + 1, dtype=bool)
     if odd == 1:
@@ -198,7 +199,9 @@ def _prime_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     hit = first < composite.size
     for q, s in zip(p[hit].tolist(), first[hit].tolist()):
         composite[s::q] = True
-    primes = 2 * np.flatnonzero(~composite) + odd
+    primes = np.flatnonzero(np.logical_not(composite, out=composite))
+    primes *= 2
+    primes += odd
     return np.concatenate(([2], primes)) if lo <= 2 <= hi else primes
 
 

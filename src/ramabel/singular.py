@@ -2,18 +2,18 @@
 
 Every product over the primes p <= P streams: ``_euler_product`` sieves the
 primes one window at a time and sums the per-prime log terms of each run of
-_FSUM_CHUNK primes, so a product holds one window whatever P is.  Each
-docstring says whether ``tail_estimate`` is a proven bound, on the log or on
-the value, or an estimate.  DEFAULT_TRUNCATION is the P, or the Q of
-``series_wk``, that the CLI and the correlation means take by default.
+_FSUM_CHUNK primes exactly, rounded once to the float fsum gives (Neal, 2015),
+so a product holds one window whatever P is.  Each docstring says whether
+``tail_estimate`` is a proven bound, on the log or on the value, or an
+estimate.  DEFAULT_TRUNCATION is the P, or the Q of ``series_wk``, that the
+CLI and the correlation means take by default.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,37 +31,58 @@ class SingularConstant:
     form: str
 
 
-# Terms reach fsum _FSUM_CHUNK at a time, as Python floats: fsum takes those
-# much faster than numpy scalars, and a chunk bounds the terms held.
+# Terms are made and summed _FSUM_CHUNK at a time, which bounds the terms held.
+# A bin of _fsum_chunks gets under 2^27 a term; flushed to its int every
+# _FLUSH_TERMS terms, it stays an integer below 2^53, an exact float64.
 _FSUM_CHUNK = 4096
+_FLUSH_TERMS = 2**26
 
 
 def _fsum_chunks(parts: Iterable[tuple[np.ndarray, ...]], term: Callable[..., np.ndarray]) -> float:
-    """fsum of ``term`` over each _FSUM_CHUNK-entry slice of each part's
-    equal-length arrays, in order; a part is dropped before the next is
-    drawn.  fsum is correctly rounded, so the chunks do not change the
-    value.  A chunk with a -inf term ends the sum, whose fsum is -inf."""
-
-    def terms() -> Iterator[list[float]]:
-        for arrays in parts:
-            for at in range(0, len(arrays[0]), _FSUM_CHUNK):
-                t = term(*(a[at : at + _FSUM_CHUNK] for a in arrays))
-                yield t.tolist()
+    """The float ``math.fsum`` gives for ``term`` over each _FSUM_CHUNK-entry
+    slice of each part's equal-length arrays, in order; a part is dropped
+    before the next is drawn.  A finite term is m * 2^(e - 1075), m a signed
+    53-bit int, e >= 1; m >> 26 adds into bin e + 26 and m mod 2^26 into bin
+    e, of units 2^(k - 1075) at bin k, and the bins into an int whose true
+    division is correctly rounded (Neal, arXiv:1505.05571, 2015).  Other terms
+    give fsum's nan, +-inf or ValueError; a chunk with -inf ends the sum."""
+    bins, total, count, specials = np.zeros(2048 + 26), 0, 0, []
+    for arrays in parts:
+        for at in range(0, len(arrays[0]), _FSUM_CHUNK):
+            t = term(*(a[at : at + _FSUM_CHUNK] for a in arrays))
+            bits = t.view(np.int64)
+            e = (bits >> 52) & 2047
+            if (special := e == 2047).any():
+                specials += t[special].tolist()
                 if np.isneginf(t).any():
-                    return
-            del arrays
+                    return math.fsum(specials)
+                bits, e = bits[~special], e[~special]
+            m = (bits & (2**52 - 1)) | (np.minimum(e, 1) << 52)  # the implicit bit of a normal
+            np.negative(m, out=m, where=bits < 0)
+            np.maximum(e, 1, out=e)
+            if (count := count + e.size) > _FLUSH_TERMS:  # flushed before this chunk
+                total, count = total + _bins_int(bins), e.size
+            bins += np.bincount(e + 26, m >> 26, bins.size)
+            bins += np.bincount(e, m & (2**26 - 1), bins.size)
+        del arrays
+    return math.fsum(specials) if specials else (total + _bins_int(bins)) / 2**1074
 
-    return math.fsum(itertools.chain.from_iterable(terms()))
+
+def _bins_int(bins: np.ndarray) -> int:
+    """The sum of bins[k] * 2^(k - 1), an int; it zeroes ``bins``."""
+    total = sum(int(bins[k]) << (k - 1) for k in np.flatnonzero(bins).tolist())
+    bins[:] = 0
+    return total
 
 
 def _euler_product(P: int, log_terms: Callable[[np.ndarray], np.ndarray]) -> float:
-    """exp of the fsum of the per-prime log terms over the primes p <= P.
+    """exp of the exact sum, correctly rounded, of the log terms over p <= P.
 
     Each window [start, end] of ``window_bounds(1, P)`` is sieved by one
     ``primes_up_to(end, start)``; ``log_terms`` maps each run of _FSUM_CHUNK
     of its primes to their float64 log terms, by ``_fsum_chunks``, so one
     window and one run's terms are held at a time.  A factor of exactly 0
-    has log -inf, with no divide warning, and ends the sum at its run: fsum
+    has log -inf, with no divide warning, and ends the sum at its run: sum
     -inf, exp 0.0.  Raises ValueError for P < 2, then ResourceLimitError,
     before sieving, when pi_bound(P) exceeds MAX_PRIMES.
     """

@@ -72,6 +72,18 @@ class TestBasics:
         assert lines[0] == "x,z,Q,value,target,gap"
         assert len(lines) == 3
 
+    def test_abel_at_one_says_the_series_grows(self, tmp_path, capsys):
+        # Hardy's identity needs n >= 2; at n = 1 the summary says that the
+        # ladder grows without bound, and the CSV is as for any n.
+        assert run(tmp_path, "abel", "--x", "1", "--zs", "0.9") == 0
+        assert capsys.readouterr().out == (
+            "abel ladder at n=1: target=0.0; at n = 1 the series "
+            "sum mu(q)^2/phi(q) z^q grows like log 1/(1 - z)\n")
+        assert (tmp_path / "abel.csv").read_text().splitlines()[1] == (
+            "1,0.9,196,2.83514296655,0,2.83514296655")
+        assert run(tmp_path, "abel", "--x", "2", "--zs", "0.9") == 0
+        assert capsys.readouterr().out == "abel ladder at n=2: target=0.34657359027997264\n"
+
     def test_abel_builds_no_table(self, tmp_path, monkeypatch):
         # The series streams the table segments up to Q = 196; the target
         # at the prime x = 2^31 - 1 comes from factoring x, with no table.

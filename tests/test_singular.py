@@ -2,6 +2,10 @@
 constants, linear-pair (conjecture D) constant, and the series route."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -667,3 +671,120 @@ class TestFsumChunks:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def summed(values, chunk, monkeypatch):
+    """``_fsum_chunks`` over ``values`` as one part, _FSUM_CHUNK set to chunk."""
+    monkeypatch.setattr(singular, "_FSUM_CHUNK", chunk)
+    return singular._fsum_chunks([(np.array(values, dtype=np.float64),)], lambda t: t)
+
+
+class TestExactSum:
+    """``_fsum_chunks`` sums its terms exactly in integer bins, and returns
+    the float math.fsum returns: compared by ``hex()``, which shows the sign
+    of a zero and every bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
+    def test_every_exponent_subnormals_included(self, monkeypatch, chunk):
+        # Random bits give every exponent; below 2^1009 the 5,000 terms
+        # cannot overflow a float, where fsum would raise.
+        bits = np.random.default_rng(chunk).integers(-2**63, 2**63, 5_000, dtype=np.int64)
+        x = bits.view(np.float64)
+        x = x[np.abs(x) < 2.0**1009]
+        x[:40] = np.ldexp(np.arange(1.0, 41.0), -1074)  # subnormals, of both signs
+        x[:40:3] *= -1
+        assert summed(x, chunk, monkeypatch).hex() == math.fsum(x.tolist()).hex()
+        assert summed(x[:40], chunk, monkeypatch).hex() == math.fsum(x[:40].tolist()).hex()
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [-2.0**-1074, 2.0**-1074],
+        [1e308, 1e-308, -1e308, -1e-308], [3.0, -1e-300, -3.0],
+    ], ids=["empty", "zero", "neg-zero", "neg-zeros", "zeros", "x-beside-minus-x",
+            "subnormal-pair", "far-pairs", "left-over"])
+    def test_zeros_and_cancellation(self, monkeypatch, values):
+        for chunk in (1, 2, 7, 4096):
+            assert summed(values, chunk, monkeypatch).hex() == math.fsum(values).hex()
+
+    def test_x_beside_minus_x(self, monkeypatch):
+        x = np.random.default_rng(7).standard_normal(9_000) * 10.0 ** np.arange(-150, 150, 1 / 30)
+        both = np.stack([x, -x], axis=1).ravel()
+        assert summed(both, 4096, monkeypatch).hex() == (0.0).hex()
+        both[1] = np.nextafter(both[1], 0.0)
+        assert summed(both, 7, monkeypatch).hex() == math.fsum(both.tolist()).hex()
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-1074],
+        [1.0, 2.0**-53, -2.0**-1074], [2.0**53, 1.0], [2.0**53 + 2.0, 1.0],
+        [-(2.0**53 + 2.0), -1.0], [2.0**-1022, 2.0**-1074, -2.0**-1022 * 2.0**-53],
+    ], ids=["tie-down", "tie-up", "over-tie", "under-tie", "tie-at-2^53", "tie-up-at-2^53",
+            "negative-tie", "subnormal-unit"])
+    def test_rounding_ties(self, monkeypatch, values):
+        for chunk in (1, 2, 4096):
+            assert summed(values, chunk, monkeypatch).hex() == math.fsum(values).hex()
+
+    @pytest.mark.parametrize("values, want", [
+        ([1.0, math.nan, 2.0], "nan"), ([math.inf, math.nan], "nan"),
+        ([1.0, math.inf, -5.0], "inf"), ([-1.0, -math.inf], "-inf"),
+    ], ids=["nan", "inf-nan", "inf", "neg-inf"])
+    def test_non_finite_terms(self, monkeypatch, values, want):
+        assert math.fsum(values).hex() == want
+        for chunk in (1, 4096):
+            assert summed(values, chunk, monkeypatch).hex() == want
+
+    def test_inf_then_neg_inf_raises_fsums_error(self, monkeypatch):
+        with pytest.raises(ValueError) as fsum_error:
+            math.fsum([math.inf, -math.inf])
+        with pytest.raises(ValueError, match=re.escape(str(fsum_error.value))):
+            summed([math.inf, 1.0, -math.inf], 1, monkeypatch)
+
+    def test_a_neg_inf_chunk_ends_the_sum(self, monkeypatch):
+        # The chunk after it would raise, +inf with -inf, and the next part
+        # would fail the test; neither is drawn.
+        monkeypatch.setattr(singular, "_FSUM_CHUNK", 2)
+        seen = []
+
+        def parts():
+            yield (np.array([1.0, -math.inf, math.inf, 5.0]),)
+            pytest.fail("a part drawn after a -inf chunk")
+
+        assert singular._fsum_chunks(parts(), lambda t: seen.append(t.tolist()) or t) == -math.inf
+        assert seen == [[1.0, -math.inf]]
+
+    @pytest.mark.parametrize("flush", [1, 3, 4096])
+    def test_flush_keeps_the_sum(self, monkeypatch, flush):
+        # Flushing the bins into the int every few terms changes nothing.
+        x = np.random.default_rng(flush).standard_normal(10_000) * 2.0 ** np.arange(-500, 500, 0.1)
+        want = twin_constant(3_001).value
+        monkeypatch.setattr(singular, "_FLUSH_TERMS", flush)
+        assert summed(x, 7, monkeypatch).hex() == math.fsum(x.tolist()).hex()
+        assert twin_constant(3_001).value == want
+
+
+def fresh_process(code):
+    """stdout of ``code`` run in a fresh interpreter with this ramabel importable."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(singular.__file__))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+class TestEulerProductFootprint:
+    """An Euler product leaves no window-sized temporary to glibc: the
+    primes of a window are extracted in place, and no term becomes a Python
+    float.  Before, the VmHWM rise of a fresh twin_constant(10^8) was
+    5,520 kB, and two repeat calls at 10^7 took 8,898 minor faults; since,
+    about 4,000 kB and 1,660 faults."""
+
+    def test_peak_rise_over_import(self):
+        code = ("import re; from ramabel import twin_constant; "
+                "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
+                "open('/proc/self/status').read())[1]); "
+                "h0 = hwm(); twin_constant(10**8); print(hwm() - h0)")
+        assert int(fresh_process(code)) * 1024 <= 4.5 * 2**20
+
+    def test_repeat_calls_do_not_refault(self):
+        code = ("import resource; from ramabel import twin_constant; "
+                "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                "twin_constant(10**7); f0 = faults(); "
+                "twin_constant(10**7); twin_constant(10**7); print(faults() - f0)")
+        assert int(fresh_process(code)) < 4_000
