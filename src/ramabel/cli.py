@@ -113,7 +113,6 @@ def _get_checksum(bound: int, cache_dir: str | None, path: str | None, scratch: 
         except DamagedDumpError as exc:
             print(f"warning: {exc}; rebuilding it", file=sys.stderr)
     if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
         return save_tables(bound, path)
     with tempfile.TemporaryDirectory(dir=scratch) as tmp:
         return save_tables(bound, os.path.join(tmp, "tables.bin"))
@@ -231,16 +230,17 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
         return (max(abs(args.q), 1), ["q", "n", "value"], [[args.q, args.n, value]],
                 f"c_{args.q}({args.n}) = {value}")
 
-    if cmd == "autocorr":
-        report = mean_values.pair_autocorrelation(args.gap, args.n, P=args.p, weight=args.weights)
-        return (args.n + args.gap, REPORT_HEADER, _mean_rows(report),
-                f"{report.label}: empirical={report.empirical:.12g} "
-                f"predicted={report.predicted:.12g}")
-
-    if cmd == "conjd":
-        # The kernel checks (a, b, l) first, so a = 0 never reaches the bound.
-        report = mean_values.conjecture_d_mean(args.a, args.b, args.l, args.n, P=args.p)
-        bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
+    if cmd in ("autocorr", "conjd", "pnt"):
+        if cmd == "autocorr":
+            report = mean_values.pair_autocorrelation(args.gap, args.n, P=args.p,
+                                                      weight=args.weights)
+            bound = args.n + args.gap
+        elif cmd == "conjd":
+            # The kernel checks (a, b, l) first, so a = 0 never reaches the bound.
+            report = mean_values.conjecture_d_mean(args.a, args.b, args.l, args.n, P=args.p)
+            bound = max(args.n, (args.b * args.n + args.l) // args.a) + 1
+        else:
+            report, bound = mean_values.pnt_mean(args.n), args.n
         return (bound, REPORT_HEADER, _mean_rows(report),
                 f"{report.label}: empirical={report.empirical:.12g} "
                 f"predicted={report.predicted:.12g}")
@@ -251,11 +251,6 @@ def _run(args: argparse.Namespace, out: Path) -> tuple:
         return (args.n + offsets[-1], REPORT_HEADER, _mean_rows(lam, lam1),
                 f"tuple {offsets}: lambda={lam.empirical:.12g} "
                 f"lambda1={lam1.empirical:.12g} predicted={lam1.predicted:.12g}")
-
-    if cmd == "pnt":
-        report = mean_values.pnt_mean(args.n)
-        return (args.n, REPORT_HEADER, _mean_rows(report),
-                f"pnt_mean: empirical={report.empirical:.12g} predicted=1")
 
     if cmd == "polymean":
         report = mean_values.polynomial_cq_mean(args.q, args.poly, args.n)

@@ -335,15 +335,19 @@ def save_tables(bound: int, path: str) -> str:
     ``path`` only when complete, so a failed save never leaves a file or
     changes the one at ``path``.  It allocates no array of its own: what it
     holds is the generator's mu and phi at the bound // 4 + 1 odd m <= bound
-    / 2, 5 bytes each, and one segment.  Raises as the generator does, for
-    that footprint, before any segment is written.
+    / 2, 5 bytes each, and one segment.  Raises as the generator does, before
+    it makes the parent directory of ``path``, the file or its header.
     """
     *starts, end = itertools.accumulate([16] + _field_sizes(bound))
+    segments = _table_segments(bound)
+    # The first draw runs the generator's checks; through iter(), chain drops it once written.
+    segments = itertools.chain(iter([next(segments)]), segments)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w+b") as f:  # slot 0 of each array is never written: it reads 0
             f.write(SieveTables.MAGIC + struct.pack("<IQ", SieveTables.VERSION, bound))
-            for lo, *arrays in _table_segments(bound):
+            for lo, *arrays in segments:
                 for start, (_, dt), arr in zip(starts, SieveTables.FIELDS, arrays):
                     f.seek(start + lo * arr.itemsize)
                     f.write(arr.astype(dt, copy=False))

@@ -6,8 +6,6 @@ import math
 import os
 import re
 import shlex
-import subprocess
-import sys
 import time
 import zlib
 from pathlib import Path
@@ -19,6 +17,8 @@ from ramabel import (SieveTables, cli, load_tables, mean_values, ramanujan, rf_s
                      save_tables, sieve, singular)
 from ramabel.cli import main
 from ramabel.sieve import build_sieve, primes_up_to, table_checksum
+
+from conftest import fresh_python, vmhwm_rise
 
 
 def run(tmp_path, *argv):
@@ -244,6 +244,24 @@ class TestErrors:
         assert list(out.iterdir()) == []
         assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
+    # A bound the dump header cannot hold, below 1 or past 2^64 - 1, is
+    # refused by the segment generator's checks, which save_tables runs
+    # before it makes the cache file's directories, the file or the header.
+    @pytest.mark.parametrize("n", [-5, 2**64])
+    @pytest.mark.parametrize("argv", ["sieve --n {n}", "sieve --n {n} --cache {tmp}/a/b/t.bin",
+                                      "--cache-dir {tmp}/cd/x sieve --n {n}"],
+                             ids=["no-cache", "cache", "cache-dir"])
+    def test_sieve_bound_outside_header_leaves_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       n, argv):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        need = 5 * (n // 4 + 1) + sieve._SEGMENT_BYTES
+        error = (f"sieve bound must be >= 1, got {n}" if n < 1 else f"sieve bound {n} needs "
+                 f"about {need} bytes, over the memory budget of {budget} bytes")
+        assert main(["--out", str(tmp_path), *argv.format(n=n, tmp=tmp_path).split()]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_euler_product_over_memory_exit_two(self, tmp_path, capsys):
         # The primes up to 10^15 are far more than the 10^9 factors a
         # product takes; the product says so before it sieves.
@@ -352,20 +370,13 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: q={2**63} outside 1..2^63 - 1\n"
         assert not (tmp_path / "csum.csv").exists()
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_polymean_memory_budget(self):
         # polymean sums its period in chunks, so its peak does not grow with
         # q: in a fresh process, VmHWM rises over the import by less than
         # one period of int64 at q = 4 * 10^6, 30.5 MiB (about 15 MiB with
         # numpy 2.4).
-        code = ("import re; from ramabel import polynomial_cq_mean; "
-                "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
-                "open('/proc/self/status').read())[1]); "
-                "h0 = hwm(); polynomial_cq_mean(4 * 10**6, [1, 0, 1], 5); print(hwm() - h0)")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
-        assert int(out) * 1024 < 8 * 4 * 10**6
+        assert vmhwm_rise("from ramabel import polynomial_cq_mean",
+                          "polynomial_cq_mean(4 * 10**6, [1, 0, 1], 5)") < 8 * 4 * 10**6
 
     def test_polymean_q_limit(self, tmp_path, capsys):
         # Past 2^31 - 1, Horner's rule would leave int64; refused before any
@@ -377,11 +388,8 @@ class TestErrors:
         # 10^400 mod lcm(1..196): its 65-digit cofactor is composite and has
         # no factor that Pollard-Brent rho finds in its step cap.
         h = 10**400 % math.lcm(*range(1, 197))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramabel.cli", "--out", str(tmp_path), "singular",
-             "--form", "series_wk", "--params", str(h), "--p", "1000"],
-            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-            capture_output=True, text=True, timeout=60)
+        proc = fresh_python("-m", "ramabel.cli", "--out", str(tmp_path), "singular",
+                            "--form", "series_wk", "--params", str(h), "--p", "1000", check=False)
         assert proc.returncode == 2
         assert re.fullmatch(r"error: rho found no factor of \d{65} "
                             r"in 2097152 steps\n", proc.stderr), proc.stderr
@@ -865,7 +873,5 @@ def test_import_loads_no_late_module(module):
     # peak RSS of every command.
     late = {"hashlib", "_hashlib", "csv", "_csv", "json", "fractions", "decimal"}
     code = f"import sys, {module}; print(*sorted({late!r} & sys.modules.keys()))"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
+    out = fresh_python("-c", code).stdout
     assert out == "\n", f"import {module} loads {out.strip()}"

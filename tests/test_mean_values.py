@@ -27,7 +27,9 @@ from ramabel import mean_values, sieve
 from ramabel.errors import ResourceLimitError
 from ramabel.mean_values import (
     _BLOCK, _CHUNK, _LEAF, _Weights, _array_trace, _block_sum, _checkpoint_ns)
-from ramabel.singular import validate_linear_pair
+from ramabel.singular import series_constant, tuple_constant, validate_linear_pair
+
+from conftest import traced_peak
 
 
 def _valid_linear_pair(abl) -> bool:
@@ -239,13 +241,7 @@ class TestStreamedMeans:
         # A block is summed from its nonzeros: the peak was 7.8 MiB.  A
         # dense float64 buffer of one block, 8 MiB more, made it 15.3 MiB.
         mean(1000)
-        tracemalloc.start()
-        try:
-            mean(4 * 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 9 * 2**20
+        assert traced_peak(lambda: mean(4 * 10**6)) < 9 * 2**20
 
     # The largest peak of a streamed mean, with one bound for each N: 12.15
     # and 16.07 MiB measured.
@@ -253,13 +249,30 @@ class TestStreamedMeans:
                              ids=["4e6", "1.6e7"])
     def test_conjecture_d_mean_peak(self, N, bound):
         conjecture_d_mean(1, 2, 1, 1000)
-        tracemalloc.start()
-        try:
-            conjecture_d_mean(1, 2, 1, N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        assert traced_peak(lambda: conjecture_d_mean(1, 2, 1, N)) < bound
+
+    # The other streamed kernels, each with one bound about 1 MiB over the
+    # larger of its two peaks, in MiB: pnt_mean 7.78 and 7.86,
+    # pair_autocorrelation and odd_gap_mean 7.78 and 9.09, tuple_mean 7.78
+    # and 9.72, and the Euler products of the tuple and series constants
+    # 1.70 and 3.40.
+    MEAN_SIZES = {"4e6": 4 * 10**6, "1.6e7": 16 * 10**6}
+    PRODUCT_SIZES = {"1e6": 10**6, "1e7": 10**7}
+    KERNEL_PEAKS = [
+        ("pnt_mean", pnt_mean, MEAN_SIZES, 9),
+        ("pair_autocorrelation", lambda N: pair_autocorrelation(2, N, P=10**3), MEAN_SIZES, 10),
+        ("odd_gap_mean", lambda N: odd_gap_mean(3, N), MEAN_SIZES, 10),
+        ("tuple_mean", lambda N: tuple_mean((0, 2, 6), N, P=10**3), MEAN_SIZES, 11),
+        ("tuple_constant", lambda P: tuple_constant((0, 2, 6, 8, 12), P), PRODUCT_SIZES, 4.5),
+        ("series_constant", lambda P: series_constant(30, P), PRODUCT_SIZES, 4.5),
+    ]
+
+    @pytest.mark.parametrize("kernel, size, bound", [
+        pytest.param(kernel, size, mib * 2**20, id=f"{name}-{label}")
+        for name, kernel, sizes, mib in KERNEL_PEAKS for label, size in sizes.items()])
+    def test_kernel_peak(self, kernel, size, bound):
+        kernel(1000)
+        assert traced_peak(lambda: kernel(size)) < bound
 
     @pytest.mark.parametrize("mean", [
         pnt_mean,
@@ -776,13 +789,7 @@ class TestGoldbach:
                              ids=["L1e6", "L4e6"])
     def test_peak(self, N, q1, q2):
         goldbach_correlation(10, 30, 12)
-        tracemalloc.start()
-        try:
-            goldbach_correlation(N, q1, q2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 17 * 2**20
+        assert traced_peak(lambda: goldbach_correlation(N, q1, q2)) < 17 * 2**20
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

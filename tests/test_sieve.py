@@ -4,8 +4,6 @@ import hashlib
 import math
 import os
 import random
-import subprocess
-import sys
 import tracemalloc
 import zlib
 
@@ -39,23 +37,11 @@ from ramabel.sieve import (
     table_checksum,
 )
 
+from conftest import factorize, fresh_python, traced_peak, vmhwm_rise
+
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def factorize(n):
-    """Prime -> exponent by trial division."""
-    f = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            f[d] = f.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        f[n] = f.get(n, 0) + 1
-    return f
 
 
 # Bounds at the session fixtures reuse them as the full build.
@@ -126,19 +112,11 @@ class TestBuildSieve:
         with pytest.raises(ValueError):
             build_sieve(0)
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_bytes_per_entry_covers_build(self):
         # The peak RSS rise of a full build in a fresh process, per entry,
-        # is within the footprint the memory check assumes.  VmHWM starts
-        # afresh at exec, where ru_maxrss keeps the peak of the forked parent.
-        code = ("import re; from ramabel import build_sieve; "
-                "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
-                "open('/proc/self/status').read())[1]); "
-                "h0 = hwm(); build_sieve(4 * 10**6); print(hwm() - h0)")
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ramabel.__file__))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert int(out) * 1024 / (4 * 10**6 + 1) <= SieveTables.BYTES_PER_ENTRY
+        # is within the footprint the memory check assumes.
+        rise = vmhwm_rise("from ramabel import build_sieve", "build_sieve(4 * 10**6)")
+        assert rise / (4 * 10**6 + 1) <= SieveTables.BYTES_PER_ENTRY
 
     def test_memory_budget_error_names_budget(self):
         # 64 * 10^15 bytes is over any machine's memory; the check raises
@@ -154,14 +132,12 @@ class TestBuildSieve:
         # int32; the guard raises before anything is allocated.
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**40}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match="int32"):
                 build_sieve(2**31)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+
+        assert traced_peak(refused) < 100_000
 
     def test_primes_agree_with_trial_division(self, tables_small, dense_lambda):
         def is_prime(n):
@@ -505,7 +481,6 @@ class TestDumpRestore:
         assert save_peak < 5 * (N // 4 + 1) + _SEGMENT_BYTES
         assert check_peak < 8 * 2**20
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_save_peak_within_checked_footprint(self, tmp_path):
         # The peak RSS rise of a save in a fresh process is within the
         # footprint its memory check counts, as test_bytes_per_entry_covers_build
@@ -513,15 +488,9 @@ class TestDumpRestore:
         # segments, so that it leaves out what a first save loads once,
         # OpenSSL among it, and holds with a bytecode cache or without one.
         N = 4 * 10**6
-        code = ("import re, sys; from ramabel import save_tables; "
-                "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
-                "open('/proc/self/status').read())[1]); "
-                "save_tables(2**18 + 1, sys.argv[1]); "
-                f"h0 = hwm(); save_tables({N}, sys.argv[1]); print(hwm() - h0)")
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ramabel.__file__))}
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tables.bin")], env=env,
-                             check=True, capture_output=True, text=True).stdout
-        assert int(out) * 1024 <= 5 * (N // 4 + 1) + _SEGMENT_BYTES
+        rise = vmhwm_rise("from ramabel import save_tables; save_tables(2**18 + 1, sys.argv[1])",
+                          f"save_tables({N}, sys.argv[1])", str(tmp_path / "tables.bin"))
+        assert rise <= 5 * (N // 4 + 1) + _SEGMENT_BYTES
 
     def test_save_loads_openssl_after_the_segments(self, tmp_path):
         # hashlib, with OpenSSL, loads once every segment is written, so it
@@ -531,9 +500,7 @@ class TestDumpRestore:
                 "seen = []; sieve._table_segments = lambda N: "
                 "(seen.append('_hashlib' in sys.modules) or s for s in segments(N)); "
                 "sieve.save_tables(2**18 + 1, sys.argv[1]); print(seen, '_hashlib' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ramabel.__file__))}
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tables.bin")], env=env,
-                             check=True, capture_output=True, text=True).stdout
+        out = fresh_python("-c", code, str(tmp_path / "tables.bin")).stdout
         assert out == "[False, False, False] True\n"
 
     def test_save_memory_budget(self, tmp_path, monkeypatch):
@@ -608,15 +575,13 @@ class TestDumpRestore:
         path = tmp_path / "tables.bin"
         path.write_bytes(b"RMBL" + (3).to_bytes(4, "little") + (2**40).to_bytes(8, "little")
                          + bytes(100))
-        tracemalloc.start()
-        try:
+
+        def refused():
             for read in (load_tables, lambda p: table_checksum(p, 2**40)):
                 with pytest.raises(DamagedDumpError, match="truncated"):
                     read(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+
+        assert traced_peak(refused) < 100_000
 
     # Dump prefixes: empty, cut inside the header, the header alone, cut
     # inside the first and inside the last array of the 360,029-byte dump at
@@ -643,14 +608,11 @@ class TestHelpers:
     def test_primes_up_to_memory_budget(self):
         # The primes up to 10^15 need about 2.9 * 10^14 bytes: the check
         # raises before anything is allocated.
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(ResourceLimitError, match=str(10**15)):
                 primes_up_to(10**15)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+
+        assert traced_peak(refused) < 100_000
 
     def test_primes_up_to_memory_check_scale(self, monkeypatch):
         # With 1 MiB of memory, the primes up to 10^5 (about 87 kB by the

@@ -2,12 +2,8 @@
 constants, linear-pair (conjecture D) constant, and the series route."""
 
 import math
-import os
 import re
-import subprocess
-import sys
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,6 +33,8 @@ from ramabel.singular import (
     validate_tuple,
 )
 from ramabel.sieve import PRIME_SEGMENT_ODDS, _prime_factors, primes_up_to
+
+from conftest import factorize, fresh_python, traced_peak, vmhwm_rise
 
 
 class TestTwinConstant:
@@ -94,19 +92,6 @@ class TestPairConstant:
             pair_constant(3, 100)
 
 
-def _trial_factors(n):
-    """Reference: (p, e) by trial division over every d >= 2."""
-    out, d = [], 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n, e = n // d, e + 1
-        if e:
-            out.append((d, e))
-        d += 1
-    return out + ([(n, 1)] if n > 1 else [])
-
-
 def _next_prime(n):
     """The least prime >= n, for 2 <= n < 10^10."""
     small = primes_up_to(10**5)
@@ -125,7 +110,7 @@ class TestPrimeFactors:
     @example(1031 * 1039)  # rho's first batch reaches both factors: retraced
     @example(9_999_991)
     def test_matches_trial_division(self, n):
-        assert _prime_factors(n) == _trial_factors(abs(n))
+        assert _prime_factors(n) == sorted(factorize(abs(n)).items())
 
     # Two primes near 10^9, or one squared: the cofactor after trial
     # division is composite, split by rho.
@@ -515,13 +500,7 @@ class TestWindowedProducts:
         # sieved (about 1 MiB) and the terms of one run of its primes.
         # Over one array of the primes <= 2 * 10^7 the peak was 29.1 MiB.
         twin_constant(10**6)
-        tracemalloc.start()
-        try:
-            twin_constant(2 * 10**7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert traced_peak(lambda: twin_constant(2 * 10**7)) < 16 * 2**20
 
     # No window edge k * 2^21 + 1 up to 10^7 is prime, so the pins above
     # would not see a prime read twice or skipped there.  Windows of a few
@@ -615,15 +594,12 @@ class TestWindowedProducts:
             assert n < 100, f"the primes up to {n} were sieved"
             return primes_up_to(n, lo)
 
-        monkeypatch.setattr(singular, "primes_up_to", small_only)
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(ResourceLimitError, match="over the limit of 1000000000"):
                 product(10**15)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+
+        monkeypatch.setattr(singular, "primes_up_to", small_only)
+        assert traced_peak(refused) < 100_000
 
 
 class TestFsumChunks:
@@ -664,13 +640,7 @@ class TestFsumChunks:
     ], ids=["twin_constant", "series_wk", "lambda1_series"])
     def test_traced_peak_within_budget(self, call, bound):
         call()
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        assert traced_peak(call) < bound
 
 
 def summed(values, chunk, monkeypatch):
@@ -760,14 +730,6 @@ class TestExactSum:
         assert twin_constant(3_001).value == want
 
 
-def fresh_process(code):
-    """stdout of ``code`` run in a fresh interpreter with this ramabel importable."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(singular.__file__))}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 class TestEulerProductFootprint:
     """An Euler product leaves no window-sized temporary to glibc: the
     primes of a window are extracted in place, and no term becomes a Python
@@ -776,15 +738,12 @@ class TestEulerProductFootprint:
     about 4,000 kB and 1,660 faults."""
 
     def test_peak_rise_over_import(self):
-        code = ("import re; from ramabel import twin_constant; "
-                "hwm = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', "
-                "open('/proc/self/status').read())[1]); "
-                "h0 = hwm(); twin_constant(10**8); print(hwm() - h0)")
-        assert int(fresh_process(code)) * 1024 <= 4.5 * 2**20
+        rise = vmhwm_rise("from ramabel import twin_constant", "twin_constant(10**8)")
+        assert rise <= 4.5 * 2**20
 
     def test_repeat_calls_do_not_refault(self):
         code = ("import resource; from ramabel import twin_constant; "
                 "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
                 "twin_constant(10**7); f0 = faults(); "
                 "twin_constant(10**7); twin_constant(10**7); print(faults() - f0)")
-        assert int(fresh_process(code)) < 4_000
+        assert int(fresh_python("-c", code).stdout) < 4_000
