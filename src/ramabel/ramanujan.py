@@ -17,7 +17,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .sieve import SieveTables, _prime_factors, _table_segments, residues, sigma_table
+from .sieve import (SieveTables, _check_memory, _prime_factors, _table_segments, residues,
+                    sigma_table)
 
 # The largest q of the oracle, whose sum takes phi(q) terms per n.
 DIRECT_MAX_Q = 5000
@@ -149,10 +150,14 @@ def check_property_catalog(
     first failing point of an array, if any.  Every sum over an array of
     points, c_q at |n| <= n_max and the cosine sums, is computed once per q
     and shared by the checks that read it: q_max (3 n_max + 12) values of 8
-    bytes, 1 MB at q_max = n_max = 200 and 24 MB at 1000.
+    bytes, 1 MB at q_max = n_max = 200 and 24 MB at 1000.  With ns, pos and sigma
+    (4 n_max + 2 more), a catalog over the memory budget is refused before any array:
+    ``props`` exits 2.
     """
     if q_max < 1 or n_max < 0:
         raise ValueError(f"need q_max >= 1 and n_max >= 0, got q_max={q_max}, n_max={n_max}")
+    _check_memory(8 * (q_max * (3 * n_max + 12) + 4 * n_max + 2),
+                  f"property catalog q<={q_max}, n<={n_max}")
     qs = range(1, q_max + 1)
     qs0 = range(0, q_max + 1)
     ns = np.arange(-n_max, n_max + 1, dtype=np.int64)

@@ -1,6 +1,7 @@
-"""Shared sieve fixtures, built once per session, and the probes and
-references that test modules import from here."""
+"""Shared sieve fixtures, built once per session, and the probes, call
+seams and references that test modules import from here."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -43,6 +44,44 @@ def vmhwm_rise(setup, stmt, *argv):
     hwm = "int(re.search(r'VmHWM:\\s+(\\d+) kB', open('/proc/self/status').read())[1])"
     code = f"import re, sys\n{setup}\nh0 = {hwm}\n{stmt}\nprint({hwm} - h0)"
     return int(fresh_python("-c", code, *argv).stdout) * 1024
+
+
+def forbid(monkeypatch, fn):
+    """Stub out every binding of the function ``fn``, in each loaded ramabel
+    module, the package and fn's own module (as numpy for np.arange), with
+    one that raises AssertionError naming fn and its arguments.  A module
+    that imported fn by name reads its own binding, so a patch of one name
+    alone would miss it.  The test modules' own imports are left alone."""
+    label = f"{fn.__module__}.{fn.__qualname__}"
+
+    def refused(*args, **kwargs):
+        shown = [*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())]
+        raise AssertionError(f"{label}({', '.join(shown)}) called")
+
+    modules = {m for name, m in sys.modules.items() if name.split(".")[0] == "ramabel"}
+    for module in modules | {sys.modules[fn.__module__]}:
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, refused)
+
+
+def calls(monkeypatch, module, name):
+    """Wrap the one binding ``module.name``: each call appends its arguments,
+    defaults filled in, as a tuple to the list returned, then runs the
+    original.  Calls through another module's binding of the function, as
+    sieve's own in the base-prime recursion of primes_up_to, are not."""
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+    seen = []
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(tuple(bound.arguments.values()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return seen
 
 
 def factorize(n):

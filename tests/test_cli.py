@@ -18,7 +18,7 @@ from ramabel import (SieveTables, cli, load_tables, mean_values, ramanujan, rf_s
 from ramabel.cli import main
 from ramabel.sieve import build_sieve, primes_up_to, table_checksum
 
-from conftest import fresh_python, vmhwm_rise
+from conftest import calls, forbid, fresh_python, vmhwm_rise
 
 
 def run(tmp_path, *argv):
@@ -87,8 +87,7 @@ class TestBasics:
     def test_abel_builds_no_table(self, tmp_path, monkeypatch):
         # The series streams the table segments up to Q = 196; the target
         # at the prime x = 2^31 - 1 comes from factoring x, with no table.
-        built = []
-        monkeypatch.setattr(cli, "build_sieve", lambda N: built.append(N) or build_sieve(N))
+        built = calls(monkeypatch, cli, "build_sieve")
         x = 2**31 - 1
         assert run(tmp_path, "abel", "--x", str(x), "--zs", "0.9") == 0
         assert built == []
@@ -353,10 +352,7 @@ class TestErrors:
         # Q = 345,387,746 at z = 1 - 10^-7: the segment generator's check
         # counts 5 * (Q // 4 + 1) bytes and one segment, about 436 MB, and
         # refuses it against a 256 MiB budget; no table is built.
-        def refuse(N):
-            raise AssertionError(f"build_sieve({N}) called")
-
-        monkeypatch.setattr(cli, "build_sieve", refuse)
+        forbid(monkeypatch, build_sieve)
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**16}.get)
         assert run(tmp_path, "abel", "--x", "5", "--zs", "0.9,0.9999999") == 2
         need = 5 * (345_387_746 // 4 + 1) + sieve._SEGMENT_BYTES
@@ -409,6 +405,20 @@ class TestErrors:
             f"error: sieve bound 2291 needs about {need} bytes, "
             f"over the memory budget of {need - 1} bytes\n")
 
+    def test_props_catalog_memory_budget(self, tmp_path, capsys, monkeypatch):
+        # The catalog counts its q_max (3 n_max + 12) values and the 4 n_max + 2
+        # of ns, pos and sigma, 8 bytes each, 5.2 MiB here, past the 4 MiB and
+        # more that the table of q <= 10 needs, and refuses one byte over.
+        need = 8 * (10 * (3 * 20_000 + 12) + 4 * 20_000 + 2)
+        for budget in (need - 1, need):
+            monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": budget}.get)
+            code = run(tmp_path, "props", "--qmax", "10", "--nmax", "20000")
+            assert code == (2 if budget < need else 0)
+            assert (tmp_path / "props.csv").exists() == (budget == need)
+        assert capsys.readouterr().err == (
+            f"error: property catalog q<=10, n<=20000 needs about {need} bytes, "
+            f"over the memory budget of {need - 1} bytes\n")
+
     # A ladder that fails its checks, or an x below 1, exits 2 before any
     # table segment is drawn: none is built for the Q = 2,993,345 of
     # z = 0.99999.
@@ -418,10 +428,7 @@ class TestErrors:
         (("--x", "0", "--zs", "0.99999"), "n must be >= 1, got 0"),
     ], ids=["decreasing", "x-zero"])
     def test_abel_refused_before_any_segment(self, tmp_path, capsys, monkeypatch, argv, error):
-        def refuse(N):
-            raise AssertionError(f"_table_segments({N}) called")
-
-        monkeypatch.setattr(sieve, "_table_segments", refuse)
+        forbid(monkeypatch, sieve._table_segments)
         assert run(tmp_path, "abel", *argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "abel.csv").exists()
@@ -657,6 +664,15 @@ class TestTableCache:
         assert read_manifest(tmp_path, argv[0])["output_sha256"]
 
 
+def same_csv_without_tables(tmp_path, monkeypatch, argv):
+    """``argv`` writes the same CSV bytes with build_sieve refused as without."""
+    assert run(tmp_path / "plain", *argv) == 0
+    want = (tmp_path / "plain" / f"{argv[0]}.csv").read_bytes()
+    forbid(monkeypatch, build_sieve)
+    assert run(tmp_path / "patched", *argv) == 0
+    assert (tmp_path / "patched" / f"{argv[0]}.csv").read_bytes() == want
+
+
 # The correlation means take N and sieve their own primes: with build_sieve
 # refused, each command gives the CSV bytes it gives unpatched.
 @pytest.mark.parametrize("argv", [
@@ -667,15 +683,7 @@ class TestTableCache:
     ("tuple", "--offsets", "0,2,6", "--n", "3000", "--p", "1000"),
 ], ids=["pnt", "autocorr-even", "autocorr-odd", "conjd", "tuple"])
 def test_correlation_commands_build_no_table(tmp_path, monkeypatch, argv):
-    assert run(tmp_path / "plain", *argv) == 0
-    want = (tmp_path / "plain" / f"{argv[0]}.csv").read_bytes()
-
-    def refuse(N):
-        raise AssertionError(f"build_sieve({N}) called")
-
-    monkeypatch.setattr(cli, "build_sieve", refuse)
-    assert run(tmp_path / "patched", *argv) == 0
-    assert (tmp_path / "patched" / f"{argv[0]}.csv").read_bytes() == want
+    same_csv_without_tables(tmp_path, monkeypatch, argv)
 
 
 # c_q at one or two q comes from the factors of q: with build_sieve refused,
@@ -686,15 +694,7 @@ def test_correlation_commands_build_no_table(tmp_path, monkeypatch, argv):
     ("goldbach", "--n", "50", "--q1", "12", "--q2", "30"),
 ], ids=["csum", "polymean", "goldbach"])
 def test_single_q_commands_build_no_table(tmp_path, monkeypatch, argv):
-    assert run(tmp_path / "plain", *argv) == 0
-    want = (tmp_path / "plain" / f"{argv[0]}.csv").read_bytes()
-
-    def refuse(N):
-        raise AssertionError(f"build_sieve({N}) called")
-
-    monkeypatch.setattr(cli, "build_sieve", refuse)
-    assert run(tmp_path / "patched", *argv) == 0
-    assert (tmp_path / "patched" / f"{argv[0]}.csv").read_bytes() == want
+    same_csv_without_tables(tmp_path, monkeypatch, argv)
 
 
 def test_write_csv_quotes_and_formats(tmp_path):

@@ -29,7 +29,7 @@ from ramabel.mean_values import (
     _BLOCK, _CHUNK, _LEAF, _Weights, _array_trace, _block_sum, _checkpoint_ns)
 from ramabel.singular import series_constant, tuple_constant, validate_linear_pair
 
-from conftest import traced_peak
+from conftest import calls, forbid, traced_peak
 
 
 def _valid_linear_pair(abl) -> bool:
@@ -147,23 +147,10 @@ class TestSparseMatchesDense:
 
     @pytest.mark.parametrize("N", [1, 2, 3, 10, 1000, 99_999])
     def test_means(self, tables, dense_lambda, N):
-        ns = _checkpoint_ns(N)
-        lam, lam1 = dense = dense_lambda(tables)
-        pnt = pnt_mean(N)
-        assert pnt.trace == _dense_array_trace(lam1[1 : N + 1], ns)
-        for a, b, l in [(1, 1, 1), (1, 1, 2), (1, 1, 30), (1, 2, 1), (3, 2, 1), (2, 5, 3)]:
-            for weight in ("lambda", "lambda1"):
-                if a == b == 1:
-                    rep = pair_autocorrelation(l, N, P=10**3, weight=weight)
-                else:
-                    rep = conjecture_d_mean(a, b, l, N, P=10**3, weight=weight)
-                assert rep.trace == _direct_conjd_trace(dense, a, b, l, N, weight)
-        for offsets in [(0, 2), (0, 2, 6), (0, 4, 6, 10)]:
-            for got, w in zip(tuple_mean(offsets, N, P=10**3), (lam, lam1)):
-                vals = w[1 : N + 1].copy()
-                for off in offsets[1:]:
-                    vals *= w[1 + off : N + 1 + off]
-                assert got.trace == _dense_array_trace(vals, ns)
+        for got, want in _streamed_means(N, dense_lambda(tables), [1, 2, 30],
+                                         [(1, 2, 1), (3, 2, 1), (2, 5, 3)],
+                                         [(0, 2), (0, 2, 6), (0, 4, 6, 10)]):
+            assert got == want
 
 
 def _streamed_means(N, dense, gaps, linear, tuples, block=_BLOCK):
@@ -283,14 +270,11 @@ class TestStreamedMeans:
     def test_refused_before_sieving(self, monkeypatch, mean):
         # pi_bound of 10^15 is over the limit of the Euler products, 10^9
         # primes; that of 10^10 is not, and there the windows are asked for.
-        def windows(lo, hi):
-            raise LookupError(f"windows [{lo}, {hi}]")
-
-        monkeypatch.setattr(mean_values, "lambda_windows", windows)
+        forbid(monkeypatch, sieve.lambda_windows)
         with pytest.raises(ResourceLimitError,
                            match="N=(1|5)0000000000000+ .* limit of 1000000000"):
             mean(10**15)
-        with pytest.raises(LookupError, match="windows"):
+        with pytest.raises(AssertionError, match="lambda_windows"):
             mean(10**10)
 
     def test_far_gap_sieves_its_ranges_only(self):
@@ -309,14 +293,8 @@ class TestStreamedMeans:
     def test_factors_share_windows_up_to_a_block(self, monkeypatch, gap, ranges):
         # A partner up to _BLOCK past n is read with n, over one range of
         # windows; one further on is read over a range of its own.
-        asked = []
-
-        def windows(lo, hi):
-            asked.append((lo, hi))
-            return sieve.lambda_windows(lo, hi)
-
         monkeypatch.setattr(mean_values, "_BLOCK", 1000)
-        monkeypatch.setattr(mean_values, "lambda_windows", windows)
+        asked = calls(monkeypatch, mean_values, "lambda_windows")
         pair_autocorrelation(gap, 5000, P=10**3)
         assert asked == ranges
 
@@ -384,10 +362,7 @@ class TestOrthogonality:
     # L = 65537 * 32768 and 2^31: refused, naming L, before any array is made.
     @pytest.mark.parametrize("r, s", [(65537, 32768), (2**31, 1)])
     def test_period_limit(self, monkeypatch, r, s):
-        def no_arange(*args, **kwargs):
-            raise AssertionError("np.arange called before the period limit")
-
-        monkeypatch.setattr(np, "arange", no_arange)
+        forbid(monkeypatch, np.arange)
         L = r * s
         with pytest.raises(ValueError, match=rf"^period L = {L} is over the limit 2\^31 - 1$"):
             cq_orthogonality(r, s, 1, 10)
@@ -594,10 +569,7 @@ class TestConstantBeforeTrace:
 
     @pytest.fixture(autouse=True)
     def no_windows(self, monkeypatch):
-        def lambda_windows(*args):
-            raise AssertionError("a window of primes was asked for")
-
-        monkeypatch.setattr(mean_values, "lambda_windows", lambda_windows)
+        forbid(monkeypatch, sieve.lambda_windows)
 
     @pytest.mark.parametrize("mean, P, error, match", [
         (lambda N, P: pair_autocorrelation(2, N, P=P), 2, ValueError, r"^P must be >= 3, got 2$"),
@@ -774,10 +746,7 @@ class TestGoldbach:
     @pytest.mark.parametrize("N, q1, q2", [(3, 6, 2**63 - 25), (3, 2**31, 1), (10**6, 65537, 32768),
                                            (3, 3 * 10**9, 2)])
     def test_period_limit(self, monkeypatch, N, q1, q2):
-        def no_arange(*args, **kwargs):
-            raise AssertionError("np.arange called before the period limit")
-
-        monkeypatch.setattr(np, "arange", no_arange)
+        forbid(monkeypatch, np.arange)
         L = math.lcm(q1, q2)
         with pytest.raises(ValueError, match=rf"^period L = {L} is over the limit 2\^31 - 1$"):
             goldbach_correlation(N, q1, q2)

@@ -29,6 +29,7 @@ from ramabel.sieve import (
     PRIME_SEGMENT_ODDS,
     _prime_powers,
     _prime_segment,
+    _read_chunks,
     _spf_segment,
     lambda_support,
     primes_up_to,
@@ -37,7 +38,7 @@ from ramabel.sieve import (
     table_checksum,
 )
 
-from conftest import factorize, fresh_python, traced_peak, vmhwm_rise
+from conftest import factorize, forbid, fresh_python, traced_peak, vmhwm_rise
 
 
 def divisors(n):
@@ -406,10 +407,7 @@ class TestLambda1At:
         # The prime 2^63 - 25 and the semiprime 3037000453 * 3037000493 have
         # no prime factor below 3 * 10^9, past any window of primes: the
         # factor comes from factoring n, and no prime is sieved.
-        def refuse(*args):
-            raise AssertionError("lambda1_at sieved primes")
-
-        monkeypatch.setattr(ramabel.sieve, "_prime_segment", refuse)
+        forbid(monkeypatch, _prime_segment)
         p = 2**63 - 25
         assert lambda1_at(p) == np.float64(p - 1) / np.float64(p) * np.log(np.float64(p))
         assert lambda1_at(3037000453 * 3037000493) == 0.0
@@ -440,6 +438,18 @@ def fail_second_segment(monkeypatch):
 
 
 class TestDumpRestore:
+    def test_read_chunks_stops_where_the_file_ends(self, tmp_path):
+        # Asked for more bytes than a file holds, the reader gives those
+        # there are, then refuses, naming the file.
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"abcde")
+        with open(path, "rb", buffering=0) as f:
+            chunks = _read_chunks(f, 8)
+            assert bytes(next(chunks)) == b"abcde"
+            with pytest.raises(DamagedDumpError) as exc:
+                next(chunks)
+        assert str(exc.value) == f"{path}: truncated table dump"
+
     def test_roundtrip(self, tmp_path, tables_small):
         path = tmp_path / "tables.bin"
         digest = save_tables(tables_small.bound, str(path))

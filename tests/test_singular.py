@@ -34,7 +34,7 @@ from ramabel.singular import (
 )
 from ramabel.sieve import PRIME_SEGMENT_ODDS, _prime_factors, primes_up_to
 
-from conftest import factorize, fresh_python, traced_peak, vmhwm_rise
+from conftest import calls, factorize, fresh_python, traced_peak, vmhwm_rise
 
 
 class TestTwinConstant:
@@ -523,43 +523,26 @@ class TestWindowedProducts:
     def test_windows_follow_the_sieve_segment_size(self, monkeypatch):
         # The window size is read from sieve when a product runs, so windows
         # of 2^11 integers put four more edges below 10^4.
-        starts = []
-
-        def recorded(n, lo=1):
-            starts.append(lo)
-            return primes_up_to(n, lo)
-
         monkeypatch.setattr(sieve, "PRIME_SEGMENT_ODDS", 1 << 10)
-        monkeypatch.setattr(singular, "primes_up_to", recorded)
+        asked = calls(monkeypatch, singular, "primes_up_to")
         twin_constant(10**4)
-        assert starts == [1, 2049, 4097, 6145, 8193]
+        assert [lo for _, lo in asked] == [1, 2049, 4097, 6145, 8193]
 
     def test_every_walk_takes_the_windows_of_window_bounds(self, monkeypatch):
         # lambda_windows, primes_up_to and the Euler products all sieve the
         # windows of sieve.window_bounds, at the size patched into sieve.
         windows = [(1, 10), (11, 20), (21, 30), (31, 37)]
         twin = twin_constant(37).value
-        segments, calls = [], []
-        prime_segment = sieve._prime_segment
-
-        def recorded_segment(lo, hi, base):
-            segments.append((lo, hi))
-            return prime_segment(lo, hi, base)
-
-        def recorded_primes(n, lo=1):
-            calls.append((lo, n))
-            return primes_up_to(n, lo)
-
         monkeypatch.setattr(sieve, "PRIME_SEGMENT_ODDS", 5)
-        monkeypatch.setattr(sieve, "_prime_segment", recorded_segment)
-        monkeypatch.setattr(singular, "primes_up_to", recorded_primes)
+        segments = calls(monkeypatch, sieve, "_prime_segment")
+        asked = calls(monkeypatch, singular, "primes_up_to")
         assert list(sieve.window_bounds(1, 37)) == windows
         assert [end for end, *_ in sieve.lambda_windows(1, 37)] == [end for _, end in windows]
-        assert segments[-4:] == windows
+        assert [(lo, hi) for lo, hi, _ in segments[-4:]] == windows
         assert primes_up_to(37).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-        assert segments[-4:] == windows
+        assert [(lo, hi) for lo, hi, _ in segments[-4:]] == windows
         assert twin_constant(37).value == twin
-        assert calls == windows
+        assert [(lo, n) for n, lo in asked] == windows
 
     def test_zero_factor_raises_no_warning(self):
         # log 0 = -inf is the zero-factor rule of _euler_product, not a fault.
@@ -571,16 +554,10 @@ class TestWindowedProducts:
     def test_zero_factor_stops_the_windows(self, monkeypatch):
         # At h = 1 the diagonal factor at p = 2 is 0, so that product reads
         # the first window alone; the raw product reads all three.
-        starts = []
-
-        def recorded(n, lo=1):
-            starts.append(lo)
-            return primes_up_to(n, lo)
-
-        monkeypatch.setattr(singular, "primes_up_to", recorded)
+        asked = calls(monkeypatch, singular, "primes_up_to")
         got = (series_constant(1, 2 * WINDOW + 1).value, series_naive_product(1, 2 * WINDOW + 1))
         assert got == (0.0, 27.16087131842328)
-        assert starts == [1, 1, WINDOW + 1, 2 * WINDOW + 1]
+        assert [lo for _, lo in asked] == [1, 1, WINDOW + 1, 2 * WINDOW + 1]
 
     @pytest.mark.parametrize("product", [
         lambda P: twin_constant(P),

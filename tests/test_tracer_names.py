@@ -10,15 +10,14 @@ that a span's count reads fails the traced command.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from ramabel.rf_series import required_Q
+
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -27,13 +26,8 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 def trace_spans(tmp_path, *argv):
     """Run ``ramabel argv`` under the tracer; its spans, in call order."""
     spans_path = tmp_path / "spans.json"
-    env = {k: v for k, v in os.environ.items() if k != "RAMABEL_CACHE_DIR"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(TRACER), str(spans_path), str(time.monotonic()),
-         "--out", str(tmp_path), *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = fresh_python(str(TRACER), str(spans_path), str(time.monotonic()),
+                        "--out", str(tmp_path), *argv, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(spans_path.read_text())["spans"]
 
